@@ -67,6 +67,8 @@ def _load_labeled(out: Path, clustering: clustering_mod.Clustering):
 
 
 def _maybe_remove_tokens(config: PipelineConfig, corpus: corpus_mod.Corpus) -> corpus_mod.Corpus:
+    """The corpus that train and evaluate featurize: ``paths.remove_lexicon``
+    applied when set."""
     if config.remove_lexicon_path is None:
         return corpus
     with open(config.remove_lexicon_path, "r", encoding="utf-8") as fh:
@@ -171,6 +173,7 @@ def stage_sample(
                 want,
                 config.seed + 1,
                 config.size_buckets,
+                exclude=exclude,
             )
             plan_blob["plan"] = plan.to_json()
     labeled = expert + sampled
@@ -235,20 +238,13 @@ def _domain_renyi(corpus, labeled) -> float:
 def stage_train(
     config: PipelineConfig,
     out: Path,
-    corpus: corpus_mod.Corpus,
+    working: corpus_mod.Corpus,
     labeled: Sequence[sampling_mod.LabeledCluster],
 ) -> model_mod.RiskModel:
-    working = _maybe_remove_tokens(config, corpus)
-    docs = [
-        working.get(doc_id)
-        for lc in labeled
-        for doc_id in sorted(lc.cluster.members)
-    ]
-    vocab = model_mod.build_vocabulary(docs, config.vocab_orders, config.min_df, config.max_vocab)
-    examples = [
-        (model_mod.vectorize_cluster(lc.cluster, working, vocab, config.weighting), lc.label)
-        for lc in labeled
-    ]
+    """Train on every labeled cluster; ``working`` is the corpus after
+    ``_maybe_remove_tokens``."""
+    terms = model_mod.ClusterTerms([lc.cluster for lc in labeled], working, config.vocab_orders)
+    vocab, x = terms.featurize(config.min_df, config.max_vocab, config.weighting)
     train_config = model_mod.TrainConfig(
         loss=config.loss,
         penalty=config.penalty,
@@ -257,7 +253,7 @@ def stage_train(
         learning_rate=config.learning_rate,
         seed=config.seed + 3,
     )
-    risk_model = model_mod.train(examples, vocab, train_config)
+    risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, train_config)
     model_mod.save_model(risk_model, out / "model.json")
     ranking = model_mod.feature_importance(risk_model, config.top_k)
     with open(out / "feature_importance.csv", "w", encoding="utf-8", newline="") as fh:
@@ -268,14 +264,14 @@ def stage_train(
     _write_json(
         out / "train_summary.json",
         {
-            "examples": len(examples),
+            "examples": len(labeled),
             "vocabulary": len(vocab),
             "final_objective": risk_model.metadata["final_objective"],
             "epochs": risk_model.metadata["epochs"],
         },
     )
     print(
-        f"train: {len(examples)} cluster examples, vocab {len(vocab)}, "
+        f"train: {len(labeled)} cluster examples, vocab {len(vocab)}, "
         f"objective {risk_model.metadata['final_objective']:.5f} -> {out / 'model.json'}"
     )
     return risk_model
@@ -284,10 +280,10 @@ def stage_train(
 def stage_evaluate(
     config: PipelineConfig,
     out: Path,
-    corpus: corpus_mod.Corpus,
+    working: corpus_mod.Corpus,
     labeled: Sequence[sampling_mod.LabeledCluster],
 ) -> evaluate_mod.EvalReport:
-    working = _maybe_remove_tokens(config, corpus)
+    """Cross-validate; ``working`` is the corpus after ``_maybe_remove_tokens``."""
     features = _features_from_names(config.bias_features)
     plan = evaluate_mod.make_folds(
         working,
@@ -443,7 +439,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(out)
     clustering = _load_clusters(out)
     labeled, _ = _load_labeled(out, clustering)
-    stage_train(config, out, corpus, labeled)
+    stage_train(config, out, _maybe_remove_tokens(config, corpus), labeled)
     return 0
 
 
@@ -453,7 +449,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(out)
     clustering = _load_clusters(out)
     labeled, _ = _load_labeled(out, clustering)
-    stage_evaluate(config, out, corpus, labeled)
+    stage_evaluate(config, out, _maybe_remove_tokens(config, corpus), labeled)
     return 0
 
 
@@ -479,9 +475,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         stage = "diagnose"
         stage_diagnose(config, out, corpus, labeled)
         stage = "train"
-        stage_train(config, out, corpus, labeled)
+        working = _maybe_remove_tokens(config, corpus)
+        stage_train(config, out, working, labeled)
         stage = "evaluate"
-        stage_evaluate(config, out, corpus, labeled)
+        stage_evaluate(config, out, working, labeled)
         if config.rules_path is not None:
             stage = "indicators"
             stage_indicators(config, out, corpus, clustering)

@@ -406,7 +406,7 @@ def read_clustering(path: str | Path) -> Clustering:
     groups: dict[str, set[str]] = defaultdict(set)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"cluster_id", "document_id"}:
+        if reader.fieldnames is None or not {"cluster_id", "document_id"} <= set(reader.fieldnames):
             raise InputError(f"{path}: expected header cluster_id,document_id")
         for row in reader:
             groups[row["cluster_id"]].add(row["document_id"])

@@ -292,24 +292,52 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write("\n")
 
 
-def remove_tokens(corpus: Corpus, lexicon: Iterable[str]) -> Corpus:
-    """Delete whole-token occurrences of lexicon entries from every text.
+def _without_spans(text: str, pattern: re.Pattern) -> str:
+    """Replace every match of ``pattern`` in ``text.lower()`` by a space,
+    cutting the original text at the characters each match came from."""
+    # With "_" blanked out, an ASCII-mode \b in the lowered text falls
+    # exactly on the edges of _TOKEN_RE's runs.
+    lowered = text.lower().replace("_", " ")
+    spans = [m.span() for m in pattern.finditer(lowered)]
+    if not spans:
+        return text
+    if len(lowered) != len(text):
+        # Some character lowercases to several (e.g. U+0130); map back.
+        origin = [i for i, ch in enumerate(text) for _ in ch.lower()]
+        spans = [(origin[a], origin[b - 1] + 1) for a, b in spans]
+    pieces = []
+    last = 0
+    for a, b in spans:
+        pieces.append(text[last:a])
+        last = b
+    pieces.append(text[last:])
+    return _WS_RE.sub(" ", " ".join(pieces)).strip()
 
-    Matching is case-insensitive; multi-word entries match across single
-    whitespace runs.  All other document fields are unchanged and the
-    input corpus is not modified.
+
+def remove_tokens(corpus: Corpus, lexicon: Iterable[str]) -> Corpus:
+    """Delete lexicon entries from every text on ``tokenize``'s own spans.
+
+    An entry is the token sequence ``tokenize`` gives it; it matches where
+    the text tokenizes to that sequence, so matching is case-insensitive
+    and ignores the separators between tokens.  Removal repeats until no
+    entry matches, so no tokenized text keeps one.  All other document
+    fields are unchanged and the input corpus is not modified.
     """
-    terms = sorted({t.strip().lower() for t in lexicon if t.strip()})
-    if not terms:
+    phrases = sorted({tuple(tokenize(t)) for t in lexicon} - {()})
+    if not phrases:
         return Corpus(corpus.documents)
-    alternatives = []
-    for term in terms:
-        parts = [re.escape(p) for p in term.split()]
-        alternatives.append(r"\s+".join(parts))
-    pattern = re.compile(r"\b(?:" + "|".join(alternatives) + r")\b", re.IGNORECASE)
+    pattern = re.compile(
+        r"\b(?:" + "|".join("[^a-z0-9]+".join(parts) for parts in phrases) + r")\b",
+        re.ASCII,
+    )
+    # Removing a phrase can join its neighbours into another match;
+    # removing single tokens cannot.
+    repeat = any(len(parts) > 1 for parts in phrases)
     out = []
     for doc in corpus:
-        new_text = _WS_RE.sub(" ", pattern.sub(" ", doc.text)).strip()
+        new_text = _without_spans(doc.text, pattern)
+        while repeat and (cut := _without_spans(new_text, pattern)) != new_text:
+            new_text = cut
         if new_text == doc.text:
             out.append(doc)
         else:

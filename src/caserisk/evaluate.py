@@ -19,6 +19,8 @@ from pathlib import Path
 from random import Random
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bias import (
     NEGATIVE,
     POSITIVE,
@@ -37,13 +39,7 @@ from .errors import (
     UndefinedMetricError,
     UnsplittableError,
 )
-from .model import (
-    TrainConfig,
-    build_vocabulary,
-    feature_importance,
-    train,
-    vectorize_cluster,
-)
+from .model import ClusterTerms, TrainConfig, feature_importance, train
 from .sampling import DEFAULT_SIZE_BUCKETS, LabeledCluster, stratum_key
 
 
@@ -316,9 +312,10 @@ def cross_validate(
 ) -> EvalReport:
     """Per-fold train/score with fold-local vocabularies.
 
-    The vocabulary for each fold is built from training-fold documents
-    only, so test-fold tokens can never leak into a model.  Pooled AUC is
-    the headline number; per-fold AUCs show dispersion.
+    Every labeled document is tokenized once.  The vocabulary for each
+    fold is built from training-fold documents only, so test-fold tokens
+    can never leak into a model.  Pooled AUC is the headline number;
+    per-fold AUCs show dispersion.
     """
     if not labeled:
         raise EmptyInputError("no labeled clusters")
@@ -327,28 +324,21 @@ def cross_validate(
         raise InputError(f"fold plan does not cover clusters: {missing[:3]}")
     train_config = train_config or TrainConfig()
 
+    terms = ClusterTerms([lc.cluster for lc in labeled], corpus, vocab_orders)
+    labels = [lc.label for lc in labeled]
+    folds = np.array([plan.assignment[lc.cluster.id] for lc in labeled])
     pooled: list[tuple[float, str]] = []
     pooled_with_ids: list[tuple[str, float, str]] = []
     fold_aucs = []
     for fold in range(plan.k):
-        train_side = [lc for lc in labeled if plan.assignment[lc.cluster.id] != fold]
-        test_side = [lc for lc in labeled if plan.assignment[lc.cluster.id] == fold]
-        train_docs = [
-            corpus.get(doc_id)
-            for lc in train_side
-            for doc_id in sorted(lc.cluster.members)
-        ]
-        vocab = build_vocabulary(train_docs, vocab_orders, min_df, max_vocab)
-        examples = [
-            (vectorize_cluster(lc.cluster, corpus, vocab, weighting), lc.label)
-            for lc in train_side
-        ]
-        model = train(examples, vocab, train_config)
+        fit = folds != fold
+        train_idx, test_idx = np.flatnonzero(fit), np.flatnonzero(~fit)
+        vocab, x = terms.featurize(min_df, max_vocab, weighting, fit=fit)
+        model = train((x[train_idx], [labels[i] for i in train_idx]), vocab, train_config)
         fold_scores = []
-        for lc in test_side:
-            vec = vectorize_cluster(lc.cluster, corpus, vocab, weighting)
-            fold_scores.append((model.score(vec), lc.label))
-            pooled_with_ids.append((lc.cluster.id, fold_scores[-1][0], lc.label))
+        for i, value in zip(test_idx.tolist(), model.scores(x[test_idx]).tolist()):
+            fold_scores.append((value, labels[i]))
+            pooled_with_ids.append((labeled[i].cluster.id, value, labels[i]))
         pooled.extend(fold_scores)
         fold_auc, _ = roc_auc(fold_scores)
         fold_aucs.append(fold_auc)
@@ -357,15 +347,8 @@ def cross_validate(
     thresholds = [t for t, _, _ in roc_curve(pooled)]
 
     # Final model over the full labeled set for the feature ranking.
-    all_docs = [
-        corpus.get(doc_id) for lc in labeled for doc_id in sorted(lc.cluster.members)
-    ]
-    vocab = build_vocabulary(all_docs, vocab_orders, min_df, max_vocab)
-    examples = [
-        (vectorize_cluster(lc.cluster, corpus, vocab, weighting), lc.label)
-        for lc in labeled
-    ]
-    final_model = train(examples, vocab, train_config)
+    vocab, x = terms.featurize(min_df, max_vocab, weighting)
+    final_model = train((x, labels), vocab, train_config)
     top = feature_importance(final_model, top_k)
 
     recheck = audit(corpus, labeled, features, alpha) if features else None

@@ -1,11 +1,15 @@
 """Featurization and interpretable linear risk models.
 
-Documents become L2-normalized sparse bag-of-n-grams vectors; a cluster is
-the renormalized mean of its member vectors.  Models are penalized linear
-classifiers (logistic or hinge loss, L1 or L2 penalty) trained by
-deterministic full-batch gradient descent, so identical inputs always
-reproduce identical weights.  Scores are sigmoid-calibrated margins in
-[0, 1], and feature rankings come straight from the weight magnitudes.
+Documents are tokenized once into a document x n-gram count matrix (CSR),
+with columns in sorted gram order.  A vocabulary is the set of columns
+kept by document frequency over the training rows; document rows are
+L2-normalized, and a cluster row is the renormalized mean of its member
+rows, computed as a row-normalized membership matrix times the document
+rows.  Models are penalized linear classifiers (logistic or hinge loss, L1
+or L2 penalty) trained by deterministic full-batch gradient descent, so
+identical inputs always reproduce identical weights.  Scores are
+sigmoid-calibrated margins in [0, 1], and feature rankings come straight
+from the weight magnitudes.
 """
 
 from __future__ import annotations
@@ -13,13 +17,14 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, issparse
 
 from .clustering import Cluster
 from .corpus import Corpus, Document, tokenize
@@ -67,6 +72,86 @@ class Vocabulary:
         return out
 
 
+def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
+    orders = tuple(sorted(set(orders)))
+    if not orders or any(o not in (1, 2, 3) for o in orders):
+        raise InputError("orders must be a non-empty subset of {1, 2, 3}")
+    return orders
+
+
+def _count_grams(
+    docs: Sequence[Document],
+    orders: tuple[int, ...],
+    index: Optional[Mapping[str, int]] = None,
+) -> tuple[csr_matrix, list[str]]:
+    """Tokenize each document once into a document x n-gram count matrix.
+
+    Without ``index`` every gram seen gets a column, in sorted gram order,
+    and the grams are returned by column.  With ``index`` the columns are
+    that mapping's, grams outside it are dropped and no grams are returned.
+    """
+    grow = index is None
+    columns = {} if grow else index
+    indptr = array("q", [0])
+    indices = array("i")
+    data = array("i")
+    for doc in docs:
+        counts = Counter(ngrams(tokenize(doc.text), orders))
+        if grow:
+            indices.extend([columns.setdefault(g, len(columns)) for g in counts])
+            data.extend(counts.values())
+        else:
+            for gram, count in counts.items():
+                col = columns.get(gram)
+                if col is not None:
+                    indices.append(col)
+                    data.append(count)
+        indptr.append(len(indices))
+    cols = np.asarray(indices)
+    grams: list[str] = []
+    if grow:
+        # Renumber first-seen ids so that columns follow sorted gram order.
+        grams = sorted(columns)
+        rank = np.empty(len(grams), dtype=np.int32)
+        rank[[columns[g] for g in grams]] = np.arange(len(grams))
+        cols = rank[cols]
+    counts = csr_matrix(
+        (np.asarray(data), cols, np.asarray(indptr)), shape=(len(docs), len(columns))
+    )
+    counts.sort_indices()
+    return counts, grams
+
+
+def _fit_vocabulary(
+    counts: csr_matrix,
+    grams: Sequence[str],
+    rows: np.ndarray,
+    orders: tuple[int, ...],
+    min_df: int,
+    max_size: Optional[int],
+) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+    """The vocabulary of the documents in ``rows``, its columns of ``counts``
+    and their document frequencies.
+
+    Keeps grams with document frequency >= min_df; beyond max_size the
+    highest-df grams win, ties broken lexicographically, which is column
+    order.  Vocabulary indices follow sorted gram order.
+    """
+    df = np.bincount(counts[rows].indices, minlength=counts.shape[1])
+    cols = np.flatnonzero(df >= min_df)
+    if max_size is not None and len(cols) > max_size:
+        cols = np.sort(cols[np.lexsort((cols, -df[cols]))[:max_size]])
+    kept = [grams[c] for c in cols.tolist()]
+    vocab = Vocabulary(
+        index={t: i for i, t in enumerate(kept)},
+        df=dict(zip(kept, df[cols].tolist())),
+        orders=orders,
+        n_docs=len(rows),
+        max_size=max_size,
+    )
+    return vocab, cols, df[cols]
+
+
 def build_vocabulary(
     docs: Sequence[Document],
     orders: Iterable[int] = (1,),
@@ -78,74 +163,142 @@ def build_vocabulary(
     When the result exceeds max_size, the highest-df grams are kept (ties
     broken lexicographically).  Indices follow sorted token order.
     """
-    orders = tuple(sorted(set(orders)))
-    if not orders or any(o not in (1, 2, 3) for o in orders):
-        raise InputError("orders must be a non-empty subset of {1, 2, 3}")
+    orders = _check_orders(orders)
     if min_df < 1:
         raise InputError("min_df must be >= 1")
     if not docs:
         raise EmptyInputError("no documents to build a vocabulary from")
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(ngrams(tokenize(doc.text), orders)))
-    kept = [t for t, c in df.items() if c >= min_df]
-    if max_size is not None and len(kept) > max_size:
-        kept.sort(key=lambda t: (-df[t], t))
-        kept = kept[:max_size]
-    kept.sort()
-    return Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        df={t: df[t] for t in kept},
-        orders=orders,
-        n_docs=len(docs),
-        max_size=max_size,
+    counts, grams = _count_grams(docs, orders)
+    vocab, _, _ = _fit_vocabulary(counts, grams, np.arange(len(docs)), orders, min_df, max_size)
+    return vocab
+
+
+def _unit_rows(x: csr_matrix) -> csr_matrix:
+    """Scale every non-zero row of x to unit L2 norm, in place."""
+    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+    x.data /= np.repeat(norms, np.diff(x.indptr))
+    return x
+
+
+def _document_rows(counts: csr_matrix, idf: Optional[np.ndarray]) -> csr_matrix:
+    """L2-normalized tf (or tf-idf, given idf by column) document rows."""
+    x = counts.astype(np.float64)
+    if idf is not None:
+        x.data *= idf[x.indices]
+    return _unit_rows(x)
+
+
+def _cluster_rows(doc_rows: csr_matrix, doc_ptr: np.ndarray) -> csr_matrix:
+    """Renormalized mean of each cluster's document rows.
+
+    Cluster i owns document rows doc_ptr[i]:doc_ptr[i + 1], which must be
+    non-empty.
+    """
+    sizes = np.diff(doc_ptr)
+    membership = csr_matrix(
+        (np.repeat(1.0 / sizes, sizes), np.arange(doc_ptr[-1]), doc_ptr),
+        shape=(len(sizes), doc_rows.shape[0]),
     )
+    return _unit_rows(membership @ doc_rows)
 
 
-def _l2_normalize(vec: SparseVector) -> SparseVector:
-    norm = math.sqrt(sum(w * w for w in vec.values()))
-    if norm == 0.0:
-        return {}
-    return {i: w / norm for i, w in vec.items()}
+def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
+    return np.log((1 + n_docs) / (1 + df)) + 1.0
+
+
+def _check_weighting(weighting: str) -> None:
+    if weighting not in ("tf", "tfidf"):
+        raise InputError(f"unknown weighting {weighting!r}")
+
+
+class ClusterTerms:
+    """The member documents of a cluster sequence, tokenized once.
+
+    ``counts`` is their document x n-gram count matrix: rows grouped by
+    cluster in sequence order, members in sorted id order, and columns in
+    sorted gram order.  ``featurize`` selects a vocabulary's columns from
+    it, so cross-validation folds never re-tokenize a document.
+    """
+
+    def __init__(self, clusters: Sequence[Cluster], corpus: Corpus, orders: Iterable[int] = (1,)):
+        self.orders = _check_orders(orders)
+        docs = []
+        sizes = []
+        for cluster in clusters:
+            members = sorted(cluster.members)
+            for doc_id in members:
+                if doc_id not in corpus:
+                    raise InputError(f"cluster member {doc_id!r} not in corpus")
+                docs.append(corpus.get(doc_id))
+            sizes.append(len(members))
+        self.doc_ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
+        self.counts, self.grams = _count_grams(docs, self.orders)
+
+    def featurize(
+        self,
+        min_df: int = 1,
+        max_size: Optional[int] = None,
+        weighting: str = "tf",
+        fit: Optional[np.ndarray] = None,
+    ) -> tuple[Vocabulary, csr_matrix]:
+        """Vocabulary of the clusters selected by the boolean mask ``fit``
+        (all clusters when None) and every cluster's row against it.
+
+        The rows equal ``vectorize_cluster`` of each cluster with that
+        vocabulary, up to floating-point summation order.
+        """
+        _check_weighting(weighting)
+        if min_df < 1:
+            raise InputError("min_df must be >= 1")
+        if fit is None:
+            rows = np.arange(self.counts.shape[0])
+        else:
+            rows = np.flatnonzero(np.repeat(fit, np.diff(self.doc_ptr)))
+        if len(rows) == 0:
+            raise EmptyInputError("no documents to build a vocabulary from")
+        vocab, cols, df = _fit_vocabulary(
+            self.counts, self.grams, rows, self.orders, min_df, max_size
+        )
+        if len(vocab) == 0:
+            raise EmptyInputError("empty vocabulary")
+        idf = _idf(df, len(rows)) if weighting == "tfidf" else None
+        doc_rows = _document_rows(self.counts[:, cols], idf)
+        return vocab, _cluster_rows(doc_rows, self.doc_ptr)
+
+
+def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> csr_matrix:
+    """L2-normalized document rows over an existing vocabulary."""
+    _check_weighting(weighting)
+    if len(vocab) == 0:
+        raise EmptyInputError("empty vocabulary")
+    counts, _ = _count_grams(docs, vocab.orders, vocab.index)
+    idf = None
+    if weighting == "tfidf":
+        idf = _idf(np.array([vocab.df[t] for t in vocab.tokens_by_index()]), vocab.n_docs)
+    return _document_rows(counts, idf)
+
+
+def _as_vector(x: csr_matrix) -> SparseVector:
+    """The first row of x as an index -> weight map."""
+    end = x.indptr[1]
+    return dict(zip(x.indices[:end].tolist(), x.data[:end].tolist()))
 
 
 def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> SparseVector:
     """Sparse bag-of-n-grams vector, L2-normalized when non-zero."""
-    if weighting not in ("tf", "tfidf"):
-        raise InputError(f"unknown weighting {weighting!r}")
-    if len(vocab) == 0:
-        raise EmptyInputError("empty vocabulary")
-    counts: Counter[str] = Counter(
-        g for g in ngrams(tokenize(doc.text), vocab.orders) if g in vocab
-    )
-    if not counts:
-        return {}
-    if weighting == "tf":
-        vec = {vocab.index[t]: float(c) for t, c in counts.items()}
-    else:
-        n = vocab.n_docs
-        vec = {
-            vocab.index[t]: c * (math.log((1 + n) / (1 + vocab.df[t])) + 1.0)
-            for t, c in counts.items()
-        }
-    return _l2_normalize(vec)
+    return _as_vector(_rows_against([doc], vocab, weighting))
 
 
 def vectorize_cluster(
     cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf"
 ) -> SparseVector:
     """Renormalized mean of the member document vectors."""
-    total: dict[int, float] = {}
-    k = 0
-    for doc_id in sorted(cluster.members):
+    members = sorted(cluster.members)
+    for doc_id in members:
         if doc_id not in corpus:
             raise InputError(f"cluster member {doc_id!r} not in corpus")
-        k += 1
-        for idx, w in vectorize_document(corpus.get(doc_id), vocab, weighting).items():
-            total[idx] = total.get(idx, 0.0) + w
-    if k == 0:
-        return {}
-    return _l2_normalize({i: w / k for i, w in total.items()})
+    doc_rows = _rows_against([corpus.get(d) for d in members], vocab, weighting)
+    return _as_vector(_cluster_rows(doc_rows, np.array([0, len(members)])))
 
 
 @dataclass
@@ -189,6 +342,13 @@ class RiskModel:
         (identity-parameter calibration).
         """
         return _sigmoid(self.margin(vec))
+
+    def scores(self, x: csr_matrix) -> np.ndarray:
+        """Risk scores of the rows of a feature matrix: ``x @ w + b``
+        through the same sigmoid as ``score``."""
+        w = np.zeros(x.shape[1])
+        w[list(self.weights)] = list(self.weights.values())
+        return _stable_sigmoid(x @ w + self.intercept)
 
 
 def _sigmoid(z: float) -> float:
@@ -286,11 +446,14 @@ def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def train(
-    examples: Sequence[tuple[SparseVector, object]],
+    examples: Sequence[tuple[SparseVector, object]] | tuple[csr_matrix, Sequence[object]],
     vocabulary: Optional[Vocabulary] = None,
     config: Optional[TrainConfig] = None,
 ) -> RiskModel:
     """Full-batch gradient descent on the penalized objective.
+
+    ``examples`` is either a sequence of (sparse vector, label) pairs or
+    one (feature matrix, labels) pair whose rows are the examples.
 
     With the default halving-on-increase schedule a proposed step that
     raises the objective is rejected and retried at half the rate, so the
@@ -299,16 +462,27 @@ def train(
     """
     config = config or TrainConfig()
     config.validate()
-    if not examples:
+    x = None
+    if len(examples) == 2 and issparse(examples[0]):
+        x, labels = csr_matrix(examples[0]), list(examples[1])
+        if x.shape[0] != len(labels):
+            raise InputError(f"{x.shape[0]} feature rows for {len(labels)} labels")
+        if vocabulary is not None and x.shape[1] != len(vocabulary):
+            raise InputError(f"{x.shape[1]} feature columns for a vocabulary of {len(vocabulary)}")
+    else:
+        labels = [label for _, label in examples]
+    if not labels:
         raise EmptyInputError("no training examples")
-    y = np.asarray([_as_sign(label) for _, label in examples])
+    y = np.asarray([_as_sign(label) for label in labels])
     if len(set(y.tolist())) < 2:
         raise DegenerateTrainingError("training data has a single class")
-    if vocabulary is not None:
-        dim = len(vocabulary)
-    else:
-        dim = 1 + max((max(v) for v, _ in examples if v), default=-1)
-    x = _to_matrix([v for v, _ in examples], dim)
+    if x is None:
+        if vocabulary is not None:
+            dim = len(vocabulary)
+        else:
+            dim = 1 + max((max(v) for v, _ in examples if v), default=-1)
+        x = _to_matrix([v for v, _ in examples], dim)
+    dim = x.shape[1]
 
     objective = logistic_objective if config.loss == "logistic" else _hinge_objective
     w = np.zeros(dim)
@@ -351,7 +525,7 @@ def train(
             "learning_rate": config.learning_rate,
             "final_learning_rate": lr,
             "schedule": config.schedule,
-            "examples": len(examples),
+            "examples": len(labels),
         },
     )
 

@@ -145,9 +145,12 @@ def conditioned_negatives(
     n: int,
     seed: int,
     size_buckets: Sequence[int] = DEFAULT_SIZE_BUCKETS,
+    exclude: Iterable[str] = (),
 ) -> tuple[list[LabeledCluster], SamplingPlan]:
     """Draw negatives whose (feature-group x size-bucket) distribution
     matches the positive clusters.
+
+    Neither the positives nor the clusters in ``exclude`` are ever drawn.
 
     Per-stratum quotas are the largest-remainder rounding of the positive
     empirical distribution; draws within a stratum are uniform without
@@ -157,14 +160,14 @@ def conditioned_negatives(
     """
     if not positives:
         raise EmptyInputError("no positive clusters to condition on")
-    positive_ids = {lc.cluster.id for lc in positives}
+    excluded = {lc.cluster.id for lc in positives} | set(exclude)
     pos_strata: Counter[tuple[str, ...]] = Counter()
     for lc in positives:
         pos_strata[stratum_key(lc.cluster, corpus, features, size_buckets)] += 1
 
     pools: dict[tuple[str, ...], list[str]] = defaultdict(list)
     for cluster in clustering:
-        if cluster.id in positive_ids:
+        if cluster.id in excluded:
             continue
         pools[stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
     for pool in pools.values():
@@ -275,7 +278,7 @@ def read_labels(
     rows: list[tuple[str, str, str]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or set(reader.fieldnames) < {"cluster_id", "label"}:
+        if reader.fieldnames is None or not {"cluster_id", "label"} <= set(reader.fieldnames):
             raise InputError(f"{path}: expected header cluster_id,label[,source]")
         for row in reader:
             rows.append(

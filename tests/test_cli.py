@@ -201,6 +201,37 @@ class TestPipeline:
         summary = json.loads((out / "cluster_summary.json").read_text())
         assert summary["clusters"] == 60
 
+    def test_expert_negatives_never_resampled(self, tmp_path):
+        run_synth(tmp_path)
+        truth = (tmp_path / "labels_true.csv").read_text().splitlines()[1:]
+        negatives = [row.split(",")[0] for row in truth if ",negative," in row]
+        with open(tmp_path / "labels_expert.csv", "a") as fh:
+            for cid in negatives[:12]:
+                fh.write(f"{cid},negative,expert\n")
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=("sampling.ratio = 1.5",))
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(conf), "--out", str(out)]) == 0
+        ids = [row.split(",")[0] for row in (out / "labels.csv").read_text().splitlines()[1:]]
+        assert len(ids) == len(set(ids))
+
+    def test_bad_labels_header_exits_1(self, tmp_path, capsys):
+        run_synth(tmp_path)
+        (tmp_path / "labels_expert.csv").write_text("foo,bar\nx,y\n")
+        conf = write_config(tmp_path / "p.conf", tmp_path)
+        rc = main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InputError" in err and "Traceback" not in err
+
+    def test_bad_clusters_header_exits_1(self, tmp_path, capsys):
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        (tmp_path / "run" / "clusters.csv").write_text("foo,bar\nx,y\n")
+        conf = tmp_path / "p.conf"
+        rc = main(["train", "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InputError" in err and "Traceback" not in err
+
     def test_stage_artifacts_feed_next_stage(self, tmp_path):
         # pipeline artifacts must be loadable by the standalone subcommands
         self.run_pipeline(tmp_path, tmp_path / "run")

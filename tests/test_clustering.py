@@ -313,6 +313,14 @@ def test_clustering_round_trip(tmp_path):
     assert _member_sets(loaded) == _member_sets(clustering)
 
 
+@pytest.mark.parametrize("header", ["foo,bar", "cluster_id,doc"])
+def test_clustering_header_missing_columns_rejected(tmp_path, header):
+    path = tmp_path / "clusters.csv"
+    path.write_text(f"{header}\na,b\n")
+    with pytest.raises(InputError):
+        read_clustering(path)
+
+
 def test_cluster_ids_are_min_member():
     clustering = Clustering.from_member_sets([{"z", "m"}, {"a", "q"}])
     assert sorted(c.id for c in clustering) == ["a", "m"]

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caserisk.corpus import (
     Corpus,
@@ -13,6 +15,7 @@ from caserisk.corpus import (
     ingest,
     normalize_phone,
     remove_tokens,
+    tokenize,
     write_corpus,
 )
 from caserisk.errors import EmptyCorpusError, MalformedRecordError
@@ -227,6 +230,39 @@ class TestRemoveTokens:
         corpus = self.corpus_of("visit springfield now")
         remove_tokens(corpus, {"springfield"})
         assert corpus.get("a").text == "visit springfield now"
+
+    def test_removes_on_tokenizer_spans(self):
+        out = remove_tokens(self.corpus_of("call sitealpha_now Sitealphaé ok"), ["sitealpha"])
+        assert tokenize(out.get("a").text) == ["call", "now", "ok"]
+
+    def test_phrase_joined_by_removal_is_removed(self):
+        out = remove_tokens(self.corpus_of("new new York-york city"), ["new york"])
+        assert tokenize(out.get("a").text) == ["city"]
+
+    def test_lowercasing_that_lengthens_text(self):
+        # "İ" lowercases to two characters, shifting every later offset.
+        out = remove_tokens(self.corpus_of("İİ visit springfield now"), {"springfield"})
+        assert out.get("a").text == "İİ visit now"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from(
+                ["sitealpha", "site", "alpha", "SiteAlpha", "x1", "é", "İ", "\u212a", "k",
+                 "_", "-", " ", "  ", "."]
+            ),
+            max_size=14,
+        ),
+        st.sets(st.sampled_from(["sitealpha", "alpha", "i", "k", "site alpha", "x1 k", "é"]), max_size=3),
+    )
+    def test_no_lexicon_entry_survives(self, pieces, lexicon):
+        out = remove_tokens(self.corpus_of("".join(pieces)), lexicon)
+        tokens = tokenize(out.get("a").text)
+        for entry in lexicon:
+            parts = tokenize(entry)
+            if parts:
+                n = len(parts)
+                assert all(tokens[i : i + n] != parts for i in range(len(tokens) - n + 1))
 
     def test_other_fields_preserved(self):
         doc = Document(id="a", source_domain="x", text="springfield calling", phones=("5550123456",))

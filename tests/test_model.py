@@ -2,13 +2,16 @@
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 
 from caserisk.clustering import Cluster
-from caserisk.corpus import Corpus, Document, remove_tokens
+from caserisk.corpus import Corpus, Document, remove_tokens, tokenize
 from caserisk.errors import (
     DegenerateTrainingError,
     EmptyInputError,
@@ -16,6 +19,7 @@ from caserisk.errors import (
     RuleCompilationError,
 )
 from caserisk.model import (
+    ClusterTerms,
     IndicatorRule,
     TrainConfig,
     apply_indicators,
@@ -24,6 +28,7 @@ from caserisk.model import (
     load_model,
     load_rules,
     logistic_objective,
+    ngrams,
     save_model,
     train,
     vectorize_cluster,
@@ -120,6 +125,122 @@ class TestVectorize:
         cleaned = remove_tokens(corpus, {"springfield"})
         vocab = build_vocabulary(list(cleaned.documents), orders=(1,))
         assert "springfield" not in vocab
+
+
+def reference_cluster_vector(cluster, corpus, vocab, weighting):
+    """The per-document dict loop that the matrix path replaced."""
+
+    def unit(vec):
+        norm = math.sqrt(sum(w * w for w in vec.values()))
+        return {i: w / norm for i, w in vec.items()} if norm else {}
+
+    total = {}
+    for doc_id in sorted(cluster.members):
+        grams = ngrams(tokenize(corpus.get(doc_id).text), vocab.orders)
+        counts = Counter(g for g in grams if g in vocab)
+        vec = {}
+        for gram, c in counts.items():
+            idf = 1.0
+            if weighting == "tfidf":
+                idf = math.log((1 + vocab.n_docs) / (1 + vocab.df[gram])) + 1.0
+            vec[vocab.index[gram]] = c * idf
+        for idx, w in unit(vec).items():
+            total[idx] = total.get(idx, 0.0) + w
+    dense = np.zeros(len(vocab))
+    for idx, w in unit({i: w / len(cluster.members) for i, w in total.items()}).items():
+        dense[idx] = w
+    return dense
+
+
+@st.composite
+def fold_worlds(draw):
+    """A small corpus of word-soup documents, partitioned into clusters
+    that are dealt into folds, plus featurization settings."""
+    words = ["a", "b", "c", "d", "e", "f"]
+    n_clusters = draw(st.integers(2, 7))
+    corpus_docs = []
+    clusters = []
+    for ci in range(n_clusters):
+        ids = [f"c{ci}-d{di}" for di in range(draw(st.integers(1, 3)))]
+        for doc_id in ids:
+            tokens = draw(st.lists(st.sampled_from(words), min_size=0, max_size=8))
+            corpus_docs.append(doc(doc_id, " ".join(tokens) or "-"))
+        clusters.append(Cluster(id=ids[0], members=frozenset(ids)))
+    folds = draw(st.lists(st.integers(0, 2), min_size=n_clusters, max_size=n_clusters))
+    orders = draw(st.sets(st.sampled_from([1, 2, 3]), min_size=1))
+    min_df = draw(st.integers(1, 3))
+    max_size = draw(st.one_of(st.none(), st.integers(1, 12)))
+    weighting = draw(st.sampled_from(["tf", "tfidf"]))
+    return Corpus(corpus_docs), clusters, np.array(folds), orders, min_df, max_size, weighting
+
+
+class TestClusterTerms:
+    """The tokenize-once path against the per-document reference wrappers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fold_worlds())
+    def test_folds_match_reference(self, world):
+        corpus, clusters, folds, orders, min_df, max_size, weighting = world
+        terms = ClusterTerms(clusters, corpus, orders)
+        for fold in sorted(set(folds.tolist())):
+            fit = folds != fold
+            train_docs = [
+                corpus.get(d)
+                for c, f in zip(clusters, fit)
+                if f
+                for d in sorted(c.members)
+            ]
+            if not train_docs:
+                with pytest.raises(EmptyInputError):
+                    terms.featurize(min_df, max_size, weighting, fit=fit)
+                continue
+            expected = build_vocabulary(train_docs, orders, min_df, max_size)
+            if len(expected) == 0:
+                with pytest.raises(EmptyInputError):
+                    terms.featurize(min_df, max_size, weighting, fit=fit)
+                continue
+            vocab, x = terms.featurize(min_df, max_size, weighting, fit=fit)
+            assert dict(vocab.index) == dict(expected.index)
+            assert dict(vocab.df) == dict(expected.df)
+            assert vocab.n_docs == expected.n_docs
+            for row, cluster in zip(x.toarray(), clusters):
+                wrapped = np.zeros(len(vocab))
+                for idx, w in vectorize_cluster(cluster, corpus, vocab, weighting).items():
+                    wrapped[idx] = w
+                reference = reference_cluster_vector(cluster, corpus, vocab, weighting)
+                np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
+            seen_in_training = {
+                g for d in train_docs for g in ngrams(tokenize(d.text), vocab.orders)
+            }
+            assert set(vocab.index) <= seen_in_training
+
+    def test_test_only_gram_never_a_column(self):
+        corpus = Corpus([doc("1", "a b"), doc("2", "a c"), doc("3", "a zz")])
+        clusters = [Cluster(id=i, members=frozenset([i])) for i in ("1", "2", "3")]
+        terms = ClusterTerms(clusters, corpus)
+        vocab, x = terms.featurize(fit=np.array([True, True, False]))
+        assert "zz" not in vocab and x.shape == (3, len(vocab))
+        assert x[2].toarray().tolist() == [[1.0] + [0.0] * (len(vocab) - 1)]
+
+    def test_member_missing_from_corpus_rejected(self):
+        corpus = Corpus([doc("1", "a b")])
+        with pytest.raises(InputError):
+            ClusterTerms([Cluster(id="1", members=frozenset(["1", "2"]))], corpus)
+
+    def test_matrix_and_vector_forms_train_alike(self):
+        rng = random.Random(3)
+        examples = [
+            ({j: rng.random() for j in rng.sample(range(6), 3)}, "positive" if i % 2 else "negative")
+            for i in range(20)
+        ]
+        from caserisk.model import _to_matrix
+
+        x = _to_matrix([v for v, _ in examples], 6)
+        a = train(examples, config=TrainConfig(epochs=40))
+        b = train((x, [label for _, label in examples]), config=TrainConfig(epochs=40))
+        assert a.weights == b.weights and a.intercept == b.intercept
+        assert b.scores(x).tolist() == pytest.approx([a.score(v) for v, _ in examples], abs=1e-15)
 
 
 def sv(**kw):

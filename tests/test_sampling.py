@@ -5,7 +5,7 @@ import pytest
 from caserisk.bias import FeatureSpec, POSITIVE, NEGATIVE
 from caserisk.clustering import Cluster, Clustering
 from caserisk.corpus import Corpus, Document
-from caserisk.errors import EmptyInputError, InsufficientPoolError
+from caserisk.errors import EmptyInputError, InputError, InsufficientPoolError
 from caserisk.sampling import (
     DEFAULT_SIZE_BUCKETS,
     SOURCE_EXPERT,
@@ -163,6 +163,15 @@ class TestConditionedNegatives:
         out, _ = conditioned_negatives(clustering, corpus, positives, [FeatureSpec("domain")], 6, 2)
         assert set(positive_ids).isdisjoint({lc.cluster.id for lc in out})
 
+    def test_never_draws_excluded(self):
+        corpus, clustering = build_world([("g1", 2)] * 10)
+        ids = sorted({c.id for c in clustering})
+        positives = positives_of(clustering, ids[:2])
+        out, _ = conditioned_negatives(
+            clustering, corpus, positives, [FeatureSpec("domain")], 5, 2, exclude=ids[2:5]
+        )
+        assert sorted(lc.cluster.id for lc in out) == ids[5:]
+
     def test_determinism(self):
         corpus, clustering = build_world([("g1", 3)] * 8 + [("g2", 5)] * 8)
         positives = positives_of(clustering, sorted({c.id for c in clustering})[:4])
@@ -243,6 +252,14 @@ class TestLabelsIO:
         loaded, _ = read_labels(path, clustering)
         assert len(loaded) == 1
         assert loaded[0].label == POSITIVE and loaded[0].source == SOURCE_EXPERT
+
+    @pytest.mark.parametrize("header", ["foo,bar", "cluster_id,source"])
+    def test_header_missing_columns_rejected(self, tmp_path, header):
+        _, clustering = build_world([("g1", 2)] * 2)
+        path = tmp_path / "labels.csv"
+        path.write_text(f"{header}\nx,y\n")
+        with pytest.raises(InputError):
+            read_labels(path, clustering)
 
     def test_unknown_cluster_reported(self, tmp_path):
         _, clustering = build_world([("g1", 2)] * 2)
