@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from scipy.special import gammaincc
 
@@ -35,7 +35,6 @@ class FeatureSpec:
 
     name: str
     grouping: Optional[Mapping[str, str]] = None
-    accessor: Optional[Callable[[Document], str]] = None
 
     def group_of(self, doc: Document) -> str:
         value = self.value_of(doc)
@@ -44,8 +43,6 @@ class FeatureSpec:
         return self.grouping.get(value, "other")
 
     def value_of(self, doc: Document) -> str:
-        if self.accessor is not None:
-            return self.accessor(doc)
         if self.name in ("domain", "source_domain"):
             return doc.source_domain
         if self.name == "location":
@@ -104,12 +101,11 @@ def chi_squared_p_value(statistic: float, df: int) -> float:
     return float(gammaincc(df / 2.0, statistic / 2.0))
 
 
-def chi_squared_test(table: ContingencyTable, alpha: float = 0.05, yates: bool = False) -> TestResult:
+def chi_squared_test(table: ContingencyTable, alpha: float = 0.05) -> TestResult:
     """Pearson's chi-squared test of independence on an r x c table.
 
     Expected counts come from the product of the margins; any zero
-    expected cell makes the table degenerate.  The Yates continuity
-    correction is off by default.
+    expected cell makes the table degenerate.
     """
     row_totals = table.row_totals()
     col_totals = table.col_totals()
@@ -123,8 +119,6 @@ def chi_squared_test(table: ContingencyTable, alpha: float = 0.05, yates: bool =
                     f"zero expected count in cell ({table.row_labels[i]}, {table.col_labels[j]})"
                 )
             diff = abs(observed - expected)
-            if yates:
-                diff = max(0.0, diff - 0.5)
             statistic += diff * diff / expected
     df = (len(table.row_labels) - 1) * (len(table.col_labels) - 1)
     p = chi_squared_p_value(statistic, df)

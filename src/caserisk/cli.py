@@ -66,14 +66,39 @@ def _load_labeled(out: Path, clustering: clustering_mod.Clustering):
     return labeled, missing
 
 
-def _maybe_remove_tokens(config: PipelineConfig, corpus: corpus_mod.Corpus) -> corpus_mod.Corpus:
-    """The corpus that train and evaluate featurize: ``paths.remove_lexicon``
-    applied when set."""
+def _load_model(out: Path) -> model_mod.RiskModel:
+    path = out / "model.json"
+    if not path.exists():
+        raise ConfigError(f"{path} not found; run the train stage first")
+    return model_mod.load_model(path)
+
+
+def _maybe_remove_tokens(
+    config: PipelineConfig,
+    corpus: corpus_mod.Corpus,
+    labeled: Sequence[sampling_mod.LabeledCluster],
+) -> corpus_mod.Corpus:
+    """The corpus that train and evaluate featurize: with
+    ``paths.remove_lexicon`` set, the labeled clusters' documents (the only
+    ones they read) with the lexicon removed."""
     if config.remove_lexicon_path is None:
         return corpus
     with open(config.remove_lexicon_path, "r", encoding="utf-8") as fh:
         lexicon = [line.strip().lower() for line in fh if line.strip()]
-    return corpus_mod.remove_tokens(corpus, lexicon)
+    ids = sorted({doc_id for lc in labeled for doc_id in lc.cluster.members})
+    # A member missing from the corpus is left for ClusterTerms to report.
+    labeled_docs = corpus_mod.Corpus([corpus.get(d) for d in ids if d in corpus])
+    return corpus_mod.remove_tokens(labeled_docs, lexicon)
+
+
+def _train_config(config: PipelineConfig) -> model_mod.TrainConfig:
+    return model_mod.TrainConfig(
+        loss=config.loss,
+        penalty=config.penalty,
+        lam=config.lam,
+        epochs=config.epochs,
+        learning_rate=config.learning_rate,
+    )
 
 
 # --- stages -------------------------------------------------------------
@@ -245,15 +270,7 @@ def stage_train(
     ``_maybe_remove_tokens``."""
     terms = model_mod.ClusterTerms([lc.cluster for lc in labeled], working, config.vocab_orders)
     vocab, x = terms.featurize(config.min_df, config.max_vocab, config.weighting)
-    train_config = model_mod.TrainConfig(
-        loss=config.loss,
-        penalty=config.penalty,
-        lam=config.lam,
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        seed=config.seed + 3,
-    )
-    risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, train_config)
+    risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, _train_config(config))
     model_mod.save_model(risk_model, out / "model.json")
     ranking = model_mod.feature_importance(risk_model, config.top_k)
     with open(out / "feature_importance.csv", "w", encoding="utf-8", newline="") as fh:
@@ -282,8 +299,10 @@ def stage_evaluate(
     out: Path,
     working: corpus_mod.Corpus,
     labeled: Sequence[sampling_mod.LabeledCluster],
+    risk_model: model_mod.RiskModel,
 ) -> evaluate_mod.EvalReport:
-    """Cross-validate; ``working`` is the corpus after ``_maybe_remove_tokens``."""
+    """Cross-validate; ``working`` is the corpus after ``_maybe_remove_tokens``
+    and the top features are those of the train stage's ``risk_model``."""
     features = _features_from_names(config.bias_features)
     plan = evaluate_mod.make_folds(
         working,
@@ -296,14 +315,6 @@ def stage_evaluate(
         config.size_buckets,
     )
     _write_json(out / "fold_plan.json", plan.to_json())
-    train_config = model_mod.TrainConfig(
-        loss=config.loss,
-        penalty=config.penalty,
-        lam=config.lam,
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-        seed=config.seed + 3,
-    )
     report = evaluate_mod.cross_validate(
         working,
         labeled,
@@ -312,11 +323,12 @@ def stage_evaluate(
         config.min_df,
         config.max_vocab,
         config.weighting,
-        train_config,
+        _train_config(config),
         features,
         config.alpha,
-        config.top_k,
+        top_k=0,
     )
+    report.top_features = tuple(model_mod.feature_importance(risk_model, config.top_k))
     evaluate_mod.write_report(
         report, out / "eval_report.json", out / "roc.csv", out / "eval_report.txt", plan
     )
@@ -439,7 +451,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(out)
     clustering = _load_clusters(out)
     labeled, _ = _load_labeled(out, clustering)
-    stage_train(config, out, _maybe_remove_tokens(config, corpus), labeled)
+    stage_train(config, out, _maybe_remove_tokens(config, corpus, labeled), labeled)
     return 0
 
 
@@ -449,7 +461,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     corpus = _load_clean_corpus(out)
     clustering = _load_clusters(out)
     labeled, _ = _load_labeled(out, clustering)
-    stage_evaluate(config, out, _maybe_remove_tokens(config, corpus), labeled)
+    risk_model = _load_model(out)
+    stage_evaluate(config, out, _maybe_remove_tokens(config, corpus, labeled), labeled, risk_model)
     return 0
 
 
@@ -475,10 +488,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         stage = "diagnose"
         stage_diagnose(config, out, corpus, labeled)
         stage = "train"
-        working = _maybe_remove_tokens(config, corpus)
-        stage_train(config, out, working, labeled)
+        working = _maybe_remove_tokens(config, corpus, labeled)
+        risk_model = stage_train(config, out, working, labeled)
         stage = "evaluate"
-        stage_evaluate(config, out, working, labeled)
+        stage_evaluate(config, out, working, labeled, risk_model)
         if config.rules_path is not None:
             stage = "indicators"
             stage_indicators(config, out, corpus, clustering)

@@ -97,46 +97,50 @@ class SimilarityGraph:
         return len(self.edges)
 
 
-def _candidate_pairs(corpus: Corpus, config: GraphConfig) -> set[tuple[str, str]]:
+def _candidate_pairs(
+    corpus: Corpus, config: GraphConfig, shingle_sets: Mapping[str, frozenset[str]]
+) -> set[tuple[str, str]]:
+    """Every pair up to ``all_pairs_cutoff`` documents, else the pairs that
+    share a phone or a rare shingle; ``shingle_sets`` maps each id to its
+    shingles when ``use_text`` is on."""
     ids = corpus.ids()
     if len(ids) <= config.all_pairs_cutoff:
         return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]}
 
-    pairs: set[tuple[str, str]] = set()
+    blocks: list[list[str]] = []
     if config.use_phones:
         by_phone: dict[str, list[str]] = defaultdict(list)
         for doc in corpus:
             for phone in doc.phones:
                 by_phone[phone].append(doc.id)
-        for members in by_phone.values():
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    pairs.add((a, b) if a < b else (b, a))
+        blocks.extend(by_phone.values())
     if config.use_text:
-        # Two passes keep memory at one counter plus the rare blocks only.
-        df: Counter[str] = Counter()
-        for doc in corpus:
-            df.update(shingles(doc.text, config.shingle_len))
+        df = Counter(s for doc_shingles in shingle_sets.values() for s in doc_shingles)
         rare = {s for s, c in df.items() if c <= config.rare_shingle_df_cap}
         del df
-        blocks: dict[str, list[str]] = defaultdict(list)
-        for doc in corpus:
-            for s in shingles(doc.text, config.shingle_len):
+        by_shingle: dict[str, list[str]] = defaultdict(list)
+        for doc_id, doc_shingles in shingle_sets.items():
+            for s in doc_shingles:
                 if s in rare:
-                    blocks[s].append(doc.id)
-        for members in blocks.values():
-            for i, a in enumerate(members):
-                for b in members[i + 1 :]:
-                    pairs.add((a, b) if a < b else (b, a))
+                    by_shingle[s].append(doc_id)
+        blocks.extend(by_shingle.values())
+    pairs: set[tuple[str, str]] = set()
+    for members in blocks:
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                pairs.add((a, b) if a < b else (b, a))
     return pairs
 
 
 def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> SimilarityGraph:
-    """Link documents whose enabled signals agree.
+    """Link candidate pairs whose enabled signals agree.
 
-    An edge exists iff the phone sets intersect, or text similarity reaches
-    ``tau_text``, or the location sets intersect with posted dates within
-    ``date_window_days`` (each signal subject to its toggle).
+    A candidate pair is linked iff the phone sets intersect, or text
+    similarity reaches ``tau_text``, or the location sets intersect with
+    posted dates within ``date_window_days`` (each signal subject to its
+    toggle).  Up to ``all_pairs_cutoff`` documents every pair is a
+    candidate.  Above it only pairs that share a phone or a rare shingle
+    are, so a shared location and date alone never links two documents.
     """
     config = config or GraphConfig()
     if not 0.0 <= config.tau_text <= 1.0:
@@ -147,7 +151,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
             shingle_cache[doc.id] = shingles(doc.text, config.shingle_len)
 
     edges: dict[tuple[str, str], frozenset[str]] = {}
-    for a_id, b_id in sorted(_candidate_pairs(corpus, config)):
+    for a_id, b_id in sorted(_candidate_pairs(corpus, config, shingle_cache)):
         a = corpus.get(a_id)
         b = corpus.get(b_id)
         provenance = set()

@@ -75,7 +75,6 @@ class PipelineConfig:
     learning_rate: float = 0.5
     # eval
     folds: int = 5
-    test_fraction: float = 0.2
     max_retries: int = 50
     top_k: int = 25
     # global
@@ -118,7 +117,6 @@ KEY_REGISTRY: dict[str, tuple[str, object, str]] = {
     "model.epochs": ("epochs", int, "gradient descent epochs"),
     "model.learning_rate": ("learning_rate", float, "initial learning rate"),
     "eval.folds": ("folds", int, "cross-validation fold count"),
-    "eval.test_fraction": ("test_fraction", float, "held-out fraction for split"),
     "eval.max_retries": ("max_retries", int, "fold reshuffle budget"),
     "eval.top_k": ("top_k", int, "features reported by importance"),
     "seed": ("seed", int, "master seed"),
@@ -179,7 +177,6 @@ def validate(config: PipelineConfig) -> None:
         ("epochs", config.epochs >= 1),
         ("learning_rate", config.learning_rate > 0),
         ("folds", config.folds >= 2),
-        ("test_fraction", 0.0 < config.test_fraction < 1.0),
         ("max_retries", config.max_retries >= 0),
         ("top_k", config.top_k >= 0),
         ("ingest_limit", config.ingest_limit is None or config.ingest_limit >= 0),

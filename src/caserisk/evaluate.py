@@ -108,20 +108,11 @@ class FoldPlan:
 
 
 def _assign_folds(
-    labeled: Sequence[LabeledCluster],
-    corpus: Corpus,
-    k: int,
-    features: Sequence[FeatureSpec],
-    size_buckets: Sequence[int],
-    rng: Random,
+    strata: dict[tuple, list[str]], k: int, rng: Random
 ) -> tuple[dict[str, int], list[str]]:
     """Deal clusters round-robin within (class, feature-groups, bucket)
     strata, carrying the fold cursor across strata of the same class so
     per-class fold sizes stay within one of each other."""
-    strata: dict[tuple, list[str]] = defaultdict(list)
-    for lc in labeled:
-        key = (lc.label,) + stratum_key(lc.cluster, corpus, features, size_buckets)
-        strata[key].append(lc.cluster.id)
     warnings = []
     assignment: dict[str, int] = {}
     cursor: dict[str, int] = {POSITIVE: 0, NEGATIVE: 0}
@@ -143,7 +134,7 @@ def _assign_folds(
 
 def _homogeneity_tests(
     labeled: Sequence[LabeledCluster],
-    corpus: Corpus,
+    group_counts: Sequence[Sequence[Counter]],
     assignment: dict[str, int],
     k: int,
     features: Sequence[FeatureSpec],
@@ -151,19 +142,20 @@ def _homogeneity_tests(
 ) -> dict[str, TestResult]:
     """Chi-squared tests of document-level feature group x fold, per class.
 
-    A feature constant within a class is trivially homogeneous.
+    ``group_counts[f][i]`` counts the documents of ``labeled[i]`` by group
+    of ``features[f]``.  A feature constant within a class is trivially
+    homogeneous.
     """
     results: dict[str, TestResult] = {}
-    for feature in features:
+    for feature, per_cluster in zip(features, group_counts):
         for label in (POSITIVE, NEGATIVE):
             counts: dict[str, list[int]] = defaultdict(lambda: [0] * k)
-            for lc in labeled:
+            for lc, groups in zip(labeled, per_cluster):
                 if lc.label != label:
                     continue
                 fold = assignment[lc.cluster.id]
-                for doc_id in lc.cluster.members:
-                    group = feature.group_of(corpus.get(doc_id))
-                    counts[group][fold] += 1
+                for group, n in groups.items():
+                    counts[group][fold] += n
             key = f"{feature.name}/{label}"
             rows = sorted(counts)
             try:
@@ -203,11 +195,20 @@ def make_folds(
     if len(set(ids)) != len(ids):
         raise InputError("duplicate cluster ids in labeled set")
 
+    # Strata and document groups do not depend on the shuffle.
+    strata: dict[tuple, list[str]] = defaultdict(list)
+    for lc in labeled:
+        key = (lc.label,) + stratum_key(lc.cluster, corpus, features, size_buckets)
+        strata[key].append(lc.cluster.id)
+    group_counts = [
+        [Counter(f.group_of(corpus.get(d)) for d in lc.cluster.members) for lc in labeled]
+        for f in features
+    ]
     best: Optional[tuple[int, dict[str, int], list[str], dict[str, TestResult], int]] = None
     for attempt in range(max_retries + 1):
         rng = Random(f"{seed}:{attempt}")
-        assignment, warnings = _assign_folds(labeled, corpus, k, features, size_buckets, rng)
-        results = _homogeneity_tests(labeled, corpus, assignment, k, features, alpha)
+        assignment, warnings = _assign_folds(strata, k, rng)
+        results = _homogeneity_tests(labeled, group_counts, assignment, k, features, alpha)
         rejections = sum(1 for r in results.values() if r.rejected)
         if best is None or rejections < best[0]:
             best = (rejections, assignment, warnings, results, attempt + 1)
@@ -347,9 +348,10 @@ def cross_validate(
     thresholds = [t for t, _, _ in roc_curve(pooled)]
 
     # Final model over the full labeled set for the feature ranking.
-    vocab, x = terms.featurize(min_df, max_vocab, weighting)
-    final_model = train((x, labels), vocab, train_config)
-    top = feature_importance(final_model, top_k)
+    top: list[tuple[str, float]] = []
+    if top_k != 0:
+        vocab, x = terms.featurize(min_df, max_vocab, weighting)
+        top = feature_importance(train((x, labels), vocab, train_config), top_k)
 
     recheck = audit(corpus, labeled, features, alpha) if features else None
     pooled_with_ids.sort(key=lambda row: row[0])

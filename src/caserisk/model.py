@@ -20,6 +20,7 @@ import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -308,16 +309,12 @@ class TrainConfig:
     lam: float = 1e-4
     epochs: int = 300
     learning_rate: float = 0.5
-    schedule: str = "halving"  # halving | constant
-    seed: int = 0
 
     def validate(self) -> None:
         if self.loss not in ("logistic", "hinge"):
             raise InputError(f"unknown loss {self.loss!r}")
         if self.penalty not in ("l2", "l1"):
             raise InputError(f"unknown penalty {self.penalty!r}")
-        if self.schedule not in ("halving", "constant"):
-            raise InputError(f"unknown schedule {self.schedule!r}")
         if self.lam < 0 or self.epochs < 1 or self.learning_rate <= 0:
             raise InputError("bad training hyperparameters")
 
@@ -383,6 +380,39 @@ def _to_matrix(vectors: Sequence[SparseVector], dim: int) -> csr_matrix:
     )
 
 
+def _penalized_objective(
+    loss: str,
+    w: np.ndarray,
+    b: float,
+    x: csr_matrix,
+    y: np.ndarray,
+    penalty: str,
+    lam: float,
+) -> tuple[float, np.ndarray, float]:
+    """Regularized mean logistic or hinge loss with its analytic gradient.
+
+    Returns (objective, grad_w, grad_b).  The intercept is not penalized.
+    """
+    margins = x.dot(w) + b
+    z = y * margins
+    # slope_i = -d loss_i / d z_i
+    if loss == "logistic":
+        losses, slope = np.logaddexp(0.0, -z), _stable_sigmoid(-z)
+    else:
+        losses, slope = np.maximum(0.0, 1.0 - z), (z < 1.0).astype(np.float64)
+    value = float(np.mean(losses))
+    coef = -y * slope / len(y)
+    grad_w = x.T.dot(coef)
+    grad_b = float(np.sum(coef))
+    if penalty == "l2":
+        value += lam * float(np.dot(w, w))
+        grad_w = grad_w + 2.0 * lam * w
+    else:
+        value += lam * float(np.sum(np.abs(w)))
+        grad_w = grad_w + lam * np.sign(w)
+    return value, grad_w, grad_b
+
+
 def logistic_objective(
     w: np.ndarray,
     b: float,
@@ -395,45 +425,7 @@ def logistic_objective(
 
     Returns (objective, grad_w, grad_b).  The intercept is not penalized.
     """
-    margins = x.dot(w) + b
-    z = y * margins
-    loss = float(np.mean(np.logaddexp(0.0, -z)))
-    s = _stable_sigmoid(-z)  # d loss_i / d margin_i = -y_i * s_i
-    coef = -y * s / len(y)
-    grad_w = x.T.dot(coef)
-    grad_b = float(np.sum(coef))
-    if penalty == "l2":
-        loss += lam * float(np.dot(w, w))
-        grad_w = grad_w + 2.0 * lam * w
-    else:
-        loss += lam * float(np.sum(np.abs(w)))
-        grad_w = grad_w + lam * np.sign(w)
-    return loss, grad_w, grad_b
-
-
-def _hinge_objective(
-    w: np.ndarray,
-    b: float,
-    x: csr_matrix,
-    y: np.ndarray,
-    penalty: str,
-    lam: float,
-) -> tuple[float, np.ndarray, float]:
-    margins = x.dot(w) + b
-    z = y * margins
-    hinge = np.maximum(0.0, 1.0 - z)
-    loss = float(np.mean(hinge))
-    active = (z < 1.0).astype(np.float64)
-    coef = -y * active / len(y)
-    grad_w = x.T.dot(coef)
-    grad_b = float(np.sum(coef))
-    if penalty == "l2":
-        loss += lam * float(np.dot(w, w))
-        grad_w = grad_w + 2.0 * lam * w
-    else:
-        loss += lam * float(np.sum(np.abs(w)))
-        grad_w = grad_w + lam * np.sign(w)
-    return loss, grad_w, grad_b
+    return _penalized_objective("logistic", w, b, x, y, penalty, lam)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -455,10 +447,9 @@ def train(
     ``examples`` is either a sequence of (sparse vector, label) pairs or
     one (feature matrix, labels) pair whose rows are the examples.
 
-    With the default halving-on-increase schedule a proposed step that
-    raises the objective is rejected and retried at half the rate, so the
-    accepted objective sequence is non-increasing.  Training is
-    deterministic for identical inputs.
+    A proposed step that raises the objective is rejected and retried at
+    half the rate, so the accepted objective sequence is non-increasing.
+    Training is deterministic for identical inputs.
     """
     config = config or TrainConfig()
     config.validate()
@@ -484,7 +475,7 @@ def train(
         x = _to_matrix([v for v, _ in examples], dim)
     dim = x.shape[1]
 
-    objective = logistic_objective if config.loss == "logistic" else _hinge_objective
+    objective = partial(_penalized_objective, config.loss)
     w = np.zeros(dim)
     b = 0.0
     lr = config.learning_rate
@@ -501,7 +492,7 @@ def train(
             w_new = w - lr * grad_w
             b_new = b - lr * grad_b
             obj_new, gw_new, gb_new = objective(w_new, b_new, x, y, config.penalty, config.lam)
-            if config.schedule == "constant" or obj_new <= obj:
+            if obj_new <= obj:
                 w, b, obj, grad_w, grad_b = w_new, b_new, obj_new, gw_new, gb_new
                 accepted = True
                 break
@@ -521,10 +512,8 @@ def train(
         metadata={
             "epochs": epochs_run,
             "final_objective": float(obj),
-            "seed": config.seed,
             "learning_rate": config.learning_rate,
             "final_learning_rate": lr,
-            "schedule": config.schedule,
             "examples": len(labels),
         },
     )

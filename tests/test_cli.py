@@ -238,3 +238,21 @@ class TestPipeline:
         conf = tmp_path / "p.conf"
         assert main(["diagnose", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
         assert main(["evaluate", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+
+    def test_standalone_evaluate_ranks_with_trained_model(self, tmp_path):
+        # evaluate ranks features with the model.json that train wrote
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        conf = tmp_path / "p.conf"
+        ranking = (tmp_path / "run" / "feature_importance.csv").read_text().splitlines()[1:]
+        assert main(["evaluate", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+        report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
+        assert ranking
+        assert [f"{t},{w}" for t, w in report["top_features"]] == ranking
+
+    def test_evaluate_before_train_fails_clearly(self, tmp_path, capsys):
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        (tmp_path / "run" / "model.json").unlink()
+        conf = tmp_path / "p.conf"
+        rc = main(["evaluate", "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "train stage" in capsys.readouterr().err

@@ -128,6 +128,21 @@ class TestBuildGraph:
         assert ("a", "b") in graph
         assert ("a", "c") not in graph
 
+    @pytest.mark.parametrize("cutoff, linked", [(3, True), (2, True), (1, False), (0, False)])
+    def test_location_date_links_only_up_to_all_pairs_cutoff(self, cutoff, linked):
+        # Above the cutoff candidates come from phone and shingle blocks
+        # only, so a shared location and date alone make no pair.
+        from datetime import date
+
+        corpus = Corpus(
+            [
+                doc("a", "alpha beta gamma", locations=["springfield"], posted=date(2024, 1, 1)),
+                doc("b", "delta epsilon zeta", locations=["springfield"], posted=date(2024, 1, 2)),
+            ]
+        )
+        graph = build_graph(corpus, GraphConfig(use_location_date=True, all_pairs_cutoff=cutoff))
+        assert (("a", "b") in graph) is linked
+
     def test_blocking_matches_all_pairs(self):
         # above the cutoff, phone/shingle blocking must find the same edges
         docs = []

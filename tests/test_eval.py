@@ -305,3 +305,22 @@ class TestCrossValidate:
             corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60)
         )
         assert {cid for cid, _, _ in report.scores} == {lc.cluster.id for lc in labeled}
+
+    def test_no_ranking_trains_only_the_fold_models(self, monkeypatch):
+        import caserisk.evaluate as evaluate_mod
+
+        calls = []
+        real_train = evaluate_mod.train
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate_mod, "train", counting_train)
+        corpus, labeled = self.build(n_per_class=6)
+        plan = make_folds(corpus, labeled, 3, seed=3)
+        report = cross_validate(
+            corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60), top_k=0
+        )
+        assert report.top_features == ()
+        assert len(calls) == plan.k
