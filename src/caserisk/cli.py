@@ -1,9 +1,11 @@
 """Command-line pipeline driver.
 
-Each subcommand reads its declared inputs, writes machine-readable
-artifacts into the output directory, and prints a one-line summary;
-``pipeline`` chains every stage.  Outputs are deterministic: rerunning
-with the same config and inputs reproduces byte-identical files.
+Each stage subcommand reads its declared inputs, writes machine-readable
+artifacts into the output directory, and prints a one-line summary.
+``pipeline`` runs the same stage functions in order over one shared
+``Run``, so it writes exactly the bytes that the stages run one at a time
+write.  Outputs are deterministic: rerunning with the same config and
+inputs reproduces byte-identical files.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import json
 import sys
 from collections import Counter
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,52 +46,59 @@ def _load_gazetteer(config: PipelineConfig) -> Optional[corpus_mod.Gazetteer]:
     return corpus_mod.Gazetteer.from_file(config.gazetteer_path)
 
 
-def _load_clean_corpus(out: Path) -> corpus_mod.Corpus:
-    path = out / "corpus_clean.jsonl"
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the ingest stage first")
-    corpus, _ = corpus_mod.ingest(path)
-    return corpus
+class Run:
+    """The state the stages share within one ``--out`` directory.
 
+    Each value is what its stage stored on the run earlier in this
+    process, or, on first use, what was read back from that stage's
+    artifact; so a stage reads the same values whether ``pipeline`` ran
+    the stages before it or they ran as separate commands.
+    """
 
-def _load_clusters(out: Path) -> clustering_mod.Clustering:
-    path = out / "clusters.csv"
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the cluster stage first")
-    return clustering_mod.read_clustering(path)
+    def __init__(self, config: PipelineConfig, out: Path, export_graph: bool = False):
+        self.config = config
+        self.out = out
+        self.export_graph = export_graph
 
+    def _artifact(self, name: str, stage: str) -> Path:
+        path = self.out / name
+        if not path.exists():
+            raise ConfigError(f"{path} not found; run the {stage} stage first")
+        return path
 
-def _load_labeled(out: Path, clustering: clustering_mod.Clustering):
-    path = out / "labels.csv"
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the sample stage first")
-    labeled, missing = sampling_mod.read_labels(path, clustering)
-    return labeled, missing
-
-
-def _load_model(out: Path) -> model_mod.RiskModel:
-    path = out / "model.json"
-    if not path.exists():
-        raise ConfigError(f"{path} not found; run the train stage first")
-    return model_mod.load_model(path)
-
-
-def _maybe_remove_tokens(
-    config: PipelineConfig,
-    corpus: corpus_mod.Corpus,
-    labeled: Sequence[sampling_mod.LabeledCluster],
-) -> corpus_mod.Corpus:
-    """The corpus that train and evaluate featurize: with
-    ``paths.remove_lexicon`` set, the labeled clusters' documents (the only
-    ones they read) with the lexicon removed."""
-    if config.remove_lexicon_path is None:
+    @cached_property
+    def corpus(self) -> corpus_mod.Corpus:
+        corpus, _ = corpus_mod.ingest(self._artifact("corpus_clean.jsonl", "ingest"))
         return corpus
-    with open(config.remove_lexicon_path, "r", encoding="utf-8") as fh:
-        lexicon = [line.strip().lower() for line in fh if line.strip()]
-    ids = sorted({doc_id for lc in labeled for doc_id in lc.cluster.members})
-    # A member missing from the corpus is left for ClusterTerms to report.
-    labeled_docs = corpus_mod.Corpus([corpus.get(d) for d in ids if d in corpus])
-    return corpus_mod.remove_tokens(labeled_docs, lexicon)
+
+    @cached_property
+    def clustering(self) -> clustering_mod.Clustering:
+        return clustering_mod.read_clustering(self._artifact("clusters.csv", "cluster"))
+
+    @cached_property
+    def labeled(self) -> list[sampling_mod.LabeledCluster]:
+        """Labeled clusters sorted by cluster id, as ``read_labels`` returns them."""
+        labeled, _ = sampling_mod.read_labels(self._artifact("labels.csv", "sample"), self.clustering)
+        return labeled
+
+    @cached_property
+    def model(self) -> model_mod.RiskModel:
+        return model_mod.load_model(self._artifact("model.json", "train"))
+
+    @cached_property
+    def working(self) -> corpus_mod.Corpus:
+        """The corpus that train and evaluate featurize: with
+        ``paths.remove_lexicon`` set, the labeled clusters' documents (the
+        only ones they read) with the lexicon removed."""
+        lexicon_path = self.config.remove_lexicon_path
+        if lexicon_path is None:
+            return self.corpus
+        with open(lexicon_path, "r", encoding="utf-8") as fh:
+            lexicon = [line.strip().lower() for line in fh if line.strip()]
+        ids = sorted({doc_id for lc in self.labeled for doc_id in lc.cluster.members})
+        # A member missing from the corpus is left for ClusterTerms to report.
+        labeled_docs = corpus_mod.Corpus([self.corpus.get(d) for d in ids if d in self.corpus])
+        return corpus_mod.remove_tokens(labeled_docs, lexicon)
 
 
 def _train_config(config: PipelineConfig) -> model_mod.TrainConfig:
@@ -104,10 +114,12 @@ def _train_config(config: PipelineConfig) -> model_mod.TrainConfig:
 # --- stages -------------------------------------------------------------
 
 
-def stage_ingest(config: PipelineConfig, out: Path) -> corpus_mod.Corpus:
+def stage_ingest(run: Run) -> corpus_mod.Corpus:
+    config, out = run.config, run.out
     require_paths(config, "corpus_path")
     gazetteer = _load_gazetteer(config)
     corpus, stats = corpus_mod.ingest(config.corpus_path, config.ingest_limit, gazetteer)
+    run.corpus = corpus
     corpus_mod.write_corpus(corpus, out / "corpus_clean.jsonl")
     _write_json(
         out / "ingest_summary.json",
@@ -122,12 +134,8 @@ def stage_ingest(config: PipelineConfig, out: Path) -> corpus_mod.Corpus:
     return corpus
 
 
-def stage_cluster(
-    config: PipelineConfig,
-    out: Path,
-    corpus: corpus_mod.Corpus,
-    export_graph: bool = False,
-) -> clustering_mod.Clustering:
+def stage_cluster(run: Run) -> clustering_mod.Clustering:
+    config, out, corpus = run.config, run.out, run.corpus
     graph_config = clustering_mod.GraphConfig(
         tau_text=config.tau_text,
         shingle_len=config.shingle_len,
@@ -149,8 +157,9 @@ def stage_cluster(
         clustering = clustering_mod.consensus(runs, config.consensus_threshold)
     if config.refine_passes > 0:
         clustering = clustering_mod.refine(clustering, graph, config.refine_passes)
+    run.clustering = clustering
     clustering_mod.write_clustering(clustering, out / "clusters.csv")
-    if export_graph:
+    if run.export_graph:
         clustering_mod.write_graph(graph, out / "graph.csv")
     cost = clustering_mod.disagreement_cost(clustering, graph)
     _write_json(
@@ -169,12 +178,8 @@ def stage_cluster(
     return clustering
 
 
-def stage_sample(
-    config: PipelineConfig,
-    out: Path,
-    corpus: corpus_mod.Corpus,
-    clustering: clustering_mod.Clustering,
-) -> list[sampling_mod.LabeledCluster]:
+def stage_sample(run: Run) -> list[sampling_mod.LabeledCluster]:
+    config, out, clustering = run.config, run.out, run.clustering
     require_paths(config, "labels_path")
     expert, missing = sampling_mod.read_labels(config.labels_path, clustering)
     positives = [lc for lc in expert if lc.label == bias_mod.POSITIVE]
@@ -192,7 +197,7 @@ def stage_sample(
             features = _features_from_names(config.sampling_features)
             sampled, plan = sampling_mod.conditioned_negatives(
                 clustering,
-                corpus,
+                run.corpus,
                 positives,
                 features,
                 want,
@@ -201,7 +206,9 @@ def stage_sample(
                 exclude=exclude,
             )
             plan_blob["plan"] = plan.to_json()
-    labeled = expert + sampled
+    # In the order read_labels gives labels.csv back: sorted by cluster id.
+    labeled = sorted(expert + sampled, key=lambda lc: lc.cluster.id)
+    run.labeled = labeled
     sampling_mod.write_labels(labeled, out / "labels.csv")
     plan_blob["unresolved_label_ids"] = sorted(missing)
     plan_blob["positives"] = len(positives)
@@ -214,12 +221,8 @@ def stage_sample(
     return labeled
 
 
-def stage_diagnose(
-    config: PipelineConfig,
-    out: Path,
-    corpus: corpus_mod.Corpus,
-    labeled: Sequence[sampling_mod.LabeledCluster],
-) -> bias_mod.BiasReport:
+def stage_diagnose(run: Run) -> bias_mod.BiasReport:
+    config, out, corpus, labeled = run.config, run.out, run.corpus, run.labeled
     features = _features_from_names(config.bias_features)
     report = bias_mod.audit(corpus, labeled, features, config.alpha, config.correction)
     bias_mod.write_report(report, out / "bias_report.json", out / "bias_report.txt")
@@ -260,17 +263,13 @@ def _domain_renyi(corpus, labeled) -> float:
     return value if value != float("inf") else -1.0  # -1 encodes infinity in JSON
 
 
-def stage_train(
-    config: PipelineConfig,
-    out: Path,
-    working: corpus_mod.Corpus,
-    labeled: Sequence[sampling_mod.LabeledCluster],
-) -> model_mod.RiskModel:
-    """Train on every labeled cluster; ``working`` is the corpus after
-    ``_maybe_remove_tokens``."""
-    terms = model_mod.ClusterTerms([lc.cluster for lc in labeled], working, config.vocab_orders)
+def stage_train(run: Run) -> model_mod.RiskModel:
+    """Train on every labeled cluster of the mitigated ``run.working``."""
+    config, out, labeled = run.config, run.out, run.labeled
+    terms = model_mod.ClusterTerms([lc.cluster for lc in labeled], run.working, config.vocab_orders)
     vocab, x = terms.featurize(config.min_df, config.max_vocab, config.weighting)
     risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, _train_config(config))
+    run.model = risk_model
     model_mod.save_model(risk_model, out / "model.json")
     ranking = model_mod.feature_importance(risk_model, config.top_k)
     with open(out / "feature_importance.csv", "w", encoding="utf-8", newline="") as fh:
@@ -294,15 +293,12 @@ def stage_train(
     return risk_model
 
 
-def stage_evaluate(
-    config: PipelineConfig,
-    out: Path,
-    working: corpus_mod.Corpus,
-    labeled: Sequence[sampling_mod.LabeledCluster],
-    risk_model: model_mod.RiskModel,
-) -> evaluate_mod.EvalReport:
-    """Cross-validate; ``working`` is the corpus after ``_maybe_remove_tokens``
-    and the top features are those of the train stage's ``risk_model``."""
+def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
+    """Cross-validate on the mitigated ``run.working``; the top features
+    are those of the train stage's model."""
+    config, out, labeled = run.config, run.out, run.labeled
+    risk_model = run.model  # before the folds, so a missing model.json fails fast
+    working = run.working
     features = _features_from_names(config.bias_features)
     plan = evaluate_mod.make_folds(
         working,
@@ -337,12 +333,8 @@ def stage_evaluate(
     return report
 
 
-def stage_indicators(
-    config: PipelineConfig,
-    out: Path,
-    corpus: corpus_mod.Corpus,
-    clustering: clustering_mod.Clustering,
-) -> int:
+def stage_indicators(run: Run) -> int:
+    config, out, corpus, clustering = run.config, run.out, run.corpus, run.clustering
     require_paths(config, "rules_path")
     rules = model_mod.load_rules(config.rules_path)
     rule_names = [r.name for r in rules]
@@ -371,6 +363,8 @@ def _build_config(args: argparse.Namespace) -> PipelineConfig:
             setattr(config, attr, value)
     if getattr(args, "seed", None) is not None:
         config.seed = args.seed
+    if getattr(args, "mode", None):
+        config.sampling_mode = args.mode
     validate(config)
     return config
 
@@ -401,33 +395,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_ingest(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    stage_ingest(config, _out_dir(args))
-    return 0
+# The stages in pipeline order, by name: each stage function is looked up in
+# this module when it runs, so a wrapper bound over ``stage_<name>`` after
+# import (as bench/tracer.py binds one) is the function that runs.
+STAGES = ("ingest", "cluster", "sample", "diagnose", "train", "evaluate", "indicators")
 
 
-def cmd_cluster(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    out = _out_dir(args)
-    corpus = _load_clean_corpus(out)
-    stage_cluster(config, out, corpus, export_graph=args.export_graph)
-    return 0
+def _run_stage(name: str, run: Run) -> None:
+    globals()[f"stage_{name}"](run)
 
 
-def cmd_sample(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    if args.mode:
-        config.sampling_mode = args.mode
-    out = _out_dir(args)
-    corpus = _load_clean_corpus(out)
-    clustering = _load_clusters(out)
-    stage_sample(config, out, corpus, clustering)
-    return 0
-
-
-def cmd_diagnose(args: argparse.Namespace) -> int:
-    if args.table2:
+def cmd_stage(args: argparse.Namespace) -> int:
+    """Run the one stage named by the subcommand."""
+    if getattr(args, "table2", False):
         table = synth_mod.table2_fixture()
         result = bias_mod.chi_squared_test(table, 0.05)
         print(
@@ -436,69 +416,24 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
             f"({'rejected' if result.rejected else 'not rejected'} at alpha 0.05)"
         )
         return 0
-    config = _build_config(args)
-    out = _out_dir(args)
-    corpus = _load_clean_corpus(out)
-    clustering = _load_clusters(out)
-    labeled, _ = _load_labeled(out, clustering)
-    stage_diagnose(config, out, corpus, labeled)
-    return 0
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    out = _out_dir(args)
-    corpus = _load_clean_corpus(out)
-    clustering = _load_clusters(out)
-    labeled, _ = _load_labeled(out, clustering)
-    stage_train(config, out, _maybe_remove_tokens(config, corpus, labeled), labeled)
-    return 0
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    out = _out_dir(args)
-    corpus = _load_clean_corpus(out)
-    clustering = _load_clusters(out)
-    labeled, _ = _load_labeled(out, clustering)
-    risk_model = _load_model(out)
-    stage_evaluate(config, out, _maybe_remove_tokens(config, corpus, labeled), labeled, risk_model)
-    return 0
-
-
-def cmd_indicators(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    out = _out_dir(args)
-    corpus = _load_clean_corpus(out)
-    clustering = _load_clusters(out)
-    stage_indicators(config, out, corpus, clustering)
+    run = Run(_build_config(args), _out_dir(args), getattr(args, "export_graph", False))
+    _run_stage(args.command, run)
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    config = _build_config(args)
-    out = _out_dir(args)
-    stage = "ingest"
-    try:
-        corpus = stage_ingest(config, out)
-        stage = "cluster"
-        clustering = stage_cluster(config, out, corpus, export_graph=args.export_graph)
-        stage = "sample"
-        labeled = stage_sample(config, out, corpus, clustering)
-        stage = "diagnose"
-        stage_diagnose(config, out, corpus, labeled)
-        stage = "train"
-        working = _maybe_remove_tokens(config, corpus, labeled)
-        risk_model = stage_train(config, out, working, labeled)
-        stage = "evaluate"
-        stage_evaluate(config, out, working, labeled, risk_model)
-        if config.rules_path is not None:
-            stage = "indicators"
-            stage_indicators(config, out, corpus, clustering)
-    except (PipelineError, OSError) as exc:
-        print(f"pipeline failed at stage {stage}: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    print(f"pipeline: all stages complete -> {out}")
+    """Run every stage in order over one run; ``indicators`` only with
+    ``paths.rules`` set."""
+    run = Run(_build_config(args), _out_dir(args), args.export_graph)
+    for name in STAGES:
+        if name == "indicators" and run.config.rules_path is None:
+            continue
+        try:
+            _run_stage(name, run)
+        except (PipelineError, OSError) as exc:
+            print(f"pipeline failed at stage {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
+    print(f"pipeline: all stages complete -> {run.out}")
     return 0
 
 
@@ -530,36 +465,36 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--corpus", help="override paths.corpus")
     p.add_argument("--gazetteer", help="override paths.gazetteer")
-    p.set_defaults(func=cmd_ingest)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("cluster", help="build the similarity graph and cluster it")
     common(p)
     p.add_argument("--export-graph", action="store_true", help="also write graph.csv")
-    p.set_defaults(func=cmd_cluster)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("sample", help="draw noisy negative labels")
     common(p)
     p.add_argument("--labels", help="override paths.labels")
     p.add_argument("--mode", choices=["random", "conditioned"], help="override sampling.mode")
-    p.set_defaults(func=cmd_sample)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("diagnose", help="audit labeled data for feature-class dependence")
     common(p)
     p.add_argument("--table2", action="store_true", help="run the built-in 2x2 fixture instead")
-    p.set_defaults(func=cmd_diagnose)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("train", help="train the risk model on all labeled clusters")
     common(p)
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("evaluate", help="conditioned cross-validation with pooled AUC")
     common(p)
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("indicators", help="evaluate indicator rules per cluster")
     common(p)
     p.add_argument("--rules", help="override paths.rules")
-    p.set_defaults(func=cmd_indicators)
+    p.set_defaults(func=cmd_stage)
 
     p = sub.add_parser("pipeline", help="run every stage in order")
     common(p)

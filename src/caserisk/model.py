@@ -566,29 +566,38 @@ def save_model(model: RiskModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> RiskModel:
+    """Read a model written by ``save_model``; a file that is not one
+    raises InputError naming it."""
     with open(path, "r", encoding="utf-8") as fh:
-        blob = json.load(fh)
-    if blob.get("format") != MODEL_FORMAT:
-        raise InputError(f"unsupported model format {blob.get('format')!r}")
-    vocab_blob = blob.get("vocabulary")
-    vocabulary = None
-    if vocab_blob is not None:
-        vocabulary = Vocabulary(
-            index={t: int(i) for t, i in vocab_blob["index"].items()},
-            df={t: int(c) for t, c in vocab_blob["df"].items()},
-            orders=tuple(vocab_blob["orders"]),
-            n_docs=int(vocab_blob["n_docs"]),
-            max_size=vocab_blob["max_size"],
+        try:
+            blob = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: not a JSON model file: {exc}") from exc
+    if not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT:
+        found = blob.get("format") if isinstance(blob, dict) else None
+        raise InputError(f"{path}: unsupported model format {found!r}")
+    try:
+        vocab_blob = blob.get("vocabulary")
+        vocabulary = None
+        if vocab_blob is not None:
+            vocabulary = Vocabulary(
+                index={t: int(i) for t, i in vocab_blob["index"].items()},
+                df={t: int(c) for t, c in vocab_blob["df"].items()},
+                orders=tuple(vocab_blob["orders"]),
+                n_docs=int(vocab_blob["n_docs"]),
+                max_size=vocab_blob["max_size"],
+            )
+        return RiskModel(
+            weights={int(i): float(w) for i, w in blob["weights"].items()},
+            intercept=float(blob["intercept"]),
+            vocabulary=vocabulary,
+            loss=blob["loss"],
+            penalty=blob["penalty"],
+            lam=float(blob["lambda"]),
+            metadata=blob.get("metadata", {}),
         )
-    return RiskModel(
-        weights={int(i): float(w) for i, w in blob["weights"].items()},
-        intercept=float(blob["intercept"]),
-        vocabulary=vocabulary,
-        loss=blob["loss"],
-        penalty=blob["penalty"],
-        lam=float(blob["lambda"]),
-        metadata=blob.get("metadata", {}),
-    )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc
 
 
 # --- indicator rules ---------------------------------------------------
@@ -604,11 +613,10 @@ RULE_KINDS = (
 
 @dataclass(frozen=True)
 class IndicatorRule:
-    """A named boolean clue over a document or a whole cluster."""
+    """A named boolean clue, evaluated over a whole cluster."""
 
     name: str
     kind: str
-    scope: str = "document"  # document | cluster
     terms: tuple[str, ...] = ()
     pattern: str = ""
     k: int = 1
@@ -616,8 +624,6 @@ class IndicatorRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise RuleCompilationError(self.name, f"unknown kind {self.kind!r}")
-        if self.scope not in ("document", "cluster"):
-            raise RuleCompilationError(self.name, f"unknown scope {self.scope!r}")
         if self.kind in ("lexicon", "min_lexicon_hits") and not self.terms:
             raise RuleCompilationError(self.name, "lexicon rule needs terms")
         if self.kind == "pattern" and not self.pattern:
@@ -683,18 +689,35 @@ def apply_indicators(
 def load_rules(path: str | Path) -> list[IndicatorRule]:
     """Read indicator rules from a JSON file.
 
-    Each entry has name, kind, and optional scope / terms / lexicon_path /
-    pattern / k; lexicon_path is resolved relative to the rules file.
+    Each entry has name, kind, and optional terms / lexicon_path / pattern
+    / k; lexicon_path is resolved relative to the rules file.  Other keys
+    are ignored.  A file that is not such a list raises InputError naming
+    it.
     """
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+        try:
+            raw = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"{path}: not a JSON rules file: {exc}") from exc
     if not isinstance(raw, list):
-        raise InputError("rules file must contain a JSON list")
+        raise InputError(f"{path}: rules file must contain a JSON list")
     rules = []
-    for entry in raw:
+    for position, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise InputError(f"{path}: rule {position} is not a JSON object")
         name = entry.get("name", "?")
-        terms = tuple(entry.get("terms", ()))
+        terms = entry.get("terms", [])
+        if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
+            raise InputError(f"{path}: rule {position}: terms must be a list of strings")
+        terms = tuple(terms)
+        pattern = entry.get("pattern", "")
+        if not isinstance(pattern, str):
+            raise InputError(f"{path}: rule {position}: pattern must be a string")
+        try:
+            k = int(entry.get("k", 1))
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"{path}: rule {position}: bad k: {exc}") from exc
         lexicon_path = entry.get("lexicon_path")
         if lexicon_path:
             with open(base / lexicon_path, "r", encoding="utf-8") as fh:
@@ -705,10 +728,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
             IndicatorRule(
                 name=name,
                 kind=entry.get("kind", ""),
-                scope=entry.get("scope", "document"),
                 terms=terms,
-                pattern=entry.get("pattern", ""),
-                k=int(entry.get("k", 1)),
+                pattern=pattern,
+                k=k,
             )
         )
     return rules

@@ -2,9 +2,11 @@
 
 import filecmp
 import json
+from collections import Counter
 
 import pytest
 
+import caserisk.cli
 from caserisk.cli import main
 from caserisk.config import PipelineConfig, load_config, validate
 from caserisk.errors import ConfigError
@@ -28,6 +30,18 @@ def run_synth(out, seed=1, extra=()):
         ]
     )
     assert rc == 0
+
+
+def write_rules(path):
+    path.write_text(
+        json.dumps(
+            [
+                {"name": "movement", "kind": "min_distinct_locations", "scope": "cluster", "k": 2},
+                {"name": "contacts", "kind": "min_distinct_phones", "scope": "cluster", "k": 2},
+            ]
+        )
+    )
+    return path
 
 
 def write_config(path, out, corpus="corpus.jsonl", labels="labels_expert.csv", lines=()):
@@ -138,15 +152,7 @@ class TestSubcommands:
 
     def test_indicators_stage(self, tmp_path):
         run_synth(tmp_path)
-        rules = tmp_path / "rules.json"
-        rules.write_text(
-            json.dumps(
-                [
-                    {"name": "movement", "kind": "min_distinct_locations", "scope": "cluster", "k": 2},
-                    {"name": "contacts", "kind": "min_distinct_phones", "scope": "cluster", "k": 2},
-                ]
-            )
-        )
+        rules = write_rules(tmp_path / "rules.json")
         out = tmp_path / "run"
         conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.rules = {rules}",))
         assert main(["ingest", "--config", str(conf), "--out", str(out)]) == 0
@@ -183,6 +189,37 @@ class TestPipeline:
             if not filecmp.cmp(out1 / name, out2 / name, shallow=False)
         ]
         assert mismatched == []
+
+    def test_pipeline_writes_what_the_stages_write(self, tmp_path):
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path)
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        assert main(["pipeline", "--config", str(conf), "--out", str(piped)]) == 0
+        for stage in ("ingest", "cluster", "sample", "diagnose", "train", "evaluate"):
+            assert main([stage, "--config", str(conf), "--out", str(staged)]) == 0
+        names = sorted(p.name for p in piped.iterdir())
+        assert names == sorted(p.name for p in staged.iterdir())
+        mismatched = [n for n in names if not filecmp.cmp(piped / n, staged / n, shallow=False)]
+        assert mismatched == []
+
+    def test_pipeline_calls_stages_through_the_module(self, tmp_path, monkeypatch):
+        # bench/tracer.py times each stage by rebinding caserisk.cli.stage_*;
+        # the pipeline must run whatever those names are bound to.
+        calls = Counter()
+        stages = ("ingest", "cluster", "sample", "diagnose", "train", "evaluate", "indicators")
+        for name in stages:
+            original = getattr(caserisk.cli, f"stage_{name}")
+
+            def counting(run, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(run)
+
+            monkeypatch.setattr(caserisk.cli, f"stage_{name}", counting)
+        run_synth(tmp_path)
+        rules = write_rules(tmp_path / "rules.json")
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.rules = {rules}",))
+        assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+        assert calls == Counter(stages)
 
     def test_consensus_and_refine_path(self, tmp_path):
         run_synth(tmp_path)
@@ -256,3 +293,41 @@ class TestPipeline:
         rc = main(["evaluate", "--config", str(conf), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "train stage" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("malformed", ["truncated", "no weights"])
+    def test_malformed_model_exits_1(self, tmp_path, capsys, malformed):
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        model = tmp_path / "run" / "model.json"
+        if malformed == "truncated":
+            text = model.read_text()
+            model.write_text(text[: len(text) // 2])
+        else:
+            model.write_text('{"format": "caserisk-model/1"}')
+        conf = tmp_path / "p.conf"
+        rc = main(["evaluate", "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InputError" in err and "model.json" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '["movement"]',
+            '[{"name": "movement", "kind": "min_distinct_locations"',
+            '[{"name": "risky", "kind": "lexicon", "terms": "tonight"}]',
+            '[{"name": "nightly", "kind": "pattern", "pattern": 5}]',
+        ],
+    )
+    def test_malformed_rules_exit_1(self, tmp_path, capsys, text):
+        run_synth(tmp_path)
+        rules = tmp_path / "rules.json"
+        rules.write_text(text)
+        out = tmp_path / "run"
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.rules = {rules}",))
+        assert main(["ingest", "--config", str(conf), "--out", str(out)]) == 0
+        assert main(["cluster", "--config", str(conf), "--out", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(["indicators", "--config", str(conf), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InputError" in err and "rules.json" in err and "Traceback" not in err

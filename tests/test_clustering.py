@@ -2,8 +2,13 @@
 
 import itertools
 import random
+import tempfile
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caserisk.clustering import (
     Cluster,
@@ -326,6 +331,27 @@ def test_clustering_round_trip(tmp_path):
     write_clustering(clustering, path)
     loaded = read_clustering(path)
     assert _member_sets(loaded) == _member_sets(clustering)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.text(min_size=1, max_size=5), st.integers(0, 4)),
+        unique_by=lambda pair: pair[0],
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_clustering_round_trip_is_exact(assignments):
+    groups = defaultdict(set)
+    for doc_id, group in assignments:
+        groups[group].add(doc_id)
+    clustering = Clustering.from_member_sets(groups.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "clusters.csv"
+        write_clustering(clustering, path)
+        loaded = read_clustering(path)
+    assert loaded.clusters == clustering.clusters
 
 
 @pytest.mark.parametrize("header", ["foo,bar", "cluster_id,doc"])

@@ -1,6 +1,9 @@
 """Ingestion, normalization, and token-removal behavior."""
 
 import json
+import tempfile
+from datetime import date
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +22,23 @@ from caserisk.corpus import (
     write_corpus,
 )
 from caserisk.errors import EmptyCorpusError, MalformedRecordError
+
+
+_RAW_IDS = st.one_of(st.sampled_from(["a", " b", "c ", "a"]), st.text(min_size=1, max_size=4))
+_RAW_PHONES = st.one_of(
+    st.sampled_from(["(555) 012-3456", "1-555-000-1111", "+1 555 000 2222", "123", "15550001111"]),
+    st.text(alphabet="0123456789-. ()+", max_size=14),
+)
+_RAW_TEXTS = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["visit", " ", "\t\n", "<b>", "</b>", "<", ">", "Springfield", "new", "York", "555-012-3456",
+             "5550001111", ",", "call", "İ", "é", "\u00a0", "\u2028"]
+        ),
+        max_size=12,
+    ).map("".join),
+    st.text(max_size=20),
+)
 
 
 def write_lines(path, records):
@@ -182,6 +202,39 @@ class TestIngest:
         corpus2, stats2 = ingest(out)
         assert stats2.skipped == 0
         assert corpus2.documents == corpus.documents
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.fixed_dictionaries(
+                {"id": _RAW_IDS, "domain": st.sampled_from(["x.example", " y ", "z"]), "text": _RAW_TEXTS},
+                optional={
+                    "phones": st.lists(_RAW_PHONES, max_size=3),
+                    "locations": st.lists(
+                        st.one_of(st.sampled_from(["Springfield ", "new YORK", " ", "İstanbul"]), st.text(max_size=6)),
+                        max_size=3,
+                    ),
+                    "date": st.dates().map(date.isoformat),
+                    "note": st.text(max_size=6),
+                },
+            ),
+            max_size=6,
+        ),
+        st.booleans(),
+    )
+    def test_write_then_ingest_gives_the_same_corpus(self, records, use_gazetteer):
+        gazetteer = Gazetteer(["springfield", "new york"]) if use_gazetteer else None
+        with tempfile.TemporaryDirectory() as tmp:
+            src, out = Path(tmp) / "raw.jsonl", Path(tmp) / "clean.jsonl"
+            write_lines(src, records)
+            try:
+                corpus, _ = ingest(src, gazetteer=gazetteer)
+            except EmptyCorpusError:
+                return
+            write_corpus(corpus, out)
+            again, stats = ingest(out)
+        assert stats.skipped == 0
+        assert again.documents == corpus.documents
 
     def test_schema_union_of_keys(self, tmp_path):
         path = tmp_path / "schema.jsonl"

@@ -2,7 +2,9 @@
 
 import math
 import random
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,9 @@ from caserisk.errors import (
 from caserisk.model import (
     ClusterTerms,
     IndicatorRule,
+    RiskModel,
     TrainConfig,
+    Vocabulary,
     apply_indicators,
     build_vocabulary,
     feature_importance,
@@ -443,6 +447,39 @@ class TestModelIO:
         assert loaded.score(vec) == model.score(vec)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.text(min_size=1, max_size=6), unique=True, max_size=8),
+        st.booleans(),
+        st.data(),
+    )
+    def test_save_then_load_gives_the_same_model(self, tokens, with_vocabulary, data):
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+        vocabulary = None
+        if with_vocabulary:
+            vocabulary = Vocabulary(
+                index={t: i for i, t in enumerate(tokens)},
+                df={t: data.draw(st.integers(1, 50)) for t in tokens},
+                orders=tuple(sorted(data.draw(st.sets(st.sampled_from([1, 2, 3]), min_size=1)))),
+                n_docs=data.draw(st.integers(1, 50)),
+                max_size=data.draw(st.one_of(st.none(), st.integers(1, 500))),
+            )
+        model = RiskModel(
+            weights=data.draw(st.dictionaries(st.integers(0, max(len(tokens) - 1, 0)), floats, max_size=8)),
+            intercept=data.draw(floats),
+            vocabulary=vocabulary,
+            loss=data.draw(st.sampled_from(["logistic", "hinge"])),
+            penalty=data.draw(st.sampled_from(["l1", "l2"])),
+            lam=data.draw(st.floats(0, 10)),
+            metadata={"epochs": data.draw(st.integers(1, 300)), "final_objective": data.draw(floats)},
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.json"
+            save_model(model, path)
+            loaded = load_model(path)
+        assert loaded == model
+
+
 class TestIndicators:
     def cluster_world(self):
         documents = [
@@ -455,13 +492,13 @@ class TestIndicators:
 
     def test_movement_rule(self):
         corpus, cluster = self.cluster_world()
-        rule = IndicatorRule(name="movement", kind="min_distinct_locations", scope="cluster", k=2)
+        rule = IndicatorRule(name="movement", kind="min_distinct_locations", k=2)
         assert apply_indicators(cluster, corpus, [rule]) == {"movement": True}
 
     def test_movement_rule_single_location(self):
         corpus = Corpus([doc("1", "x", locations=("springfield",))])
         cluster = Cluster(id="1", members=frozenset(["1"]))
-        rule = IndicatorRule(name="movement", kind="min_distinct_locations", scope="cluster", k=2)
+        rule = IndicatorRule(name="movement", kind="min_distinct_locations", k=2)
         assert apply_indicators(cluster, corpus, [rule]) == {"movement": False}
 
     def test_empty_rule_list(self):
@@ -470,7 +507,7 @@ class TestIndicators:
 
     def test_distinct_phones(self):
         corpus, cluster = self.cluster_world()
-        rule = IndicatorRule(name="contacts", kind="min_distinct_phones", scope="cluster", k=2)
+        rule = IndicatorRule(name="contacts", kind="min_distinct_phones", k=2)
         assert apply_indicators(cluster, corpus, [rule])["contacts"] is True
 
     def test_lexicon_rule(self):
@@ -480,9 +517,9 @@ class TestIndicators:
 
     def test_lexicon_hits_threshold(self):
         corpus, cluster = self.cluster_world()
-        rule = IndicatorRule(name="many", kind="min_lexicon_hits", scope="cluster", terms=("tonight", "now"), k=2)
+        rule = IndicatorRule(name="many", kind="min_lexicon_hits", terms=("tonight", "now"), k=2)
         assert apply_indicators(cluster, corpus, [rule])["many"] is True
-        strict = IndicatorRule(name="many", kind="min_lexicon_hits", scope="cluster", terms=("tonight",), k=2)
+        strict = IndicatorRule(name="many", kind="min_lexicon_hits", terms=("tonight",), k=2)
         assert apply_indicators(cluster, corpus, [strict])["many"] is False
 
     def test_pattern_rule(self):
@@ -500,8 +537,8 @@ class TestIndicators:
     def test_duplicate_rule_names_rejected(self):
         corpus, cluster = self.cluster_world()
         rules = [
-            IndicatorRule(name="r", kind="min_distinct_phones", scope="cluster"),
-            IndicatorRule(name="r", kind="min_distinct_locations", scope="cluster"),
+            IndicatorRule(name="r", kind="min_distinct_phones"),
+            IndicatorRule(name="r", kind="min_distinct_locations"),
         ]
         with pytest.raises(InputError):
             apply_indicators(cluster, corpus, rules)

@@ -1,6 +1,12 @@
 """Random and conditioned negative sampling."""
 
+import csv
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caserisk.bias import FeatureSpec, POSITIVE, NEGATIVE
 from caserisk.clustering import Cluster, Clustering
@@ -252,6 +258,58 @@ class TestLabelsIO:
         loaded, _ = read_labels(path, clustering)
         assert len(loaded) == 1
         assert loaded[0].label == POSITIVE and loaded[0].source == SOURCE_EXPERT
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 7), st.sampled_from([POSITIVE, NEGATIVE]), st.sampled_from([SOURCE_EXPERT, SOURCE_SAMPLED])),
+            unique_by=lambda row: row[0],
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_round_trip_gives_the_sorted_list(self, rows, rng):
+        _, clustering = build_world([("g1", 1 + i % 3) for i in range(8)])
+        clusters = list(clustering)
+        labeled = [LabeledCluster(clusters[i], label, source) for i, label, source in rows]
+        rng.shuffle(labeled)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.csv"
+            write_labels(labeled, path)
+            loaded, missing = read_labels(path, clustering)
+        assert missing == []
+        assert loaded == sorted(labeled, key=lambda lc: lc.cluster.id)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["c000-d000", "c001-d000", "c002-d000", "ghost"]),
+                st.sampled_from([POSITIVE, NEGATIVE]),
+                st.sampled_from([SOURCE_EXPERT, SOURCE_SAMPLED, ""]),
+            ),
+            max_size=12,
+        )
+    )
+    def test_duplicate_rows_resolve_once_and_expert_rows_stay(self, rows):
+        _, clustering = build_world([("g1", 1)] * 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["cluster_id", "label", "source"])
+                writer.writerows(rows)
+            loaded, missing = read_labels(path, clustering)
+        ids = [lc.cluster.id for lc in loaded]
+        assert ids == sorted({cid for cid, _, _ in rows if cid != "ghost"})
+        assert missing == [cid for cid, _, _ in rows if cid == "ghost"]
+        for lc in loaded:
+            own = [(label, source or SOURCE_EXPERT) for cid, label, source in rows if cid == lc.cluster.id]
+            expert_labels = {label for label, source in own if source == SOURCE_EXPERT}
+            if expert_labels:
+                assert lc.source == SOURCE_EXPERT and lc.label in expert_labels
+            else:
+                assert (lc.label, lc.source) in own
 
     @pytest.mark.parametrize("header", ["foo,bar", "cluster_id,source"])
     def test_header_missing_columns_rejected(self, tmp_path, header):
