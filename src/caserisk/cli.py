@@ -101,22 +101,12 @@ class Run:
         return corpus_mod.remove_tokens(labeled_docs, lexicon)
 
 
-def _train_config(config: PipelineConfig) -> model_mod.TrainConfig:
-    return model_mod.TrainConfig(
-        loss=config.loss,
-        penalty=config.penalty,
-        lam=config.lam,
-        epochs=config.epochs,
-        learning_rate=config.learning_rate,
-    )
-
-
 # --- stages -------------------------------------------------------------
 
 
 def stage_ingest(run: Run) -> corpus_mod.Corpus:
     config, out = run.config, run.out
-    require_paths(config, "corpus_path")
+    require_paths(config, "paths.corpus")
     gazetteer = _load_gazetteer(config)
     corpus, stats = corpus_mod.ingest(config.corpus_path, config.ingest_limit, gazetteer)
     run.corpus = corpus
@@ -136,17 +126,7 @@ def stage_ingest(run: Run) -> corpus_mod.Corpus:
 
 def stage_cluster(run: Run) -> clustering_mod.Clustering:
     config, out, corpus = run.config, run.out, run.corpus
-    graph_config = clustering_mod.GraphConfig(
-        tau_text=config.tau_text,
-        shingle_len=config.shingle_len,
-        use_phones=config.use_phones,
-        use_text=config.use_text,
-        use_location_date=config.use_location_date,
-        date_window_days=config.date_window_days,
-        rare_shingle_df_cap=config.rare_shingle_df_cap,
-        all_pairs_cutoff=config.all_pairs_cutoff,
-    )
-    graph = clustering_mod.build_graph(corpus, graph_config)
+    graph = clustering_mod.build_graph(corpus, config.graph)
     if config.consensus_runs == 1:
         clustering = clustering_mod.kwikcluster(graph, config.seed)
     else:
@@ -180,7 +160,7 @@ def stage_cluster(run: Run) -> clustering_mod.Clustering:
 
 def stage_sample(run: Run) -> list[sampling_mod.LabeledCluster]:
     config, out, clustering = run.config, run.out, run.clustering
-    require_paths(config, "labels_path")
+    require_paths(config, "paths.labels")
     expert, missing = sampling_mod.read_labels(config.labels_path, clustering)
     positives = [lc for lc in expert if lc.label == bias_mod.POSITIVE]
     negatives = [lc for lc in expert if lc.label == bias_mod.NEGATIVE]
@@ -268,7 +248,7 @@ def stage_train(run: Run) -> model_mod.RiskModel:
     config, out, labeled = run.config, run.out, run.labeled
     terms = model_mod.ClusterTerms([lc.cluster for lc in labeled], run.working, config.vocab_orders)
     vocab, x = terms.featurize(config.min_df, config.max_vocab, config.weighting)
-    risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, _train_config(config))
+    risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, config.train)
     run.model = risk_model
     model_mod.save_model(risk_model, out / "model.json")
     ranking = model_mod.feature_importance(risk_model, config.top_k)
@@ -319,7 +299,7 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         config.min_df,
         config.max_vocab,
         config.weighting,
-        _train_config(config),
+        config.train,
         features,
         config.alpha,
         top_k=0,
@@ -335,7 +315,7 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
 
 def stage_indicators(run: Run) -> int:
     config, out, corpus, clustering = run.config, run.out, run.corpus, run.clustering
-    require_paths(config, "rules_path")
+    require_paths(config, "paths.rules")
     rules = model_mod.load_rules(config.rules_path)
     rule_names = [r.name for r in rules]
     with open(out / "indicators.csv", "w", encoding="utf-8", newline="") as fh:

@@ -1,18 +1,23 @@
 """Pipeline configuration.
 
 Config files are flat ``key = value`` lines with dotted section keys
-(blank lines and ``#`` comments ignored).  Every key is registered below
-with its type and default; unknown keys and malformed values fail
-validation with the offending key named.
+(blank lines and ``#`` comments ignored).  ``KEY_REGISTRY`` is the one
+table of keys: each row names the attribute the key sets, its parser,
+its validity check and its help line, and ``load_config``, ``validate``
+and ``config_help`` all read it.  Unknown keys and malformed or invalid
+values fail with the offending key named.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, NamedTuple, Optional
 
+from .clustering import GraphConfig
 from .errors import ConfigError
+from .model import TrainConfig
 
 
 def _parse_bool(raw: str) -> bool:
@@ -42,15 +47,8 @@ class PipelineConfig:
     remove_lexicon_path: Optional[str] = None
     # ingest
     ingest_limit: Optional[int] = None
-    # clustering
-    tau_text: float = 0.5
-    shingle_len: int = 2
-    use_phones: bool = True
-    use_text: bool = True
-    use_location_date: bool = False
-    date_window_days: int = 7
-    rare_shingle_df_cap: int = 10
-    all_pairs_cutoff: int = 1000
+    # clustering: the graph's signals, then how the graph is clustered
+    graph: GraphConfig = field(default_factory=GraphConfig)
     consensus_runs: int = 1
     consensus_threshold: float = 0.5
     refine_passes: int = 0
@@ -63,16 +61,12 @@ class PipelineConfig:
     bias_features: tuple[str, ...] = ("domain",)
     alpha: float = 0.05
     correction: str = "bonferroni"
-    # model
+    # model: featurization, then the solver
     vocab_orders: tuple[int, ...] = (1,)
     min_df: int = 2
     max_vocab: int = 50000
     weighting: str = "tf"
-    loss: str = "logistic"
-    penalty: str = "l2"
-    lam: float = 1e-4
-    epochs: int = 300
-    learning_rate: float = 0.5
+    train: TrainConfig = field(default_factory=TrainConfig)
     # eval
     folds: int = 5
     max_retries: int = 50
@@ -81,46 +75,64 @@ class PipelineConfig:
     seed: int = 0
 
 
-# config-file key -> (attribute, parser)
-KEY_REGISTRY: dict[str, tuple[str, object, str]] = {
-    "paths.corpus": ("corpus_path", str, "line-delimited corpus file"),
-    "paths.labels": ("labels_path", str, "expert labels CSV (cluster_id,label[,source])"),
-    "paths.gazetteer": ("gazetteer_path", str, "location lexicon, one lowercase term per line"),
-    "paths.rules": ("rules_path", str, "indicator rules JSON"),
-    "paths.remove_lexicon": ("remove_lexicon_path", str, "tokens to delete before featurization"),
-    "ingest.limit": ("ingest_limit", int, "cap on ingested records"),
-    "clustering.tau_text": ("tau_text", float, "text similarity edge threshold in [0,1]"),
-    "clustering.shingle_len": ("shingle_len", int, "word shingle length"),
-    "clustering.use_phones": ("use_phones", _parse_bool, "enable shared-phone signal"),
-    "clustering.use_text": ("use_text", _parse_bool, "enable text-shingle signal"),
-    "clustering.use_location_date": ("use_location_date", _parse_bool, "enable location+date signal"),
-    "clustering.date_window_days": ("date_window_days", int, "date window for location signal"),
-    "clustering.rare_shingle_df_cap": ("rare_shingle_df_cap", int, "max document frequency for a blocking shingle"),
-    "clustering.all_pairs_cutoff": ("all_pairs_cutoff", int, "corpus size above which blocking replaces all-pairs"),
-    "clustering.consensus_runs": ("consensus_runs", int, "KWIKCLUSTER runs combined by consensus (1 = single run)"),
-    "clustering.consensus_threshold": ("consensus_threshold", float, "co-association fraction in (0,1]"),
-    "clustering.refine_passes": ("refine_passes", int, "local-search passes (0 = off)"),
-    "sampling.mode": ("sampling_mode", str, "random | conditioned"),
-    "sampling.ratio": ("sampling_ratio", float, "negative clusters per positive cluster"),
-    "sampling.features": ("sampling_features", _parse_str_list, "attributes to condition on"),
-    "sampling.size_buckets": ("size_buckets", _parse_int_list, "cluster-size bucket lower bounds"),
-    "bias.features": ("bias_features", _parse_str_list, "attributes audited for class dependence"),
-    "bias.alpha": ("alpha", float, "significance level"),
-    "bias.correction": ("correction", str, "none | bonferroni"),
-    "model.orders": ("vocab_orders", _parse_int_list, "n-gram orders, subset of 1,2,3"),
-    "model.min_df": ("min_df", int, "min document frequency for vocabulary"),
-    "model.max_vocab": ("max_vocab", int, "vocabulary size cap"),
-    "model.weighting": ("weighting", str, "tf | tfidf"),
-    "model.loss": ("loss", str, "logistic | hinge"),
-    "model.penalty": ("penalty", str, "l2 | l1"),
-    "model.lambda": ("lam", float, "penalty strength"),
-    "model.epochs": ("epochs", int, "gradient descent epochs"),
-    "model.learning_rate": ("learning_rate", float, "initial learning rate"),
-    "eval.folds": ("folds", int, "cross-validation fold count"),
-    "eval.max_retries": ("max_retries", int, "fold reshuffle budget"),
-    "eval.top_k": ("top_k", int, "features reported by importance"),
-    "seed": ("seed", int, "master seed"),
+def _at_least(low: int) -> Callable[[Any], bool]:
+    return lambda v: v >= low
+
+
+def _one_of(*choices: str) -> Callable[[Any], bool]:
+    return lambda v: v in choices
+
+
+class Key(NamedTuple):
+    attr: str  # attribute path on PipelineConfig: "seed", "graph.tau_text"
+    parse: Callable[[str], Any]
+    check: Optional[Callable[[Any], bool]]  # None: every parsed value is valid
+    help: str
+
+
+KEY_REGISTRY: dict[str, Key] = {
+    "paths.corpus": Key("corpus_path", str, None, "line-delimited corpus file"),
+    "paths.labels": Key("labels_path", str, None, "expert labels CSV (cluster_id,label[,source])"),
+    "paths.gazetteer": Key("gazetteer_path", str, None, "location lexicon, one lowercase term per line"),
+    "paths.rules": Key("rules_path", str, None, "indicator rules JSON"),
+    "paths.remove_lexicon": Key("remove_lexicon_path", str, None, "tokens to delete before featurization"),
+    "ingest.limit": Key("ingest_limit", int, lambda v: v is None or v >= 0, "cap on ingested records"),
+    "clustering.tau_text": Key("graph.tau_text", float, lambda v: 0.0 <= v <= 1.0, "text similarity edge threshold in [0,1]"),
+    "clustering.shingle_len": Key("graph.shingle_len", int, _at_least(1), "word shingle length"),
+    "clustering.use_phones": Key("graph.use_phones", _parse_bool, None, "enable shared-phone signal"),
+    "clustering.use_text": Key("graph.use_text", _parse_bool, None, "enable text-shingle signal"),
+    "clustering.use_location_date": Key("graph.use_location_date", _parse_bool, None, "enable location+date signal"),
+    "clustering.date_window_days": Key("graph.date_window_days", int, _at_least(0), "date window for location signal"),
+    "clustering.rare_shingle_df_cap": Key("graph.rare_shingle_df_cap", int, _at_least(1), "max document frequency for a blocking shingle"),
+    "clustering.all_pairs_cutoff": Key("graph.all_pairs_cutoff", int, _at_least(0), "corpus size above which blocking replaces all-pairs"),
+    "clustering.consensus_runs": Key("consensus_runs", int, _at_least(1), "KWIKCLUSTER runs combined by consensus (1 = single run)"),
+    "clustering.consensus_threshold": Key("consensus_threshold", float, lambda v: 0.0 < v <= 1.0, "co-association fraction in (0,1]"),
+    "clustering.refine_passes": Key("refine_passes", int, _at_least(0), "local-search passes (0 = off)"),
+    "sampling.mode": Key("sampling_mode", str, _one_of("random", "conditioned"), "random | conditioned"),
+    "sampling.ratio": Key("sampling_ratio", float, lambda v: v > 0, "negative clusters per positive cluster"),
+    "sampling.features": Key("sampling_features", _parse_str_list, None, "attributes to condition on"),
+    "sampling.size_buckets": Key("size_buckets", _parse_int_list, lambda v: bool(v) and min(v) == 1, "cluster-size bucket lower bounds"),
+    "bias.features": Key("bias_features", _parse_str_list, None, "attributes audited for class dependence"),
+    "bias.alpha": Key("alpha", float, lambda v: 0.0 < v < 1.0, "significance level"),
+    "bias.correction": Key("correction", str, _one_of("none", "bonferroni"), "none | bonferroni"),
+    "model.orders": Key("vocab_orders", _parse_int_list, lambda v: bool(v) and set(v) <= {1, 2, 3}, "n-gram orders, subset of 1,2,3"),
+    "model.min_df": Key("min_df", int, _at_least(1), "min document frequency for vocabulary"),
+    "model.max_vocab": Key("max_vocab", int, _at_least(1), "vocabulary size cap"),
+    "model.weighting": Key("weighting", str, _one_of("tf", "tfidf"), "tf | tfidf"),
+    "model.loss": Key("train.loss", str, _one_of("logistic", "hinge"), "logistic | hinge"),
+    "model.penalty": Key("train.penalty", str, _one_of("l2", "l1"), "l2 | l1"),
+    "model.lambda": Key("train.lam", float, _at_least(0), "penalty strength"),
+    "model.epochs": Key("train.epochs", int, _at_least(1), "gradient descent epochs"),
+    "model.learning_rate": Key("train.learning_rate", float, lambda v: v > 0, "initial learning rate"),
+    "eval.folds": Key("folds", int, _at_least(2), "cross-validation fold count"),
+    "eval.max_retries": Key("max_retries", int, _at_least(0), "fold reshuffle budget"),
+    "eval.top_k": Key("top_k", int, _at_least(0), "features reported by importance"),
+    "seed": Key("seed", int, None, "master seed"),
 }
+
+
+def _value(config: PipelineConfig, key: str) -> Any:
+    return attrgetter(KEY_REGISTRY[key].attr)(config)
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -137,71 +149,38 @@ def load_config(path: str | Path) -> PipelineConfig:
             raw = raw.strip()
             if key not in KEY_REGISTRY:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            attr, parser, _ = KEY_REGISTRY[key]
+            parent, _, name = KEY_REGISTRY[key].attr.rpartition(".")
             try:
-                setattr(config, attr, parser(raw))
+                value = KEY_REGISTRY[key].parse(raw)
             except (ValueError, TypeError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            setattr(attrgetter(parent)(config) if parent else config, name, value)
     validate(config)
     return config
 
 
-def _key_for_attr(attr: str) -> str:
-    for key, (name, _, _) in KEY_REGISTRY.items():
-        if name == attr:
-            return key
-    return attr
-
-
 def validate(config: PipelineConfig) -> None:
-    checks = [
-        ("tau_text", 0.0 <= config.tau_text <= 1.0),
-        ("shingle_len", config.shingle_len >= 1),
-        ("rare_shingle_df_cap", config.rare_shingle_df_cap >= 1),
-        ("all_pairs_cutoff", config.all_pairs_cutoff >= 0),
-        ("consensus_runs", config.consensus_runs >= 1),
-        ("consensus_threshold", 0.0 < config.consensus_threshold <= 1.0),
-        ("refine_passes", config.refine_passes >= 0),
-        ("sampling_mode", config.sampling_mode in ("random", "conditioned")),
-        ("sampling_ratio", config.sampling_ratio > 0),
-        ("size_buckets", bool(config.size_buckets) and min(config.size_buckets) == 1),
-        ("alpha", 0.0 < config.alpha < 1.0),
-        ("correction", config.correction in ("none", "bonferroni")),
-        ("vocab_orders", bool(config.vocab_orders) and set(config.vocab_orders) <= {1, 2, 3}),
-        ("min_df", config.min_df >= 1),
-        ("max_vocab", config.max_vocab >= 1),
-        ("weighting", config.weighting in ("tf", "tfidf")),
-        ("loss", config.loss in ("logistic", "hinge")),
-        ("penalty", config.penalty in ("l2", "l1")),
-        ("lam", config.lam >= 0),
-        ("epochs", config.epochs >= 1),
-        ("learning_rate", config.learning_rate > 0),
-        ("folds", config.folds >= 2),
-        ("max_retries", config.max_retries >= 0),
-        ("top_k", config.top_k >= 0),
-        ("ingest_limit", config.ingest_limit is None or config.ingest_limit >= 0),
-    ]
-    for attr, ok in checks:
-        if not ok:
-            raise ConfigError(f"invalid value for {_key_for_attr(attr)}")
+    for key, entry in KEY_REGISTRY.items():
+        if entry.check is not None and not entry.check(_value(config, key)):
+            raise ConfigError(f"invalid value for {key}")
 
 
-def require_paths(config: PipelineConfig, *attrs: str) -> None:
+def require_paths(config: PipelineConfig, *keys: str) -> None:
     """Fail with the config key name when a required path is missing."""
-    for attr in attrs:
-        value = getattr(config, attr)
+    for key in keys:
+        value = _value(config, key)
         if value is None:
-            raise ConfigError(f"missing required path {_key_for_attr(attr)}")
+            raise ConfigError(f"missing required path {key}")
         if not Path(value).exists():
-            raise ConfigError(f"{_key_for_attr(attr)}: no such file {value!r}")
+            raise ConfigError(f"{key}: no such file {value!r}")
 
 
 def config_help() -> str:
+    defaults = PipelineConfig()
     lines = ["configuration keys (key = value per line, # comments):"]
     for key in sorted(KEY_REGISTRY):
-        attr, _, description = KEY_REGISTRY[key]
-        default = getattr(PipelineConfig(), attr)
+        default = _value(defaults, key)
         if isinstance(default, tuple):
             default = ",".join(str(v) for v in default)
-        lines.append(f"  {key:<34} {description} (default: {default})")
+        lines.append(f"  {key:<34} {KEY_REGISTRY[key].help} (default: {default})")
     return "\n".join(lines)

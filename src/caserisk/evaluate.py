@@ -74,6 +74,13 @@ def split(
 
 @dataclass
 class FoldPlan:
+    """Cluster-level fold assignment with its homogeneity test results.
+
+    ``attempts`` is the 1-based number of the reshuffle attempt that
+    produced the plan, not how many attempts ran: a plan with a rejected
+    test means all ``max_retries + 1`` attempts of ``make_folds`` ran.
+    """
+
     k: int
     assignment: dict[str, int]  # cluster id -> fold index
     conditioned_features: tuple[str, ...]
@@ -183,8 +190,10 @@ def make_folds(
     """Stratified, bias-conditioned cross-validation folds.
 
     Retries the within-stratum shuffle while any homogeneity test rejects,
-    up to max_retries, then returns the best attempt seen (fewest
-    rejections); a plan can therefore come back flagged.
+    up to max_retries, then returns the earliest attempt with the fewest
+    rejections; a plan can therefore come back flagged.  The plan's
+    ``attempts`` is that attempt's 1-based number: when the plan has a
+    rejected test, all ``max_retries + 1`` attempts ran.
     """
     if k < 2:
         raise InputError("k must be >= 2")

@@ -2,13 +2,18 @@
 
 import filecmp
 import json
+import shutil
 from collections import Counter
+from operator import attrgetter
 
 import pytest
 
 import caserisk.cli
+import caserisk.clustering
+import caserisk.evaluate
+import caserisk.model
 from caserisk.cli import main
-from caserisk.config import PipelineConfig, load_config, validate
+from caserisk.config import KEY_REGISTRY, PipelineConfig, load_config, validate
 from caserisk.errors import ConfigError
 
 
@@ -57,6 +62,37 @@ def write_config(path, out, corpus="corpus.jsonl", labels="labels_expert.csv", l
     return path
 
 
+# One invalid value for every key that has a validity check.
+INVALID = {
+    "ingest.limit": "-1",
+    "clustering.tau_text": "3.5",
+    "clustering.shingle_len": "0",
+    "clustering.date_window_days": "-3",
+    "clustering.rare_shingle_df_cap": "0",
+    "clustering.all_pairs_cutoff": "-1",
+    "clustering.consensus_runs": "0",
+    "clustering.consensus_threshold": "0",
+    "clustering.refine_passes": "-1",
+    "sampling.mode": "stratified",
+    "sampling.ratio": "0",
+    "sampling.size_buckets": "2,5",
+    "bias.alpha": "1.0",
+    "bias.correction": "holm",
+    "model.orders": "1,4",
+    "model.min_df": "0",
+    "model.max_vocab": "0",
+    "model.weighting": "bm25",
+    "model.loss": "squared",
+    "model.penalty": "elasticnet",
+    "model.lambda": "-0.1",
+    "model.epochs": "0",
+    "model.learning_rate": "0",
+    "eval.folds": "1",
+    "eval.max_retries": "-1",
+    "eval.top_k": "-1",
+}
+
+
 class TestConfig:
     def test_defaults_valid(self):
         validate(PipelineConfig())
@@ -75,12 +111,24 @@ class TestConfig:
             load_config(path)
         assert "clustering.tau_text" in str(err.value)
 
-    def test_out_of_range_names_key(self, tmp_path):
+    def test_every_check_has_an_invalid_case(self):
+        assert set(INVALID) == {key for key, entry in KEY_REGISTRY.items() if entry.check}
+
+    @pytest.mark.parametrize("key", sorted(INVALID))
+    def test_out_of_range_names_key(self, tmp_path, key):
         path = tmp_path / "bad.conf"
-        path.write_text("clustering.tau_text = 3.5\n")
+        path.write_text(f"{key} = {INVALID[key]}\n")
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert "clustering.tau_text" in str(err.value)
+        assert f"invalid value for {key}" in str(err.value)
+
+    def test_negative_date_window_exits_2(self, tmp_path, capsys):
+        # Below zero, abs(days) <= window never holds: the signal would be off.
+        conf = tmp_path / "p.conf"
+        conf.write_text("clustering.use_location_date = true\nclustering.date_window_days = -3\n")
+        rc = main(["cluster", "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "clustering.date_window_days" in capsys.readouterr().err
 
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.conf"
@@ -116,9 +164,18 @@ class TestSubcommands:
     def test_help_documents_config_keys(self, capsys):
         with pytest.raises(SystemExit):
             main(["--help"])
-        text = capsys.readouterr().out
-        for key in ("clustering.tau_text", "sampling.mode", "model.lambda", "eval.folds"):
-            assert key in text
+        lines = capsys.readouterr().out.splitlines()
+        rows = {line.split()[0]: line for line in lines if "(default: " in line}
+        assert set(rows) == set(KEY_REGISTRY)
+        defaults = PipelineConfig()
+        for key, entry in KEY_REGISTRY.items():
+            default = attrgetter(entry.attr)(defaults)
+            if isinstance(default, tuple):
+                default = ",".join(str(v) for v in default)
+            assert rows[key].endswith(f"(default: {default})"), rows[key]
+        # Nested options show their GraphConfig and TrainConfig defaults.
+        assert rows["clustering.tau_text"].endswith("(default: 0.5)")
+        assert rows["model.lambda"].endswith("(default: 0.0001)")
 
     def test_stagewise_run_matches_artifacts(self, tmp_path):
         run_synth(tmp_path)
@@ -331,3 +388,85 @@ class TestPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert "InputError" in err and "rules.json" in err and "Traceback" not in err
+
+
+# A non-default valid value for every graph and solver key, as written in a
+# config file and as the stage must receive it.
+GRAPH_VALUES = {
+    "clustering.tau_text": ("0.35", 0.35),
+    "clustering.shingle_len": ("3", 3),
+    "clustering.use_phones": ("false", False),
+    "clustering.use_text": ("false", False),
+    "clustering.use_location_date": ("true", True),
+    "clustering.date_window_days": ("3", 3),
+    "clustering.rare_shingle_df_cap": ("4", 4),
+    "clustering.all_pairs_cutoff": ("5", 5),
+}
+SOLVER_VALUES = {
+    "model.loss": ("hinge", "hinge"),
+    "model.penalty": ("l1", "l1"),
+    "model.lambda": ("0.001", 0.001),
+    "model.epochs": ("40", 40),
+    "model.learning_rate": ("0.25", 0.25),
+}
+
+
+@pytest.fixture(scope="module")
+def sampled_run(tmp_path_factory):
+    """Inputs and an out directory after ingest, cluster and sample."""
+    base = tmp_path_factory.mktemp("sampled")
+    run_synth(base)
+    conf = write_config(base / "p.conf", base)
+    for stage in ("ingest", "cluster", "sample"):
+        assert main([stage, "--config", str(conf), "--out", str(base / "run")]) == 0
+    return base
+
+
+class TestKeysReachStages:
+    def test_every_graph_and_solver_key_listed(self):
+        graph_keys = {k for k, e in KEY_REGISTRY.items() if e.attr.startswith("graph.")}
+        solver_keys = {k for k, e in KEY_REGISTRY.items() if e.attr.startswith("train.")}
+        assert set(GRAPH_VALUES) == graph_keys
+        assert set(SOLVER_VALUES) == solver_keys
+
+    def run_with(self, base, tmp_path, key, raw, stages):
+        out = tmp_path / "run"
+        shutil.copytree(base / "run", out)
+        conf = write_config(tmp_path / "p.conf", base, lines=(f"{key} = {raw}",))
+        for stage in stages:
+            assert main([stage, "--config", str(conf), "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("key", sorted(GRAPH_VALUES))
+    def test_graph_key_reaches_build_graph(self, sampled_run, tmp_path, monkeypatch, key):
+        raw, expected = GRAPH_VALUES[key]
+        name = KEY_REGISTRY[key].attr.partition(".")[2]
+        assert getattr(caserisk.clustering.GraphConfig(), name) != expected
+        seen = []
+        real = caserisk.clustering.build_graph
+
+        def recording(corpus, config):
+            seen.append(config)
+            return real(corpus, config)
+
+        monkeypatch.setattr(caserisk.clustering, "build_graph", recording)
+        self.run_with(sampled_run, tmp_path, key, raw, ("cluster",))
+        assert [getattr(c, name) for c in seen] == [expected]
+
+    @pytest.mark.parametrize("key", sorted(SOLVER_VALUES))
+    def test_solver_key_reaches_train(self, sampled_run, tmp_path, monkeypatch, key):
+        raw, expected = SOLVER_VALUES[key]
+        name = KEY_REGISTRY[key].attr.partition(".")[2]
+        assert getattr(caserisk.model.TrainConfig(), name) != expected
+        seen = []
+        real = caserisk.model.train
+
+        def recording(examples, vocabulary=None, config=None):
+            seen.append(config)
+            return real(examples, vocabulary, config)
+
+        # train is bound in both modules: the train stage and cross_validate.
+        monkeypatch.setattr(caserisk.model, "train", recording)
+        monkeypatch.setattr(caserisk.evaluate, "train", recording)
+        self.run_with(sampled_run, tmp_path, key, raw, ("train", "evaluate"))
+        assert len(seen) == 1 + 3  # the train stage, then one model per fold
+        assert {getattr(c, name) for c in seen} == {expected}

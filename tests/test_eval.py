@@ -194,6 +194,31 @@ class TestMakeFolds:
         plan = make_folds(corpus, labeled, 2, [FeatureSpec("domain")], seed=5, max_retries=10)
         assert "domain/positive" in plan.flagged()
 
+    def test_unbalanceable_plan_runs_every_attempt(self, monkeypatch):
+        # The fixture above: no reshuffle clears domain/positive, so every
+        # attempt runs and ``attempts`` names the one that was kept.
+        import caserisk.evaluate as evaluate_mod
+
+        rejections = []
+        real_tests = evaluate_mod._homogeneity_tests
+
+        def recording_tests(*args):
+            results = real_tests(*args)
+            rejections.append(sum(r.rejected for r in results.values()))
+            return results
+
+        monkeypatch.setattr(evaluate_mod, "_homogeneity_tests", recording_tests)
+        corpus, labeled = build_labeled(
+            [(POSITIVE, "gbig", 90), (POSITIVE, "gbig", 5)]
+            + [(POSITIVE, "gsmall", 24)] * 4
+            + [(NEGATIVE, "gsmall", 10)] * 6
+        )
+        plan = make_folds(corpus, labeled, 2, [FeatureSpec("domain")], seed=5, max_retries=10)
+        assert len(rejections) == 10 + 1
+        assert min(rejections) > 0
+        assert plan.attempts == rejections.index(min(rejections)) + 1
+        assert len(plan.flagged()) == min(rejections)
+
     def test_too_few_clusters_rejected(self):
         corpus, labeled = build_labeled([(POSITIVE, "g", 2)] * 2 + [(NEGATIVE, "g", 2)] * 5)
         with pytest.raises(InputError):
