@@ -106,7 +106,6 @@ class Run:
 
 def stage_ingest(run: Run) -> corpus_mod.Corpus:
     config, out = run.config, run.out
-    require_paths(config, "paths.corpus")
     gazetteer = _load_gazetteer(config)
     corpus, stats = corpus_mod.ingest(config.corpus_path, config.ingest_limit, gazetteer)
     run.corpus = corpus
@@ -160,7 +159,6 @@ def stage_cluster(run: Run) -> clustering_mod.Clustering:
 
 def stage_sample(run: Run) -> list[sampling_mod.LabeledCluster]:
     config, out, clustering = run.config, run.out, run.clustering
-    require_paths(config, "paths.labels")
     expert, missing = sampling_mod.read_labels(config.labels_path, clustering)
     positives = [lc for lc in expert if lc.label == bias_mod.POSITIVE]
     negatives = [lc for lc in expert if lc.label == bias_mod.NEGATIVE]
@@ -315,7 +313,6 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
 
 def stage_indicators(run: Run) -> int:
     config, out, corpus, clustering = run.config, run.out, run.corpus, run.clustering
-    require_paths(config, "paths.rules")
     rules = model_mod.load_rules(config.rules_path)
     rule_names = [r.name for r in rules]
     with open(out / "indicators.csv", "w", encoding="utf-8", newline="") as fh:
@@ -379,6 +376,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # this module when it runs, so a wrapper bound over ``stage_<name>`` after
 # import (as bench/tracer.py binds one) is the function that runs.
 STAGES = ("ingest", "cluster", "sample", "diagnose", "train", "evaluate", "indicators")
+# The path keys each stage reads: (required, read only when set).
+STAGE_PATHS = {
+    "ingest": (("paths.corpus",), ("paths.gazetteer",)),
+    "sample": (("paths.labels",), ()),
+    "train": ((), ("paths.remove_lexicon",)),
+    "evaluate": ((), ("paths.remove_lexicon",)),
+    "indicators": (("paths.rules",), ()),
+}
+
+
+def _require_stage_paths(config: PipelineConfig, names: Sequence[str]) -> None:
+    """Fail with ``ConfigError`` before any of the named stages runs when a
+    path one of them reads is missing."""
+    paths = [STAGE_PATHS.get(name, ((), ())) for name in names]
+    required = [key for keys, _ in paths for key in keys]
+    optional = tuple(key for _, keys in paths for key in keys)
+    require_paths(config, *required, optional=optional)
 
 
 def _run_stage(name: str, run: Run) -> None:
@@ -396,23 +410,27 @@ def cmd_stage(args: argparse.Namespace) -> int:
             f"({'rejected' if result.rejected else 'not rejected'} at alpha 0.05)"
         )
         return 0
-    run = Run(_build_config(args), _out_dir(args), getattr(args, "export_graph", False))
+    config = _build_config(args)
+    _require_stage_paths(config, [args.command])
+    run = Run(config, _out_dir(args), getattr(args, "export_graph", False))
     _run_stage(args.command, run)
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Run every stage in order over one run; ``indicators`` only with
-    ``paths.rules`` set."""
-    run = Run(_build_config(args), _out_dir(args), args.export_graph)
-    for name in STAGES:
-        if name == "indicators" and run.config.rules_path is None:
-            continue
+    ``paths.rules`` set.  Every path the stages read is checked before the
+    first one runs.  A ``ConfigError`` exits 2, as from a single stage."""
+    config = _build_config(args)
+    names = [name for name in STAGES if name != "indicators" or config.rules_path is not None]
+    _require_stage_paths(config, names)
+    run = Run(config, _out_dir(args), args.export_graph)
+    for name in names:
         try:
             _run_stage(name, run)
         except (PipelineError, OSError) as exc:
             print(f"pipeline failed at stage {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 1
+            return 2 if isinstance(exc, ConfigError) else 1
     print(f"pipeline: all stages complete -> {run.out}")
     return 0
 

@@ -165,13 +165,16 @@ def validate(config: PipelineConfig) -> None:
             raise ConfigError(f"invalid value for {key}")
 
 
-def require_paths(config: PipelineConfig, *keys: str) -> None:
-    """Fail with the config key name when a required path is missing."""
+def require_paths(config: PipelineConfig, *keys: str, optional: tuple[str, ...] = ()) -> None:
+    """Fail with the config key name when a required path is missing, or
+    when any path under ``keys`` or a set one under ``optional`` names no
+    file."""
     for key in keys:
-        value = _value(config, key)
-        if value is None:
+        if _value(config, key) is None:
             raise ConfigError(f"missing required path {key}")
-        if not Path(value).exists():
+    for key in keys + optional:
+        value = _value(config, key)
+        if value is not None and not Path(value).exists():
             raise ConfigError(f"{key}: no such file {value!r}")
 
 

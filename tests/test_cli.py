@@ -470,3 +470,53 @@ class TestKeysReachStages:
         self.run_with(sampled_run, tmp_path, key, raw, ("train", "evaluate"))
         assert len(seen) == 1 + 3  # the train stage, then one model per fold
         assert {getattr(c, name) for c in seen} == {expected}
+
+
+class TestPathsCheckedFirst:
+    """Every path the enabled stages read is checked before the first stage
+    runs, and a ConfigError exits 2 from ``pipeline`` as from a stage."""
+
+    def pipeline(self, tmp_path, conf):
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--config", str(conf), "--out", str(out)])
+        return rc, out
+
+    def test_missing_labels_path_fails_before_ingest(self, tmp_path, capsys):
+        run_synth(tmp_path)
+        conf = tmp_path / "p.conf"
+        conf.write_text(f"paths.corpus = {tmp_path / 'corpus.jsonl'}\n")
+        rc, out = self.pipeline(tmp_path, conf)
+        assert rc == 2
+        assert "paths.labels" in capsys.readouterr().err
+        assert not (out / "corpus_clean.jsonl").exists()
+        assert not (out / "clusters.csv").exists()
+
+    @pytest.mark.parametrize("key", ["paths.gazetteer", "paths.remove_lexicon"])
+    def test_missing_optional_path_fails_before_ingest(self, tmp_path, capsys, key):
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"{key} = {tmp_path / 'nowhere.txt'}",))
+        rc, out = self.pipeline(tmp_path, conf)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert key in err and "Traceback" not in err
+        assert not (out / "corpus_clean.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "key, stage", [("paths.gazetteer", "ingest"), ("paths.remove_lexicon", "train")]
+    )
+    def test_missing_optional_path_fails_standalone_stage(self, tmp_path, capsys, key, stage):
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"{key} = {tmp_path / 'nowhere.txt'}",))
+        rc = main([stage, "--config", str(conf), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_config_error_in_a_stage_exits_2(self, tmp_path, capsys):
+        # No positive cluster resolves: the sample stage raises ConfigError.
+        run_synth(tmp_path)
+        labels = tmp_path / "negatives.csv"
+        labels.write_text("cluster_id,label\nnot-a-cluster,positive\n")
+        conf = write_config(tmp_path / "p.conf", tmp_path, labels="negatives.csv")
+        rc, _ = self.pipeline(tmp_path, conf)
+        assert rc == 2
+        assert "stage sample" in capsys.readouterr().err

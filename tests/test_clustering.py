@@ -148,6 +148,14 @@ class TestBuildGraph:
         graph = build_graph(corpus, GraphConfig(use_location_date=True, all_pairs_cutoff=cutoff))
         assert (("a", "b") in graph) is linked
 
+    def test_phone_listed_twice_links_once(self):
+        # Above the cutoff a repeated phone must not pair a document with itself.
+        corpus = Corpus(
+            [doc("a", phones=["5550001111", "5550001111"]), doc("b", phones=["5550001111"])]
+        )
+        graph = build_graph(corpus, GraphConfig(use_text=False, all_pairs_cutoff=0))
+        assert graph.edges == {("a", "b"): frozenset({"phone-match"})}
+
     def test_blocking_matches_all_pairs(self):
         # above the cutoff, phone/shingle blocking must find the same edges
         docs = []
