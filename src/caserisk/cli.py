@@ -100,6 +100,13 @@ class Run:
         labeled_docs = corpus_mod.Corpus([self.corpus.get(d) for d in ids if d in self.corpus])
         return corpus_mod.remove_tokens(labeled_docs, lexicon)
 
+    @cached_property
+    def terms(self) -> model_mod.ClusterTerms:
+        """The labeled clusters' documents in ``working``, tokenized once
+        for both train and evaluate."""
+        clusters = [lc.cluster for lc in self.labeled]
+        return model_mod.ClusterTerms(clusters, self.working, self.config.vocab_orders)
+
 
 # --- stages -------------------------------------------------------------
 
@@ -244,8 +251,7 @@ def _domain_renyi(corpus, labeled) -> float:
 def stage_train(run: Run) -> model_mod.RiskModel:
     """Train on every labeled cluster of the mitigated ``run.working``."""
     config, out, labeled = run.config, run.out, run.labeled
-    terms = model_mod.ClusterTerms([lc.cluster for lc in labeled], run.working, config.vocab_orders)
-    vocab, x = terms.featurize(config.min_df, config.max_vocab, config.weighting)
+    vocab, x = run.terms.featurize(config.min_df, config.max_vocab, config.weighting)
     risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, config.train)
     run.model = risk_model
     model_mod.save_model(risk_model, out / "model.json")
@@ -255,18 +261,25 @@ def stage_train(run: Run) -> model_mod.RiskModel:
         writer.writerow(["token", "weight"])
         for token, weight in ranking:
             writer.writerow([token, weight])
+    fit = risk_model.metadata
     _write_json(
         out / "train_summary.json",
         {
             "examples": len(labeled),
             "vocabulary": len(vocab),
-            "final_objective": risk_model.metadata["final_objective"],
-            "epochs": risk_model.metadata["epochs"],
+            "final_objective": fit["final_objective"],
+            "epochs": fit["epochs"],
+            "converged": fit["converged"],
+            "grad_norm": fit["grad_norm"],
         },
     )
+    if fit["converged"]:
+        solver = f"converged in {fit['epochs']} iterations"
+    else:
+        solver = f"stopped unconverged after {fit['epochs']} iterations, gradient {fit['grad_norm']:.2e}"
     print(
         f"train: {len(labeled)} cluster examples, vocab {len(vocab)}, "
-        f"objective {risk_model.metadata['final_objective']:.5f} -> {out / 'model.json'}"
+        f"objective {fit['final_objective']:.5f} ({solver}) -> {out / 'model.json'}"
     )
     return risk_model
 
@@ -301,13 +314,17 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         features,
         config.alpha,
         top_k=0,
+        terms=run.terms,
     )
     report.top_features = tuple(model_mod.feature_importance(risk_model, config.top_k))
     evaluate_mod.write_report(
         report, out / "eval_report.json", out / "roc.csv", out / "eval_report.txt", plan
     )
     fold_aucs = ", ".join(f"{a:.3f}" for a in report.fold_aucs)
-    print(f"evaluate: pooled AUC {report.auc:.4f} (folds: {fold_aucs}) -> {out / 'eval_report.json'}")
+    print(
+        f"evaluate: pooled AUC {report.auc:.4f} (folds: {fold_aucs}; "
+        f"{report.converged_folds} of {plan.k} fits converged) -> {out / 'eval_report.json'}"
+    )
     return report
 
 

@@ -4,12 +4,14 @@ Config files are flat ``key = value`` lines with dotted section keys
 (blank lines and ``#`` comments ignored).  ``KEY_REGISTRY`` is the one
 table of keys: each row names the attribute the key sets, its parser,
 its validity check and its help line, and ``load_config``, ``validate``
-and ``config_help`` all read it.  Unknown keys and malformed or invalid
-values fail with the offending key named.
+and ``config_help`` all read it.  Every float key must also be finite.
+Unknown keys and malformed or invalid values fail with the offending key
+named.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
@@ -119,11 +121,11 @@ KEY_REGISTRY: dict[str, Key] = {
     "model.min_df": Key("min_df", int, _at_least(1), "min document frequency for vocabulary"),
     "model.max_vocab": Key("max_vocab", int, _at_least(1), "vocabulary size cap"),
     "model.weighting": Key("weighting", str, _one_of("tf", "tfidf"), "tf | tfidf"),
-    "model.loss": Key("train.loss", str, _one_of("logistic", "hinge"), "logistic | hinge"),
+    "model.loss": Key("train.loss", str, _one_of("logistic", "hinge"), "logistic | hinge (squared)"),
     "model.penalty": Key("train.penalty", str, _one_of("l2", "l1"), "l2 | l1"),
     "model.lambda": Key("train.lam", float, _at_least(0), "penalty strength"),
-    "model.epochs": Key("train.epochs", int, _at_least(1), "gradient descent epochs"),
-    "model.learning_rate": Key("train.learning_rate", float, lambda v: v > 0, "initial learning rate"),
+    "model.epochs": Key("train.epochs", int, _at_least(1), "solver iteration cap"),
+    "model.learning_rate": Key("train.learning_rate", float, lambda v: v > 0, "first step length"),
     "eval.folds": Key("folds", int, _at_least(2), "cross-validation fold count"),
     "eval.max_retries": Key("max_retries", int, _at_least(0), "fold reshuffle budget"),
     "eval.top_k": Key("top_k", int, _at_least(0), "features reported by importance"),
@@ -160,8 +162,12 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def validate(config: PipelineConfig) -> None:
+    """Every float key must be finite and every key pass its check."""
     for key, entry in KEY_REGISTRY.items():
-        if entry.check is not None and not entry.check(_value(config, key)):
+        value = _value(config, key)
+        if entry.parse is float and not math.isfinite(value):
+            raise ConfigError(f"invalid value for {key}: must be finite")
+        if entry.check is not None and not entry.check(value):
             raise ConfigError(f"invalid value for {key}")
 
 

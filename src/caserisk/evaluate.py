@@ -296,11 +296,13 @@ class EvalReport:
     top_features: tuple[tuple[str, float], ...]
     bias_recheck: Optional[BiasReport]
     scores: tuple[tuple[str, float, str], ...] = ()  # (cluster id, score, label)
+    converged_folds: int = 0  # fold fits whose solver reached its tolerance
 
     def to_json(self) -> dict:
         return {
             "auc": self.auc,
             "fold_aucs": list(self.fold_aucs),
+            "converged_folds": self.converged_folds,
             "top_features": [[t, w] for t, w in self.top_features],
             "bias_recheck": None if self.bias_recheck is None else self.bias_recheck.to_json(),
             "scores": [[cid, s, label] for cid, s, label in self.scores],
@@ -319,13 +321,16 @@ def cross_validate(
     features: Sequence[FeatureSpec] = (),
     alpha: float = 0.05,
     top_k: int = 25,
+    terms: Optional[ClusterTerms] = None,
 ) -> EvalReport:
     """Per-fold train/score with fold-local vocabularies.
 
-    Every labeled document is tokenized once.  The vocabulary for each
-    fold is built from training-fold documents only, so test-fold tokens
-    can never leak into a model.  Pooled AUC is the headline number;
-    per-fold AUCs show dispersion.
+    Every labeled document is tokenized once: into ``terms`` when given,
+    which must be the ``ClusterTerms`` of ``labeled``'s clusters over
+    ``corpus`` with ``vocab_orders``.  The vocabulary for each fold is
+    built from training-fold documents only, so test-fold tokens can never
+    leak into a model.  Pooled AUC is the headline number; per-fold AUCs
+    show dispersion.
     """
     if not labeled:
         raise EmptyInputError("no labeled clusters")
@@ -334,17 +339,23 @@ def cross_validate(
         raise InputError(f"fold plan does not cover clusters: {missing[:3]}")
     train_config = train_config or TrainConfig()
 
-    terms = ClusterTerms([lc.cluster for lc in labeled], corpus, vocab_orders)
+    clusters = [lc.cluster for lc in labeled]
+    if terms is None:
+        terms = ClusterTerms(clusters, corpus, vocab_orders)
+    elif terms.clusters != clusters or terms.orders != tuple(sorted(set(vocab_orders))):
+        raise InputError("terms were built over other clusters or n-gram orders")
     labels = [lc.label for lc in labeled]
     folds = np.array([plan.assignment[lc.cluster.id] for lc in labeled])
     pooled: list[tuple[float, str]] = []
     pooled_with_ids: list[tuple[str, float, str]] = []
     fold_aucs = []
+    converged = 0
     for fold in range(plan.k):
         fit = folds != fold
         train_idx, test_idx = np.flatnonzero(fit), np.flatnonzero(~fit)
         vocab, x = terms.featurize(min_df, max_vocab, weighting, fit=fit)
         model = train((x[train_idx], [labels[i] for i in train_idx]), vocab, train_config)
+        converged += model.metadata["converged"]
         fold_scores = []
         for i, value in zip(test_idx.tolist(), model.scores(x[test_idx]).tolist()):
             fold_scores.append((value, labels[i]))
@@ -372,6 +383,7 @@ def cross_validate(
         top_features=tuple(top),
         bias_recheck=recheck,
         scores=tuple(pooled_with_ids),
+        converged_folds=converged,
     )
 
 
@@ -399,6 +411,7 @@ def write_report(
         lines = [
             f"pooled AUC: {report.auc:.4f}",
             "per-fold AUCs: " + ", ".join(f"{a:.4f}" for a in report.fold_aucs),
+            f"solver converged in {report.converged_folds} of {len(report.fold_aucs)} fold fits",
             "",
             "top features (|weight| desc):",
         ]

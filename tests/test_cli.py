@@ -91,6 +91,12 @@ INVALID = {
     "eval.max_retries": "-1",
     "eval.top_k": "-1",
 }
+# Every float key must be finite: inf used to pass model.learning_rate,
+# model.lambda and sampling.ratio.
+FLOAT_KEYS = sorted(key for key, entry in KEY_REGISTRY.items() if entry.parse is float)
+OUT_OF_RANGE = [pytest.param(key, raw, id=key) for key, raw in sorted(INVALID.items())] + [
+    pytest.param(key, raw, id=f"{key}={raw}") for key in FLOAT_KEYS for raw in ("inf", "-inf", "nan")
+]
 
 
 class TestConfig:
@@ -114,10 +120,10 @@ class TestConfig:
     def test_every_check_has_an_invalid_case(self):
         assert set(INVALID) == {key for key, entry in KEY_REGISTRY.items() if entry.check}
 
-    @pytest.mark.parametrize("key", sorted(INVALID))
-    def test_out_of_range_names_key(self, tmp_path, key):
+    @pytest.mark.parametrize("key, raw", OUT_OF_RANGE)
+    def test_out_of_range_names_key(self, tmp_path, key, raw):
         path = tmp_path / "bad.conf"
-        path.write_text(f"{key} = {INVALID[key]}\n")
+        path.write_text(f"{key} = {raw}\n")
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert f"invalid value for {key}" in str(err.value)
@@ -129,6 +135,15 @@ class TestConfig:
         rc = main(["cluster", "--config", str(conf), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert "clustering.date_window_days" in capsys.readouterr().err
+
+    def test_infinite_sampling_ratio_exits_2(self, tmp_path, capsys):
+        # It used to reach stage_sample and crash there with OverflowError.
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=("sampling.ratio = inf",))
+        rc = main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "sampling.ratio" in err and "Traceback" not in err
 
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.conf"
@@ -277,6 +292,46 @@ class TestPipeline:
         conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.rules = {rules}",))
         assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
         assert calls == Counter(stages)
+
+    def test_labeled_documents_tokenized_once(self, tmp_path, monkeypatch):
+        # The train stage and cross-validation share the run's ClusterTerms.
+        built = []
+
+        class CountingTerms(caserisk.model.ClusterTerms):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(caserisk.model, "ClusterTerms", CountingTerms)
+        monkeypatch.setattr(caserisk.evaluate, "ClusterTerms", CountingTerms)
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        assert len(built) == 1
+
+    def test_solver_convergence_reported(self, tmp_path, capsys):
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        out = capsys.readouterr().out
+        metadata = json.loads((tmp_path / "run" / "model.json").read_text())["metadata"]
+        summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
+        report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
+        assert metadata["converged"] is True and metadata["grad_norm"] <= 1e-6
+        assert "final_learning_rate" not in metadata
+        assert {k: summary[k] for k in ("converged", "grad_norm", "epochs")} == {
+            k: metadata[k] for k in ("converged", "grad_norm", "epochs")
+        }
+        assert f"converged in {metadata['epochs']} iterations" in out
+        assert report["converged_folds"] == 3
+        assert "3 of 3 fits converged" in out
+
+    def test_iteration_cap_reported(self, tmp_path, capsys):
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=("model.epochs = 2",))
+        assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+        out = capsys.readouterr().out
+        summary = json.loads((tmp_path / "run" / "train_summary.json").read_text())
+        report = json.loads((tmp_path / "run" / "eval_report.json").read_text())
+        assert summary["converged"] is False and summary["epochs"] == 2
+        assert "stopped unconverged after 2 iterations" in out
+        assert report["converged_folds"] == 0
 
     def test_consensus_and_refine_path(self, tmp_path):
         run_synth(tmp_path)

@@ -10,7 +10,7 @@ from caserisk.clustering import Cluster
 from caserisk.corpus import Corpus, Document
 from caserisk.errors import InputError, UndefinedMetricError, UnsplittableError
 from caserisk.evaluate import cross_validate, make_folds, roc_auc, roc_curve, split
-from caserisk.model import TrainConfig
+from caserisk.model import ClusterTerms, TrainConfig
 from caserisk.sampling import SOURCE_EXPERT, SOURCE_SAMPLED, LabeledCluster
 
 
@@ -330,6 +330,27 @@ class TestCrossValidate:
             corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60)
         )
         assert {cid for cid, _, _ in report.scores} == {lc.cluster.id for lc in labeled}
+
+    def test_shared_terms_give_the_same_report(self):
+        corpus, labeled = self.build(n_per_class=6)
+        plan = make_folds(corpus, labeled, 3, seed=3)
+        terms = ClusterTerms([lc.cluster for lc in labeled], corpus, (1, 2))
+        args = (corpus, labeled, plan, (1, 2), 1, None, "tf", TrainConfig())
+        assert cross_validate(*args, terms=terms) == cross_validate(*args)
+
+    @pytest.mark.parametrize("mismatch", ["clusters", "order", "orders"])
+    def test_terms_over_other_clusters_rejected(self, mismatch):
+        corpus, labeled = self.build(n_per_class=6)
+        plan = make_folds(corpus, labeled, 3, seed=3)
+        clusters = [lc.cluster for lc in labeled]
+        if mismatch == "clusters":
+            terms = ClusterTerms(clusters[:-1], corpus)
+        elif mismatch == "order":
+            terms = ClusterTerms(clusters[::-1], corpus)
+        else:
+            terms = ClusterTerms(clusters, corpus, (1, 2))
+        with pytest.raises(InputError):
+            cross_validate(corpus, labeled, plan, terms=terms)
 
     def test_no_ranking_trains_only_the_fold_models(self, monkeypatch):
         import caserisk.evaluate as evaluate_mod

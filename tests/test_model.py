@@ -31,6 +31,8 @@ from caserisk.model import (
     feature_importance,
     load_model,
     load_rules,
+    _penalized_objective,
+    _smooth_objective,
     logistic_objective,
     ngrams,
     save_model,
@@ -334,7 +336,154 @@ class TestTrain:
             train([])
 
 
+@st.composite
+def small_problems(draw):
+    """A random sparse problem with both classes, a loss, a penalty and a
+    positive penalty strength."""
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 8))
+    cells = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+    dense = np.array(draw(st.lists(cells, min_size=n * d, max_size=n * d))).reshape(n, d)
+    dense[np.array(draw(st.lists(st.booleans(), min_size=n * d, max_size=n * d))).reshape(n, d)] = 0.0
+    labels = draw(st.lists(st.sampled_from(["positive", "negative"]), min_size=n, max_size=n))
+    labels[0], labels[-1] = "positive", "negative"
+    config = TrainConfig(
+        loss=draw(st.sampled_from(["logistic", "hinge"])),
+        penalty=draw(st.sampled_from(["l2", "l1"])),
+        lam=draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0])),
+        epochs=1000,
+    )
+    return csr_matrix(dense), labels, config
+
+
+def assert_optimal(x, labels, config):
+    """Train, then check the first-order optimality conditions of the
+    penalized objective at the returned weights."""
+    model = train((x, labels), config=config)
+    assert model.metadata["converged"]
+    assert model.metadata["grad_norm"] <= 1e-6
+    w = np.zeros(x.shape[1])
+    w[list(model.weights)] = list(model.weights.values())
+    y = np.array([1.0 if label == "positive" else -1.0 for label in labels])
+    l2 = config.lam if config.penalty == "l2" else 0.0
+    _, grad_w, grad_b = _smooth_objective(config.loss, w, model.intercept, x, y, l2)
+    assert abs(grad_b) <= 1e-6
+    if config.penalty == "l2":
+        assert np.max(np.abs(grad_w)) <= 1e-6
+    else:
+        zero = w == 0.0
+        assert np.all(np.abs(grad_w[zero]) <= config.lam + 1e-6)
+        np.testing.assert_allclose(grad_w[~zero], -config.lam * np.sign(w[~zero]), rtol=0, atol=1e-6)
+    full, _, _ = _penalized_objective(config.loss, w, model.intercept, x, y, config.penalty, config.lam)
+    assert model.metadata["final_objective"] == pytest.approx(full, rel=1e-12, abs=1e-15)
+
+
+# Squared hinge with L1 at lambda 1e-4.  The first problem stays unconverged
+# after 300 iterations when the direction is also zeroed where it opposes a
+# non-zero weight's pseudo-gradient (Andrew & Gao's constraint); the second
+# starts with every margin above 1, where the loss is flat, and stays
+# unconverged when the solver keeps its stale curvature pairs there.
+HARD_L1_HINGE = {
+    "ill-conditioned": (
+        [[-1, 3, 0, 2, 0, 0, -1, 0, -2, 2], [-2, 0, -1, -2, -1, 0, 1, 2, -1, 1],
+         [2, 1, 3, -6, -2, 3, 0, 0, -3, 1], [-1, -1, 0, 2, -1, 0, 0, 3, 2, 0],
+         [2, 0, -4, 0, 0, 3, 0, -1, 0, 0], [1, 0, -2, -2, -1, 0, 0, 2, 2, 0],
+         [-1, 4, 2, -3, 3, 1, -2, 0, 2, -1], [1, 0, 0, -1, 0, 0, 0, -3, 1, 1],
+         [0, 2, 0, 3, -1, 1, 1, -1, 0, 0], [1, 0, -3, 0, 1, 0, 0, 0, -1, 0],
+         [0, -1, 1, 2, 0, 2, 1, -1, -3, 1], [0, 0, 2, 1, 3, 1, 0, -1, 1, 0],
+         [0, 0, 0, -3, 0, -2, 0, 1, -1, 1], [1, 2, 1, -2, 0, 0, 3, 0, -2, -2],
+         [1, 0, 0, 2, 0, -1, 0, 0, 0, -3], [-3, 0, 4, 3, 0, 0, 0, 0, -1, 0]],
+        "+-+-++--+-++--+-",
+    ),
+    "flat-region": (
+        [[0, 0.875, 0, 0, -1.757, 1.616, -1.991, 0],
+         [1.747, 0.282, -2.555, 0, 1.905, 3.59, -0.756, 1.515],
+         [-1.185, -0.503, 0, 0, 0, 0, 2.773, 0],
+         [-0.311, 0.195, -0.63, -3.004, 0, 0, 4.505, -0.674]],
+        "++--",
+    ),
+}
+
+
+class TestOptimality:
+    """``train`` returns the minimizer of the objective it states."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_problems())
+    def test_first_order_conditions(self, problem):
+        assert_optimal(*problem)
+
+    @pytest.mark.parametrize("name", sorted(HARD_L1_HINGE))
+    def test_hard_l1_hinge_problem_converges(self, name):
+        rows, signs = HARD_L1_HINGE[name]
+        labels = ["positive" if s == "+" else "negative" for s in signs]
+        config = TrainConfig(loss="hinge", penalty="l1", lam=1e-4)
+        assert_optimal(csr_matrix(np.array(rows, dtype=float)), labels, config)
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_l1_zeroes_irrelevant_columns(self, loss):
+        # Column 0 decides the label; columns 1-4 are noise the L1 penalty removes.
+        rng = np.random.default_rng(5)
+        n = 60
+        labels = ["positive" if i % 2 else "negative" for i in range(n)]
+        signal = np.array([1.0 if label == "positive" else -1.0 for label in labels])
+        dense = np.column_stack([signal + 0.3 * rng.normal(size=n), 0.1 * rng.normal(size=(n, 4))])
+        model = train((csr_matrix(dense), labels), config=TrainConfig(loss=loss, penalty="l1", lam=0.05))
+        assert model.metadata["converged"]
+        assert list(model.weights) == [0]
+        assert model.weights[0] > 0.0
+
+    def test_epochs_caps_iterations(self):
+        examples = [({0: 1.0, 1: 0.5}, "positive"), ({1: 1.0}, "negative")] * 3
+        capped = train(examples, config=TrainConfig(epochs=1))
+        assert capped.metadata["epochs"] == 1 and not capped.metadata["converged"]
+        assert capped.metadata["grad_norm"] > 1e-6
+        full = train(examples, config=TrainConfig())
+        assert full.metadata["converged"] and 1 < full.metadata["epochs"] < 300
+
+    def test_first_step_has_learning_rate_length(self):
+        examples = [({0: 1.0}, "positive"), ({1: 1.0}, "negative")]
+        model = train(examples, config=TrainConfig(epochs=1, learning_rate=0.25, lam=0.0))
+        step = np.array([model.weights[0], model.weights[1], model.intercept])
+        assert np.linalg.norm(step) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("field", ["lam", "learning_rate"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_hyperparameters_rejected(self, field, value):
+        with pytest.raises(InputError):
+            train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")], config=TrainConfig(**{field: value}))
+
+
 class TestGradientCheck:
+    def test_squared_hinge_matches_central_finite_differences(self):
+        rng = np.random.default_rng(21)
+        step = 1e-6
+        for trial in range(30):
+            n = int(rng.integers(2, 40))
+            d = int(rng.integers(1, 12))
+            x = csr_matrix(rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.5))
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            w = rng.normal(size=d)
+            b = float(rng.normal())
+            penalty = "l2" if trial % 2 == 0 else "l1"
+            lam = float(rng.choice([0.0, 1e-3, 0.1]))
+
+            def f(w, b):
+                return _penalized_objective("hinge", w, b, x, y, penalty, lam)[0]
+
+            value, grad_w, grad_b = _penalized_objective("hinge", w, b, x, y, penalty, lam)
+            assert value == pytest.approx(
+                np.mean(np.maximum(0.0, 1.0 - y * (x @ w + b)) ** 2)
+                + lam * (np.dot(w, w) if penalty == "l2" else np.sum(np.abs(w)))
+            )
+            numeric = [
+                (f(w + step * e, b) - f(w - step * e, b)) / (2 * step) for e in np.eye(d)
+            ] + [(f(w, b + step) - f(w, b - step)) / (2 * step)]
+            analytic = np.append(grad_w, grad_b)
+            rel = np.linalg.norm(analytic - numeric) / max(np.linalg.norm(analytic), 1e-12)
+            assert rel < 1e-6
+
+
     def test_matches_central_finite_differences(self):
         rng = np.random.default_rng(12)
         step = 1e-5
