@@ -1,5 +1,11 @@
 """Featurization and interpretable linear risk models.
 
+One representation runs through the module: a feature vector is a row of a
+CSR matrix whose columns are a vocabulary's, and a model's weights are one
+dense array with a weight per column.  ``vectorize_document`` and
+``vectorize_cluster`` return 1 x |V| rows, ``train`` takes a (feature
+matrix, labels) pair, and ``RiskModel.scores`` scores the rows of a matrix.
+
 Documents are tokenized once into a document x n-gram count matrix (CSR),
 with columns in sorted gram order.  A vocabulary is the set of columns
 kept by document frequency over the training rows; document rows are
@@ -38,9 +44,6 @@ from .errors import (
     InputError,
     RuleCompilationError,
 )
-
-# A sparse vector is an index -> weight map with no explicit zeros.
-SparseVector = dict[int, float]
 
 
 def ngrams(tokens: Sequence[str], orders: Iterable[int]) -> list[str]:
@@ -83,44 +86,28 @@ def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
     return orders
 
 
-def _count_grams(
-    docs: Sequence[Document],
-    orders: tuple[int, ...],
-    index: Optional[Mapping[str, int]] = None,
-) -> tuple[csr_matrix, list[str]]:
+def _count_grams(docs: Sequence[Document], orders: tuple[int, ...]) -> tuple[csr_matrix, list[str]]:
     """Tokenize each document once into a document x n-gram count matrix.
 
-    Without ``index`` every gram seen gets a column, in sorted gram order,
-    and the grams are returned by column.  With ``index`` the columns are
-    that mapping's, grams outside it are dropped and no grams are returned.
+    Every gram seen gets a column, in sorted gram order, and the grams are
+    returned by column.
     """
-    grow = index is None
-    columns = {} if grow else index
+    columns: dict[str, int] = {}
     indptr = array("q", [0])
     indices = array("i")
     data = array("i")
     for doc in docs:
         counts = Counter(ngrams(tokenize(doc.text), orders))
-        if grow:
-            indices.extend([columns.setdefault(g, len(columns)) for g in counts])
-            data.extend(counts.values())
-        else:
-            for gram, count in counts.items():
-                col = columns.get(gram)
-                if col is not None:
-                    indices.append(col)
-                    data.append(count)
+        indices.extend([columns.setdefault(g, len(columns)) for g in counts])
+        data.extend(counts.values())
         indptr.append(len(indices))
-    cols = np.asarray(indices)
-    grams: list[str] = []
-    if grow:
-        # Renumber first-seen ids so that columns follow sorted gram order.
-        grams = sorted(columns)
-        rank = np.empty(len(grams), dtype=np.int32)
-        rank[[columns[g] for g in grams]] = np.arange(len(grams))
-        cols = rank[cols]
+    # Renumber first-seen ids so that columns follow sorted gram order.
+    grams = sorted(columns)
+    rank = np.empty(len(grams), dtype=np.int32)
+    rank[[columns[g] for g in grams]] = np.arange(len(grams))
     counts = csr_matrix(
-        (np.asarray(data), cols, np.asarray(indptr)), shape=(len(docs), len(columns))
+        (np.asarray(data), rank[np.asarray(indices)], np.asarray(indptr)),
+        shape=(len(docs), len(grams)),
     )
     counts.sort_indices()
     return counts, grams
@@ -272,38 +259,41 @@ class ClusterTerms:
 
 
 def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> csr_matrix:
-    """L2-normalized document rows over an existing vocabulary."""
+    """L2-normalized document rows over an existing vocabulary: every gram
+    is counted, and the vocabulary's grams are moved to its columns."""
     _check_weighting(weighting)
     if len(vocab) == 0:
         raise EmptyInputError("empty vocabulary")
-    counts, _ = _count_grams(docs, vocab.orders, vocab.index)
+    counts, grams = _count_grams(docs, vocab.orders)
+    kept = np.array([j for j, g in enumerate(grams) if g in vocab.index], dtype=np.int64)
+    to_vocab = csr_matrix(
+        (np.ones(len(kept)), (kept, [vocab.index[grams[j]] for j in kept.tolist()])),
+        shape=(len(grams), len(vocab)),
+    )
+    counts = counts @ to_vocab
+    counts.sort_indices()
     idf = None
     if weighting == "tfidf":
         idf = _idf(np.array([vocab.df[t] for t in vocab.tokens_by_index()]), vocab.n_docs)
     return _document_rows(counts, idf)
 
 
-def _as_vector(x: csr_matrix) -> SparseVector:
-    """The first row of x as an index -> weight map."""
-    end = x.indptr[1]
-    return dict(zip(x.indices[:end].tolist(), x.data[:end].tolist()))
-
-
-def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> SparseVector:
-    """Sparse bag-of-n-grams vector, L2-normalized when non-zero."""
-    return _as_vector(_rows_against([doc], vocab, weighting))
+def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> csr_matrix:
+    """The document's 1 x |V| bag-of-n-grams row, L2-normalized when non-zero."""
+    return _rows_against([doc], vocab, weighting)
 
 
 def vectorize_cluster(
     cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf"
-) -> SparseVector:
-    """Renormalized mean of the member document vectors."""
+) -> csr_matrix:
+    """The cluster's 1 x |V| row: the renormalized mean of its member
+    document rows."""
     members = sorted(cluster.members)
     for doc_id in members:
         if doc_id not in corpus:
             raise InputError(f"cluster member {doc_id!r} not in corpus")
     doc_rows = _rows_against([corpus.get(d) for d in members], vocab, weighting)
-    return _as_vector(_cluster_rows(doc_rows, np.array([0, len(members)])))
+    return _cluster_rows(doc_rows, np.array([0, len(members)]))
 
 
 @dataclass
@@ -325,9 +315,9 @@ class TrainConfig:
             raise InputError("bad training hyperparameters")
 
 
-@dataclass
+@dataclass(eq=False)
 class RiskModel:
-    weights: SparseVector
+    weights: np.ndarray  # dense, one weight per feature column
     intercept: float
     vocabulary: Optional[Vocabulary]
     loss: str
@@ -335,30 +325,16 @@ class RiskModel:
     lam: float
     metadata: dict = field(default_factory=dict)
 
-    def margin(self, vec: SparseVector) -> float:
-        return sum(self.weights.get(i, 0.0) * w for i, w in vec.items()) + self.intercept
-
-    def score(self, vec: SparseVector) -> float:
-        """Risk score in [0, 1]: the sigmoid of the linear margin.
+    def scores(self, x: csr_matrix) -> np.ndarray:
+        """Risk scores in [0, 1] of the rows of a feature matrix: the
+        sigmoid of the margins ``x @ weights + intercept``.
 
         Hinge-trained models use the same logistic link on the raw margin
         (identity-parameter calibration).
         """
-        return _sigmoid(self.margin(vec))
-
-    def scores(self, x: csr_matrix) -> np.ndarray:
-        """Risk scores of the rows of a feature matrix: ``x @ w + b``
-        through the same sigmoid as ``score``."""
-        w = np.zeros(x.shape[1])
-        w[list(self.weights)] = list(self.weights.values())
-        return _stable_sigmoid(x @ w + self.intercept)
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + math.exp(-z))
-    ez = math.exp(z)
-    return ez / (1.0 + ez)
+        if x.shape[1] != len(self.weights):
+            raise InputError(f"{x.shape[1]} feature columns for a model of {len(self.weights)} weights")
+        return _stable_sigmoid(x @ self.weights + self.intercept)
 
 
 def _as_sign(label) -> float:
@@ -367,23 +343,6 @@ def _as_sign(label) -> float:
     if label in (-1, -1.0, 0, False, "negative", "-", "neg"):
         return -1.0
     raise InputError(f"unrecognized label {label!r}")
-
-
-def _to_matrix(vectors: Sequence[SparseVector], dim: int) -> csr_matrix:
-    indptr = [0]
-    indices: list[int] = []
-    data: list[float] = []
-    for vec in vectors:
-        for idx in sorted(vec):
-            if idx >= dim:
-                raise InputError(f"vector index {idx} outside dimension {dim}")
-            indices.append(idx)
-            data.append(vec[idx])
-        indptr.append(len(indices))
-    return csr_matrix(
-        (np.asarray(data), np.asarray(indices, dtype=np.int64), np.asarray(indptr, dtype=np.int64)),
-        shape=(len(vectors), dim),
-    )
 
 
 def _smooth_objective(
@@ -549,14 +508,15 @@ def _minimize(fun, n: int, l1: float, first_step: float, max_iter: int):
 
 
 def train(
-    examples: Sequence[tuple[SparseVector, object]] | tuple[csr_matrix, Sequence[object]],
+    examples: tuple[csr_matrix, Sequence[object]],
     vocabulary: Optional[Vocabulary] = None,
     config: Optional[TrainConfig] = None,
 ) -> RiskModel:
     """Minimize the penalized objective with ``_minimize``.
 
-    ``examples`` is either a sequence of (sparse vector, label) pairs or
-    one (feature matrix, labels) pair whose rows are the examples.
+    ``examples`` is one (sparse feature matrix, labels) pair whose rows are
+    the examples; anything else raises InputError.  The model has one
+    weight per column of the matrix.
 
     ``config.epochs`` caps the solver's iterations and
     ``config.learning_rate`` is the length of its first step.  The metadata
@@ -566,26 +526,18 @@ def train(
     """
     config = config or TrainConfig()
     config.validate()
-    x = None
-    if len(examples) == 2 and issparse(examples[0]):
-        x, labels = csr_matrix(examples[0]), list(examples[1])
-        if x.shape[0] != len(labels):
-            raise InputError(f"{x.shape[0]} feature rows for {len(labels)} labels")
-        if vocabulary is not None and x.shape[1] != len(vocabulary):
-            raise InputError(f"{x.shape[1]} feature columns for a vocabulary of {len(vocabulary)}")
-    else:
-        labels = [label for _, label in examples]
+    if not (isinstance(examples, (tuple, list)) and len(examples) == 2 and issparse(examples[0])):
+        raise InputError("training examples must be one (sparse feature matrix, labels) pair")
+    x, labels = csr_matrix(examples[0]), list(examples[1])
+    if x.shape[0] != len(labels):
+        raise InputError(f"{x.shape[0]} feature rows for {len(labels)} labels")
+    if vocabulary is not None and x.shape[1] != len(vocabulary):
+        raise InputError(f"{x.shape[1]} feature columns for a vocabulary of {len(vocabulary)}")
     if not labels:
         raise EmptyInputError("no training examples")
     y = np.asarray([_as_sign(label) for label in labels])
     if len(set(y.tolist())) < 2:
         raise DegenerateTrainingError("training data has a single class")
-    if x is None:
-        if vocabulary is not None:
-            dim = len(vocabulary)
-        else:
-            dim = 1 + max((max(v) for v, _ in examples if v), default=-1)
-        x = _to_matrix([v for v, _ in examples], dim)
 
     l2, l1 = (config.lam, 0.0) if config.penalty == "l2" else (0.0, config.lam)
 
@@ -596,10 +548,8 @@ def train(
     theta, objective, iterations, grad_norm, converged = _minimize(
         smooth, x.shape[1] + 1, l1, config.learning_rate, config.epochs
     )
-    w = theta[:-1]
-    nonzero = np.flatnonzero(w)
     return RiskModel(
-        weights=dict(zip(nonzero.tolist(), w[nonzero].tolist())),
+        weights=theta[:-1],
         intercept=float(theta[-1]),
         vocabulary=vocabulary,
         loss=config.loss,
@@ -616,19 +566,27 @@ def train(
     )
 
 
-def score(model: RiskModel, vec: SparseVector) -> float:
-    return model.score(vec)
+def score(model: RiskModel, x: csr_matrix) -> np.ndarray:
+    """The risk scores of the rows of ``x``: ``model.scores(x)``."""
+    return model.scores(x)
+
+
+def _nonzero_weights(model: RiskModel) -> list[tuple[int, float]]:
+    """(column, weight) of each non-zero weight, by column."""
+    nonzero = np.flatnonzero(model.weights)
+    return list(zip(nonzero.tolist(), model.weights[nonzero].tolist()))
 
 
 def feature_importance(model: RiskModel, top_k: int) -> list[tuple[str, float]]:
     """Top-k tokens by absolute weight, descending; ties lexicographic."""
     if top_k < 0:
         raise InputError("top_k must be >= 0")
+    entries = _nonzero_weights(model)
     if model.vocabulary is not None:
         names = model.vocabulary.tokens_by_index()
-        entries = [(names[i], w) for i, w in model.weights.items() if w != 0.0]
+        entries = [(names[i], w) for i, w in entries]
     else:
-        entries = [(str(i), w) for i, w in model.weights.items() if w != 0.0]
+        entries = [(str(i), w) for i, w in entries]
     entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
     return entries[:top_k]
 
@@ -647,13 +605,17 @@ def save_model(model: RiskModel, path: str | Path) -> None:
             "n_docs": model.vocabulary.n_docs,
             "max_size": model.vocabulary.max_size,
         }
+    entries = _nonzero_weights(model)
+    if model.vocabulary is None and len(model.weights) and model.weights[-1] == 0.0:
+        # With no vocabulary the last index written is the vector's width.
+        entries.append((len(model.weights) - 1, 0.0))
     blob = {
         "format": MODEL_FORMAT,
         "loss": model.loss,
         "penalty": model.penalty,
         "lambda": model.lam,
         "intercept": model.intercept,
-        "weights": {str(i): w for i, w in sorted(model.weights.items())},
+        "weights": {str(i): w for i, w in entries},
         "vocabulary": vocab_blob,
         "metadata": model.metadata,
     }
@@ -664,7 +626,14 @@ def save_model(model: RiskModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> RiskModel:
     """Read a model written by ``save_model``; a file that is not one
-    raises InputError naming it."""
+    raises InputError naming it.
+
+    The weight vector has one entry per vocabulary term, or with no
+    vocabulary, up to the largest weight index, which ``save_model``
+    always writes.  A vocabulary index that
+    is not a permutation of 0..n-1, or a weight index outside the weight
+    vector, makes the file malformed.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             blob = json.load(fh)
@@ -684,8 +653,19 @@ def load_model(path: str | Path) -> RiskModel:
                 n_docs=int(vocab_blob["n_docs"]),
                 max_size=vocab_blob["max_size"],
             )
+            if sorted(vocabulary.index.values()) != list(range(len(vocabulary))):
+                raise InputError(
+                    f"{path}: vocabulary index is not a permutation of 0..{len(vocabulary) - 1}"
+                )
+        entries = {int(i): float(w) for i, w in blob["weights"].items()}
+        dim = len(vocabulary) if vocabulary is not None else max(entries, default=-1) + 1
+        outside = sorted(i for i in entries if not 0 <= i < dim)
+        if outside:
+            raise InputError(f"{path}: weight index {outside[0]} outside a vocabulary of {dim} terms")
+        weights = np.zeros(dim)
+        weights[list(entries)] = list(entries.values())
         return RiskModel(
-            weights={int(i): float(w) for i, w in blob["weights"].items()},
+            weights=weights,
             intercept=float(blob["intercept"]),
             vocabulary=vocabulary,
             loss=blob["loss"],

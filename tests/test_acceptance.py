@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from caserisk.bias import FeatureSpec, chi_squared_test, contingency
 from caserisk.clustering import (
@@ -266,10 +266,8 @@ def test_criterion_5_end_to_end_bias_mitigation():
 
     docs = [result.corpus.get(d) for lc in labeled for d in sorted(lc.cluster.members)]
     vocab = build_vocabulary(docs, (1,), min_df=2, max_size=50000)
-    examples = [
-        (vectorize_cluster(lc.cluster, result.corpus, vocab), lc.label) for lc in labeled
-    ]
-    model = train(examples, vocab, train_config)
+    x = vstack([vectorize_cluster(lc.cluster, result.corpus, vocab) for lc in labeled])
+    model = train((x, [lc.label for lc in labeled]), vocab, train_config)
     top10 = [t for t, _ in feature_importance(model, 10)]
     biased_proxy = result.config.domains[0]
     assert biased_proxy in top10, f"proxy {biased_proxy!r} not in top10 {top10}"
@@ -317,16 +315,11 @@ def test_criterion_5_end_to_end_bias_mitigation():
     fresh = random_negatives(result.clustering, used, sum(1 for lc in test_side if lc.label == "positive"), 43)
     train_docs = [cleaned.get(d) for lc in train_side for d in sorted(lc.cluster.members)]
     vocab_m = build_vocabulary(train_docs, (1,), min_df=2, max_size=50000)
-    model_m = train(
-        [(vectorize_cluster(lc.cluster, cleaned, vocab_m), lc.label) for lc in train_side],
-        vocab_m,
-        train_config,
-    )
+    x_m = vstack([vectorize_cluster(lc.cluster, cleaned, vocab_m) for lc in train_side])
+    model_m = train((x_m, [lc.label for lc in train_side]), vocab_m, train_config)
     held_out = [lc for lc in test_side if lc.label == "positive"] + fresh
-    held_scores = [
-        (model_m.score(vectorize_cluster(lc.cluster, cleaned, vocab_m)), lc.label)
-        for lc in held_out
-    ]
+    held_x = vstack([vectorize_cluster(lc.cluster, cleaned, vocab_m) for lc in held_out])
+    held_scores = list(zip(model_m.scores(held_x).tolist(), [lc.label for lc in held_out]))
     held_auc, _ = roc_auc(held_scores)
     assert held_auc >= 0.9
 

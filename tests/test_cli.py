@@ -406,13 +406,17 @@ class TestPipeline:
         assert rc == 2
         assert "train stage" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("malformed", ["truncated", "no weights"])
+    @pytest.mark.parametrize("malformed", ["truncated", "no weights", "weight outside vocabulary"])
     def test_malformed_model_exits_1(self, tmp_path, capsys, malformed):
         self.run_pipeline(tmp_path, tmp_path / "run")
         model = tmp_path / "run" / "model.json"
         if malformed == "truncated":
             text = model.read_text()
             model.write_text(text[: len(text) // 2])
+        elif malformed == "weight outside vocabulary":
+            blob = json.loads(model.read_text())
+            blob["weights"][str(len(blob["vocabulary"]["index"]))] = 1.5
+            model.write_text(json.dumps(blob))
         else:
             model.write_text('{"format": "caserisk-model/1"}')
         conf = tmp_path / "p.conf"

@@ -1,5 +1,6 @@
 """Vocabulary, vectorization, training, scoring, and indicator rules."""
 
+import json
 import math
 import random
 import tempfile
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, vstack
 
 from caserisk.clustering import Cluster
 from caserisk.corpus import Corpus, Document, remove_tokens, tokenize
@@ -36,6 +37,7 @@ from caserisk.model import (
     logistic_objective,
     ngrams,
     save_model,
+    score,
     train,
     vectorize_cluster,
     vectorize_document,
@@ -82,47 +84,56 @@ class TestVocabulary:
 class TestVectorize:
     def test_out_of_vocabulary_zero_vector(self):
         vocab = build_vocabulary([doc("1", "a b")], orders=(1,))
-        assert vectorize_document(doc("2", "zzz qqq"), vocab) == {}
+        vec = vectorize_document(doc("2", "zzz qqq"), vocab)
+        assert vec.shape == (1, len(vocab)) and vec.nnz == 0
 
     def test_single_token_unit_weight(self):
         vocab = build_vocabulary([doc("1", "a b")], orders=(1,))
         vec = vectorize_document(doc("2", "a"), vocab)
-        assert vec == {vocab.index["a"]: 1.0}
+        assert isinstance(vec, csr_matrix) and vec.shape == (1, 2)
+        assert vec.indices.tolist() == [vocab.index["a"]] and vec.data.tolist() == [1.0]
 
     def test_tf_normalization_hand_check(self):
         vocab = build_vocabulary([doc("1", "a b")], orders=(1,))
-        vec = vectorize_document(doc("2", "a a b"), vocab)
+        vec = vectorize_document(doc("2", "a a b"), vocab).toarray()[0]
         assert vec[vocab.index["a"]] == pytest.approx(2 / math.sqrt(5))
         assert vec[vocab.index["b"]] == pytest.approx(1 / math.sqrt(5))
 
     def test_unit_norm(self):
         vocab = build_vocabulary([doc("1", "a b c d")], orders=(1,))
         vec = vectorize_document(doc("2", "a b b c c c"), vocab, "tfidf")
-        assert math.sqrt(sum(w * w for w in vec.values())) == pytest.approx(1.0)
+        assert math.sqrt(sum(w * w for w in vec.data)) == pytest.approx(1.0)
 
     def test_cluster_of_single_document(self):
         corpus = Corpus([doc("1", "a b c")])
         vocab = build_vocabulary(list(corpus.documents), orders=(1,))
         cluster = Cluster(id="1", members=frozenset(["1"]))
-        assert vectorize_cluster(cluster, corpus, vocab) == vectorize_document(corpus.get("1"), vocab)
+        merged = vectorize_cluster(cluster, corpus, vocab)
+        assert merged.shape == (1, len(vocab))
+        assert merged.toarray().tolist() == vectorize_document(corpus.get("1"), vocab).toarray().tolist()
 
     def test_cluster_of_duplicates_equals_single(self):
         corpus = Corpus([doc("1", "a b c"), doc("2", "a b c"), doc("3", "a b c")])
         vocab = build_vocabulary(list(corpus.documents), orders=(1,))
         cluster = Cluster(id="1", members=frozenset(["1", "2", "3"]))
-        single = vectorize_document(corpus.get("1"), vocab)
-        merged = vectorize_cluster(cluster, corpus, vocab)
-        assert merged.keys() == single.keys()
-        for idx in single:
-            assert merged[idx] == pytest.approx(single[idx])
+        single = vectorize_document(corpus.get("1"), vocab).toarray()[0]
+        merged = vectorize_cluster(cluster, corpus, vocab).toarray()[0]
+        assert np.flatnonzero(merged).tolist() == np.flatnonzero(single).tolist()
+        assert merged == pytest.approx(single)
 
     def test_cluster_of_orthogonal_documents(self):
         corpus = Corpus([doc("1", "a"), doc("2", "b")])
         vocab = build_vocabulary(list(corpus.documents), orders=(1,))
         cluster = Cluster(id="1", members=frozenset(["1", "2"]))
         vec = vectorize_cluster(cluster, corpus, vocab)
-        for idx in vec:
-            assert vec[idx] == pytest.approx(1 / math.sqrt(2))
+        for w in vec.data:
+            assert w == pytest.approx(1 / math.sqrt(2))
+
+    def test_vocabulary_index_gives_the_column(self):
+        # A loaded vocabulary need not number its grams in sorted order.
+        vocab = Vocabulary(index={"b": 0, "a": 1}, df={"a": 1, "b": 1}, orders=(1,), n_docs=1)
+        vec = vectorize_document(doc("1", "a a b zz"), vocab).toarray()[0]
+        assert vec == pytest.approx([1 / math.sqrt(5), 2 / math.sqrt(5)])
 
     def test_removed_tokens_never_in_vocabulary(self):
         corpus = Corpus(
@@ -210,9 +221,7 @@ class TestClusterTerms:
             assert dict(vocab.df) == dict(expected.df)
             assert vocab.n_docs == expected.n_docs
             for row, cluster in zip(x.toarray(), clusters):
-                wrapped = np.zeros(len(vocab))
-                for idx, w in vectorize_cluster(cluster, corpus, vocab, weighting).items():
-                    wrapped[idx] = w
+                wrapped = vectorize_cluster(cluster, corpus, vocab, weighting).toarray()[0]
                 reference = reference_cluster_vector(cluster, corpus, vocab, weighting)
                 np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
@@ -234,37 +243,35 @@ class TestClusterTerms:
         with pytest.raises(InputError):
             ClusterTerms([Cluster(id="1", members=frozenset(["1", "2"]))], corpus)
 
-    def test_matrix_and_vector_forms_train_alike(self):
-        rng = random.Random(3)
-        examples = [
-            ({j: rng.random() for j in rng.sample(range(6), 3)}, "positive" if i % 2 else "negative")
-            for i in range(20)
-        ]
-        from caserisk.model import _to_matrix
-
-        x = _to_matrix([v for v, _ in examples], 6)
-        a = train(examples, config=TrainConfig(epochs=40))
-        b = train((x, [label for _, label in examples]), config=TrainConfig(epochs=40))
-        assert a.weights == b.weights and a.intercept == b.intercept
-        assert b.scores(x).tolist() == pytest.approx([a.score(v) for v, _ in examples], abs=1e-15)
+def sv(*vectors, dim=None):
+    """CSR rows from {column: value} maps, over ``dim`` columns (by default
+    one past the largest column used)."""
+    if dim is None:
+        dim = 1 + max((max(v) for v in vectors if v), default=-1)
+    dense = np.zeros((len(vectors), dim))
+    for i, vec in enumerate(vectors):
+        for j, value in vec.items():
+            dense[i, j] = value
+    return csr_matrix(dense)
 
 
-def sv(**kw):
-    return {int(k): float(v) for k, v in kw.items()}
+# Two one-hot examples, one per class, the smallest problem train accepts.
+TWO_POINTS = (sv({0: 1.0}, {1: 1.0}), ["positive", "negative"])
 
 
 class TestTrain:
     def test_separable_two_points(self):
-        examples = [({0: 1.0}, "positive"), ({1: 1.0}, "negative")]
-        model = train(examples, config=TrainConfig(epochs=200, learning_rate=1.0, lam=1e-6))
-        assert model.score({0: 1.0}) > 0.5
-        assert model.score({1: 1.0}) < 0.5
+        x, labels = TWO_POINTS
+        model = train((x, labels), config=TrainConfig(epochs=200, learning_rate=1.0, lam=1e-6))
+        scores = model.scores(x)
+        assert scores[0] > 0.5
+        assert scores[1] < 0.5
 
     def test_huge_penalty_shrinks_weights(self):
-        examples = [({0: 1.0}, "positive"), ({1: 1.0}, "negative")] * 5
-        model = train(examples, config=TrainConfig(epochs=100, lam=1e6))
-        assert all(abs(w) < 1e-3 for w in model.weights.values())
-        assert model.score({0: 1.0}) == pytest.approx(
+        x = sv(*[{0: 1.0}, {1: 1.0}] * 5)
+        model = train((x, ["positive", "negative"] * 5), config=TrainConfig(epochs=100, lam=1e6))
+        assert all(abs(w) < 1e-3 for w in model.weights)
+        assert model.scores(sv({0: 1.0}, dim=2))[0] == pytest.approx(
             1.0 / (1.0 + math.exp(-model.intercept)), abs=1e-3
         )
 
@@ -277,63 +284,85 @@ class TestTrain:
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateTrainingError):
-            train([({0: 1.0}, "positive"), ({1: 1.0}, "positive")])
+            train((TWO_POINTS[0], ["positive", "positive"]))
 
     def test_objective_non_increasing(self):
+        # Each run capped at k iterations is a prefix of the same
+        # deterministic trajectory, so the final objectives for k = 1, 2, ...
+        # follow the solver's own descent.  The large first step forces
+        # backtracking.
         rng = random.Random(0)
-        examples = []
+        vectors, labels = [], []
         for i in range(40):
-            label = "positive" if i % 2 == 0 else "negative"
-            vec = {j: rng.random() for j in rng.sample(range(10), 3)}
-            examples.append((vec, label))
-        config = TrainConfig(epochs=50, learning_rate=4.0)  # large rate forces halving
-        x_rows = [v for v, _ in examples]
-        y = np.array([1.0 if l == "positive" else -1.0 for _, l in examples])
-        from caserisk.model import _to_matrix
-
-        x = _to_matrix(x_rows, 10)
-        w = np.zeros(10)
-        b = 0.0
-        lr = config.learning_rate
-        obj, gw, gb = logistic_objective(w, b, x, y, "l2", config.lam)
-        history = [obj]
-        for _ in range(config.epochs):
-            while lr >= 1e-15:
-                w2, b2 = w - lr * gw, b - lr * gb
-                obj2, gw2, gb2 = logistic_objective(w2, b2, x, y, "l2", config.lam)
-                if obj2 <= obj:
-                    w, b, obj, gw, gb = w2, b2, obj2, gw2, gb2
-                    break
-                lr *= 0.5
-            history.append(obj)
+            labels.append("positive" if i % 2 == 0 else "negative")
+            vectors.append({j: rng.random() for j in rng.sample(range(10), 3)})
+        x = sv(*vectors, dim=10)
+        history = []
+        for epochs in range(1, 301):
+            model = train((x, labels), config=TrainConfig(epochs=epochs, learning_rate=4.0))
+            history.append(model.metadata["final_objective"])
+            if model.metadata["converged"]:
+                break
+        assert model.metadata["converged"] and len(history) > 1
         assert all(b <= a + 1e-15 for a, b in zip(history, history[1:]))
 
     def test_determinism_bit_for_bit(self):
         rng = random.Random(1)
-        examples = []
+        vectors, labels = [], []
         for i in range(30):
-            label = "positive" if rng.random() < 0.5 else "negative"
-            examples.append(({j: rng.random() for j in range(5)}, label))
-        if len({l for _, l in examples}) < 2:
-            examples[0] = (examples[0][0], "positive")
-            examples[1] = (examples[1][0], "negative")
-        a = train(examples, config=TrainConfig(epochs=80))
-        b = train(examples, config=TrainConfig(epochs=80))
-        assert a.weights == b.weights and a.intercept == b.intercept
+            labels.append("positive" if rng.random() < 0.5 else "negative")
+            vectors.append({j: rng.random() for j in range(5)})
+        if len(set(labels)) < 2:
+            labels[0], labels[1] = "positive", "negative"
+        x = sv(*vectors)
+        a = train((x, labels), config=TrainConfig(epochs=80))
+        b = train((x, labels), config=TrainConfig(epochs=80))
+        assert a.weights.tobytes() == b.weights.tobytes() and a.intercept == b.intercept
 
     def test_hinge_loss_trains(self):
-        examples = [({0: 1.0}, "positive"), ({1: 1.0}, "negative")] * 3
-        model = train(examples, config=TrainConfig(loss="hinge", epochs=150, learning_rate=0.5))
-        assert model.score({0: 1.0}) > 0.5 > model.score({1: 1.0})
+        x = sv(*[{0: 1.0}, {1: 1.0}] * 3)
+        model = train(
+            (x, ["positive", "negative"] * 3),
+            config=TrainConfig(loss="hinge", epochs=150, learning_rate=0.5),
+        )
+        scores = model.scores(x)
+        assert scores[0] > 0.5 > scores[1]
 
     def test_l1_penalty_trains(self):
-        examples = [({0: 1.0}, "positive"), ({1: 1.0}, "negative")] * 3
-        model = train(examples, config=TrainConfig(penalty="l1", lam=1e-3, epochs=150))
-        assert model.score({0: 1.0}) > 0.5
+        x = sv(*[{0: 1.0}, {1: 1.0}] * 3)
+        model = train(
+            (x, ["positive", "negative"] * 3),
+            config=TrainConfig(penalty="l1", lam=1e-3, epochs=150),
+        )
+        assert model.scores(x)[0] > 0.5
 
     def test_empty_examples_rejected(self):
         with pytest.raises(EmptyInputError):
-            train([])
+            train((csr_matrix((0, 2)), []))
+
+    def test_one_weight_per_column(self):
+        x = sv({0: 1.0}, {1: 1.0}, dim=5)
+        model = train((x, ["positive", "negative"]))
+        assert isinstance(model.weights, np.ndarray) and model.weights.shape == (5,)
+        assert model.weights[2:].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "examples",
+        [
+            [({0: 1.0}, "positive"), ({1: 1.0}, "negative")],
+            [(sv({0: 1.0}, dim=2), "positive"), (sv({1: 1.0}, dim=2), "negative")],
+            (TWO_POINTS[0].toarray(), TWO_POINTS[1]),
+            [],
+        ],
+        ids=["dict pairs", "row pairs", "dense matrix", "empty list"],
+    )
+    def test_anything_but_a_matrix_and_labels_rejected(self, examples):
+        with pytest.raises(InputError, match="sparse feature matrix"):
+            train(examples)
+
+    def test_rows_and_labels_must_agree(self):
+        with pytest.raises(InputError):
+            train((TWO_POINTS[0], ["positive", "negative", "positive"]))
 
 
 @st.composite
@@ -362,8 +391,7 @@ def assert_optimal(x, labels, config):
     model = train((x, labels), config=config)
     assert model.metadata["converged"]
     assert model.metadata["grad_norm"] <= 1e-6
-    w = np.zeros(x.shape[1])
-    w[list(model.weights)] = list(model.weights.values())
+    w = model.weights
     y = np.array([1.0 if label == "positive" else -1.0 for label in labels])
     l2 = config.lam if config.penalty == "l2" else 0.0
     _, grad_w, grad_b = _smooth_objective(config.loss, w, model.intercept, x, y, l2)
@@ -430,11 +458,11 @@ class TestOptimality:
         dense = np.column_stack([signal + 0.3 * rng.normal(size=n), 0.1 * rng.normal(size=(n, 4))])
         model = train((csr_matrix(dense), labels), config=TrainConfig(loss=loss, penalty="l1", lam=0.05))
         assert model.metadata["converged"]
-        assert list(model.weights) == [0]
+        assert np.flatnonzero(model.weights).tolist() == [0]
         assert model.weights[0] > 0.0
 
     def test_epochs_caps_iterations(self):
-        examples = [({0: 1.0, 1: 0.5}, "positive"), ({1: 1.0}, "negative")] * 3
+        examples = (sv(*[{0: 1.0, 1: 0.5}, {1: 1.0}] * 3), ["positive", "negative"] * 3)
         capped = train(examples, config=TrainConfig(epochs=1))
         assert capped.metadata["epochs"] == 1 and not capped.metadata["converged"]
         assert capped.metadata["grad_norm"] > 1e-6
@@ -442,8 +470,7 @@ class TestOptimality:
         assert full.metadata["converged"] and 1 < full.metadata["epochs"] < 300
 
     def test_first_step_has_learning_rate_length(self):
-        examples = [({0: 1.0}, "positive"), ({1: 1.0}, "negative")]
-        model = train(examples, config=TrainConfig(epochs=1, learning_rate=0.25, lam=0.0))
+        model = train(TWO_POINTS, config=TrainConfig(epochs=1, learning_rate=0.25, lam=0.0))
         step = np.array([model.weights[0], model.weights[1], model.intercept])
         assert np.linalg.norm(step) == pytest.approx(0.25)
 
@@ -451,7 +478,7 @@ class TestOptimality:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_hyperparameters_rejected(self, field, value):
         with pytest.raises(InputError):
-            train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")], config=TrainConfig(**{field: value}))
+            train(TWO_POINTS, config=TrainConfig(**{field: value}))
 
 
 class TestGradientCheck:
@@ -518,60 +545,73 @@ class TestGradientCheck:
             assert rel < 1e-6
 
 
+def fixed_model(weights, intercept=0.0):
+    """A trained model with its weights and intercept replaced."""
+    model = train(TWO_POINTS)
+    model.weights = np.array(weights, dtype=float)
+    model.intercept = intercept
+    return model
+
+
 class TestScoreAndImportance:
     def test_zero_vector_zero_intercept(self):
-        model = train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")])
-        model.weights = {}
-        model.intercept = 0.0
-        assert model.score({}) == 0.5
+        model = fixed_model([0.0, 0.0])
+        assert model.scores(csr_matrix((1, 2))).tolist() == [0.5]
 
     def test_sigmoid_limits(self):
-        model = train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")])
-        model.weights = {0: 1000.0}
-        model.intercept = 0.0
-        assert model.score({0: 1.0}) == pytest.approx(1.0)
-        assert model.score({0: -1.0}) == pytest.approx(0.0)
+        model = fixed_model([1000.0, 0.0])
+        scores = model.scores(sv({0: 1.0}, {0: -1.0}, dim=2))
+        assert scores[0] == pytest.approx(1.0)
+        assert scores[1] == pytest.approx(0.0)
 
     def test_margin_ln3_scores_three_quarters(self):
-        model = train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")])
-        model.weights = {0: 1.0}
-        model.intercept = 0.0
-        assert model.score({0: math.log(3)}) == pytest.approx(0.75)
+        model = fixed_model([1.0, 0.0])
+        assert model.scores(sv({0: math.log(3)}, dim=2))[0] == pytest.approx(0.75)
 
     def test_score_monotone_in_margin(self):
-        model = train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")])
-        model.weights = {0: 1.0}
-        model.intercept = 0.0
-        scores = [model.score({0: m}) for m in [-3, -1, 0, 1, 3]]
+        model = fixed_model([1.0, 0.0])
+        scores = model.scores(sv(*[{0: m} for m in [-3, -1, 0, 1, 3]], dim=2)).tolist()
         assert scores == sorted(scores)
 
+    def test_score_function_is_the_method(self):
+        model = train(TWO_POINTS)
+        x = sv({0: 0.5, 1: 0.25}, {1: 2.0})
+        assert score(model, x).tolist() == model.scores(x).tolist()
+
+    @pytest.mark.parametrize("columns", [2, 7])
+    def test_wrong_width_rejected(self, columns):
+        vocab = build_vocabulary([doc("1", "a b c d")], orders=(1,))
+        model = train((sv({0: 1.0}, {1: 1.0}, dim=4), ["positive", "negative"]), vocab)
+        with pytest.raises(InputError, match="4 weights"):
+            model.scores(csr_matrix((1, columns)))
+        with pytest.raises(InputError):
+            score(model, csr_matrix((1, columns)))
+
     def make_model(self, weights):
-        model = train([({0: 1.0}, "positive"), ({1: 1.0}, "negative")])
-        model.weights = weights
-        vocab = build_vocabulary(
-            [doc("1", " ".join(chr(ord("a") + i) for i in range(len(weights) or 3)))],
+        model = fixed_model(weights)
+        model.vocabulary = build_vocabulary(
+            [doc("1", " ".join(chr(ord("a") + i) for i in range(len(weights))))],
             orders=(1,),
         )
-        model.vocabulary = vocab
         return model
 
     def test_empty_ranking_for_zero_weights(self):
-        model = self.make_model({})
+        model = self.make_model([0.0, 0.0, 0.0])
         assert feature_importance(model, 5) == []
 
     def test_rank_by_magnitude_signed(self):
-        model = self.make_model({0: 2.0, 1: -3.0, 2: 1.0})
+        model = self.make_model([2.0, -3.0, 1.0])
         out = feature_importance(model, 2)
         assert out == [("b", -3.0), ("a", 2.0)]
 
     def test_top_k_clamped(self):
-        model = self.make_model({0: 2.0, 1: -3.0, 2: 1.0})
+        model = self.make_model([2.0, -3.0, 1.0])
         assert len(feature_importance(model, 50)) == 3
 
     def test_ranking_invariant_under_positive_rescale(self):
-        model = self.make_model({0: 2.0, 1: -3.0, 2: 1.0})
+        model = self.make_model([2.0, -3.0, 1.0])
         base = [t for t, _ in feature_importance(model, 3)]
-        model.weights = {k: 3.7 * v for k, v in model.weights.items()}
+        model.weights = 3.7 * model.weights
         rescaled = [t for t, _ in feature_importance(model, 3)]
         assert base == rescaled
 
@@ -580,21 +620,50 @@ class TestModelIO:
     def test_round_trip_exact(self, tmp_path):
         docs = [doc("1", "alpha beta gamma"), doc("2", "alpha delta")]
         vocab = build_vocabulary(docs, orders=(1,))
-        examples = [
-            (vectorize_document(docs[0], vocab), "positive"),
-            (vectorize_document(docs[1], vocab), "negative"),
-        ]
-        model = train(examples, vocab, TrainConfig(epochs=60))
+        x = vstack([vectorize_document(d, vocab) for d in docs])
+        model = train((x, ["positive", "negative"]), vocab, TrainConfig(epochs=60))
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.weights == model.weights
+        assert loaded.weights.tolist() == model.weights.tolist()
         assert loaded.intercept == model.intercept
         assert loaded.vocabulary.index == dict(model.vocabulary.index)
         assert loaded.lam == model.lam
         vec = vectorize_document(doc("3", "alpha beta"), vocab)
-        assert loaded.score(vec) == model.score(vec)
+        assert loaded.scores(vec).tolist() == model.scores(vec).tolist()
 
+    @pytest.mark.parametrize(
+        "fault",
+        ["weight outside vocabulary", "negative weight index", "vocabulary index not a permutation"],
+    )
+    def test_inconsistent_model_file_rejected(self, tmp_path, fault):
+        vocab = build_vocabulary([doc("1", "a b c d")], orders=(1,))
+        model = train((sv({0: 1.0}, {1: 1.0}, dim=4), ["positive", "negative"]), vocab)
+        if fault == "negative weight index":
+            model.vocabulary = None
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        blob = json.loads(path.read_text())
+        if fault == "weight outside vocabulary":
+            blob["weights"]["4"] = 1.5
+        elif fault == "negative weight index":
+            blob["weights"]["-1"] = 1.5
+        else:
+            blob["vocabulary"]["index"]["d"] = 0
+        path.write_text(json.dumps(blob))
+        with pytest.raises(InputError, match="model.json"):
+            load_model(path)
+
+    def test_round_trip_without_vocabulary_keeps_the_width(self, tmp_path):
+        # The last column is all zeros, so its weight trains to exactly 0.
+        x = csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+        model = train((x, ["positive", "negative", "positive"]), config=TrainConfig(penalty="l1"))
+        assert model.vocabulary is None and model.weights[-1] == 0.0
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.weights.tolist() == model.weights.tolist()
+        assert loaded.scores(x).tolist() == model.scores(x).tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -613,8 +682,10 @@ class TestModelIO:
                 n_docs=data.draw(st.integers(1, 50)),
                 max_size=data.draw(st.one_of(st.none(), st.integers(1, 500))),
             )
+        n = len(tokens) if with_vocabulary else data.draw(st.integers(0, 8))
+        weights = np.array(data.draw(st.lists(floats | st.just(0.0), min_size=n, max_size=n)))
         model = RiskModel(
-            weights=data.draw(st.dictionaries(st.integers(0, max(len(tokens) - 1, 0)), floats, max_size=8)),
+            weights=weights,
             intercept=data.draw(floats),
             vocabulary=vocabulary,
             loss=data.draw(st.sampled_from(["logistic", "hinge"])),
@@ -626,7 +697,9 @@ class TestModelIO:
             path = Path(tmp) / "model.json"
             save_model(model, path)
             loaded = load_model(path)
-        assert loaded == model
+        assert loaded.weights.tolist() == weights.tolist()
+        fields = ("intercept", "vocabulary", "loss", "penalty", "lam", "metadata")
+        assert [getattr(loaded, f) for f in fields] == [getattr(model, f) for f in fields]
 
 
 class TestIndicators:
