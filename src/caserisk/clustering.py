@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 import random
-from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +36,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .corpus import Corpus, Document, tokenize
+from .corpus import Corpus, Document, gram_ids, token_ids, tokenize
 from .errors import InputError
 
 SIGNAL_PHONE = "phone-match"
@@ -197,29 +196,12 @@ def _value_incidence(values_per_doc: Sequence[Sequence[str]]) -> csr_matrix:
 
 
 def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> csr_matrix:
-    """Document x word-shingle incidence, the sets ``shingles`` returns.
-
-    A shingle's column is exact: its first token id, then, per further
-    token, ``previous id * vocabulary + token id`` re-ranked by
-    ``np.unique``, so the packed int64 stays below (positions x
-    vocabulary) whatever ``shingle_len`` is.
-    """
-    # One document's token strings at a time: the corpus is held as ids.
-    vocab: dict[str, int] = {}
-    token_ids = array("q")
-    lengths = np.zeros(len(docs), dtype=np.int64)
-    for row, doc in enumerate(docs):
-        doc_tokens = tokenize(doc.text)
-        token_ids.extend([vocab.setdefault(token, len(vocab)) for token in doc_tokens])
-        lengths[row] = len(doc_tokens)
-    tokens = np.frombuffer(token_ids, dtype=np.int64)
-    doc_of = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
-    starts = np.flatnonzero(np.arange(len(tokens)) + shingle_len <= np.cumsum(lengths)[doc_of])
-    ids = tokens[starts]
-    for k in range(1, shingle_len):
-        _, ids = np.unique(ids * len(vocab) + tokens[starts + k], return_inverse=True)
-    width = int(ids.max()) + 1 if len(ids) else 0
-    return _incidence(doc_of[starts], ids, (len(docs), width))
+    """Document x word-shingle incidence, the sets ``shingles`` returns;
+    a shingle's column is its exact ``gram_ids`` id."""
+    vocab, ids, lengths = token_ids(doc.text for doc in docs)
+    rows, grams, _ = gram_ids(ids, lengths, shingle_len, len(vocab))
+    width = int(grams.max()) + 1 if len(grams) else 0
+    return _incidence(rows, grams, (len(docs), width))
 
 
 def _candidate_pairs(

@@ -11,15 +11,20 @@ from __future__ import annotations
 
 import json
 import re
+import unicodedata
+from array import array
+from collections import defaultdict
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 from .errors import EmptyCorpusError, MalformedRecordError
 
 _TAG_RE = re.compile(r"<[^>]*>")
-_WS_RE = re.compile(r"\s+")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 # North-American style numbers (optional +1 / separators) plus bare digit runs.
@@ -27,15 +32,27 @@ _PHONE_CANDIDATE_RE = re.compile(
     r"(?<!\d)(?:\+?1[-. ]?)?(?:\(\d{3}\)[-. ]?|\d{3}[-. ])\d{3}[-. ]?\d{4}(?!\d)"
     r"|(?<!\d)\d{7,15}(?!\d)"
 )
+# Every candidate above holds a core: three digits, an optional separator,
+# then four digits.  ``phones_in_text`` skips a text without one and starts
+# its scan just before the first, because the candidate pattern begins with
+# a lookbehind, which ``re`` tries at every character.  \d, like the
+# candidate's, is any Unicode decimal digit.
+_PHONE_CORE_RE = re.compile(r"\d{3}[-. ]?\d{4}")
+# A candidate's first core starts at most this far into it: "+1-(555)-".
+_PHONE_LEAD = 9
 
 PHONE_MIN_DIGITS = 7
 PHONE_MAX_DIGITS = 15
 
 
 def clean_text(raw: str) -> str:
-    """Strip markup tags and collapse whitespace runs; case is preserved."""
-    text = _TAG_RE.sub(" ", raw)
-    return _WS_RE.sub(" ", text).strip()
+    """Strip markup tags and collapse whitespace runs; case is preserved.
+
+    Whitespace is what ``str.split`` splits on, which is what ``re``'s \\s
+    matches.
+    """
+    text = _TAG_RE.sub(" ", raw) if "<" in raw else raw
+    return " ".join(text.split())
 
 
 def tokenize(text: str) -> list[str]:
@@ -43,14 +60,60 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Tokenize each text once, into integer ids.
+
+    Returns the distinct tokens in sorted order, every token of every text
+    (texts one after another) as its index in that list, and each text's
+    token count.
+    """
+    seen: defaultdict[str, int] = defaultdict()
+    seen.default_factory = seen.__len__  # a new token's id: the count so far
+    ids = array("q")
+    lengths = array("q")
+    for text in texts:
+        tokens = tokenize(text)
+        ids.extend(map(seen.__getitem__, tokens))
+        lengths.append(len(tokens))
+    vocab = sorted(seen)
+    rank = np.empty(len(vocab), dtype=np.int64)
+    rank[[seen[token] for token in vocab]] = np.arange(len(vocab))
+    return vocab, rank[np.frombuffer(ids, dtype=np.int64)], np.frombuffer(lengths, dtype=np.int64)
+
+
+def gram_ids(
+    ids: np.ndarray, lengths: np.ndarray, n: int, vocab_size: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Every n-gram of the texts ``token_ids`` gave, as an exact integer id.
+
+    Returns each occurrence's text and gram id, and the keys that decode
+    an id.  A gram's id is its first token's id, then, per further token k,
+    the rank of ``previous id * vocab_size + token id`` among that step's
+    distinct values, which are ``keys[k - 1]``, in sorted order.  So the
+    packed int64 stays below (occurrences x vocab_size) whatever ``n`` is,
+    and ids follow the order of the grams' token-id tuples.
+    """
+    text_of = np.repeat(np.arange(len(lengths), dtype=np.int64), lengths)
+    starts = np.flatnonzero(np.arange(len(ids)) + n <= np.cumsum(lengths)[text_of])
+    grams = ids[starts]
+    keys = []
+    for k in range(1, n):
+        key, grams = np.unique(grams * vocab_size + ids[starts + k], return_inverse=True)
+        keys.append(key)
+    return text_of[starts], grams, keys
+
+
 def normalize_phone(raw: str) -> Optional[str]:
     """Normalize a phone-like string to a bare digit string.
 
-    Strips every non-digit character, drops a single leading country-code
-    "1" when exactly 11 digits remain, and returns None when the digit
-    count falls outside 7..15.
+    Strips every non-digit character, writes each Unicode decimal digit
+    (Arabic-Indic, fullwidth, ...) as its ASCII digit, drops a single
+    leading country-code "1" when exactly 11 digits remain, and returns
+    None when the digit count falls outside 7..15.
     """
     digits = re.sub(r"\D", "", raw)
+    if not digits.isascii():
+        digits = "".join(str(unicodedata.decimal(d)) for d in digits)
     if len(digits) == 11 and digits.startswith("1"):
         digits = digits[1:]
     if PHONE_MIN_DIGITS <= len(digits) <= PHONE_MAX_DIGITS:
@@ -60,8 +123,12 @@ def normalize_phone(raw: str) -> Optional[str]:
 
 def phones_in_text(text: str) -> list[str]:
     """Scan free text for phone-like spans and normalize the hits."""
+    core = _PHONE_CORE_RE.search(text)
+    if core is None:
+        return []
     found = []
-    for candidate in _PHONE_CANDIDATE_RE.findall(text):
+    # The lookbehind still sees the characters before the scan's start.
+    for candidate in _PHONE_CANDIDATE_RE.findall(text, max(core.start() - _PHONE_LEAD, 0)):
         normalized = normalize_phone(candidate)
         if normalized is not None and normalized not in found:
             found.append(normalized)
@@ -131,8 +198,12 @@ class Gazetteer:
         cleaned = {" ".join(tokenize(t)) for t in terms}
         cleaned.discard("")
         self.terms: frozenset[str] = frozenset(cleaned)
-        self._single = {t for t in self.terms if " " not in t}
-        self._multi = [tuple(t.split(" ")) for t in self.terms if " " in t]
+        self._single = frozenset(t for t in self.terms if " " not in t)
+        # Multi-word terms by first token: (tokens, term) pairs.
+        self._multi: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        for term in self.terms - self._single:
+            parts = tuple(term.split(" "))
+            self._multi.setdefault(parts[0], []).append((parts, term))
 
     @classmethod
     def from_file(cls, path: str | Path) -> "Gazetteer":
@@ -143,13 +214,12 @@ class Gazetteer:
         """All terms present as whole-token spans of the text, sorted."""
         tokens = tokenize(text)
         token_set = set(tokens)
-        hits = {t for t in self._single if t in token_set}
-        for parts in self._multi:
-            n = len(parts)
-            for i in range(len(tokens) - n + 1):
-                if tuple(tokens[i : i + n]) == parts:
-                    hits.add(" ".join(parts))
-                    break
+        hits = token_set.intersection(self._single)
+        if not token_set.isdisjoint(self._multi):
+            for i, token in enumerate(tokens):
+                for parts, term in self._multi.get(token, ()):
+                    if tuple(tokens[i : i + len(parts)]) == parts:
+                        hits.add(term)
         return sorted(hits)
 
 
@@ -311,7 +381,7 @@ def _without_spans(text: str, pattern: re.Pattern) -> str:
         pieces.append(text[last:a])
         last = b
     pieces.append(text[last:])
-    return _WS_RE.sub(" ", " ".join(pieces)).strip()
+    return " ".join(" ".join(pieces).split())
 
 
 def remove_tokens(corpus: Corpus, lexicon: Iterable[str]) -> Corpus:

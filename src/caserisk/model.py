@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import re
-from array import array
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,25 +36,13 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from .clustering import Cluster
-from .corpus import Corpus, Document, tokenize
+from .corpus import Corpus, Document, gram_ids, token_ids, tokenize
 from .errors import (
     DegenerateTrainingError,
     EmptyInputError,
     InputError,
     RuleCompilationError,
 )
-
-
-def ngrams(tokens: Sequence[str], orders: Iterable[int]) -> list[str]:
-    grams = []
-    for order in sorted(orders):
-        if order == 1:
-            grams.extend(tokens)
-        else:
-            grams.extend(
-                " ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1)
-            )
-    return grams
 
 
 @dataclass(frozen=True)
@@ -86,36 +73,83 @@ def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
     return orders
 
 
-def _count_grams(docs: Sequence[Document], orders: tuple[int, ...]) -> tuple[csr_matrix, list[str]]:
+@dataclass(frozen=True)
+class _GramColumns:
+    """The grams of a count matrix's columns, joined into strings on demand.
+
+    Row c of ``parts`` holds column c's token ids into the sorted ``tokens``,
+    then -1 past the gram's last token.
+    """
+
+    tokens: list[str]
+    parts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.parts)
+
+    def strings(self, cols: np.ndarray) -> list[str]:
+        words = np.array(self.tokens + [""], dtype=object)  # id -1 reads ""
+        parts = self.parts[cols]
+        out = words[parts[:, 0]]
+        for k in range(1, parts.shape[1]):
+            out = out + np.where(parts[:, k] >= 0, " ", "").astype(object) + words[parts[:, k]]
+        return out.tolist()
+
+
+def _count_order(
+    ids: np.ndarray, lengths: np.ndarray, n: int, vocab_size: int, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The (text, gram, count) triples of the order-n grams of ``token_ids``'s
+    texts, with each gram's token ids padded with -1 to ``width``."""
+    text_of, grams, keys = gram_ids(ids, lengths, n, vocab_size)
+    n_grams = len(keys[-1]) if keys else vocab_size
+    pairs, count = np.unique(text_of * n_grams + grams, return_counts=True)
+    row, col = np.divmod(pairs, max(n_grams, 1))
+    parts = np.full((n_grams, width), -1, dtype=np.int64)
+    grams = np.arange(n_grams)
+    for k in range(len(keys), 0, -1):
+        grams, parts[:, k] = np.divmod(keys[k - 1][grams], vocab_size)
+    parts[:, 0] = grams
+    return row, col, count.astype(np.int32), parts
+
+
+def _count_grams(docs: Sequence[Document], orders: tuple[int, ...]) -> tuple[csr_matrix, _GramColumns]:
     """Tokenize each document once into a document x n-gram count matrix.
 
     Every gram seen gets a column, in sorted gram order, and the grams are
-    returned by column.
+    returned by column.  Grams are counted as ``gram_ids`` integers, one
+    order at a time, so that one order's per-occurrence arrays are alive at
+    once.  Sorted gram strings are in the order of their token
+    tuples, a gram first before its extensions, because the joining space
+    sorts before every token character; ``token_ids`` numbers tokens in
+    sorted order, so a lexicographic sort of the -1-padded id rows gives
+    the columns.
     """
-    columns: dict[str, int] = {}
-    indptr = array("q", [0])
-    indices = array("i")
-    data = array("i")
-    for doc in docs:
-        counts = Counter(ngrams(tokenize(doc.text), orders))
-        indices.extend([columns.setdefault(g, len(columns)) for g in counts])
-        data.extend(counts.values())
-        indptr.append(len(indices))
-    # Renumber first-seen ids so that columns follow sorted gram order.
-    grams = sorted(columns)
-    rank = np.empty(len(grams), dtype=np.int32)
-    rank[[columns[g] for g in grams]] = np.arange(len(grams))
+    tokens, ids, lengths = token_ids(doc.text for doc in docs)
+    rows, cols, data, parts = [], [], [], []
+    base = 0
+    for n in orders:
+        row, col, count, order_parts = _count_order(ids, lengths, n, len(tokens), max(orders))
+        rows.append(row)
+        cols.append(col + base)
+        data.append(count)
+        parts.append(order_parts)
+        base += len(order_parts)
+    parts = np.concatenate(parts)
+    order = np.lexsort(parts.T[::-1])
+    column = np.empty(base, dtype=np.int64)
+    column[order] = np.arange(base)
     counts = csr_matrix(
-        (np.asarray(data), rank[np.asarray(indices)], np.asarray(indptr)),
-        shape=(len(docs), len(grams)),
+        (np.concatenate(data), (np.concatenate(rows), column[np.concatenate(cols)])),
+        shape=(len(docs), base),
     )
     counts.sort_indices()
-    return counts, grams
+    return counts, _GramColumns(tokens, parts[order])
 
 
 def _fit_vocabulary(
     counts: csr_matrix,
-    grams: Sequence[str],
+    grams: _GramColumns,
     rows: np.ndarray,
     orders: tuple[int, ...],
     min_df: int,
@@ -132,7 +166,7 @@ def _fit_vocabulary(
     cols = np.flatnonzero(df >= min_df)
     if max_size is not None and len(cols) > max_size:
         cols = np.sort(cols[np.lexsort((cols, -df[cols]))[:max_size]])
-    kept = [grams[c] for c in cols.tolist()]
+    kept = grams.strings(cols)
     vocab = Vocabulary(
         index={t: i for i, t in enumerate(kept)},
         df=dict(zip(kept, df[cols].tolist())),
@@ -264,7 +298,8 @@ def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -
     _check_weighting(weighting)
     if len(vocab) == 0:
         raise EmptyInputError("empty vocabulary")
-    counts, grams = _count_grams(docs, vocab.orders)
+    counts, columns = _count_grams(docs, vocab.orders)
+    grams = columns.strings(np.arange(len(columns)))
     kept = np.array([j for j, g in enumerate(grams) if g in vocab.index], dtype=np.int64)
     to_vocab = csr_matrix(
         (np.ones(len(kept)), (kept, [vocab.index[grams[j]] for j in kept.tolist()])),

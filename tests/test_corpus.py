@@ -1,7 +1,9 @@
 """Ingestion, normalization, and token-removal behavior."""
 
 import json
+import re
 import tempfile
+import time
 from datetime import date
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from caserisk.clustering import GraphConfig, build_graph
 from caserisk.corpus import (
     Corpus,
     Document,
@@ -17,6 +20,7 @@ from caserisk.corpus import (
     extract_attributes,
     ingest,
     normalize_phone,
+    phones_in_text,
     remove_tokens,
     tokenize,
     write_corpus,
@@ -74,6 +78,28 @@ class TestNormalizePhone:
             out = normalize_phone(raw)
             assert out is not None
             assert normalize_phone(out) == out
+
+    def test_unicode_decimal_digits_become_ascii(self):
+        assert normalize_phone("\u0665\u0665\u0665\u0660\u0661\u0662\u0663\u0664\u0665\u0666") == "5550123456"
+        assert normalize_phone("\uff11-\uff15\uff15\uff15-\uff10\uff11\uff12-\uff13\uff14\uff15\uff16") == "5550123456"
+        assert normalize_phone("\u0665\u0665\u0665-\u0660\u0661\u0662-3456") == "5550123456"
+
+    def test_one_number_in_two_scripts_is_one_phone(self):
+        record = {"id": "a", "domain": "x", "text": "call 555-012-3456", "phones": [ARABIC_PHONE]}
+        assert extract_attributes(record).phones == ("5550123456",)
+
+    def test_one_number_in_two_scripts_links_documents(self):
+        corpus = Corpus(
+            [
+                extract_attributes({"id": "a", "domain": "x", "text": "hello", "phones": [ARABIC_PHONE]}),
+                extract_attributes({"id": "b", "domain": "y", "text": "call 555-012-3456"}),
+            ]
+        )
+        graph = build_graph(corpus, GraphConfig(use_text=False, use_location_date=False))
+        assert graph.edge_count() == 1
+
+
+ARABIC_PHONE = "\u0665\u0665\u0665\u0660\u0661\u0662\u0663\u0664\u0665\u0666"
 
 
 class TestExtractAttributes:
@@ -327,3 +353,100 @@ class TestRemoveTokens:
 def test_clean_text_collapses_whitespace():
     assert clean_text("a\t b\n\nc") == "a b c"
     assert clean_text("<div>x</div>") == "x"
+
+
+# The regex scans the fast text passes replaced, kept as references.
+_REFERENCE_TAG_RE = re.compile(r"<[^>]*>")
+_REFERENCE_PHONE_RE = re.compile(
+    r"(?<!\d)(?:\+?1[-. ]?)?(?:\(\d{3}\)[-. ]?|\d{3}[-. ])\d{3}[-. ]?\d{4}(?!\d)"
+    r"|(?<!\d)\d{7,15}(?!\d)"
+)
+
+
+def reference_clean_text(raw):
+    return re.sub(r"\s+", " ", _REFERENCE_TAG_RE.sub(" ", raw)).strip()
+
+
+def reference_phones_in_text(text):
+    found = []
+    for candidate in _REFERENCE_PHONE_RE.findall(text):
+        normalized = normalize_phone(candidate)
+        if normalized is not None and normalized not in found:
+            found.append(normalized)
+    return found
+
+
+def reference_gazetteer_matches(terms, text):
+    """Every term tried at every token position."""
+    tokens = re.findall(r"[a-z0-9]+", text.lower())
+    hits = set()
+    for term in {" ".join(re.findall(r"[a-z0-9]+", t.lower())) for t in terms} - {""}:
+        parts = term.split(" ")
+        for i in range(len(tokens) - len(parts) + 1):
+            if tokens[i : i + len(parts)] == parts:
+                hits.add(term)
+                break
+    return sorted(hits)
+
+
+_DIGITS = "0123456789" "\u0660\u0661\u0662\u0665" "\uff10\uff11\uff15"
+_PHONE_TEXTS = st.one_of(
+    st.lists(
+        st.sampled_from(
+            ["555", "012", "3456", "0123456", "1", "+1", "(555)", "\u0665\u0665\u0665", "\u0660\u0661\u0662\u0663",
+             "\uff15\uff15\uff15", "\uff10\uff11\uff12\uff13", "-", ".", " ", "(", ")", "+", "a", "x9", "<b>", "</b>"]
+        ),
+        max_size=16,
+    ).map("".join),
+    st.text(alphabet=_DIGITS + "+()-. ab<>", max_size=40),
+)
+_WHITESPACE_TEXTS = st.one_of(
+    st.text(alphabet="ab<>/ \t\n\x1c\x1f\x85\xa0\u2028\u3000\u200b", max_size=30),
+    st.text(max_size=30),
+)
+
+
+class TestFastTextPasses:
+    """Each fast path against the scan it replaced."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_PHONE_TEXTS)
+    def test_phones_in_text_matches_reference(self, text):
+        assert phones_in_text(text) == reference_phones_in_text(text)
+
+    def test_phones_in_text_on_every_digit_script(self):
+        text = "a \u0665\u0665\u0665-\u0660\u0661\u0662-\u0663\u0664\u0665\u0666 b (555) 012-3456"
+        assert phones_in_text(text) == reference_phones_in_text(text) == ["5550123456"]
+        assert phones_in_text("x +1-(555)-012-3456") == ["5550123456"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_WHITESPACE_TEXTS)
+    def test_clean_text_matches_reference(self, raw):
+        assert clean_text(raw) == reference_clean_text(raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "a b", "b a", "a b a", "b b", "c", "a c", "A-B"]), max_size=6),
+        st.lists(st.sampled_from(["a", "b", "c", "d", " ", "-"]), max_size=12).map(" ".join),
+    )
+    def test_gazetteer_matches_reference(self, terms, text):
+        assert Gazetteer(terms).matches(text) == reference_gazetteer_matches(terms, text)
+
+    def test_gazetteer_scales_with_terms(self):
+        singles = [f"town{i}" for i in range(10_000)]
+        pairs = [f"west{i} end{i % 97}" for i in range(10_000)]
+        gazetteer = Gazetteer(singles + pairs)
+        filler = " ".join(f"w{k:05d}" for k in range(24))
+        texts = [
+            f"west{i} end{i % 97} {filler} town{i * 37} west{i + 1} end{i % 5} town{i}x"
+            for i in range(200)
+        ]
+        start = time.perf_counter()
+        found = [gazetteer.matches(text) for text in texts]
+        elapsed = time.perf_counter() - start
+        terms = gazetteer.terms
+        for text, hits in zip(texts, found):
+            tokens = tokenize(text)
+            spans = set(tokens) | {" ".join(pair) for pair in zip(tokens, tokens[1:])}
+            assert hits == sorted(spans & terms)
+        assert elapsed < 2.0

@@ -32,10 +32,10 @@ from caserisk.model import (
     feature_importance,
     load_model,
     load_rules,
+    _count_grams,
     _penalized_objective,
     _smooth_objective,
     logistic_objective,
-    ngrams,
     save_model,
     score,
     train,
@@ -167,6 +167,56 @@ def reference_cluster_vector(cluster, corpus, vocab, weighting):
     for idx, w in unit({i: w / len(cluster.members) for i, w in total.items()}).items():
         dense[idx] = w
     return dense
+
+
+def ngrams(tokens, orders):
+    """Every gram of each order as its tokens joined by spaces."""
+    grams = []
+    for order in sorted(orders):
+        grams.extend(" ".join(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+    return grams
+
+
+def reference_count_grams(docs, orders):
+    """The Counter-of-gram-strings loop that the packed-integer path replaced."""
+    columns = {}
+    rows = []
+    for d in docs:
+        counts = Counter(ngrams(tokenize(d.text), orders))
+        rows.append({columns.setdefault(g, len(columns)): c for g, c in counts.items()})
+    grams = sorted(columns)
+    rank = {columns[g]: r for r, g in enumerate(grams)}
+    dense = np.zeros((len(docs), len(grams)), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for col, c in row.items():
+            dense[i, rank[col]] = c
+    return dense, grams
+
+
+_GRAM_TEXTS = st.lists(
+    st.lists(
+        st.sampled_from(["a", "a0", "a b", "b", "ab", "0", "\u0130", "\u0130a", "-", "  ", "z9"]), max_size=10
+    ).map(" ".join),
+    max_size=6,
+)
+
+
+class TestCountGrams:
+    @settings(max_examples=300, deadline=None)
+    @given(_GRAM_TEXTS, st.sampled_from([(1,), (2,), (1, 2), (2, 3), (1, 2, 3)]))
+    def test_matches_reference(self, texts, orders):
+        docs = [doc(str(i), text) for i, text in enumerate(texts)]
+        counts, columns = _count_grams(docs, orders)
+        dense, grams = reference_count_grams(docs, orders)
+        assert counts.has_sorted_indices
+        assert counts.shape == dense.shape
+        np.testing.assert_array_equal(counts.toarray(), dense)
+        assert columns.strings(np.arange(len(columns))) == grams
+
+    def test_prefix_tokens_sort_before_extensions(self):
+        counts, columns = _count_grams([doc("1", "a0 a b a a0")], (1, 2))
+        assert columns.strings(np.arange(len(columns))) == ["a", "a a0", "a b", "a0", "a0 a", "b", "b a"]
+        assert counts.toarray().tolist() == [[2, 1, 1, 2, 1, 1, 1]]
 
 
 @st.composite
