@@ -298,8 +298,6 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         features,
         config.alpha,
         config.seed + 2,
-        config.max_retries,
-        config.size_buckets,
     )
     _write_json(out / "fold_plan.json", plan.to_json())
     report = evaluate_mod.cross_validate(
@@ -321,9 +319,11 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         report, out / "eval_report.json", out / "roc.csv", out / "eval_report.txt", plan
     )
     fold_aucs = ", ".join(f"{a:.3f}" for a in report.fold_aucs)
+    rejected = ", ".join(plan.flagged()) or "none"
     print(
         f"evaluate: pooled AUC {report.auc:.4f} (folds: {fold_aucs}; "
-        f"{report.converged_folds} of {plan.k} fits converged) -> {out / 'eval_report.json'}"
+        f"{report.converged_folds} of {plan.k} fits converged; "
+        f"homogeneity rejected: {rejected}) -> {out / 'eval_report.json'}"
     )
     return report
 

@@ -71,7 +71,6 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     # eval
     folds: int = 5
-    max_retries: int = 50
     top_k: int = 25
     # global
     seed: int = 0
@@ -127,7 +126,6 @@ KEY_REGISTRY: dict[str, Key] = {
     "model.epochs": Key("train.epochs", int, _at_least(1), "solver iteration cap"),
     "model.learning_rate": Key("train.learning_rate", float, lambda v: v > 0, "first step length"),
     "eval.folds": Key("folds", int, _at_least(2), "cross-validation fold count"),
-    "eval.max_retries": Key("max_retries", int, _at_least(0), "fold reshuffle budget"),
     "eval.top_k": Key("top_k", int, _at_least(0), "features reported by importance"),
     "seed": Key("seed", int, None, "master seed"),
 }

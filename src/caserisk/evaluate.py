@@ -1,11 +1,13 @@
 """Leakage-free evaluation.
 
 Splits and cross-validation folds are assigned at cluster granularity so
-no document ever straddles a train/test boundary.  Folds are stratified by
-(class x feature-group x size-bucket) and their document-level feature
-distributions are re-checked for homogeneity with chi-squared tests,
-reshuffling on rejection.  The headline metric is pooled ROC AUC computed
-by the midrank method with ties counted as half.
+no document ever straddles a train/test boundary.  Folds are assigned in
+one pass, largest clusters first, balancing per-class cluster counts and
+the documents of each (class x feature-group) cell; their document-level
+feature distributions are then checked once for homogeneity with
+chi-squared tests, and a rejection is reported, not retried.  The headline
+metric is pooled ROC AUC computed by the midrank method with ties counted
+as half.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .errors import (
     UnsplittableError,
 )
 from .model import ClusterTerms, TrainConfig, feature_importance, train
-from .sampling import DEFAULT_SIZE_BUCKETS, LabeledCluster, stratum_key
+from .sampling import LabeledCluster, cluster_feature_group
 
 
 def split(
@@ -74,22 +76,16 @@ def split(
 
 @dataclass
 class FoldPlan:
-    """Cluster-level fold assignment with its homogeneity test results.
-
-    ``attempts`` is the 1-based number of the reshuffle attempt that
-    produced the plan, not how many attempts ran: a plan with a rejected
-    test means all ``max_retries + 1`` attempts of ``make_folds`` ran.
-    """
+    """Cluster-level fold assignment with its homogeneity test results."""
 
     k: int
     assignment: dict[str, int]  # cluster id -> fold index
     conditioned_features: tuple[str, ...]
     homogeneity: dict[str, TestResult]  # "feature/class" -> result
     warnings: tuple[str, ...] = ()
-    attempts: int = 1
-
-    def fold_ids(self, fold: int) -> set[str]:
-        return {cid for cid, f in self.assignment.items() if f == fold}
+    # Always 1: make_folds assigns once.  A class constant, not a field and
+    # not serialized; bench/tracer.py still reads it.
+    attempts: ClassVar[int] = 1
 
     def flagged(self) -> list[str]:
         return sorted(k for k, r in self.homogeneity.items() if r.rejected)
@@ -97,7 +93,6 @@ class FoldPlan:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "attempts": self.attempts,
             "conditioned_features": list(self.conditioned_features),
             "warnings": list(self.warnings),
             "assignment": dict(sorted(self.assignment.items())),
@@ -115,28 +110,36 @@ class FoldPlan:
 
 
 def _assign_folds(
-    strata: dict[tuple, list[str]], k: int, rng: Random
-) -> tuple[dict[str, int], list[str]]:
-    """Deal clusters round-robin within (class, feature-groups, bucket)
-    strata, carrying the fold cursor across strata of the same class so
-    per-class fold sizes stay within one of each other."""
-    warnings = []
+    labeled: Sequence[LabeledCluster], cells: Sequence[tuple], k: int, seed: int
+) -> dict[str, int]:
+    """Largest clusters first, each into a fold with the fewest clusters
+    of its class; among those, the one with the fewest documents of its
+    (class, groups) cell, then of its class, then the lowest index.
+
+    Per-class cluster counts stay within one of each other.  Clusters of
+    equal size go in an order keyed from ``seed`` and the cluster ids, so
+    the order of ``labeled`` does not matter.
+    """
+    order = sorted(range(len(labeled)), key=lambda i: labeled[i].cluster.id)
+    Random(seed).shuffle(order)
+    order.sort(key=lambda i: -labeled[i].cluster.size())  # stable: keeps the tie order
+    clusters: dict[str, list[int]] = defaultdict(lambda: [0] * k)  # class -> per fold
+    class_docs: dict[str, list[int]] = defaultdict(lambda: [0] * k)
+    cell_docs: dict[tuple, list[int]] = defaultdict(lambda: [0] * k)
     assignment: dict[str, int] = {}
-    cursor: dict[str, int] = {POSITIVE: 0, NEGATIVE: 0}
-    for key in sorted(strata):
-        ids = sorted(strata[key])
-        if len(ids) < k:
-            warnings.append(
-                f"stratum {'|'.join(key)} has {len(ids)} clusters (< {k}); "
-                "class-level balance only"
-            )
-        rng.shuffle(ids)
-        label = key[0]
-        for cid in ids:
-            fold = cursor[label] % k
-            assignment[cid] = fold
-            cursor[label] += 1
-    return assignment, warnings
+    for i in order:
+        lc = labeled[i]
+        n_clusters, n_class, n_cell = clusters[lc.label], class_docs[lc.label], cell_docs[cells[i]]
+        fewest = min(n_clusters)
+        fold = min(
+            (f for f in range(k) if n_clusters[f] == fewest),
+            key=lambda f: (n_cell[f], n_class[f], f),
+        )
+        assignment[lc.cluster.id] = fold
+        n_clusters[fold] += 1
+        n_class[fold] += lc.cluster.size()
+        n_cell[fold] += lc.cluster.size()
+    return assignment
 
 
 def _homogeneity_tests(
@@ -184,16 +187,14 @@ def make_folds(
     features: Sequence[FeatureSpec] = (),
     alpha: float = 0.05,
     seed: int = 0,
-    max_retries: int = 50,
-    size_buckets: Sequence[int] = DEFAULT_SIZE_BUCKETS,
 ) -> FoldPlan:
     """Stratified, bias-conditioned cross-validation folds.
 
-    Retries the within-stratum shuffle while any homogeneity test rejects,
-    up to max_retries, then returns the earliest attempt with the fewest
-    rejections; a plan can therefore come back flagged.  The plan's
-    ``attempts`` is that attempt's 1-based number: when the plan has a
-    rejected test, all ``max_retries + 1`` attempts ran.
+    Assigns clusters once, balancing per-class cluster counts and the
+    document mass of each (class, feature-groups) cell across folds
+    (``_assign_folds``), then tests each feature's document-level
+    homogeneity across folds once.  A rejected test is reported in the
+    plan, not retried: ``flagged()`` names it.
     """
     if k < 2:
         raise InputError("k must be >= 2")
@@ -204,40 +205,27 @@ def make_folds(
     if len(set(ids)) != len(ids):
         raise InputError("duplicate cluster ids in labeled set")
 
-    # Strata and document groups do not depend on the shuffle.
-    strata: dict[tuple, list[str]] = defaultdict(list)
-    for lc in labeled:
-        key = (lc.label,) + stratum_key(lc.cluster, corpus, features, size_buckets)
-        strata[key].append(lc.cluster.id)
+    cells = [
+        (lc.label,) + tuple(cluster_feature_group(lc.cluster, corpus, f) for f in features)
+        for lc in labeled
+    ]
+    warnings = [
+        f"cell {'|'.join(cell)} has {n} clusters (< {k}); class-level balance only"
+        for cell, n in sorted(Counter(cells).items())
+        if n < k
+    ]
+    assignment = _assign_folds(labeled, cells, k, seed)
     group_counts = [
         [Counter(f.group_of(corpus.get(d)) for d in lc.cluster.members) for lc in labeled]
         for f in features
     ]
-    best: Optional[tuple[int, dict[str, int], list[str], dict[str, TestResult], int]] = None
-    for attempt in range(max_retries + 1):
-        rng = Random(f"{seed}:{attempt}")
-        assignment, warnings = _assign_folds(strata, k, rng)
-        results = _homogeneity_tests(labeled, group_counts, assignment, k, features, alpha)
-        rejections = sum(1 for r in results.values() if r.rejected)
-        if best is None or rejections < best[0]:
-            best = (rejections, assignment, warnings, results, attempt + 1)
-        if rejections == 0:
-            break
-    assert best is not None
-    _, assignment, warnings, results, attempts = best
-    plan = FoldPlan(
+    return FoldPlan(
         k=k,
         assignment=assignment,
         conditioned_features=tuple(f.name for f in features),
-        homogeneity=results,
+        homogeneity=_homogeneity_tests(labeled, group_counts, assignment, k, features, alpha),
         warnings=tuple(warnings),
-        attempts=attempts,
     )
-    for fold in range(k):
-        fold_labels = {lc.label for lc in labeled if assignment[lc.cluster.id] == fold}
-        if fold_labels != {POSITIVE, NEGATIVE}:
-            raise InputError(f"fold {fold} lacks a class; too few clusters")
-    return plan
 
 
 def roc_curve(scores: Sequence[tuple[float, str]]) -> list[tuple[float, float, float]]:

@@ -88,7 +88,6 @@ INVALID = {
     "model.epochs": "0",
     "model.learning_rate": "0",
     "eval.folds": "1",
-    "eval.max_retries": "-1",
     "eval.top_k": "-1",
 }
 # Every float key must be finite: inf used to pass model.learning_rate,
@@ -144,6 +143,15 @@ class TestConfig:
         err = capsys.readouterr().err
         assert rc == 2
         assert "sampling.ratio" in err and "Traceback" not in err
+
+    def test_removed_fold_retry_key_exits_2(self, tmp_path, capsys):
+        # Folds are assigned in one pass; there is no reshuffle budget.
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=("eval.max_retries = 50",))
+        rc = main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "eval.max_retries" in err and "Traceback" not in err
 
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.conf"
@@ -321,6 +329,14 @@ class TestPipeline:
         assert f"converged in {metadata['epochs']} iterations" in out
         assert report["converged_folds"] == 3
         assert "3 of 3 fits converged" in out
+
+    def test_homogeneity_result_reported(self, tmp_path, capsys):
+        self.run_pipeline(tmp_path, tmp_path / "run")
+        out = capsys.readouterr().out
+        plan = json.loads((tmp_path / "run" / "fold_plan.json").read_text())
+        rejected = sorted(key for key, r in plan["homogeneity"].items() if r["rejected"])
+        assert f"homogeneity rejected: {', '.join(rejected) or 'none'})" in out
+        assert "attempts" not in plan
 
     def test_iteration_cap_reported(self, tmp_path, capsys):
         run_synth(tmp_path)
