@@ -133,16 +133,9 @@ def stage_ingest(run: Run) -> corpus_mod.Corpus:
 def stage_cluster(run: Run) -> clustering_mod.Clustering:
     config, out, corpus = run.config, run.out, run.corpus
     graph = clustering_mod.build_graph(corpus, config.graph)
-    if config.consensus_runs == 1:
-        clustering = clustering_mod.kwikcluster(graph, config.seed)
-    else:
-        runs = [
-            clustering_mod.kwikcluster(graph, config.seed + i)
-            for i in range(config.consensus_runs)
-        ]
-        clustering = clustering_mod.consensus(runs, config.consensus_threshold)
-    if config.refine_passes > 0:
-        clustering = clustering_mod.refine(clustering, graph, config.refine_passes)
+    clustering = clustering_mod.correlation_clustering(
+        graph, config.seed, config.consensus_runs, config.consensus_threshold, config.refine_passes
+    )
     run.clustering = clustering
     clustering_mod.write_clustering(clustering, out / "clusters.csv")
     if run.export_graph:

@@ -10,15 +10,21 @@ the disagreement objective.
 
 The graph is built over integer document indices ``0..n-1``.  Each
 document's phones, locations and word shingles become a row of a 0/1
-sparse incidence matrix.  A shingle's column is an exact id: its token
-ids packed one token at a time into an int64 and re-ranked after each
-token, so distinct shingles never collide.  Blocking is integer-only: the
-candidate pairs are the upper triangle of ``B @ B.T`` for the phone matrix
-and for the rare-shingle columns, de-duplicated on a packed ``i * n + j``
-key.  Every candidate pair is then scored at once, in fixed-size chunks,
-from row-wise sparse intersections.  ``SimilarityGraph`` keeps the edges
-as index arrays with provenance bitmasks plus CSR adjacency, and
-KwikCluster, consensus and refine run over those arrays.
+sparse incidence matrix.  A shingle is identified by its exact
+``gram_ids`` id (its token ids packed into an int64, or ranked when they
+do not fit), so distinct shingles never collide; ``gram_counts`` gives
+each document's ids sorted, and one sort of all of them numbers the
+columns.  Only shingles that two or more documents share get a column;
+the rest count toward their row's size alone.  Blocking is integer-only:
+the candidate pairs are the upper triangle of ``B @ B.T`` for the phone
+matrix and for the rare-shingle columns, de-duplicated on a packed ``i *
+n + j`` key.  Every candidate pair is then scored from row-wise sparse
+intersections.  Products and scoring run a block at a time, each block
+bounded by the non-zeros it touches, so their temporaries stay small
+beside the graph.  ``SimilarityGraph`` keeps the edges as index arrays
+with provenance bitmasks plus CSR adjacency.  KwikCluster, consensus and
+refine run over those arrays on label arrays, one label per node, and
+only the result becomes a ``Clustering``.
 """
 
 from __future__ import annotations
@@ -29,14 +35,13 @@ import random
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import coo_matrix, csr_matrix
 
-from .corpus import Corpus, Document, gram_ids, token_ids, tokenize
+from .corpus import Corpus, Document, columns_of, gram_counts, run_starts, spans, token_ids, tokenize
 from .errors import InputError
 
 SIGNAL_PHONE = "phone-match"
@@ -49,8 +54,9 @@ _PHONE, _TEXT, _LOCATION_DATE = 1, 2, 4
 _PROVENANCE = tuple(
     frozenset(s for bit, s in enumerate(_SIGNALS) if code >> bit & 1) for code in range(8)
 )
-# Candidate pairs scored per step: bounds the row-wise product temporaries.
-_CHUNK = 1 << 14
+# Non-zeros that one step of a chunked sparse product touches: bounds the
+# temporaries of blocking, scoring and consensus.
+_STEP = 1 << 19
 
 
 def shingles(text: str, shingle_len: int) -> frozenset[str]:
@@ -95,9 +101,10 @@ class SimilarityGraph:
     Node ``k`` is ``node_ids[k]``.  Edge ``e`` joins nodes ``src[e] <
     dst[e]``, sorted by ``(src, dst)``, and its provenance is
     ``provenances[codes[e]]``.  ``indptr`` and ``indices`` are the CSR
-    adjacency, each row's neighbours ascending.  ``edges`` (id pair with
-    the smaller id first -> provenance) and ``adjacency`` (id -> neighbour
-    ids) are views built from the arrays on first use.
+    adjacency, each row's neighbours ascending; node indices are int32.
+    ``edges`` (id pair with the smaller id first -> provenance) and
+    ``adjacency`` (id -> neighbour ids) are views built from the arrays on
+    first use.
     """
 
     def __init__(self, node_ids: Iterable[str], edges: Mapping[tuple[str, str], Iterable[str]]):
@@ -119,8 +126,8 @@ class SimilarityGraph:
         self._store(
             node_ids,
             index,
-            np.array([i for i, _ in pairs], dtype=np.int64),
-            np.array([j for _, j in pairs], dtype=np.int64),
+            np.array([i for i, _ in pairs], dtype=np.int32),
+            np.array([j for _, j in pairs], dtype=np.int32),
             np.array([code_of[by_pair[p]] for p in pairs], dtype=np.int64),
             provenances,
         )
@@ -139,8 +146,8 @@ class SimilarityGraph:
         self.index: dict[str, int] = index
         self.src, self.dst, self.codes = src, dst, codes
         self.provenances: tuple[frozenset[str], ...] = provenances
-        rows = np.concatenate([src, dst])
-        cols = np.concatenate([dst, src])
+        rows = np.concatenate([src, dst], dtype=np.int32)
+        cols = np.concatenate([dst, src], dtype=np.int32)
         self.indices: np.ndarray = cols[np.lexsort((cols, rows))]
         self.indptr: np.ndarray = np.zeros(len(node_ids) + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=len(node_ids)), out=self.indptr[1:])
@@ -176,15 +183,9 @@ class SimilarityGraph:
         return len(self.src)
 
 
-def _incidence(rows: Sequence[int], cols: Sequence[int], shape: tuple[int, int]) -> csr_matrix:
-    """0/1 CSR matrix with a one at each (row, col); a repeated cell counts once."""
-    matrix = coo_matrix((np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=shape).tocsr()
-    matrix.data[:] = 1  # tocsr summed the repeats
-    return matrix
-
-
 def _value_incidence(values_per_doc: Sequence[Sequence[str]]) -> csr_matrix:
-    """Document x value incidence (phones, locations)."""
+    """Document x value 0/1 incidence (phones, locations); a value listed
+    twice counts once."""
     ids: dict[str, int] = {}
     rows: list[int] = []
     cols: list[int] = []
@@ -192,16 +193,50 @@ def _value_incidence(values_per_doc: Sequence[Sequence[str]]) -> csr_matrix:
         for value in values:
             rows.append(row)
             cols.append(ids.setdefault(value, len(ids)))
-    return _incidence(rows, cols, (len(values_per_doc), len(ids)))
+    shape = (len(values_per_doc), len(ids))
+    matrix = coo_matrix((np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=shape).tocsr()
+    matrix.data[:] = 1  # tocsr summed the repeats
+    return matrix
 
 
-def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> csr_matrix:
-    """Document x word-shingle incidence, the sets ``shingles`` returns;
-    a shingle's column is its exact ``gram_ids`` id."""
+def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[csr_matrix, np.ndarray]:
+    """The shared-shingle incidence and each document's shingle count.
+
+    A document's shingles are the set ``shingles`` returns.  Row d of the
+    0/1 matrix holds those of document d that some other document has too;
+    a shingle no other document has adds to no intersection, so it only
+    counts toward the row's size.  Columns are numbered in ``gram_ids``
+    order.
+    """
     vocab, ids, lengths = token_ids(doc.text for doc in docs)
-    rows, grams, _ = gram_ids(ids, lengths, shingle_len, len(vocab))
-    width = int(grams.max()) + 1 if len(grams) else 0
-    return _incidence(rows, grams, (len(docs), width))
+    indptr, grams, _, _ = gram_counts(ids, lengths, shingle_len, len(vocab))
+    del ids
+    ordered = np.sort(grams)
+    repeat = ordered[1:] == ordered[:-1]
+    shared = ordered[1:][repeat]
+    shared = shared[run_starts(shared)]
+    del ordered, repeat
+    col, keep = columns_of(grams, shared)
+    kept = np.flatnonzero(keep)
+    text = csr_matrix(
+        (np.ones(len(kept), dtype=np.int32), col[kept], np.searchsorted(kept, indptr)),
+        shape=(len(docs), len(shared)),
+    )
+    return text, np.diff(indptr)
+
+
+def _row_blocks(matrix: csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``matrix @ matrix.T`` above the diagonal, a block of rows at a time:
+    the (row, column, value) entries.  A block's rows touch at most about
+    ``_STEP`` non-zeros of the transpose, which bounds its temporaries."""
+    transposed = matrix.T.tocsr()
+    touched = np.zeros(len(matrix.indices) + 1, dtype=np.int64)
+    np.cumsum(np.diff(transposed.indptr)[matrix.indices], out=touched[1:])
+    for start, stop in spans(np.diff(touched[matrix.indptr]) + 1, _STEP):
+        shared = (matrix[start:stop] @ transposed).tocoo()
+        row = shared.row.astype(np.int64) + start
+        upper = row < shared.col
+        yield row[upper], shared.col[upper].astype(np.int64), shared.data[upper]
 
 
 def _candidate_pairs(
@@ -210,7 +245,8 @@ def _candidate_pairs(
     """Index pairs ``i < j``, sorted: every pair up to ``all_pairs_cutoff``
     documents, else the pairs that share a phone or a rare shingle."""
     if n <= config.all_pairs_cutoff:
-        return np.triu_indices(n, k=1)
+        i, j = np.triu_indices(n, k=1)
+        return i.astype(np.int32), j.astype(np.int32)
     blocks = []
     if phones is not None:
         blocks.append(phones)
@@ -219,15 +255,12 @@ def _candidate_pairs(
         blocks.append(text[:, np.flatnonzero(df <= config.rare_shingle_df_cap)])
     keys = [np.empty(0, dtype=np.int64)]
     for block in blocks:
-        shared = (block @ block.T).tocoo()
-        upper = shared.row < shared.col
-        keys.append(shared.row[upper].astype(np.int64) * n + shared.col[upper])
-    # Sort, then drop repeats: numpy 2.4's np.unique hashes int64 keys
-    # first, 2.1 s against 0.04 s for 2M keys on a 2-core machine.
-    key = np.sort(np.concatenate(keys))
-    first = np.ones(len(key), dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    return np.divmod(key[first], n)
+        for i, j, _ in _row_blocks(block):
+            keys.append(i * n + j)
+    keys = np.concatenate(keys)
+    keys.sort()
+    i, j = np.divmod(keys[run_starts(keys)], n)
+    return i.astype(np.int32), j.astype(np.int32)
 
 
 def _overlap(matrix: csr_matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,7 +285,9 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
         raise InputError("shingle_len must be >= 1")
     docs = corpus.documents
     phones = _value_incidence([doc.phones for doc in docs]) if config.use_phones else None
-    text = _shingle_incidence(docs, config.shingle_len) if config.use_text else None
+    text = shingle_counts = None
+    if config.use_text:
+        text, shingle_counts = _shingle_incidence(docs, config.shingle_len)
     locations = None
     if config.use_location_date:
         locations = _value_incidence([doc.locations for doc in docs])
@@ -263,11 +298,16 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
         )
     i, j = _candidate_pairs(len(docs), config, phones, text)
 
+    # A pair's cost is the non-zeros its rows bring to the row products.
+    cost = np.ones(len(i), dtype=np.int32)
+    for matrix in (phones, text):
+        if matrix is not None:
+            row_nnz = np.diff(matrix.indptr)
+            cost += row_nnz[i]
+            cost += row_nnz[j]
     codes = np.zeros(len(i), dtype=np.int8)
-    shingle_counts = np.diff(text.indptr) if text is not None else None
-    for start in range(0, len(i), _CHUNK):
-        a, b = i[start : start + _CHUNK], j[start : start + _CHUNK]
-        code = codes[start : start + _CHUNK]
+    for start, stop in spans(cost, _STEP):
+        a, b, code = i[start:stop], j[start:stop], codes[start:stop]
         if phones is not None:
             code[_overlap(phones, a, b) > 0] |= _PHONE
         if text is not None:
@@ -280,8 +320,12 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
             near = dated[a] & dated[b] & (np.abs(ordinals[a] - ordinals[b]) <= config.date_window_days)
             near[near] = _overlap(locations, a[near], b[near]) > 0
             code[near] |= _LOCATION_DATE
+    # Only the edges are kept while the adjacency is built.
+    del cost, phones, text, locations
     keep = np.flatnonzero(codes)
-    return SimilarityGraph._from_arrays(corpus.ids(), i[keep], j[keep], codes[keep], _PROVENANCE)
+    i, j, codes = i[keep], j[keep], codes[keep]
+    del keep
+    return SimilarityGraph._from_arrays(corpus.ids(), i, j, codes, _PROVENANCE)
 
 
 @dataclass(frozen=True)
@@ -344,22 +388,145 @@ def _check_partition_of(clustering: Clustering, node_ids: Iterable[str]) -> None
         raise InputError("clustering does not partition the graph's node set")
 
 
-def _positions(clustering: Clustering, graph: SimilarityGraph) -> list[int]:
+def _positions(clustering: Clustering, graph: SimilarityGraph) -> np.ndarray:
     """Index in ``clustering`` of each graph node's cluster."""
     _check_partition_of(clustering, graph.node_ids)
-    position = [0] * len(graph.node_ids)
+    position = np.empty(len(graph.node_ids), dtype=np.int64)
     for k, cluster in enumerate(clustering):
-        for doc_id in cluster.members:
-            position[graph.index[doc_id]] = k
+        position[[graph.index[doc_id] for doc_id in cluster.members]] = k
     return position
 
 
-def _group(node_ids: Sequence[str], labels: Iterable[int]) -> Clustering:
+def _group(node_ids: Sequence[str], labels: np.ndarray) -> Clustering:
     """The partition that puts nodes with equal labels together."""
     groups: dict[int, list[str]] = defaultdict(list)
-    for node, label in zip(node_ids, labels):
+    for node, label in zip(node_ids, labels.tolist()):
         groups[label].append(node)
     return Clustering.from_member_sets(groups.values())
+
+
+# Partitions run as label arrays over node indices: nodes with equal labels
+# share a cluster.  ``_numbered`` labels are the cluster's index in the
+# ``Clustering`` that ``_group`` builds, which sorts clusters by their
+# smallest member id; refine breaks ties by that number.
+
+
+def _numbered(graph: SimilarityGraph, labels: np.ndarray) -> np.ndarray:
+    """The labels renumbered 0, 1, ... in the id order of each cluster's
+    smallest member."""
+    in_id_order = labels[graph.id_order]
+    order = np.argsort(in_id_order, kind="stable")
+    first = run_starts(in_id_order[order])
+    values = in_id_order[order[first]]
+    smallest = order[first]  # first id-order position per label
+    number = np.empty(int(values[-1]) + 1 if len(values) else 0, dtype=np.int64)
+    number[values[np.argsort(smallest)]] = np.arange(len(values))
+    return number[labels]
+
+
+def _kwik_labels(graph: SimilarityGraph, seed: int) -> np.ndarray:
+    """KwikCluster's partition; a cluster's label is its pivot's turn."""
+    # Shuffling the node indices in id order draws the same permutation
+    # as shuffling sorted(node_ids): shuffle only looks at the length.
+    order = list(graph.id_order)
+    random.Random(seed).shuffle(order)
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    label = [-1] * len(order)
+    turn = 0
+    for pivot in order:
+        if label[pivot] >= 0:
+            continue
+        label[pivot] = turn
+        for v in indices[indptr[pivot] : indptr[pivot + 1]].tolist():
+            if label[v] < 0:
+                label[v] = turn
+        turn += 1
+    return np.array(label, dtype=np.int64)
+
+
+def _consensus_labels(runs: Sequence[np.ndarray], threshold: float) -> np.ndarray:
+    """Components of the pairs that share a label in at least
+    ceil(threshold * runs) of the label arrays; a component's label is its
+    smallest node index."""
+    if not 0.0 < threshold <= 1.0:
+        raise InputError("threshold must be in (0, 1]")
+    n = len(runs[0])
+    needed = math.ceil(threshold * len(runs))
+    # Node x (run, label) membership; its Gram matrix counts, per pair,
+    # the runs that put the two nodes in one cluster.
+    offsets = np.cumsum([0] + [int(run.max()) + 1 if n else 0 for run in runs])
+    member = csr_matrix(
+        (
+            np.ones(n * len(runs), dtype=np.int32),
+            np.stack([run + offset for run, offset in zip(runs, offsets)], axis=1).ravel(),
+            np.arange(0, n * len(runs) + 1, len(runs)),
+        ),
+        shape=(n, int(offsets[-1])),
+    )
+    a, b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for i, j, together in _row_blocks(member):
+        agree = together >= needed
+        a.append(i[agree])
+        b.append(j[agree])
+    return _components(n, np.concatenate(a), np.concatenate(b))
+
+
+def _refine_labels(graph: SimilarityGraph, labels: np.ndarray, max_passes: int) -> np.ndarray:
+    """``refine`` over ``_numbered`` labels."""
+    # A cluster keeps its number; a detached node opens the next number.
+    # A cluster that empties keeps its number at size 0.
+    assign = labels.tolist()
+    size = np.bincount(labels).tolist()
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    for _ in range(max_passes):
+        moved = False
+        for node in graph.id_order:
+            home = assign[node]
+            edges_to = Counter(assign[v] for v in indices[indptr[node] : indptr[node + 1]].tolist())
+            edges_home = edges_to.pop(home, 0)
+            # Moving out of `home` removes (|home|-1 - e_home) within-pair
+            # misses and adds e_home cut edges; joining B adds (|B| - e_B)
+            # misses and removes e_B cuts.
+            base_gain = (size[home] - 1 - edges_home) - edges_home
+            best_delta = 0
+            best_target = None
+            for target in sorted(edges_to):
+                delta = (size[target] - 2 * edges_to[target]) - base_gain
+                if delta < best_delta:
+                    best_delta = delta
+                    best_target = target
+            if size[home] > 1 and -base_gain < best_delta:
+                best_delta = -base_gain
+                best_target = len(size)
+            if best_target is not None:
+                if best_target == len(size):
+                    size.append(0)
+                size[home] -= 1
+                size[best_target] += 1
+                assign[node] = best_target
+                moved = True
+        if not moved:
+            break
+    return np.array(assign, dtype=np.int64)
+
+
+def correlation_clustering(
+    graph: SimilarityGraph, seed: int, runs: int = 1, threshold: float = 0.5, refine_passes: int = 0
+) -> Clustering:
+    """KwikCluster with seeds ``seed .. seed + runs - 1``, their consensus
+    when ``runs > 1``, then ``refine_passes`` passes of refine.
+
+    The same partition as ``refine(consensus([kwikcluster(graph, seed + i)
+    for i in range(runs)], threshold), graph, refine_passes)``, run on
+    label arrays, so only the result becomes a ``Clustering``.
+    """
+    if runs < 1:
+        raise InputError("runs must be >= 1")
+    kwik = [_kwik_labels(graph, seed + i) for i in range(runs)]
+    labels = kwik[0] if runs == 1 else _consensus_labels(kwik, threshold)
+    if refine_passes > 0:
+        labels = _refine_labels(graph, _numbered(graph, labels), refine_passes)
+    return _group(graph.node_ids, labels)
 
 
 def kwikcluster(graph: SimilarityGraph, seed: int) -> Clustering:
@@ -369,28 +536,13 @@ def kwikcluster(graph: SimilarityGraph, seed: int) -> Clustering:
     node becomes a pivot and absorbs its not-yet-clustered neighbors.
     Identical (graph, seed) always yields the identical partition.
     """
-    # Shuffling the node indices in id order draws the same permutation
-    # as shuffling sorted(node_ids): shuffle only looks at the length.
-    order = list(graph.id_order)
-    random.Random(seed).shuffle(order)
-    indptr, indices, ids = graph.indptr.tolist(), graph.indices, graph.node_ids
-    clustered = [False] * len(order)
-    member_sets = []
-    for pivot in order:
-        if clustered[pivot]:
-            continue
-        members = [pivot]
-        members.extend(v for v in indices[indptr[pivot] : indptr[pivot + 1]].tolist() if not clustered[v])
-        for v in members:
-            clustered[v] = True
-        member_sets.append([ids[v] for v in members])
-    return Clustering.from_member_sets(member_sets)
+    return _group(graph.node_ids, _kwik_labels(graph, seed))
 
 
 def disagreement_cost(clustering: Clustering, graph: SimilarityGraph) -> int:
     """Correlation-clustering objective: cut positive edges plus missing
     within-cluster edges."""
-    position = np.array(_positions(clustering, graph), dtype=np.int64)
+    position = _positions(clustering, graph)
     within = int(np.count_nonzero(position[graph.src] == position[graph.dst]))
     cut = graph.edge_count() - within
     possible_within = sum(n * (n - 1) // 2 for n in clustering.sizes())
@@ -423,29 +575,19 @@ def consensus(clusterings: Sequence[Clustering], threshold: float) -> Clustering
     """
     if not clusterings:
         raise InputError("no clusterings to combine")
-    if not 0.0 < threshold <= 1.0:
-        raise InputError("threshold must be in (0, 1]")
     base_ids = clusterings[0].ids()
     for other in clusterings[1:]:
         if other.ids() != base_ids:
             raise InputError("clusterings cover different id sets")
-    needed = math.ceil(threshold * len(clusterings))
-
     ids = sorted(base_ids)
     index = {doc_id: k for k, doc_id in enumerate(ids)}
-    rows: list[int] = []
-    cols: list[int] = []
-    clusters = list(chain.from_iterable(clusterings))
-    for col, cluster in enumerate(clusters):
-        rows.extend(index[doc_id] for doc_id in cluster.members)
-        cols.extend([col] * cluster.size())
-    # Node x (run, cluster) membership; its Gram matrix counts, per pair,
-    # the runs that put the two nodes in one cluster.
-    member = _incidence(rows, cols, (len(ids), len(clusters)))
-    together = (member @ member.T).tocoo()
-    agree = (together.row < together.col) & (together.data >= needed)
-    root = _components(len(ids), together.row[agree], together.col[agree])
-    return _group(ids, root.tolist())
+    runs = []
+    for clustering in clusterings:
+        run = np.empty(len(ids), dtype=np.int64)
+        for k, cluster in enumerate(clustering):
+            run[[index[doc_id] for doc_id in cluster.members]] = k
+        runs.append(run)
+    return _group(ids, _consensus_labels(runs, threshold))
 
 
 def refine(clustering: Clustering, graph: SimilarityGraph, max_passes: int = 3) -> Clustering:
@@ -456,42 +598,7 @@ def refine(clustering: Clustering, graph: SimilarityGraph, max_passes: int = 3) 
     into a fresh singleton.  Stops when a pass makes no move or max_passes
     is reached; never increases the objective.
     """
-    # Clusters keep their index in ``clustering``; a detached node opens
-    # the next index.  A cluster that empties keeps its index at size 0.
-    assign = _positions(clustering, graph)
-    size = clustering.sizes()
-    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
-
-    for _ in range(max_passes):
-        moved = False
-        for node in graph.id_order:
-            home = assign[node]
-            edges_to = Counter(assign[v] for v in indices[indptr[node] : indptr[node + 1]])
-            edges_home = edges_to.pop(home, 0)
-            # Moving out of `home` removes (|home|-1 - e_home) within-pair
-            # misses and adds e_home cut edges; joining B adds (|B| - e_B)
-            # misses and removes e_B cuts.
-            base_gain = (size[home] - 1 - edges_home) - edges_home
-            best_delta = 0
-            best_target = None
-            for target in sorted(edges_to):
-                delta = (size[target] - 2 * edges_to[target]) - base_gain
-                if delta < best_delta:
-                    best_delta = delta
-                    best_target = target
-            if size[home] > 1 and -base_gain < best_delta:
-                best_delta = -base_gain
-                best_target = len(size)
-            if best_target is not None:
-                if best_target == len(size):
-                    size.append(0)
-                size[home] -= 1
-                size[best_target] += 1
-                assign[node] = best_target
-                moved = True
-        if not moved:
-            break
-    return _group(graph.node_ids, assign)
+    return _group(graph.node_ids, _refine_labels(graph, _positions(clustering, graph), max_passes))
 
 
 def adjusted_rand(a: Clustering, b: Clustering) -> float:
@@ -538,10 +645,29 @@ def read_clustering(path: str | Path) -> Clustering:
     return Clustering.from_member_sets(groups.values())
 
 
+# Edges turned into Python strings and written at a time by ``write_graph``.
+_CSV_ROWS = 1 << 16
+
+
 def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
+    """One ``id_a,id_b,provenance`` row per edge, ``id_a < id_b``, rows
+    sorted by id pair, signals joined by ``|`` in sorted order."""
+    rank = np.empty(len(graph.node_ids), dtype=np.int64)
+    rank[graph.id_order] = np.arange(len(graph.node_ids))
+    lo = np.minimum(rank[graph.src], rank[graph.dst])
+    hi = np.maximum(rank[graph.src], rank[graph.dst])
+    order = np.lexsort((hi, lo))
+    ids = [graph.node_ids[k] for k in graph.id_order]
+    provenance = ["|".join(sorted(signals)) for signals in graph.provenances]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_a", "id_b", "provenance"])
-        edges = graph.edges
-        for (a, b) in sorted(edges):
-            writer.writerow([a, b, "|".join(sorted(edges[(a, b)]))])
+        for start in range(0, len(order), _CSV_ROWS):
+            rows = order[start : start + _CSV_ROWS]
+            writer.writerows(
+                zip(
+                    map(ids.__getitem__, lo[rows].tolist()),
+                    map(ids.__getitem__, hi[rows].tolist()),
+                    map(provenance.__getitem__, graph.codes[rows].tolist()),
+                )
+            )

@@ -351,6 +351,7 @@ def cross_validate(
         pooled.extend(fold_scores)
         fold_auc, _ = roc_auc(fold_scores)
         fold_aucs.append(fold_auc)
+        del x  # so that it and the next fold's matrix are not held at once
 
     auc, points = roc_auc(pooled)
     thresholds = [t for t, _, _ in roc_curve(pooled)]

@@ -36,13 +36,18 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from .clustering import Cluster
-from .corpus import Corpus, Document, gram_ids, token_ids, tokenize
+from .corpus import Corpus, Document, columns_of, gram_counts, gram_tokens, run_starts, spans, token_ids, tokenize
 from .errors import (
     DegenerateTrainingError,
     EmptyInputError,
     InputError,
     RuleCompilationError,
 )
+
+
+# Entries handled per step of this module's block loops (gram ids to
+# columns, feature rows, row norms): bounds their temporaries.
+_ROW_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -96,55 +101,50 @@ class _GramColumns:
         return out.tolist()
 
 
-def _count_order(
-    ids: np.ndarray, lengths: np.ndarray, n: int, vocab_size: int, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The (text, gram, count) triples of the order-n grams of ``token_ids``'s
-    texts, with each gram's token ids padded with -1 to ``width``."""
-    text_of, grams, keys = gram_ids(ids, lengths, n, vocab_size)
-    n_grams = len(keys[-1]) if keys else vocab_size
-    pairs, count = np.unique(text_of * n_grams + grams, return_counts=True)
-    row, col = np.divmod(pairs, max(n_grams, 1))
-    parts = np.full((n_grams, width), -1, dtype=np.int64)
-    grams = np.arange(n_grams)
-    for k in range(len(keys), 0, -1):
-        grams, parts[:, k] = np.divmod(keys[k - 1][grams], vocab_size)
-    parts[:, 0] = grams
-    return row, col, count.astype(np.int32), parts
-
-
 def _count_grams(docs: Sequence[Document], orders: tuple[int, ...]) -> tuple[csr_matrix, _GramColumns]:
     """Tokenize each document once into a document x n-gram count matrix.
 
     Every gram seen gets a column, in sorted gram order, and the grams are
-    returned by column.  Grams are counted as ``gram_ids`` integers, one
-    order at a time, so that one order's per-occurrence arrays are alive at
-    once.  Sorted gram strings are in the order of their token
-    tuples, a gram first before its extensions, because the joining space
-    sorts before every token character; ``token_ids`` numbers tokens in
-    sorted order, so a lexicographic sort of the -1-padded id rows gives
-    the columns.
+    returned by column.  Grams are counted as ``gram_counts`` rows of
+    ``gram_ids`` integers, one order at a time; an order's ids follow its
+    token-id tuples, and ``token_ids`` numbers tokens in sorted order.
+    Sorted gram strings are in the order of their token tuples, a gram
+    first before its extensions, because the joining space sorts before
+    every token character.  So one lexsort of the grams of every order, as
+    token-id rows padded with -1 to the longest order, gives the columns.
     """
     tokens, ids, lengths = token_ids(doc.text for doc in docs)
-    rows, cols, data, parts = [], [], [], []
+    width = max(orders)
+    per_order, parts = [], []
     base = 0
     for n in orders:
-        row, col, count, order_parts = _count_order(ids, lengths, n, len(tokens), max(orders))
-        rows.append(row)
-        cols.append(col + base)
-        data.append(count)
+        indptr, grams, counts, keys = gram_counts(ids, lengths, n, len(tokens))
+        values = np.sort(grams)
+        values = values[run_starts(values)]
+        cols, _ = columns_of(grams, values)
+        cols += base
+        per_order.append((indptr, cols, counts))
+        base += len(values)
+        order_parts = np.full((len(values), width), -1, dtype=np.int32)
+        order_parts[:, :n] = gram_tokens(values, n, len(tokens), keys)
         parts.append(order_parts)
-        base += len(order_parts)
+        del grams, values, cols, counts
+    del ids, lengths
     parts = np.concatenate(parts)
     order = np.lexsort(parts.T[::-1])
-    column = np.empty(base, dtype=np.int64)
-    column[order] = np.arange(base)
-    counts = csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), column[np.concatenate(cols)])),
-        shape=(len(docs), base),
-    )
-    counts.sort_indices()
-    return counts, _GramColumns(tokens, parts[order])
+    parts = parts[order]
+    column = np.empty(len(parts), dtype=np.int32)
+    column[order] = np.arange(len(parts))
+    del order
+    counts = None
+    while per_order:
+        # Columns keep an order's own gram order, so each order's matrix,
+        # and their sum, has sorted rows.
+        indptr, cols, data = per_order.pop(0)
+        order_counts = csr_matrix((data, column[cols], indptr), shape=(len(docs), len(parts)))
+        del indptr, cols, data
+        counts = order_counts if counts is None else counts + order_counts
+    return counts, _GramColumns(tokens, parts)
 
 
 def _fit_vocabulary(
@@ -162,7 +162,10 @@ def _fit_vocabulary(
     highest-df grams win, ties broken lexicographically, which is column
     order.  Vocabulary indices follow sorted gram order.
     """
-    df = np.bincount(counts[rows].indices, minlength=counts.shape[1])
+    selected = np.zeros(counts.shape[0], dtype=bool)
+    selected[rows] = True
+    in_rows = np.repeat(selected, np.diff(counts.indptr))
+    df = np.bincount(counts.indices[in_rows], minlength=counts.shape[1])
     cols = np.flatnonzero(df >= min_df)
     if max_size is not None and len(cols) > max_size:
         cols = np.sort(cols[np.lexsort((cols, -df[cols]))[:max_size]])
@@ -199,22 +202,39 @@ def build_vocabulary(
 
 
 def _unit_rows(x: csr_matrix) -> csr_matrix:
-    """Scale every non-zero row of x to unit L2 norm, in place."""
-    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
-    x.data /= np.repeat(norms, np.diff(x.indptr))
+    """Scale every non-zero row of x to unit L2 norm, in place.
+
+    A row's squares are summed bit for bit as ``x.multiply(x).sum(axis=1)``
+    sums them, a block of rows at a time and without the copies of x that
+    ``multiply`` makes: scipy keeps the entries of a canonical matrix in
+    stored order, and those of a matrix with unsorted rows (a matrix
+    product's) in reverse stored order within each row.
+    """
+    canonical = x.has_canonical_format
+    for start, stop in spans(np.diff(x.indptr) + 1, _ROW_BLOCK):
+        ptr = x.indptr[start : stop + 1] - x.indptr[start]
+        data = x.data[x.indptr[start] : x.indptr[stop]]
+        rows = np.flatnonzero(np.diff(ptr))
+        if canonical:
+            sums = np.add.reduceat(np.square(data), ptr[rows])
+        else:
+            sums = np.add.reduceat(np.square(data[::-1]), len(data) - ptr[rows + 1][::-1])[::-1]
+        norms = np.zeros(stop - start)
+        norms[rows] = np.sqrt(sums)
+        data /= np.repeat(norms, np.diff(ptr))
     return x
 
 
 def _document_rows(counts: csr_matrix, idf: Optional[np.ndarray]) -> csr_matrix:
     """L2-normalized tf (or tf-idf, given idf by column) document rows."""
-    x = counts.astype(np.float64)
+    x = csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr), shape=counts.shape)
     if idf is not None:
         x.data *= idf[x.indices]
     return _unit_rows(x)
 
 
-def _cluster_rows(doc_rows: csr_matrix, doc_ptr: np.ndarray) -> csr_matrix:
-    """Renormalized mean of each cluster's document rows.
+def _cluster_means(doc_rows: csr_matrix, doc_ptr: np.ndarray) -> csr_matrix:
+    """Mean of each cluster's document rows; ``_unit_rows`` renormalizes it.
 
     Cluster i owns document rows doc_ptr[i]:doc_ptr[i + 1], which must be
     non-empty.
@@ -224,7 +244,26 @@ def _cluster_rows(doc_rows: csr_matrix, doc_ptr: np.ndarray) -> csr_matrix:
         (np.repeat(1.0 / sizes, sizes), np.arange(doc_ptr[-1]), doc_ptr),
         shape=(len(sizes), doc_rows.shape[0]),
     )
-    return _unit_rows(membership @ doc_rows)
+    return membership @ doc_rows
+
+
+def _stacked(blocks: list[csr_matrix], width: int) -> csr_matrix:
+    """The blocks' rows in order as one CSR matrix; the list is emptied,
+    so each block is freed once it is copied."""
+    nnz = sum(block.nnz for block in blocks)
+    data = np.empty(nnz)
+    indices = np.empty(nnz, dtype=np.int32)
+    indptr = [np.zeros(1, dtype=np.int64)]
+    at = 0
+    blocks.reverse()
+    while blocks:
+        block = blocks.pop()
+        data[at : at + block.nnz] = block.data
+        indices[at : at + block.nnz] = block.indices
+        indptr.append(block.indptr[1:] + at)
+        at += block.nnz
+    indptr = np.concatenate(indptr)
+    return csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, width))
 
 
 def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
@@ -288,8 +327,16 @@ class ClusterTerms:
         if len(vocab) == 0:
             raise EmptyInputError("empty vocabulary")
         idf = _idf(df, len(rows)) if weighting == "tfidf" else None
-        doc_rows = _document_rows(self.counts[:, cols], idf)
-        return vocab, _cluster_rows(doc_rows, self.doc_ptr)
+        # A block of clusters at a time, so that a block's document rows
+        # exist only while its means are taken; a row's values do not
+        # depend on the block it is computed in.
+        doc_ptr, indptr = self.doc_ptr, self.counts.indptr
+        means = []
+        for start, stop in spans(np.diff(indptr[doc_ptr]) + 1, _ROW_BLOCK):
+            docs = self.counts[doc_ptr[start] : doc_ptr[stop]][:, cols]
+            block_ptr = doc_ptr[start : stop + 1] - doc_ptr[start]
+            means.append(_cluster_means(_document_rows(docs, idf), block_ptr))
+        return vocab, _unit_rows(_stacked(means, len(cols)))
 
 
 def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> csr_matrix:
@@ -328,7 +375,7 @@ def vectorize_cluster(
         if doc_id not in corpus:
             raise InputError(f"cluster member {doc_id!r} not in corpus")
     doc_rows = _rows_against([corpus.get(d) for d in members], vocab, weighting)
-    return _cluster_rows(doc_rows, np.array([0, len(members)]))
+    return _unit_rows(_cluster_means(doc_rows, np.array([0, len(members)])))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import random
 import shutil
 from collections import Counter
 from operator import attrgetter
@@ -10,6 +11,7 @@ import pytest
 
 import caserisk.cli
 import caserisk.clustering
+import caserisk.corpus
 import caserisk.evaluate
 import caserisk.model
 from caserisk.cli import main
@@ -281,6 +283,43 @@ class TestPipeline:
         assert names == sorted(p.name for p in staged.iterdir())
         mismatched = [n for n in names if not filecmp.cmp(piped / n, staged / n, shallow=False)]
         assert mismatched == []
+
+    def test_cluster_stage_matches_library_composition(self, tmp_path):
+        # The stage runs KwikCluster, consensus and refine on label arrays.
+        # Refine breaks ties by cluster number, which the library sets by
+        # each cluster's smallest member id, so the stage must number its
+        # clusters the same way to write the library's partition.  The
+        # corpus is shuffled so that node order is not id order.
+        run_synth(tmp_path)
+        lines = (tmp_path / "corpus.jsonl").read_text().splitlines(keepends=True)
+        random.Random(0).shuffle(lines)
+        (tmp_path / "corpus.jsonl").write_text("".join(lines))
+        conf = write_config(
+            tmp_path / "p.conf",
+            tmp_path,
+            lines=(
+                "clustering.use_location_date = true",
+                "clustering.consensus_runs = 3",
+                "clustering.refine_passes = 2",
+                # With these runs refine meets ties, which the numbering breaks.
+                "seed = 6",
+            ),
+        )
+        out = tmp_path / "out"
+        for stage in ("ingest", "cluster"):
+            assert main([stage, "--config", str(conf), "--out", str(out)]) == 0
+        written = caserisk.clustering.read_clustering(out / "clusters.csv")
+
+        config = load_config(conf)
+        corpus, _ = caserisk.corpus.ingest(out / "corpus_clean.jsonl")
+        graph = caserisk.clustering.build_graph(corpus, config.graph)
+        runs = [caserisk.clustering.kwikcluster(graph, config.seed + i) for i in range(3)]
+        combined = caserisk.clustering.consensus(runs, config.consensus_threshold)
+        expected = caserisk.clustering.refine(combined, graph, 2)
+        # Each step changes the partition here, so each one is checked.
+        assert len({run.clusters for run in runs}) == 3
+        assert combined.clusters != expected.clusters
+        assert written.clusters == expected.clusters
 
     def test_pipeline_calls_stages_through_the_module(self, tmp_path, monkeypatch):
         # bench/tracer.py times each stage by rebinding caserisk.cli.stage_*;

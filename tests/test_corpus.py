@@ -4,20 +4,27 @@ import json
 import re
 import tempfile
 import time
+from collections import Counter
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caserisk.corpus
 from caserisk.clustering import GraphConfig, build_graph
 from caserisk.corpus import (
     Corpus,
     Document,
     Gazetteer,
     clean_text,
+    columns_of,
     extract_attributes,
+    gram_counts,
+    gram_tokens,
     ingest,
     normalize_phone,
     phones_in_text,
@@ -450,3 +457,54 @@ class TestFastTextPasses:
             spans = set(tokens) | {" ".join(pair) for pair in zip(tokens, tokens[1:])}
             assert hits == sorted(spans & terms)
         assert elapsed < 2.0
+
+
+# A vocabulary of 2**24 tokens takes 24 bits a token: a unigram id is
+# packed, and a bigram's or trigram's is ranked token by token instead.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 5), max_size=9), max_size=6),
+    st.integers(1, 4),
+    st.sampled_from([6, 2**24]),
+)
+def test_gram_counts_match_reference(texts, n, vocab_size):
+    ids = np.array([t for text in texts for t in text], dtype=np.int32)
+    lengths = np.array([len(text) for text in texts], dtype=np.int64)
+    indptr, grams, counts, keys = gram_counts(ids, lengths, n, vocab_size)
+    assert (len(keys) > 0) == (vocab_size == 2**24 and n > 1)
+    tokens = gram_tokens(grams, n, vocab_size, keys).tolist()
+    for t, text in enumerate(texts):
+        expected = sorted(Counter(tuple(text[i : i + n]) for i in range(len(text) - n + 1)).items())
+        rows = range(indptr[t], indptr[t + 1])
+        assert [(tuple(tokens[r]), int(counts[r])) for r in rows] == expected
+    assert indptr[-1] == len(grams) == len(counts)
+
+
+def test_ranked_gram_counts_match_packed_across_steps():
+    # More tokens than one counting step holds, so both routes, packed
+    # (6 tokens) and ranked (2**24), count the texts in several blocks.
+    rng = np.random.default_rng(7)
+    lengths = rng.integers(0, 40, size=9000)
+    ids = rng.integers(0, 6, size=int(lengths.sum())).astype(np.int32)
+    assert len(ids) > 2 * 2**16
+    for n in (2, 3):
+        packed = gram_counts(ids, lengths, n, 6)
+        ranked = gram_counts(ids, lengths, n, 2**24)
+        assert ranked[3] and not packed[3]
+        np.testing.assert_array_equal(ranked[0], packed[0])
+        np.testing.assert_array_equal(ranked[2], packed[2])
+        np.testing.assert_array_equal(
+            gram_tokens(ranked[1], n, 2**24, ranked[3]), gram_tokens(packed[1], n, 6, packed[3])
+        )
+
+
+# Steps of 3 grams, so most searches cross a step boundary.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-3, 12), max_size=20), st.sets(st.integers(0, 9)))
+def test_columns_of_matches_reference(grams, values):
+    values = sorted(values)
+    with mock.patch.object(caserisk.corpus, "_GRAM_STEP", 3):
+        col, found = columns_of(np.array(grams, dtype=np.int64), np.array(values, dtype=np.int64))
+    assert col.dtype == np.int32
+    assert found.tolist() == [g in values for g in grams]
+    assert col[found].tolist() == [values.index(g) for g in grams if g in values]

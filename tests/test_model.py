@@ -6,13 +6,16 @@ import random
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix, vstack
+from scipy.sparse import random as sparse_random
 
+import caserisk.model
 from caserisk.clustering import Cluster
 from caserisk.corpus import Corpus, Document, remove_tokens, tokenize
 from caserisk.errors import (
@@ -35,6 +38,7 @@ from caserisk.model import (
     _count_grams,
     _penalized_objective,
     _smooth_objective,
+    _unit_rows,
     logistic_objective,
     save_model,
     score,
@@ -219,6 +223,30 @@ class TestCountGrams:
         assert counts.toarray().tolist() == [[2, 1, 1, 2, 1, 1, 1]]
 
 
+def reference_unit_rows(x):
+    """The normalization that ``_unit_rows`` replaced: scipy's row sums of
+    ``x.multiply(x)``."""
+    norms = np.sqrt(np.asarray(x.multiply(x).sum(axis=1)).ravel())
+    x.data /= np.repeat(norms, np.diff(x.indptr))
+    return x
+
+
+# A matrix product has unsorted rows, which scipy multiplies on another
+# path than a canonical matrix's; blocks of 7 non-zeros cut most rows.
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([7, 1 << 17]))
+def test_unit_rows_match_scipy_bit_for_bit(seed, product, block):
+    rng = np.random.default_rng(seed)
+    x = sparse_random(int(rng.integers(1, 30)), 40, density=rng.uniform(0.05, 0.9), format="csr", random_state=rng)
+    if product:
+        x = x @ sparse_random(40, int(rng.integers(1, 200)), density=0.3, format="csr", random_state=rng)
+    expected = reference_unit_rows(x.copy())
+    with mock.patch.object(caserisk.model, "_ROW_BLOCK", block):
+        got = _unit_rows(x.copy())
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    assert got.data.tobytes() == expected.data.tobytes()
+
+
 @st.composite
 def fold_worlds(draw):
     """A small corpus of word-soup documents, partitioned into clusters
@@ -279,6 +307,22 @@ class TestClusterTerms:
                 g for d in train_docs for g in ngrams(tokenize(d.text), vocab.orders)
             }
             assert set(vocab.index) <= seen_in_training
+
+    # Blocks of one non-zero put every cluster in a block of its own.
+    @settings(max_examples=100, deadline=None)
+    @given(fold_worlds())
+    def test_blocks_do_not_change_rows(self, world):
+        corpus, clusters, folds, orders, min_df, max_size, weighting = world
+        terms = ClusterTerms(clusters, corpus, orders)
+        try:
+            _, whole = terms.featurize(1, max_size, weighting)
+        except EmptyInputError:
+            return
+        with mock.patch.object(caserisk.model, "_ROW_BLOCK", 1):
+            _, blocked = terms.featurize(1, max_size, weighting)
+        np.testing.assert_array_equal(blocked.indptr, whole.indptr)
+        np.testing.assert_array_equal(blocked.indices, whole.indices)
+        assert blocked.data.tobytes() == whole.data.tobytes()
 
     def test_test_only_gram_never_a_column(self):
         corpus = Corpus([doc("1", "a b"), doc("2", "a c"), doc("3", "a zz")])
