@@ -86,26 +86,19 @@ class Run:
         return model_mod.load_model(self._artifact("model.json", "train"))
 
     @cached_property
-    def working(self) -> corpus_mod.Corpus:
-        """The corpus that train and evaluate featurize: with
-        ``paths.remove_lexicon`` set, the labeled clusters' documents (the
-        only ones they read) with the lexicon removed."""
-        lexicon_path = self.config.remove_lexicon_path
-        if lexicon_path is None:
-            return self.corpus
-        with open(lexicon_path, "r", encoding="utf-8") as fh:
-            lexicon = [line.strip().lower() for line in fh if line.strip()]
-        ids = sorted({doc_id for lc in self.labeled for doc_id in lc.cluster.members})
-        # A member missing from the corpus is left for ClusterTerms to report.
-        labeled_docs = corpus_mod.Corpus([self.corpus.get(d) for d in ids if d in self.corpus])
-        return corpus_mod.remove_tokens(labeled_docs, lexicon)
+    def rules(self) -> list[model_mod.IndicatorRule]:
+        return model_mod.load_rules(self.config.rules_path)
 
     @cached_property
     def terms(self) -> model_mod.ClusterTerms:
-        """The labeled clusters' documents in ``working``, tokenized once
-        for both train and evaluate."""
+        """The labeled clusters' documents, tokenized once for both train
+        and evaluate.  With ``paths.remove_lexicon`` set, a document's
+        tokens are those ``remove_tokens`` with that lexicon would leave,
+        the bias mitigation; it changes no other document field."""
+        path = self.config.remove_lexicon_path
+        remove = None if path is None else corpus_mod.Lexicon.from_file(path)
         clusters = [lc.cluster for lc in self.labeled]
-        return model_mod.ClusterTerms(clusters, self.working, self.config.vocab_orders)
+        return model_mod.ClusterTerms(clusters, self.corpus, self.config.vocab_orders, remove)
 
 
 # --- stages -------------------------------------------------------------
@@ -242,7 +235,7 @@ def _domain_renyi(corpus, labeled) -> float:
 
 
 def stage_train(run: Run) -> model_mod.RiskModel:
-    """Train on every labeled cluster of the mitigated ``run.working``."""
+    """Train on every labeled cluster's mitigated ``run.terms``."""
     config, out, labeled = run.config, run.out, run.labeled
     vocab, x = run.terms.featurize(config.min_df, config.max_vocab, config.weighting)
     risk_model = model_mod.train((x, [lc.label for lc in labeled]), vocab, config.train)
@@ -278,14 +271,13 @@ def stage_train(run: Run) -> model_mod.RiskModel:
 
 
 def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
-    """Cross-validate on the mitigated ``run.working``; the top features
+    """Cross-validate on the mitigated ``run.terms``; the top features
     are those of the train stage's model."""
-    config, out, labeled = run.config, run.out, run.labeled
+    config, out, corpus, labeled = run.config, run.out, run.corpus, run.labeled
     risk_model = run.model  # before the folds, so a missing model.json fails fast
-    working = run.working
     features = _features_from_names(config.bias_features)
     plan = evaluate_mod.make_folds(
-        working,
+        corpus,
         labeled,
         config.folds,
         features,
@@ -294,7 +286,7 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
     )
     _write_json(out / "fold_plan.json", plan.to_json())
     report = evaluate_mod.cross_validate(
-        working,
+        corpus,
         labeled,
         plan,
         config.vocab_orders,
@@ -322,8 +314,7 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
 
 
 def stage_indicators(run: Run) -> int:
-    config, out, corpus, clustering = run.config, run.out, run.corpus, run.clustering
-    rules = model_mod.load_rules(config.rules_path)
+    out, corpus, clustering, rules = run.out, run.corpus, run.clustering, run.rules
     rule_names = [r.name for r in rules]
     with open(out / "indicators.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -429,18 +420,22 @@ def cmd_stage(args: argparse.Namespace) -> int:
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     """Run every stage in order over one run; ``indicators`` only with
-    ``paths.rules`` set.  Every path the stages read is checked before the
-    first one runs.  A ``ConfigError`` exits 2, as from a single stage."""
+    ``paths.rules`` set.  Every path the stages read is checked, and the
+    rules are read, before the first one runs.  A ``ConfigError`` exits 2,
+    as from a single stage."""
     config = _build_config(args)
     names = [name for name in STAGES if name != "indicators" or config.rules_path is not None]
     _require_stage_paths(config, names)
     run = Run(config, _out_dir(args), args.export_graph)
-    for name in names:
-        try:
+    name = "indicators"
+    try:
+        if config.rules_path is not None:
+            run.rules  # so that a bad rule fails before ingest
+        for name in names:
             _run_stage(name, run)
-        except (PipelineError, OSError) as exc:
-            print(f"pipeline failed at stage {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
-            return 2 if isinstance(exc, ConfigError) else 1
+    except (PipelineError, OSError) as exc:
+        print(f"pipeline failed at stage {name}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, ConfigError) else 1
     print(f"pipeline: all stages complete -> {run.out}")
     return 0
 

@@ -17,6 +17,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from datetime import date
+from itertools import accumulate
 from pathlib import Path
 from typing import Optional
 
@@ -26,6 +27,7 @@ from .errors import EmptyCorpusError, MalformedRecordError
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
 
 # North-American style numbers (optional +1 / separators) plus bare digit runs.
 _PHONE_CANDIDATE_RE = re.compile(
@@ -60,12 +62,13 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+def token_ids(texts: Iterable[str], remove: Optional[Lexicon] = None) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Tokenize each text once, into integer ids.
 
     Returns the distinct tokens in sorted order, every token of every text
     (texts one after another) as its index in that list (int32), and each
-    text's token count.
+    text's token count.  With ``remove``, a text's tokens are those its
+    ``remove.cuts`` keep: the tokens of what ``remove_tokens`` leaves.
     """
     seen: defaultdict[str, int] = defaultdict()
     seen.default_factory = seen.__len__  # a new token's id: the count so far
@@ -73,6 +76,9 @@ def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
     lengths = array("q")
     for text in texts:
         tokens = tokenize(text)
+        if remove is not None:
+            for start, stop in reversed(remove.cuts(tokens)):
+                del tokens[start:stop]
         ids.extend(map(seen.__getitem__, tokens))
         lengths.append(len(tokens))
     vocab = sorted(seen)
@@ -328,36 +334,82 @@ class Corpus:
         return [doc.id for doc in self.documents]
 
 
-class Gazetteer:
-    """Location lexicon; terms are lowercase, possibly multi-word."""
+def read_terms(path: str | Path) -> list[str]:
+    """The terms of a one-term-per-line file: its non-blank lines, stripped
+    and lowercased."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.strip().lower() for line in fh if line.strip()]
+
+
+class Lexicon:
+    """Terms as ``tokenize`` sequences: a term occurs where a text's tokens
+    run as its own, whatever the case or the separators between them.
+
+    Terms that tokenize alike are one; ``terms`` joins each with spaces.
+    """
 
     def __init__(self, terms: Iterable[str]):
-        cleaned = {" ".join(tokenize(t)) for t in terms}
-        cleaned.discard("")
-        self.terms: frozenset[str] = frozenset(cleaned)
-        self._single = frozenset(t for t in self.terms if " " not in t)
-        # Multi-word terms by first token: (tokens, term) pairs.
-        self._multi: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for term in self.terms - self._single:
-            parts = tuple(term.split(" "))
-            self._multi.setdefault(parts[0], []).append((parts, term))
+        phrases = {tuple(tokenize(t)) for t in terms} - {()}
+        self.terms: frozenset[str] = frozenset(" ".join(p) for p in phrases)
+        # A deletion can join its neighbours only into a term of several
+        # tokens, so only with one of those do cuts repeat their pass.
+        self._joins = any(len(p) > 1 for p in phrases)
+        self._by_first: dict[str, list[tuple[str, ...]]] = {}  # shortest first
+        for phrase in sorted(phrases, key=len):
+            self._by_first.setdefault(phrase[0], []).append(phrase)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "Gazetteer":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls(line.strip().lower() for line in fh if line.strip())
+    def from_file(cls, path: str | Path):
+        return cls(read_terms(path))
+
+    def occurrences(self, tokens: Sequence[str]) -> list[tuple[int, tuple[str, ...]]]:
+        """Every ``(start, term)`` where the tokens run as the term from
+        ``start``, overlapping ones included; by start, then shortest first."""
+        by_first = self._by_first
+        if by_first.keys().isdisjoint(tokens):
+            return []
+        return [
+            (i, term)
+            for i, token in enumerate(tokens)
+            if token in by_first
+            for term in by_first[token]
+            if len(term) == 1 or tuple(tokens[i : i + len(term)]) == term
+        ]
+
+    def cuts(self, tokens: Sequence[str]) -> list[tuple[int, int]]:
+        """The ascending, disjoint ``[start, stop)`` token ranges that
+        deleting the terms removes, so that no term occurs in the rest.
+
+        A pass deletes, left to right, the shortest term at each token not
+        yet deleted.  Passes repeat while a deletion joins its neighbours
+        into an occurrence, which then takes the ranges deleted inside it.
+        """
+        kept, at, ranges = tokens, range(len(tokens)), []  # ``at``: kept tokens' indices
+        while True:
+            found, free = [], 0
+            for i, term in self.occurrences(kept):
+                if i >= free:
+                    free = i + len(term)
+                    found.append((i, free))
+            ranges += [(at[a], at[b - 1] + 1) for a, b in found]
+            if not found or not self._joins:
+                break
+            gone = {k for a, b in found for k in range(a, b)}
+            at = [k for j, k in enumerate(at) if j not in gone]
+            kept = [tokens[k] for k in at]
+        outer: list[tuple[int, int]] = []
+        for start, stop in sorted(ranges):  # nested or disjoint; no two start alike
+            if not outer or start >= outer[-1][1]:
+                outer.append((start, stop))
+        return outer
+
+
+class Gazetteer(Lexicon):
+    """Location lexicon; terms are lowercase, possibly multi-word."""
 
     def matches(self, text: str) -> list[str]:
         """All terms present as whole-token spans of the text, sorted."""
-        tokens = tokenize(text)
-        token_set = set(tokens)
-        hits = token_set.intersection(self._single)
-        if not token_set.isdisjoint(self._multi):
-            for i, token in enumerate(tokens):
-                for parts, term in self._multi.get(token, ()):
-                    if tuple(tokens[i : i + len(parts)]) == parts:
-                        hits.add(term)
-        return sorted(hits)
+        return sorted({" ".join(term) for _, term in self.occurrences(tokenize(text))})
 
 
 def extract_attributes(record: Mapping[str, object], gazetteer: Optional[Gazetteer] = None) -> Document:
@@ -499,64 +551,31 @@ def write_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write("\n")
 
 
-def _without_spans(text: str, pattern: re.Pattern) -> str:
-    """Replace every match of ``pattern`` in ``text.lower()`` by a space,
-    cutting the original text at the characters each match came from."""
-    # With "_" blanked out, an ASCII-mode \b in the lowered text falls
-    # exactly on the edges of _TOKEN_RE's runs.
-    lowered = text.lower().replace("_", " ")
-    spans = [m.span() for m in pattern.finditer(lowered)]
-    if not spans:
-        return text
-    if len(lowered) != len(text):
-        # Some character lowercases to several (e.g. U+0130); map back.
-        origin = [i for i, ch in enumerate(text) for _ in ch.lower()]
-        spans = [(origin[a], origin[b - 1] + 1) for a, b in spans]
-    pieces = []
-    last = 0
-    for a, b in spans:
-        pieces.append(text[last:a])
-        last = b
-    pieces.append(text[last:])
-    return " ".join(" ".join(pieces).split())
-
-
 def remove_tokens(corpus: Corpus, lexicon: Iterable[str]) -> Corpus:
     """Delete lexicon entries from every text on ``tokenize``'s own spans.
 
-    An entry is the token sequence ``tokenize`` gives it; it matches where
-    the text tokenizes to that sequence, so matching is case-insensitive
-    and ignores the separators between tokens.  Removal repeats until no
-    entry matches, so no tokenized text keeps one.  All other document
-    fields are unchanged and the input corpus is not modified.
+    A text loses the characters of the token ranges that a ``Lexicon`` of
+    the entries ``cuts`` from its tokens, so no tokenized text keeps an
+    entry, and its whitespace is collapsed.  All other document fields are
+    unchanged and the input corpus is not modified.
     """
-    phrases = sorted({tuple(tokenize(t)) for t in lexicon} - {()})
-    if not phrases:
-        return Corpus(corpus.documents)
-    pattern = re.compile(
-        r"\b(?:" + "|".join("[^a-z0-9]+".join(parts) for parts in phrases) + r")\b",
-        re.ASCII,
-    )
-    # Removing a phrase can join its neighbours into another match;
-    # removing single tokens cannot.
-    repeat = any(len(parts) > 1 for parts in phrases)
+    terms = Lexicon(lexicon)
     out = []
     for doc in corpus:
-        new_text = _without_spans(doc.text, pattern)
-        while repeat and (cut := _without_spans(new_text, pattern)) != new_text:
-            new_text = cut
-        if new_text == doc.text:
+        lowered = doc.text.lower()
+        # Separators and tokens in turn: token k is part 2k + 1.
+        parts = _TOKEN_SPLIT_RE.split(lowered)
+        ranges = terms.cuts(parts[1::2])
+        if not ranges:
             out.append(doc)
-        else:
-            out.append(
-                Document(
-                    id=doc.id,
-                    source_domain=doc.source_domain,
-                    text=new_text,
-                    phones=doc.phones,
-                    locations=doc.locations,
-                    posted_date=doc.posted_date,
-                    extras=doc.extras,
-                )
-            )
+            continue
+        ends = list(accumulate(map(len, parts)))
+        spans = [(ends[2 * a], ends[2 * b - 1]) for a, b in ranges]
+        if len(lowered) != len(doc.text):
+            # Some character lowercases to several (e.g. U+0130); map back.
+            origin = [i for i, ch in enumerate(doc.text) for _ in ch.lower()]
+            spans = [(origin[a], origin[b - 1] + 1) for a, b in spans]
+        edges = [0, *(edge for span in spans for edge in span), len(doc.text)]
+        text = " ".join(" ".join(doc.text[a:b] for a, b in zip(edges[::2], edges[1::2])).split())
+        out.append(Document(doc.id, doc.source_domain, text, doc.phones, doc.locations, doc.posted_date, doc.extras))
     return Corpus(out)

@@ -27,8 +27,9 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -36,7 +37,9 @@ import numpy as np
 from scipy.sparse import csr_matrix, issparse
 
 from .clustering import Cluster
-from .corpus import Corpus, Document, columns_of, gram_counts, gram_tokens, run_starts, spans, token_ids, tokenize
+from .corpus import (
+    Corpus, Document, Lexicon, columns_of, gram_counts, gram_tokens, read_terms, run_starts, spans, token_ids, tokenize
+)
 from .errors import (
     DegenerateTrainingError,
     EmptyInputError,
@@ -101,8 +104,11 @@ class _GramColumns:
         return out.tolist()
 
 
-def _count_grams(docs: Sequence[Document], orders: tuple[int, ...]) -> tuple[csr_matrix, _GramColumns]:
-    """Tokenize each document once into a document x n-gram count matrix.
+def _count_grams(
+    docs: Sequence[Document], orders: tuple[int, ...], remove: Optional[Lexicon] = None
+) -> tuple[csr_matrix, _GramColumns]:
+    """Tokenize each document once into a document x n-gram count matrix,
+    without the tokens ``remove`` cuts (see ``token_ids``).
 
     Every gram seen gets a column, in sorted gram order, and the grams are
     returned by column.  Grams are counted as ``gram_counts`` rows of
@@ -113,7 +119,7 @@ def _count_grams(docs: Sequence[Document], orders: tuple[int, ...]) -> tuple[csr
     every token character.  So one lexsort of the grams of every order, as
     token-id rows padded with -1 to the longest order, gives the columns.
     """
-    tokens, ids, lengths = token_ids(doc.text for doc in docs)
+    tokens, ids, lengths = token_ids((doc.text for doc in docs), remove)
     width = max(orders)
     per_order, parts = [], []
     base = 0
@@ -281,10 +287,13 @@ class ClusterTerms:
     ``counts`` is their document x n-gram count matrix: rows grouped by
     cluster in sequence order, members in sorted id order, and columns in
     sorted gram order.  ``featurize`` selects a vocabulary's columns from
-    it, so cross-validation folds never re-tokenize a document.
+    it, so cross-validation folds never re-tokenize a document.  Tokens
+    that ``remove`` cuts (see ``token_ids``) are not counted.
     """
 
-    def __init__(self, clusters: Sequence[Cluster], corpus: Corpus, orders: Iterable[int] = (1,)):
+    def __init__(
+        self, clusters: Sequence[Cluster], corpus: Corpus, orders: Iterable[int] = (1,), remove: Optional[Lexicon] = None
+    ):
         self.orders = _check_orders(orders)
         self.clusters = list(clusters)
         docs = []
@@ -297,7 +306,7 @@ class ClusterTerms:
                 docs.append(corpus.get(doc_id))
             sizes.append(len(members))
         self.doc_ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        self.counts, self.grams = _count_grams(docs, self.orders)
+        self.counts, self.grams = _count_grams(docs, self.orders, remove)
 
     def featurize(
         self,
@@ -768,6 +777,7 @@ RULE_KINDS = (
     "min_distinct_phones",
     "min_lexicon_hits",
 )
+_LEXICON_KINDS = ("lexicon", "min_lexicon_hits")
 
 
 @dataclass(frozen=True)
@@ -783,30 +793,21 @@ class IndicatorRule:
     def __post_init__(self):
         if self.kind not in RULE_KINDS:
             raise RuleCompilationError(self.name, f"unknown kind {self.kind!r}")
-        if self.kind in ("lexicon", "min_lexicon_hits") and not self.terms:
+        if self.kind in _LEXICON_KINDS and not self.terms:
             raise RuleCompilationError(self.name, "lexicon rule needs terms")
-        if self.kind == "pattern" and not self.pattern:
-            raise RuleCompilationError(self.name, "pattern rule needs a pattern")
         if self.k < 1:
             raise RuleCompilationError(self.name, "threshold k must be >= 1")
+        if self.kind == "pattern":
+            if not self.pattern:
+                raise RuleCompilationError(self.name, "pattern rule needs a pattern")
+            try:
+                re.compile(self.pattern, re.IGNORECASE)
+            except re.error as exc:
+                raise RuleCompilationError(self.name, f"bad pattern: {exc}") from exc
 
-
-def _lexicon_hits(text: str, terms: Sequence[str]) -> int:
-    tokens = tokenize(text)
-    counts = Counter(tokens)
-    hits = 0
-    for term in terms:
-        parts = tokenize(term)
-        if not parts:
-            continue
-        if len(parts) == 1:
-            hits += counts.get(parts[0], 0)
-        else:
-            n = len(parts)
-            hits += sum(
-                1 for i in range(len(tokens) - n + 1) if tokens[i : i + n] == parts
-            )
-    return hits
+    @cached_property
+    def _lexicon(self) -> Lexicon:
+        return Lexicon(self.terms)
 
 
 def apply_indicators(
@@ -819,16 +820,14 @@ def apply_indicators(
     if len(set(names)) != len(names):
         raise InputError("duplicate rule names")
     docs = [corpus.get(d) for d in sorted(cluster.members)]
+    tokens = [tokenize(d.text) for d in docs] if any(r.kind in _LEXICON_KINDS for r in rules) else []
     out: dict[str, bool] = {}
     for rule in rules:
         if rule.kind == "pattern":
-            try:
-                compiled = re.compile(rule.pattern, re.IGNORECASE)
-            except re.error as exc:
-                raise RuleCompilationError(rule.name, f"bad pattern: {exc}") from exc
+            compiled = re.compile(rule.pattern, re.IGNORECASE)
             out[rule.name] = any(compiled.search(d.text) for d in docs)
         elif rule.kind == "lexicon":
-            out[rule.name] = any(_lexicon_hits(d.text, rule.terms) > 0 for d in docs)
+            out[rule.name] = any(rule._lexicon.occurrences(t) for t in tokens)
         elif rule.kind == "min_distinct_locations":
             distinct = set()
             for d in docs:
@@ -839,8 +838,8 @@ def apply_indicators(
             for d in docs:
                 distinct.update(d.phones)
             out[rule.name] = len(distinct) >= rule.k
-        else:  # min_lexicon_hits
-            hits = sum(_lexicon_hits(d.text, rule.terms) for d in docs)
+        else:  # min_lexicon_hits: each distinct term's occurrences
+            hits = sum(len(rule._lexicon.occurrences(t)) for t in tokens)
             out[rule.name] = hits >= rule.k
     return out
 
@@ -850,8 +849,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
 
     Each entry has name, kind, and optional terms / lexicon_path / pattern
     / k; lexicon_path is resolved relative to the rules file.  Other keys
-    are ignored.  A file that is not such a list raises InputError naming
-    it.
+    are ignored.  A file that is not such a list, or that names two rules
+    alike, raises InputError naming it; a rule that does not compile
+    raises RuleCompilationError naming the rule.
     """
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
@@ -879,10 +879,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
             raise InputError(f"{path}: rule {position}: bad k: {exc}") from exc
         lexicon_path = entry.get("lexicon_path")
         if lexicon_path:
-            with open(base / lexicon_path, "r", encoding="utf-8") as fh:
-                terms = terms + tuple(
-                    line.strip().lower() for line in fh if line.strip()
-                )
+            terms += tuple(read_terms(base / lexicon_path))
+        if any(rule.name == name for rule in rules):
+            raise InputError(f"{path}: duplicate rule name {name!r}")
         rules.append(
             IndicatorRule(
                 name=name,

@@ -354,6 +354,38 @@ class TestPipeline:
         self.run_pipeline(tmp_path, tmp_path / "run")
         assert len(built) == 1
 
+    def test_mitigation_equals_training_on_the_cut_corpus(self, tmp_path):
+        # The pipeline cuts the removal lexicon from the labeled documents'
+        # tokens; train and evaluate without the key on a corpus that
+        # remove_tokens has cut must write the same bytes.  Synth texts end
+        # "<signal> <domain> <location>": "sitealpha" is cut wherever it
+        # occurs, "signeg sitebeta" before "sitebeta rivertown" can be, and
+        # cutting "sitealpha" joins "sigpos springfield".
+        run_synth(tmp_path)
+        lexicon = tmp_path / "remove.txt"
+        lexicon.write_text("sitealpha\nSitebeta Rivertown\nsigneg-sitebeta\nsigpos springfield\n")
+        piped, staged = tmp_path / "piped", tmp_path / "staged"
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.remove_lexicon = {lexicon}",))
+        assert main(["pipeline", "--config", str(conf), "--out", str(piped)]) == 0
+        staged.mkdir()
+        for name in ("clusters.csv", "labels.csv"):
+            shutil.copy(piped / name, staged / name)
+        corpus, _ = caserisk.corpus.ingest(piped / "corpus_clean.jsonl")
+        cut = caserisk.corpus.remove_tokens(corpus, caserisk.corpus.read_terms(lexicon))
+        entries = ("sitealpha", "sitebeta rivertown", "signeg sitebeta", "sigpos springfield")
+        assert not any(entry in doc.text for doc in cut for entry in entries)
+        shared = [doc.id for doc in corpus if doc.text.endswith(" signeg sitebeta rivertown")]
+        assert shared and all(cut.get(d).text.endswith(" rivertown") for d in shared)
+        caserisk.corpus.write_corpus(cut, staged / "corpus_clean.jsonl")
+        conf = write_config(tmp_path / "plain.conf", tmp_path)
+        for stage in ("train", "evaluate"):
+            assert main([stage, "--config", str(conf), "--out", str(staged)]) == 0
+        names = ["model.json", "eval_report.json", "fold_plan.json", "feature_importance.csv", "train_summary.json"]
+        mismatched = [n for n in names if not filecmp.cmp(piped / n, staged / n, shallow=False)]
+        assert mismatched == []
+        vocabulary = json.loads((piped / "model.json").read_text())["vocabulary"]
+        assert "sitealpha" not in json.dumps(vocabulary)
+
     def test_solver_convergence_reported(self, tmp_path, capsys):
         self.run_pipeline(tmp_path, tmp_path / "run")
         out = capsys.readouterr().out
@@ -624,6 +656,18 @@ class TestPathsCheckedFirst:
         rc = main([stage, "--config", str(conf), "--out", str(tmp_path / "run")])
         assert rc == 2
         assert key in capsys.readouterr().err
+
+    def test_bad_rule_fails_before_ingest(self, tmp_path, capsys):
+        run_synth(tmp_path)
+        rules = tmp_path / "rules.json"
+        rules.write_text('[{"name": "nightly", "kind": "pattern", "pattern": "(unclosed"}]')
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.rules = {rules}",))
+        rc, out = self.pipeline(tmp_path, conf)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "RuleCompilationError" in err and "'nightly'" in err and "Traceback" not in err
+        assert not (out / "corpus_clean.jsonl").exists()
+        assert not (out / "indicators.csv").exists()
 
     def test_config_error_in_a_stage_exits_2(self, tmp_path, capsys):
         # No positive cluster resolves: the sample stage raises ConfigError.

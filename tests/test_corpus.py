@@ -20,6 +20,7 @@ from caserisk.corpus import (
     Corpus,
     Document,
     Gazetteer,
+    Lexicon,
     clean_text,
     columns_of,
     extract_attributes,
@@ -28,7 +29,9 @@ from caserisk.corpus import (
     ingest,
     normalize_phone,
     phones_in_text,
+    read_terms,
     remove_tokens,
+    token_ids,
     tokenize,
     write_corpus,
 )
@@ -285,6 +288,22 @@ class TestIngest:
         assert corpus2.schema == base_schema | {"ethnicity"}
 
 
+_REMOVAL_TEXTS = st.lists(
+    st.sampled_from(
+        ["sitealpha", "site", "alpha", "SiteAlpha", "x1", "é", "İ", "\u212a", "k", "a", "b", "A",
+         "_", "-", " ", "  ", ".", ", ", "\t"]
+    ),
+    max_size=16,
+).map("".join)
+_REMOVAL_LEXICONS = st.lists(
+    st.sampled_from(
+        ["sitealpha", "alpha", "site", "site alpha", "i", "k", "x1 k", "k x1 k", "é", "a", "a b", "b a",
+         "a b a", "b", "Site_Alpha", "!!"]
+    ),
+    max_size=4,
+)
+
+
 class TestRemoveTokens:
     def corpus_of(self, text):
         return Corpus([Document(id="a", source_domain="x", text=text)])
@@ -356,6 +375,68 @@ class TestRemoveTokens:
         assert out.get("a").phones == ("5550123456",)
         assert out.get("a").source_domain == "x"
 
+    def test_shortest_entry_first_then_joined_phrases(self):
+        # "site" is cut before "site alpha" can be; cutting "x" then joins
+        # "new" and "york" into an entry, cut with all that lies between.
+        out = remove_tokens(self.corpus_of("Site alpha, new- x; York."), ["site alpha", "site", "x", "new york"])
+        assert out.get("a").text == "alpha, ."
+        out = remove_tokens(self.corpus_of("a Site-Alpha, b"), ["site alpha"])
+        assert out.get("a").text == "a , b"
+
+    @settings(max_examples=500, deadline=None)
+    @given(_REMOVAL_TEXTS, _REMOVAL_LEXICONS)
+    def test_matches_reference_regex(self, text, lexicon):
+        corpus = self.corpus_of(text)
+        assert remove_tokens(corpus, lexicon).get("a").text == reference_remove_tokens(text, lexicon)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_REMOVAL_TEXTS, _REMOVAL_LEXICONS)
+    def test_cuts_keep_the_tokens_of_the_cut_text(self, text, lexicon):
+        tokens = tokenize(text)
+        for start, stop in reversed(Lexicon(lexicon).cuts(tokens)):
+            del tokens[start:stop]
+        assert tokens == tokenize(remove_tokens(self.corpus_of(text), lexicon).get("a").text)
+        vocab, ids, _ = token_ids([text], Lexicon(lexicon))
+        assert [vocab[i] for i in ids] == tokens
+
+
+class TestLexicon:
+    def test_terms_are_token_sequences_once(self):
+        lexicon = Lexicon(["Site-Alpha", "site alpha", "tonight", "tonight", "!!", ""])
+        assert lexicon.terms == {"site alpha", "tonight"}
+        assert lexicon.occurrences(tokenize("call site_alpha tonight")) == [
+            (1, ("site", "alpha")),
+            (3, ("tonight",)),
+        ]
+
+    def test_occurrences_overlap(self):
+        lexicon = Lexicon(["a a", "a"])
+        assert lexicon.occurrences(["a", "a", "a"]) == [
+            (0, ("a",)),
+            (0, ("a", "a")),
+            (1, ("a",)),
+            (1, ("a", "a")),
+            (2, ("a",)),
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "a b", "b a", "a b a", "b b", "c", "a c", "A-B"]), max_size=6),
+        st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=12),
+    )
+    def test_occurrences_match_every_term_at_every_token(self, terms, tokens):
+        phrases = {tuple(tokenize(t)) for t in terms} - {()}
+        expected = sorted(
+            (i, p) for p in phrases for i in range(len(tokens) - len(p) + 1) if tuple(tokens[i : i + len(p)]) == p
+        )
+        assert sorted(Lexicon(terms).occurrences(tokens)) == expected
+
+    def test_read_terms(self, tmp_path):
+        path = tmp_path / "terms.txt"
+        path.write_text("  New York \n\n\tSITEALPHA\n")
+        assert read_terms(path) == ["new york", "sitealpha"]
+        assert Lexicon.from_file(path).terms == Gazetteer.from_file(path).terms == {"new york", "sitealpha"}
+
 
 def test_clean_text_collapses_whitespace():
     assert clean_text("a\t b\n\nc") == "a b c"
@@ -381,6 +462,39 @@ def reference_phones_in_text(text):
         if normalized is not None and normalized not in found:
             found.append(normalized)
     return found
+
+
+def reference_remove_tokens(text, lexicon):
+    """Removal by one alternation regex over the lowercased text, repeated
+    while a phrase of several tokens may have been joined."""
+    phrases = sorted({tuple(re.findall(r"[a-z0-9]+", t.lower())) for t in lexicon} - {()})
+    if not phrases:
+        return text
+    pattern = re.compile(
+        r"\b(?:" + "|".join("[^a-z0-9]+".join(parts) for parts in phrases) + r")\b", re.ASCII
+    )
+
+    def cut(text):
+        # With "_" blanked out, an ASCII-mode \b in the lowered text falls
+        # exactly on the edges of the tokens.
+        lowered = text.lower().replace("_", " ")
+        spans = [m.span() for m in pattern.finditer(lowered)]
+        if not spans:
+            return text
+        if len(lowered) != len(text):
+            origin = [i for i, ch in enumerate(text) for _ in ch.lower()]
+            spans = [(origin[a], origin[b - 1] + 1) for a, b in spans]
+        pieces, last = [], 0
+        for a, b in spans:
+            pieces.append(text[last:a])
+            last = b
+        pieces.append(text[last:])
+        return " ".join(" ".join(pieces).split())
+
+    new_text = cut(text)
+    while any(len(parts) > 1 for parts in phrases) and (again := cut(new_text)) != new_text:
+        new_text = again
+    return new_text
 
 
 def reference_gazetteer_matches(terms, text):

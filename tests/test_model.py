@@ -838,16 +838,30 @@ class TestIndicators:
         strict = IndicatorRule(name="many", kind="min_lexicon_hits", terms=("tonight",), k=2)
         assert apply_indicators(cluster, corpus, [strict])["many"] is False
 
+    def test_lexicon_hits_count_each_distinct_term_once(self):
+        corpus = Corpus([doc("1", "call site-alpha tonight")])
+        cluster = Cluster(id="1", members=frozenset(["1"]))
+        for terms in (("tonight", "tonight"), ("site alpha", "site-alpha"), ("TONIGHT", "tonight!")):
+            rule = IndicatorRule(name="twice", kind="min_lexicon_hits", terms=terms, k=2)
+            assert apply_indicators(cluster, corpus, [rule]) == {"twice": False}
+        rule = IndicatorRule(name="twice", kind="min_lexicon_hits", terms=("tonight", "site alpha"), k=2)
+        assert apply_indicators(cluster, corpus, [rule]) == {"twice": True}
+
+    def test_lexicon_hits_count_overlapping_occurrences(self):
+        corpus = Corpus([doc("1", "now now now")])
+        cluster = Cluster(id="1", members=frozenset(["1"]))
+        rule = IndicatorRule(name="urgent", kind="min_lexicon_hits", terms=("now now",), k=2)
+        assert apply_indicators(cluster, corpus, [rule]) == {"urgent": True}
+
     def test_pattern_rule(self):
         corpus, cluster = self.cluster_world()
         rule = IndicatorRule(name="nightly", kind="pattern", pattern=r"to\w+ight")
         assert apply_indicators(cluster, corpus, [rule])["nightly"] is True
 
     def test_bad_pattern_names_rule(self):
-        corpus, cluster = self.cluster_world()
-        rule = IndicatorRule(name="broken", kind="pattern", pattern="(unclosed")
+        # A pattern is compiled when the rule is made, before any cluster.
         with pytest.raises(RuleCompilationError) as err:
-            apply_indicators(cluster, corpus, [rule])
+            IndicatorRule(name="broken", kind="pattern", pattern="(unclosed")
         assert err.value.rule_name == "broken"
 
     def test_duplicate_rule_names_rejected(self):
@@ -868,3 +882,16 @@ class TestIndicators:
         rules = load_rules(tmp_path / "rules.json")
         assert [r.name for r in rules] == ["movement", "risky"]
         assert "tonight" in rules[1].terms
+
+    def test_rules_file_with_bad_pattern_names_rule(self, tmp_path):
+        (tmp_path / "rules.json").write_text('[{"name": "nightly", "kind": "pattern", "pattern": "(unclosed"}]')
+        with pytest.raises(RuleCompilationError) as err:
+            load_rules(tmp_path / "rules.json")
+        assert err.value.rule_name == "nightly"
+
+    def test_rules_file_with_duplicate_names_rejected(self, tmp_path):
+        (tmp_path / "rules.json").write_text(
+            '[{"name": "r", "kind": "min_distinct_phones"}, {"name": "r", "kind": "min_distinct_locations"}]'
+        )
+        with pytest.raises(InputError, match="duplicate rule name 'r'"):
+            load_rules(tmp_path / "rules.json")
