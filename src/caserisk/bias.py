@@ -12,7 +12,8 @@ from __future__ import annotations
 import bisect
 import json
 import math
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -198,35 +199,39 @@ def renyi_divergence(p: Sequence[float], q: Sequence[float], order: float) -> fl
     return value
 
 
+def group_counts(cluster, corpus: Corpus, feature: FeatureSpec) -> Counter[str]:
+    """The documents of ``cluster`` counted by their group of ``feature``;
+    every member id must exist in the corpus."""
+    counts: Counter[str] = Counter()
+    for doc_id in cluster.members:
+        if doc_id not in corpus:
+            raise InputError(f"cluster member {doc_id!r} not in corpus")
+        counts[feature.group_of(corpus.get(doc_id))] += 1
+    return counts
+
+
 def contingency(
     corpus: Corpus,
     labeled: Sequence,
     feature: FeatureSpec,
 ) -> ContingencyTable:
-    """Document counts of feature group x class over the labeled clusters.
+    """Document counts of feature group x class over the labeled clusters:
+    each cluster's ``group_counts``, summed per class.
 
-    `labeled` is a sequence of LabeledCluster; every member id must exist
-    in the corpus.
+    `labeled` is a sequence of LabeledCluster.
     """
     if not labeled:
         raise EmptyInputError("no labeled clusters")
-    counts: dict[str, dict[str, int]] = {}
-    n_docs = 0
+    per_class: dict[str, Counter[str]] = {POSITIVE: Counter(), NEGATIVE: Counter()}
     for lc in labeled:
-        for doc_id in lc.cluster.members:
-            if doc_id not in corpus:
-                raise InputError(f"labeled document {doc_id!r} not in corpus")
-            group = feature.group_of(corpus.get(doc_id))
-            cell = counts.setdefault(group, {POSITIVE: 0, NEGATIVE: 0})
-            cell[lc.label] += 1
-            n_docs += 1
-    if n_docs == 0:
+        per_class[lc.label].update(group_counts(lc.cluster, corpus, feature))
+    rows = tuple(sorted(per_class[POSITIVE].keys() | per_class[NEGATIVE].keys()))
+    if not rows:
         raise EmptyInputError("labeled clusters contain no documents")
-    rows = tuple(sorted(counts))
     return ContingencyTable(
         row_labels=rows,
         col_labels=(POSITIVE, NEGATIVE),
-        counts=tuple((counts[g][POSITIVE], counts[g][NEGATIVE]) for g in rows),
+        counts=tuple((per_class[POSITIVE][g], per_class[NEGATIVE][g]) for g in rows),
     )
 
 
@@ -245,14 +250,7 @@ class BiasReport:
             "mitigation_successful": self.mitigation_successful,
             "notes": list(self.notes),
             "results": {
-                name: {
-                    "statistic": r.statistic,
-                    "degrees_of_freedom": r.degrees_of_freedom,
-                    "p_value": r.p_value,
-                    "alpha": r.alpha,
-                    "rejected": r.rejected,
-                }
-                for name, r in sorted(self.results.items())
+                name: asdict(r) for name, r in sorted(self.results.items())
             },
         }
 

@@ -16,7 +16,7 @@ import csv
 import json
 import math
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import ClassVar, Optional, Sequence
@@ -32,6 +32,7 @@ from .bias import (
     TestResult,
     audit,
     chi_squared_test,
+    group_counts,
 )
 from .corpus import Corpus
 from .errors import (
@@ -42,7 +43,7 @@ from .errors import (
     UnsplittableError,
 )
 from .model import ClusterTerms, TrainConfig, feature_importance, train
-from .sampling import LabeledCluster, cluster_feature_group
+from .sampling import LabeledCluster, majority_group
 
 
 def split(
@@ -97,14 +98,7 @@ class FoldPlan:
             "warnings": list(self.warnings),
             "assignment": dict(sorted(self.assignment.items())),
             "homogeneity": {
-                key: {
-                    "statistic": r.statistic,
-                    "degrees_of_freedom": r.degrees_of_freedom,
-                    "p_value": r.p_value,
-                    "alpha": r.alpha,
-                    "rejected": r.rejected,
-                }
-                for key, r in sorted(self.homogeneity.items())
+                key: asdict(r) for key, r in sorted(self.homogeneity.items())
             },
         }
 
@@ -144,7 +138,7 @@ def _assign_folds(
 
 def _homogeneity_tests(
     labeled: Sequence[LabeledCluster],
-    group_counts: Sequence[Sequence[Counter]],
+    cluster_counts: Sequence[Sequence[Counter]],
     assignment: dict[str, int],
     k: int,
     features: Sequence[FeatureSpec],
@@ -152,12 +146,12 @@ def _homogeneity_tests(
 ) -> dict[str, TestResult]:
     """Chi-squared tests of document-level feature group x fold, per class.
 
-    ``group_counts[f][i]`` counts the documents of ``labeled[i]`` by group
-    of ``features[f]``.  A feature constant within a class is trivially
+    ``cluster_counts[f][i]`` is ``group_counts`` of ``labeled[i]`` and
+    ``features[f]``.  A feature constant within a class is trivially
     homogeneous.
     """
     results: dict[str, TestResult] = {}
-    for feature, per_cluster in zip(features, group_counts):
+    for feature, per_cluster in zip(features, cluster_counts):
         for label in (POSITIVE, NEGATIVE):
             counts: dict[str, list[int]] = defaultdict(lambda: [0] * k)
             for lc, groups in zip(labeled, per_cluster):
@@ -205,9 +199,10 @@ def make_folds(
     if len(set(ids)) != len(ids):
         raise InputError("duplicate cluster ids in labeled set")
 
+    cluster_counts = [[group_counts(lc.cluster, corpus, f) for lc in labeled] for f in features]
     cells = [
-        (lc.label,) + tuple(cluster_feature_group(lc.cluster, corpus, f) for f in features)
-        for lc in labeled
+        (lc.label,) + tuple(majority_group(c[i]) for c in cluster_counts)
+        for i, lc in enumerate(labeled)
     ]
     warnings = [
         f"cell {'|'.join(cell)} has {n} clusters (< {k}); class-level balance only"
@@ -215,15 +210,11 @@ def make_folds(
         if n < k
     ]
     assignment = _assign_folds(labeled, cells, k, seed)
-    group_counts = [
-        [Counter(f.group_of(corpus.get(d)) for d in lc.cluster.members) for lc in labeled]
-        for f in features
-    ]
     return FoldPlan(
         k=k,
         assignment=assignment,
         conditioned_features=tuple(f.name for f in features),
-        homogeneity=_homogeneity_tests(labeled, group_counts, assignment, k, features, alpha),
+        homogeneity=_homogeneity_tests(labeled, cluster_counts, assignment, k, features, alpha),
         warnings=tuple(warnings),
     )
 

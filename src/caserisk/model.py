@@ -849,8 +849,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
 
     Each entry has name, kind, and optional terms / lexicon_path / pattern
     / k; lexicon_path is resolved relative to the rules file.  Other keys
-    are ignored.  A file that is not such a list, or that names two rules
-    alike, raises InputError naming it; a rule that does not compile
+    are ignored.  A file that is not such a list, that has a rule without a
+    non-empty string name, or that names two rules alike, raises
+    InputError naming it; a rule that does not compile
     raises RuleCompilationError naming the rule.
     """
     base = Path(path).parent
@@ -865,7 +866,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
     for position, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise InputError(f"{path}: rule {position} is not a JSON object")
-        name = entry.get("name", "?")
+        name = entry.get("name")
+        if not isinstance(name, str) or not name:
+            raise InputError(f"{path}: rule {position}: name must be a non-empty string")
         terms = entry.get("terms", [])
         if not isinstance(terms, list) or not all(isinstance(t, str) for t in terms):
             raise InputError(f"{path}: rule {position}: terms must be a list of strings")

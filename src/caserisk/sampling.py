@@ -8,6 +8,7 @@ mitigation for labeling bias.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
@@ -15,7 +16,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
 
-from .bias import NEGATIVE, POSITIVE, BiasReport, FeatureSpec, audit
+from .bias import NEGATIVE, POSITIVE, BiasReport, FeatureSpec, audit, group_counts
 from .clustering import Cluster, Clustering
 from .corpus import Corpus
 from .errors import EmptyInputError, InputError, InsufficientPoolError
@@ -47,10 +48,7 @@ def size_bucket(size: int, boundaries: Sequence[int] = DEFAULT_SIZE_BUCKETS) -> 
     boundaries = sorted(boundaries)
     if boundaries[0] != 1:
         raise InputError("first size bucket boundary must be 1")
-    idx = 0
-    for i, lower in enumerate(boundaries):
-        if size >= lower:
-            idx = i
+    idx = bisect.bisect_right(boundaries, size) - 1
     lower = boundaries[idx]
     if idx + 1 < len(boundaries):
         upper = boundaries[idx + 1] - 1
@@ -63,11 +61,12 @@ def cluster_feature_group(
 ) -> str:
     """Majority feature group over member documents; ties break to the
     lexicographically smallest group."""
-    counts: Counter[str] = Counter()
-    for doc_id in cluster.members:
-        if doc_id not in corpus:
-            raise InputError(f"cluster member {doc_id!r} not in corpus")
-        counts[feature.group_of(corpus.get(doc_id))] += 1
+    return majority_group(group_counts(cluster, corpus, feature))
+
+
+def majority_group(counts: Counter[str]) -> str:
+    """The group with the most documents; ties break to the
+    lexicographically smallest group."""
     top = max(counts.values())
     return min(g for g, c in counts.items() if c == top)
 
@@ -137,6 +136,26 @@ def random_negatives(
     ]
 
 
+def _requota(
+    short: int, supply: dict[tuple[str, ...], int], weights: dict[tuple[str, ...], float]
+) -> dict[tuple[str, ...], int]:
+    """Extra draws summing to ``short`` over the strata with ``supply``
+    left: largest-remainder by positive mass where any remains there, else
+    by supply; each capped at its supply, and what the caps cut is spread
+    largest supply first."""
+    available = {k: s for k, s in supply.items() if s > 0}
+    weighted = {k: weights.get(k, 0.0) for k in available}
+    if sum(weighted.values()) <= 0:
+        weighted = {k: float(s) for k, s in available.items()}
+    extra = {k: min(q, available[k]) for k, q in _largest_remainder(short, weighted).items()}
+    leftover = short - sum(extra.values())
+    for k in sorted(available, key=lambda k: (-available[k], k)):
+        add = min(available[k] - extra[k], leftover)
+        extra[k] += add
+        leftover -= add
+    return extra
+
+
 def conditioned_negatives(
     clustering: Clustering,
     corpus: Corpus,
@@ -153,92 +172,49 @@ def conditioned_negatives(
     Neither the positives nor the clusters in ``exclude`` are ever drawn.
 
     Per-stratum quotas are the largest-remainder rounding of the positive
-    empirical distribution; draws within a stratum are uniform without
-    replacement.  When a stratum's pool runs dry the deficit is
-    re-quota'd proportionally over strata that still have supply
-    (preferring strata with positive mass) and recorded on the plan.
+    empirical distribution, each capped at its stratum's supply; the
+    shortfall is recorded on the plan as deficits and re-quota'd once over
+    the strata with supply left (``_requota``).  Then each stratum is drawn
+    once, uniformly without replacement, in sorted key order.
     """
     if not positives:
         raise EmptyInputError("no positive clusters to condition on")
     excluded = {lc.cluster.id for lc in positives} | set(exclude)
-    pos_strata: Counter[tuple[str, ...]] = Counter()
-    for lc in positives:
-        pos_strata[stratum_key(lc.cluster, corpus, features, size_buckets)] += 1
-
+    pos_strata = Counter(stratum_key(lc.cluster, corpus, features, size_buckets) for lc in positives)
+    # Clustering iterates clusters in id order, so every pool is sorted.
     pools: dict[tuple[str, ...], list[str]] = defaultdict(list)
     for cluster in clustering:
-        if cluster.id in excluded:
-            continue
-        pools[stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
-    for pool in pools.values():
-        pool.sort()
-    total_pool = sum(len(p) for p in pools.values())
+        if cluster.id not in excluded:
+            pools[stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
+    supply = {k: len(p) for k, p in pools.items()}
     plan = SamplingPlan(seed=seed)
     if n == 0:
         return [], plan
     weights = {k: float(v) for k, v in pos_strata.items()}
     quotas = _largest_remainder(n, weights)
-    if total_pool < n:
+    if sum(supply.values()) < n:
         deficits = {
-            "|".join(k): q - len(pools.get(k, []))
+            "|".join(k): q - supply.get(k, 0)
             for k, q in sorted(quotas.items())
-            if q > len(pools.get(k, []))
+            if q > supply.get(k, 0)
         }
         raise InsufficientPoolError(
-            f"requested {n} negatives, pool has {total_pool}", deficits=deficits
+            f"requested {n} negatives, pool has {sum(supply.values())}", deficits=deficits
         )
+    take = {k: min(q, supply.get(k, 0)) for k, q in quotas.items()}
     plan.target_counts = dict(quotas)
+    plan.deficits = {k: q - take[k] for k, q in quotas.items() if q > take[k]}
+    if plan.deficits:
+        left = {k: s - take.get(k, 0) for k, s in supply.items()}
+        for k, extra in _requota(plan.reallocated(), left, weights).items():
+            take[k] = take.get(k, 0) + extra
+    plan.drawn_counts = {k: t for k, t in take.items() if t > 0}
 
     rng = Random(seed)
-    chosen: list[str] = []
-    pending = dict(quotas)
-    while True:
-        drawn_this_round = 0
-        for key in sorted(pending):
-            want = pending[key]
-            pool = pools.get(key, [])
-            take = min(want, len(pool))
-            if take > 0:
-                picked = rng.sample(pool, take)
-                picked_set = set(picked)
-                pools[key] = [c for c in pool if c not in picked_set]
-                chosen.extend(picked)
-                plan.drawn_counts[key] = plan.drawn_counts.get(key, 0) + take
-                drawn_this_round += take
-            if want > take:
-                plan.deficits[key] = plan.deficits.get(key, 0) + (want - take)
-        deficit = n - len(chosen)
-        if deficit == 0:
-            break
-        # Re-quota the deficit over strata that still have supply,
-        # proportionally to positive mass when any remains there.
-        available = {k: p for k, p in pools.items() if p}
-        if not available:
-            raise InsufficientPoolError(
-                f"pool exhausted with {deficit} still to draw",
-                deficits={("|".join(k)): v for k, v in plan.deficits.items()},
-            )
-        weighted = {k: weights.get(k, 0.0) for k in available}
-        if sum(weighted.values()) <= 0:
-            weighted = {k: float(len(p)) for k, p in available.items()}
-        pending = _largest_remainder(deficit, weighted)
-        # Cap each round's asks at supply so the loop always progresses.
-        pending = {k: min(v, len(pools[k])) for k, v in pending.items() if v > 0}
-        if sum(pending.values()) < deficit:
-            # spread the cap-induced shortfall round-robin over supply
-            leftover = deficit - sum(pending.values())
-            for k in sorted(available, key=lambda k: (-len(pools[k]), k)):
-                room = len(pools[k]) - pending.get(k, 0)
-                if room <= 0:
-                    continue
-                add = min(room, leftover)
-                pending[k] = pending.get(k, 0) + add
-                leftover -= add
-                if leftover == 0:
-                    break
-
     labeled = [
-        LabeledCluster(clustering.get(cid), NEGATIVE, SOURCE_SAMPLED) for cid in chosen
+        LabeledCluster(clustering.get(cid), NEGATIVE, SOURCE_SAMPLED)
+        for k in sorted(plan.drawn_counts)
+        for cid in rng.sample(pools[k], take[k])
     ]
     return labeled, plan
 

@@ -2,10 +2,15 @@
 
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from caserisk.bias import (
+    NEGATIVE,
+    POSITIVE,
     ContingencyTable,
     FeatureSpec,
     TestResult,
@@ -14,6 +19,7 @@ from caserisk.bias import (
     chi_squared_p_value,
     chi_squared_test,
     contingency,
+    group_counts,
     ks_two_sample,
     renyi_divergence,
 )
@@ -245,6 +251,39 @@ class TestContingency:
         corpus, _ = make_labeled_corpus([("positive", "g1", 1)])
         with pytest.raises(EmptyInputError):
             contingency(corpus, [], FeatureSpec("domain"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([POSITIVE, NEGATIVE]),
+                st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=6),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_equals_a_per_document_count(self, spec):
+        documents, labeled, per_doc = [], [], Counter()
+        for ci, (label, domains) in enumerate(spec):
+            ids = [f"c{ci:02d}-d{di}" for di in range(len(domains))]
+            documents.extend(Document(id=i, source_domain=d, text="t") for i, d in zip(ids, domains))
+            labeled.append(LabeledCluster(Cluster(id=ids[0], members=frozenset(ids)), label, SOURCE_EXPERT))
+            per_doc.update((d, label) for d in domains)
+        rows = sorted({g for g, _ in per_doc})
+        try:
+            table = contingency(Corpus(documents), labeled, FeatureSpec("domain"))
+        except DegenerateTableError:
+            assert len(rows) < 2
+            return
+        assert table.row_labels == tuple(rows)
+        assert table.counts == tuple((per_doc[g, POSITIVE], per_doc[g, NEGATIVE]) for g in rows)
+
+    def test_missing_member_rejected(self):
+        corpus = Corpus([Document(id="a", source_domain="x", text="t")])
+        cluster = Cluster(id="a", members=frozenset("ab"))
+        with pytest.raises(InputError, match="'b' not in corpus"):
+            group_counts(cluster, corpus, FeatureSpec("domain"))
 
 
 class TestAudit:

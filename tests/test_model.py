@@ -895,3 +895,11 @@ class TestIndicators:
         )
         with pytest.raises(InputError, match="duplicate rule name 'r'"):
             load_rules(tmp_path / "rules.json")
+
+    @pytest.mark.parametrize("name", ["", 5, None])
+    def test_rules_file_without_a_proper_name_rejected(self, tmp_path, name):
+        # None stands for a rule with no "name" key at all.
+        rule = {"kind": "min_distinct_phones"} if name is None else {"name": name, "kind": "min_distinct_phones"}
+        (tmp_path / "rules.json").write_text(json.dumps([{"name": "ok", "kind": "min_distinct_phones"}, rule]))
+        with pytest.raises(InputError, match=r"rules\.json: rule 1: name must be a non-empty string"):
+            load_rules(tmp_path / "rules.json")

@@ -2,7 +2,9 @@
 
 import csv
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,8 @@ from caserisk.sampling import (
     SOURCE_EXPERT,
     SOURCE_SAMPLED,
     LabeledCluster,
+    SamplingPlan,
+    _largest_remainder,
     cluster_feature_group,
     conditioned_negatives,
     random_negatives,
@@ -73,6 +77,16 @@ class TestClusterFeatureGroup:
         corpus = Corpus(documents)
         cluster = Cluster(id="a", members=frozenset("ab"))
         assert cluster_feature_group(cluster, corpus, FeatureSpec("domain")) == "alpha"
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["g1", "g2", "g3", "g4"]), min_size=1, max_size=12))
+    def test_majority_of_per_document_groups(self, groups):
+        documents = [Document(id=f"d{i:02d}", source_domain=g, text="t") for i, g in enumerate(groups)]
+        cluster = Cluster(id="d00", members=frozenset(d.id for d in documents))
+        per_doc = Counter(groups)
+        top = max(per_doc.values())
+        expected = sorted(g for g in per_doc if per_doc[g] == top)[0]
+        assert cluster_feature_group(cluster, Corpus(documents), FeatureSpec("domain")) == expected
 
 
 class TestRandomNegatives:
@@ -198,6 +212,127 @@ class TestConditionedNegatives:
         corpus, clustering = build_world([("g1", 2)] * 4)
         with pytest.raises(EmptyInputError):
             conditioned_negatives(clustering, corpus, [], [FeatureSpec("domain")], 2, 1)
+
+
+def reference_conditioned_negatives(
+    clustering, corpus, positives, features, n, seed, size_buckets=DEFAULT_SIZE_BUCKETS, exclude=()
+):
+    """The round-based sampler that ``conditioned_negatives`` replaced,
+    kept as its reference: it draws each round's quotas and re-quota's the
+    deficit over the strata with supply left until ``n`` are drawn."""
+    excluded = {lc.cluster.id for lc in positives} | set(exclude)
+    pos_strata = Counter(stratum_key(lc.cluster, corpus, features, size_buckets) for lc in positives)
+    pools = defaultdict(list)
+    for cluster in clustering:
+        if cluster.id not in excluded:
+            pools[stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
+    for pool in pools.values():
+        pool.sort()
+    plan = SamplingPlan(seed=seed)
+    if n == 0:
+        return [], plan
+    weights = {k: float(v) for k, v in pos_strata.items()}
+    quotas = _largest_remainder(n, weights)
+    assert sum(len(p) for p in pools.values()) >= n
+    plan.target_counts = dict(quotas)
+    rng = Random(seed)
+    chosen = []
+    pending = dict(quotas)
+    while True:
+        for key in sorted(pending):
+            want = pending[key]
+            pool = pools.get(key, [])
+            take = min(want, len(pool))
+            if take > 0:
+                picked = rng.sample(pool, take)
+                picked_set = set(picked)
+                pools[key] = [c for c in pool if c not in picked_set]
+                chosen.extend(picked)
+                plan.drawn_counts[key] = plan.drawn_counts.get(key, 0) + take
+            if want > take:
+                plan.deficits[key] = plan.deficits.get(key, 0) + (want - take)
+        deficit = n - len(chosen)
+        if deficit == 0:
+            break
+        available = {k: p for k, p in pools.items() if p}
+        weighted = {k: weights.get(k, 0.0) for k in available}
+        if sum(weighted.values()) <= 0:
+            weighted = {k: float(len(p)) for k, p in available.items()}
+        pending = _largest_remainder(deficit, weighted)
+        pending = {k: min(v, len(pools[k])) for k, v in pending.items() if v > 0}
+        if sum(pending.values()) < deficit:
+            leftover = deficit - sum(pending.values())
+            for k in sorted(available, key=lambda k: (-len(pools[k]), k)):
+                room = len(pools[k]) - pending.get(k, 0)
+                if room <= 0:
+                    continue
+                add = min(room, leftover)
+                pending[k] = pending.get(k, 0) + add
+                leftover -= add
+                if leftover == 0:
+                    break
+    return chosen, plan
+
+
+@st.composite
+def sampling_worlds(draw):
+    """A corpus and clustering over two features (domain and a "lang"
+    extra), with positives, exclusions, a feasible n and a seed."""
+    specs = draw(
+        st.lists(
+            st.tuples(st.sampled_from(["g1", "g2", "g3"]), st.sampled_from(["en", "es"]), st.integers(1, 20)),
+            min_size=2,
+            max_size=30,
+        )
+    )
+    documents, member_sets = [], []
+    for ci, (domain, lang, size) in enumerate(specs):
+        ids = [f"c{ci:03d}-d{di:03d}" for di in range(size)]
+        member_sets.append(ids)
+        documents.extend(Document(id=i, source_domain=domain, text="t", extras={"lang": lang}) for i in ids)
+    clustering = Clustering.from_member_sets(member_sets)
+    ids = [c.id for c in clustering]
+    roles = draw(st.lists(st.sampled_from(["pool", "pool", "positive", "exclude"]), min_size=len(ids), max_size=len(ids)))
+    positive_ids = [cid for cid, role in zip(ids, roles) if role == "positive"] or ids[:1]
+    exclude = [cid for cid, role in zip(ids, roles) if role == "exclude" and cid not in positive_ids]
+    pool_size = len(ids) - len(positive_ids) - len(exclude)
+    n = draw(st.integers(0, pool_size))
+    features = draw(st.sampled_from([[FeatureSpec("domain")], [FeatureSpec("domain"), FeatureSpec("lang")]]))
+    return Corpus(documents), clustering, positives_of(clustering, positive_ids), exclude, features, n, draw(st.integers(0, 2**16))
+
+
+class TestConditionedAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_worlds())
+    def test_plan_equals_the_reference(self, world):
+        corpus, clustering, positives, exclude, features, n, seed = world
+        _, plan = conditioned_negatives(clustering, corpus, positives, features, n, seed, exclude=exclude)
+        _, ref = reference_conditioned_negatives(clustering, corpus, positives, features, n, seed, exclude=exclude)
+        assert plan.target_counts == ref.target_counts
+        assert plan.drawn_counts == ref.drawn_counts
+        assert plan.deficits == ref.deficits
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_worlds())
+    def test_draws_equal_the_reference_when_no_stratum_runs_dry(self, world):
+        corpus, clustering, positives, exclude, features, n, seed = world
+        out, plan = conditioned_negatives(clustering, corpus, positives, features, n, seed, exclude=exclude)
+        ref, _ = reference_conditioned_negatives(clustering, corpus, positives, features, n, seed, exclude=exclude)
+        if not plan.deficits:
+            assert [lc.cluster.id for lc in out] == ref
+
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_worlds())
+    def test_draws_lie_in_their_own_stratum_pool(self, world):
+        corpus, clustering, positives, exclude, features, n, seed = world
+        out, plan = conditioned_negatives(clustering, corpus, positives, features, n, seed, exclude=exclude)
+        barred = {lc.cluster.id for lc in positives} | set(exclude)
+        drawn = [lc.cluster.id for lc in out]
+        assert len(drawn) == len(set(drawn)) == n
+        assert barred.isdisjoint(drawn)
+        assert all(lc.label == NEGATIVE and lc.source == SOURCE_SAMPLED for lc in out)
+        strata = Counter(stratum_key(lc.cluster, corpus, features) for lc in out)
+        assert dict(strata) == plan.drawn_counts
 
 
 class TestVerifyAlignment:
