@@ -12,12 +12,11 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
-
-from scipy.special import gammaincc
 
 from .corpus import Corpus, Document
 from .errors import DegenerateTableError, EmptyInputError, InputError
@@ -92,14 +91,63 @@ class TestResult:
         return replace(self, alpha=alpha, rejected=self.p_value < alpha)
 
 
+# Below this z = statistic / 2, exp(-z) is a normal double, so the tail is
+# summed in linear space; past it, in log space.
+_LINEAR_Z = 700.0
+
+
+def _erfcx(y: float) -> float:
+    """exp(y**2) * erfc(y) for y**2 >= _LINEAR_Z, by its asymptotic series
+    (A&S 7.1.23); its terms fall below 1e-17 of the sum by the seventh."""
+    total = term = 1.0
+    m = 0
+    while abs(term) > 1e-17 * total:
+        m += 1
+        term *= -(2 * m - 1) / (2.0 * y * y)
+        total += term
+    return total / (y * math.sqrt(math.pi))
+
+
 def chi_squared_p_value(statistic: float, df: int) -> float:
-    """Upper-tail chi-squared probability via the regularized upper
-    incomplete gamma function."""
+    """Upper-tail chi-squared probability, Q(df/2, statistic/2), in closed
+    form for integer df (Abramowitz & Stegun 26.4.4-26.4.5).
+
+    With z = statistic/2, h = 1/2 for odd df (else 0) and n = df // 2,
+    Q = [erfc(sqrt(z)) if df is odd] + sum_{j<n} exp(-z) z^(j+h) / Gamma(j+h+1).
+    The terms are summed in linear space while exp(-z) is a normal double,
+    and in log space past that, where the result is 0.0 once it leaves the
+    double range.
+    """
+    try:
+        df = operator.index(df)
+    except TypeError:
+        raise InputError(f"degrees of freedom must be an integer, got {df!r}") from None
     if df < 1:
         raise InputError("degrees of freedom must be >= 1")
+    if math.isnan(statistic):
+        raise InputError("statistic is NaN")
     if statistic < 0:
         raise InputError("statistic must be nonnegative")
-    return float(gammaincc(df / 2.0, statistic / 2.0))
+    z = float(statistic) / 2.0
+    if z == 0.0:
+        return 1.0
+    if math.isinf(z):
+        return 0.0
+    n, h = divmod(df, 2)
+    h /= 2.0
+    if z < _LINEAR_Z:
+        total = math.erfc(math.sqrt(z)) if h else 0.0
+        term = math.exp(-z) * z**h / math.gamma(h + 1.0)
+        for j in range(n):
+            total += term
+            term *= z / (j + h + 1.0)
+        return min(1.0, total)
+    log_z = math.log(z)
+    logs = [(j + h) * log_z - math.lgamma(j + h + 1.0) for j in range(n)]
+    if h:
+        logs.append(math.log(_erfcx(math.sqrt(z))))
+    top = max(logs)
+    return min(1.0, math.exp(top - z + math.log(math.fsum(math.exp(v - top) for v in logs))))
 
 
 def chi_squared_test(table: ContingencyTable, alpha: float = 0.05) -> TestResult:
@@ -134,14 +182,22 @@ def bonferroni(results: Sequence[TestResult], family_alpha: float) -> list[TestR
     return [r.at_alpha(per_test) for r in results]
 
 
-def _kolmogorov_sf(lam: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov survival function, first `terms` series terms."""
-    if lam <= 1e-8:
+def _kolmogorov_sf(lam: float) -> float:
+    """Survival function of the limiting Kolmogorov distribution.
+
+    From lam = 1 up, the alternating series 2 sum (-1)^(j-1) exp(-2 j^2 lam^2);
+    below it, where that series converges slowly, its theta-function form
+    1 - (sqrt(2 pi) / lam) sum exp(-(2j-1)^2 pi^2 / (8 lam^2)).  Both have
+    converged to double precision by their tenth term.  Below lam = 0.1
+    the theta sum is under 1e-50, so the result is 1.0.
+    """
+    if lam < 0.1:
         return 1.0
-    total = 0.0
-    for j in range(1, terms + 1):
-        total += (-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam)
-    return min(1.0, max(0.0, 2.0 * total))
+    if lam < 1.0:
+        total = sum(math.exp(-((2 * j - 1) ** 2) * math.pi**2 / (8.0 * lam * lam)) for j in range(1, 11))
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * total
+    total = sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 11))
+    return 2.0 * total
 
 
 def ks_two_sample(sample_a: Sequence[float], sample_b: Sequence[float], alpha: float = 0.05) -> TestResult:

@@ -42,7 +42,7 @@ from .errors import (
     UndefinedMetricError,
     UnsplittableError,
 )
-from .model import ClusterTerms, TrainConfig, feature_importance, train
+from .model import ClusterTerms, TrainConfig, feature_importance, row_view, train
 from .sampling import LabeledCluster, majority_group
 
 
@@ -332,17 +332,19 @@ def cross_validate(
     for fold in range(plan.k):
         fit = folds != fold
         train_idx, test_idx = np.flatnonzero(fit), np.flatnonzero(~fit)
+        # The fit clusters' rows come first, so both sides are row ranges.
         vocab, x = terms.featurize(min_df, max_vocab, weighting, fit=fit)
-        model = train((x[train_idx], [labels[i] for i in train_idx]), vocab, train_config)
+        n_fit = len(train_idx)
+        model = train((row_view(x, 0, n_fit), [labels[i] for i in train_idx]), vocab, train_config)
         converged += model.metadata["converged"]
         fold_scores = []
-        for i, value in zip(test_idx.tolist(), model.scores(x[test_idx]).tolist()):
+        for i, value in zip(test_idx.tolist(), model.scores(row_view(x, n_fit, len(labels))).tolist()):
             fold_scores.append((value, labels[i]))
             pooled_with_ids.append((labeled[i].cluster.id, value, labels[i]))
         pooled.extend(fold_scores)
         fold_auc, _ = roc_auc(fold_scores)
         fold_aucs.append(fold_auc)
-        del x  # so that it and the next fold's matrix are not held at once
+        del x, model, vocab  # so that they and the next fold's are not held at once
 
     auc, points = roc_auc(pooled)
     thresholds = [t for t, _, _ in roc_curve(pooled)]

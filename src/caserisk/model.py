@@ -153,25 +153,38 @@ def _count_grams(
     return counts, _GramColumns(tokens, parts)
 
 
+def _document_frequency(counts: csr_matrix, rows: Optional[np.ndarray] = None) -> np.ndarray:
+    """Each column's document frequency over the rows of ``counts`` that
+    the boolean mask ``rows`` selects (all rows when None).
+
+    Counted a block of rows at a time, because ``np.bincount`` copies its
+    int32 column indices to int64.
+    """
+    df = np.zeros(counts.shape[1], dtype=np.int64)
+    indptr = counts.indptr
+    for start, stop in spans(np.diff(indptr) + 1, _ROW_BLOCK):
+        cols = counts.indices[indptr[start] : indptr[stop]]
+        if rows is not None:
+            cols = cols[np.repeat(rows[start:stop], np.diff(indptr[start : stop + 1]))]
+        df += np.bincount(cols, minlength=len(df))
+    return df
+
+
 def _fit_vocabulary(
-    counts: csr_matrix,
+    df: np.ndarray,
+    n_docs: int,
     grams: _GramColumns,
-    rows: np.ndarray,
     orders: tuple[int, ...],
     min_df: int,
     max_size: Optional[int],
 ) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
-    """The vocabulary of the documents in ``rows``, its columns of ``counts``
-    and their document frequencies.
+    """The vocabulary of ``n_docs`` documents whose columns have document
+    frequencies ``df``, its columns and their document frequencies.
 
     Keeps grams with document frequency >= min_df; beyond max_size the
     highest-df grams win, ties broken lexicographically, which is column
     order.  Vocabulary indices follow sorted gram order.
     """
-    selected = np.zeros(counts.shape[0], dtype=bool)
-    selected[rows] = True
-    in_rows = np.repeat(selected, np.diff(counts.indptr))
-    df = np.bincount(counts.indices[in_rows], minlength=counts.shape[1])
     cols = np.flatnonzero(df >= min_df)
     if max_size is not None and len(cols) > max_size:
         cols = np.sort(cols[np.lexsort((cols, -df[cols]))[:max_size]])
@@ -180,7 +193,7 @@ def _fit_vocabulary(
         index={t: i for i, t in enumerate(kept)},
         df=dict(zip(kept, df[cols].tolist())),
         orders=orders,
-        n_docs=len(rows),
+        n_docs=n_docs,
         max_size=max_size,
     )
     return vocab, cols, df[cols]
@@ -203,7 +216,7 @@ def build_vocabulary(
     if not docs:
         raise EmptyInputError("no documents to build a vocabulary from")
     counts, grams = _count_grams(docs, orders)
-    vocab, _, _ = _fit_vocabulary(counts, grams, np.arange(len(docs)), orders, min_df, max_size)
+    vocab, _, _ = _fit_vocabulary(_document_frequency(counts), len(docs), grams, orders, min_df, max_size)
     return vocab
 
 
@@ -308,6 +321,11 @@ class ClusterTerms:
         self.doc_ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.counts, self.grams = _count_grams(docs, self.orders, remove)
 
+    @cached_property
+    def df(self) -> np.ndarray:
+        """Each column's document frequency over every cluster's documents."""
+        return _document_frequency(self.counts)
+
     def featurize(
         self,
         min_df: int = 1,
@@ -318,34 +336,57 @@ class ClusterTerms:
         """Vocabulary of the clusters selected by the boolean mask ``fit``
         (all clusters when None) and every cluster's row against it.
 
-        The rows equal ``vectorize_cluster`` of each cluster with that
-        vocabulary, up to floating-point summation order.
+        The fit clusters' rows come first and the others' after them, each
+        in sequence order, so that each side is a ``row_view`` of one
+        matrix.  The rows equal ``vectorize_cluster`` of each cluster with
+        that vocabulary, up to floating-point summation order.
         """
         _check_weighting(weighting)
         if min_df < 1:
             raise InputError("min_df must be >= 1")
+        sizes = np.diff(self.doc_ptr)
         if fit is None:
-            rows = np.arange(self.counts.shape[0])
+            order = np.arange(len(sizes))
+            df, n_docs = self.df, self.counts.shape[0]
         else:
-            rows = np.flatnonzero(np.repeat(fit, np.diff(self.doc_ptr)))
-        if len(rows) == 0:
+            fit = np.asarray(fit, dtype=bool)
+            order = np.concatenate((np.flatnonzero(fit), np.flatnonzero(~fit)))
+            df = self.df - _document_frequency(self.counts, np.repeat(~fit, sizes))
+            n_docs = int(sizes[fit].sum())
+        if n_docs == 0:
             raise EmptyInputError("no documents to build a vocabulary from")
-        vocab, cols, df = _fit_vocabulary(
-            self.counts, self.grams, rows, self.orders, min_df, max_size
-        )
+        vocab, cols, df = _fit_vocabulary(df, n_docs, self.grams, self.orders, min_df, max_size)
         if len(vocab) == 0:
             raise EmptyInputError("empty vocabulary")
-        idf = _idf(df, len(rows)) if weighting == "tfidf" else None
+        idf = _idf(df, n_docs) if weighting == "tfidf" else None
         # A block of clusters at a time, so that a block's document rows
         # exist only while its means are taken; a row's values do not
         # depend on the block it is computed in.
-        doc_ptr, indptr = self.doc_ptr, self.counts.indptr
+        starts, sizes = self.doc_ptr[order], sizes[order]
         means = []
-        for start, stop in spans(np.diff(indptr[doc_ptr]) + 1, _ROW_BLOCK):
-            docs = self.counts[doc_ptr[start] : doc_ptr[stop]][:, cols]
-            block_ptr = doc_ptr[start : stop + 1] - doc_ptr[start]
+        for start, stop in spans(np.diff(self.counts.indptr[self.doc_ptr])[order] + 1, _ROW_BLOCK):
+            block_ptr = np.concatenate(([0], np.cumsum(sizes[start:stop])))
+            docs = self.counts[_ranges(starts[start:stop], block_ptr)][:, cols]
             means.append(_cluster_means(_document_rows(docs, idf), block_ptr))
         return vocab, _unit_rows(_stacked(means, len(cols)))
+
+
+def _ranges(starts: np.ndarray, ptr: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + ptr[i + 1] - ptr[i]``, end to end."""
+    return np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], np.diff(ptr))
+
+
+def row_view(x: csr_matrix, start: int, stop: int) -> csr_matrix:
+    """Rows ``start:stop`` of ``x`` over slices of its data and indices.
+
+    ``x[start:stop]`` copies them; this does not, except that scipy copies
+    a slice that holds under half of its array.
+    """
+    lo, hi = x.indptr[start], x.indptr[stop]
+    return csr_matrix(
+        (x.data[lo:hi], x.indices[lo:hi], x.indptr[start : stop + 1] - lo),
+        shape=(stop - start, x.shape[1]),
+    )
 
 
 def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> csr_matrix:

@@ -2,11 +2,14 @@
 
 import math
 import random
+import warnings
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc, kolmogorov
 
 from caserisk.bias import (
     NEGATIVE,
@@ -14,6 +17,7 @@ from caserisk.bias import (
     ContingencyTable,
     FeatureSpec,
     TestResult,
+    _kolmogorov_sf,
     audit,
     bonferroni,
     chi_squared_p_value,
@@ -109,6 +113,52 @@ class TestChiSquared:
         assert chi_squared_test(table).degrees_of_freedom == 6
 
 
+class TestChiSquaredTail:
+    """The closed-form tail against scipy's regularized upper incomplete
+    gamma function, Q(df/2, statistic/2)."""
+
+    # Results under 1e-300 are compared to 1e-300 absolute: scipy flushes
+    # some of them to zero, and a subnormal double carries fewer than 12
+    # significant digits.
+    @settings(max_examples=1000, deadline=None)
+    @given(st.integers(1, 300), st.floats(0.0, 1e5))
+    def test_matches_gammaincc(self, df, statistic):
+        expected = float(gammaincc(df / 2.0, statistic / 2.0))
+        assert math.isclose(chi_squared_p_value(statistic, df), expected, rel_tol=1e-12, abs_tol=1e-300)
+
+    # Each term's last bits move with the statistic, so the tail is
+    # monotone to within rounding (and 1e-300 among subnormals).
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(1, 300), st.floats(0.0, 1e5), st.floats(0.0, 1e5))
+    def test_one_at_zero_and_monotone(self, df, a, b):
+        assert chi_squared_p_value(0.0, df) == 1.0
+        lo, hi = sorted((a, b))
+        assert chi_squared_p_value(hi, df) <= chi_squared_p_value(lo, df) * (1.0 + 1e-12) + 1e-300
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 10_000),
+        st.floats(1e6, 1.7976931348623157e308) | st.just(math.inf),
+        st.sampled_from([float, np.float64]),
+    )
+    def test_huge_statistic_is_zero_without_warning(self, df, statistic, kind):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert chi_squared_p_value(kind(statistic), df) == 0.0
+
+    def test_nan_statistic_rejected(self):
+        with pytest.raises(InputError):
+            chi_squared_p_value(math.nan, 3)
+
+    @pytest.mark.parametrize("df", [2.5, math.nan, "2"])
+    def test_non_integer_df_rejected(self, df):
+        with pytest.raises(InputError):
+            chi_squared_p_value(1.0, df)
+
+    def test_numpy_integer_df_accepted(self):
+        assert chi_squared_p_value(3.0, np.int64(2)) == pytest.approx(math.exp(-1.5), rel=1e-15)
+
+
 class TestBonferroni:
     def result(self, p):
         return TestResult(1.0, 1, p, 0.05, p < 0.05)
@@ -169,6 +219,21 @@ class TestKolmogorovSmirnov:
         b = [rng.gauss(0, 1) for _ in range(200)]
         result = ks_two_sample(a, b)
         assert result.p_value > 0.05
+
+    # One of 2n values moved: D = 1/(2n) at effective size n, so lambda =
+    # 1/(2 sqrt(n)) = 1e-3, where a 100-term alternating series gives 0.020.
+    def test_large_nearly_identical_samples_not_rejected(self):
+        n = 250_000
+        a = [0.0] * n + [1.0] * n
+        b = [0.0] * (n + 1) + [1.0] * (n - 1)
+        result = ks_two_sample(a, b)
+        assert result.statistic == pytest.approx(1.0 / (2 * n))
+        assert result.p_value == 1.0 and not result.rejected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(1e-8, 5.0))
+    def test_kolmogorov_sf_matches_scipy(self, lam):
+        assert abs(_kolmogorov_sf(lam) - float(kolmogorov(lam))) <= 1e-12
 
     def test_empty_sample_rejected(self):
         with pytest.raises(EmptyInputError):

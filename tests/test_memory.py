@@ -1,9 +1,12 @@
-"""Peak-memory regression: the graph build and the n-gram counts on 10k documents.
+"""Peak-memory regression: the import floor, and the graph build, the n-gram
+counts and cross-validation on 10k documents.
 
-Each call runs in a fresh interpreter, which ingests the corpus first and
-then reports how far the call raised ``ru_maxrss``, the peak resident set.
-Peak RSS is what the operating system charges, so it sees the allocations
-that tracemalloc does not (numpy's hash tables, the allocator's free lists).
+Each measurement runs in a fresh interpreter, which reports how far the
+measured step raised ``ru_maxrss``, the peak resident set.  Peak RSS is
+what the operating system charges, so it sees the allocations that
+tracemalloc does not (numpy's hash tables, the allocator's free lists).
+The last two tests check in process that cross-validation's folds count
+and featurize without copies, and get the same results as with them.
 """
 
 import json
@@ -12,39 +15,103 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from caserisk import synth
-from caserisk.clustering import Clustering
-from caserisk.corpus import Corpus
+from caserisk import evaluate, synth
+from caserisk.clustering import Clustering, read_clustering
+from caserisk.corpus import Corpus, ingest
+from caserisk.evaluate import make_folds
+from caserisk.model import (
+    ClusterTerms,
+    _cluster_means,
+    _document_frequency,
+    _document_rows,
+    _fit_vocabulary,
+    _idf,
+    _stacked,
+    _unit_rows,
+    row_view,
+)
+from caserisk.sampling import read_labels
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 DOCS = 10_000
 
-# Each bound is 1.3 to 1.5 times the rise measured on a 2-core x86-64
-# machine (Python 3.11, numpy 2.4, scipy 1.17): build_graph 9.9-10.2 MB
-# and ClusterTerms 12.5-12.8 MB, where the np.unique-based counting they
-# replaced rose 22.6 MB and 45.3 MB.
-BOUNDS_MB = {"build_graph": 15.0, "cluster_terms": 17.0}
+# Each bound is about 1.3 times the rise measured on a 2-core x86-64
+# machine (Python 3.11, numpy 2.4, scipy 1.17, five runs each):
+# build_graph 15.4-15.7 MB and ClusterTerms 18.1-18.3 MB.  cross_validate
+# rose 6.7-7.6 MB, where counting each fold's document frequency over one
+# int64 copy of its column indices rose 10.6-12.0 MB; its bound lies
+# between the two.  A fold's copy of its training rows does not show in
+# this rise; test_folds_train_on_views_of_the_feature_rows guards that.
+BOUNDS_MB = {"build_graph": 21.0, "cluster_terms": 24.0, "cross_validate": 9.0}
+# About 1.5 times the rise of importing caserisk.cli over numpy and
+# scipy.sparse, 3.4 MB on the same machine; importing scipy.special made
+# it 8.8 MB.
+IMPORT_BOUND_MB = 5.0
 
 CHILD = """
 import json, resource, sys
-from caserisk.clustering import GraphConfig, build_graph, read_clustering
+from caserisk.clustering import Cluster, GraphConfig, build_graph, read_clustering
 from caserisk.corpus import ingest
+from caserisk.evaluate import cross_validate, make_folds
 from caserisk.model import ClusterTerms
+from caserisk.sampling import LabeledCluster, read_labels
 
-call, corpus_path, clusters_path = sys.argv[1:4]
+call, corpus_path, clusters_path, labels_path = sys.argv[1:5]
 corpus, _ = ingest(corpus_path)
-clusters = list(read_clustering(clusters_path))
-config = GraphConfig(use_location_date=True, all_pairs_cutoff=1000)
-before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+clustering = read_clustering(clusters_path)
 if call == "build_graph":
-    build_graph(corpus, config)
+    config = GraphConfig(use_location_date=True, all_pairs_cutoff=1000)
+    step = lambda: build_graph(corpus, config)
+elif call == "cluster_terms":
+    clusters = list(clustering)
+    step = lambda: ClusterTerms(clusters, corpus, orders=(1, 2))
 else:
-    ClusterTerms(clusters, corpus, orders=(1, 2))
+    # Every document its own cluster, and at most 3,000 grams, so that the
+    # feature rows, not the vocabulary, set each fold's peak.
+    labeled = [
+        LabeledCluster(Cluster(id=doc_id, members=frozenset([doc_id])), lc.label, lc.source)
+        for lc in read_labels(labels_path, clustering)[0]
+        for doc_id in sorted(lc.cluster.members)
+    ]
+    plan = make_folds(corpus, labeled, 5, seed=7)
+    terms = ClusterTerms([lc.cluster for lc in labeled], corpus, orders=(1, 2))
+    step = lambda: cross_validate(corpus, labeled, plan, (1, 2), min_df=2, max_vocab=3000, terms=terms)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+step()
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"rise_mb": (after - before) / 1024}))
 """
+
+IMPORT_CHILD = """
+import json, resource, sys
+import numpy, scipy.sparse
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+import caserisk.cli
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+special = sorted(m for m in sys.modules if m == "scipy.special" or m.startswith("scipy.special."))
+print(json.dumps({"rise_mb": (after - before) / 1024, "special": special}))
+"""
+
+
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter and return its last line as JSON.
+
+    The interpreter is forked from a shell, not from this process: Linux
+    carries a process's peak RSS across exec, so a child spawned from
+    pytest would start with pytest's peak as its own.  The ``exit`` after
+    the command keeps the shell from exec-ing it in its own place.
+    """
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        ["sh", "-c", '"$@"; exit $?', "sh", sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -70,19 +137,85 @@ def inputs(tmp_path_factory):
     )
     paths = synth.write_artifacts(result, out)
     assert len(kept) == DOCS
-    return paths["corpus"], paths["clusters"]
+    return paths["corpus"], paths["clusters"], paths["labels"]
+
+
+@pytest.fixture(scope="module")
+def import_probe():
+    return run_child(IMPORT_CHILD)
+
+
+def test_import_leaves_out_scipy_special(import_probe):
+    assert import_probe["special"] == []
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+def test_import_rss_rise_bounded(import_probe):
+    rise = import_probe["rise_mb"]
+    assert rise <= IMPORT_BOUND_MB, f"import caserisk.cli raised peak RSS by {rise:.1f} MB"
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
 @pytest.mark.parametrize("call", sorted(BOUNDS_MB))
 def test_peak_rss_rise_bounded(inputs, call):
-    corpus_path, clusters_path = inputs
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, call, str(corpus_path), str(clusters_path)],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    rise = json.loads(proc.stdout.splitlines()[-1])["rise_mb"]
+    rise = run_child(CHILD, call, *inputs)["rise_mb"]
     assert rise <= BOUNDS_MB[call], f"{call} raised peak RSS by {rise:.1f} MB"
+
+
+def fold_world(inputs):
+    corpus, _ = ingest(inputs[0])
+    clustering = read_clustering(inputs[1])
+    labeled, _ = read_labels(inputs[2], clustering)
+    plan = make_folds(corpus, labeled, 5, seed=7)
+    folds = np.array([plan.assignment[lc.cluster.id] for lc in labeled])
+    return corpus, labeled, plan, folds, ClusterTerms([lc.cluster for lc in labeled], corpus, orders=(1, 2))
+
+
+def test_split_featurization_matches_copies(inputs):
+    """Each fold's subtracted document frequencies equal a direct bincount
+    over its training rows, and its fit-first rows equal, bit for bit,
+    ``x[train_idx]`` and ``x[test_idx]`` of the rows in sequence order."""
+    _, _, _, folds, terms = fold_world(inputs)
+    counts, sizes = terms.counts, np.diff(terms.doc_ptr)
+    for fold in range(5):
+        fit = folds != fold
+        train_idx, test_idx = np.flatnonzero(fit), np.flatnonzero(~fit)
+        in_fit = np.repeat(fit, sizes)
+        direct = np.bincount(counts.indices[np.repeat(in_fit, np.diff(counts.indptr))], minlength=counts.shape[1])
+        np.testing.assert_array_equal(terms.df - _document_frequency(counts, ~in_fit), direct)
+
+        vocab, x = terms.featurize(2, None, "tfidf", fit=fit)
+        expected, cols, df = _fit_vocabulary(direct, int(in_fit.sum()), terms.grams, terms.orders, 2, None)
+        assert dict(vocab.index) == dict(expected.index) and dict(vocab.df) == dict(expected.df)
+        means = _cluster_means(_document_rows(counts[:, cols], _idf(df, vocab.n_docs)), terms.doc_ptr)
+        whole = _unit_rows(_stacked([means], len(cols)))
+        for part, (start, stop) in ((train_idx, (0, len(train_idx))), (test_idx, (len(train_idx), x.shape[0]))):
+            copy, view = whole[part], row_view(x, start, stop)
+            np.testing.assert_array_equal(view.indptr, copy.indptr)
+            np.testing.assert_array_equal(view.indices, copy.indices)
+            assert view.data.tobytes() == copy.data.tobytes()
+
+
+def test_folds_train_on_views_of_the_feature_rows(inputs, monkeypatch):
+    """Every fold model is trained on rows that share memory with the
+    matrix ``featurize`` returned: no fold copies its training rows."""
+    corpus, labeled, plan, folds, terms = fold_world(inputs)
+    matrices, trained_on = [], []
+    featurize, fit_model = ClusterTerms.featurize, evaluate.train
+
+    def recording_featurize(self, *args, **kwargs):
+        vocab, x = featurize(self, *args, **kwargs)
+        matrices.append(x)
+        return vocab, x
+
+    def recording_train(examples, *args, **kwargs):
+        trained_on.append(examples[0])
+        return fit_model(examples, *args, **kwargs)
+
+    monkeypatch.setattr(ClusterTerms, "featurize", recording_featurize)
+    monkeypatch.setattr(evaluate, "train", recording_train)
+    evaluate.cross_validate(corpus, labeled, plan, (1, 2), min_df=2, terms=terms, top_k=0)
+    assert len(trained_on) == len(matrices) == 5
+    for x, rows, fold in zip(matrices, trained_on, range(5)):
+        assert rows.shape[0] == np.count_nonzero(folds != fold)
+        assert np.shares_memory(rows.data, x.data) and np.shares_memory(rows.indices, x.indices)

@@ -298,7 +298,11 @@ class TestClusterTerms:
             assert dict(vocab.index) == dict(expected.index)
             assert dict(vocab.df) == dict(expected.df)
             assert vocab.n_docs == expected.n_docs
-            for row, cluster in zip(x.toarray(), clusters):
+            # The fit clusters' rows first, then the held-out clusters'.
+            order = np.concatenate((np.flatnonzero(fit), np.flatnonzero(~fit)))
+            assert x.shape[0] == len(clusters)
+            for row, i in zip(x.toarray(), order.tolist()):
+                cluster = clusters[i]
                 wrapped = vectorize_cluster(cluster, corpus, vocab, weighting).toarray()[0]
                 reference = reference_cluster_vector(cluster, corpus, vocab, weighting)
                 np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-12)
