@@ -222,10 +222,10 @@ def _domain_renyi(corpus, labeled) -> float:
     """Order-2 Renyi divergence of positive vs negative domain mixes."""
     pos: Counter[str] = Counter()
     neg: Counter[str] = Counter()
+    domain = bias_mod.FeatureSpec("domain")
     for lc in labeled:
         side = pos if lc.label == bias_mod.POSITIVE else neg
-        for doc_id in lc.cluster.members:
-            side[corpus.get(doc_id).source_domain] += 1
+        side.update(bias_mod.group_counts(lc.cluster, corpus, domain))
     domains = sorted(set(pos) | set(neg))
     p_total, q_total = sum(pos.values()), sum(neg.values())
     p = [pos.get(d, 0) / p_total for d in domains]
@@ -272,7 +272,8 @@ def stage_train(run: Run) -> model_mod.RiskModel:
 
 def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
     """Cross-validate on the mitigated ``run.terms``; the top features
-    are those of the train stage's model."""
+    are those of the train stage's model, and the bias recheck is audited
+    as the diagnose stage audits."""
     config, out, corpus, labeled = run.config, run.out, run.corpus, run.labeled
     risk_model = run.model  # before the folds, so a missing model.json fails fast
     features = _features_from_names(config.bias_features)
@@ -294,12 +295,12 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         config.max_vocab,
         config.weighting,
         config.train,
-        features,
-        config.alpha,
         top_k=0,
         terms=run.terms,
     )
     report.top_features = tuple(model_mod.feature_importance(risk_model, config.top_k))
+    if features:
+        report.bias_recheck = bias_mod.audit(corpus, labeled, features, config.alpha, config.correction)
     evaluate_mod.write_report(
         report, out / "eval_report.json", out / "roc.csv", out / "eval_report.txt", plan
     )

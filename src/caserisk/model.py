@@ -31,7 +31,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix, issparse
@@ -55,23 +55,26 @@ _ROW_BLOCK = 1 << 17
 
 @dataclass(frozen=True)
 class Vocabulary:
-    index: Mapping[str, int]
-    df: Mapping[str, int]
+    """The grams of a feature matrix's columns: column j is the gram
+    ``terms[j]``, with document frequency ``df[j]`` over the ``n_docs``
+    documents it was fitted on."""
+
+    terms: tuple[str, ...]
+    df: tuple[int, ...]
     orders: tuple[int, ...]
     n_docs: int
     max_size: Optional[int] = None
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.terms)
 
     def __contains__(self, token: str) -> bool:
         return token in self.index
 
-    def tokens_by_index(self) -> list[str]:
-        out = [""] * len(self.index)
-        for token, idx in self.index.items():
-            out[idx] = token
-        return out
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each gram's column, built on the first lookup."""
+        return {t: j for j, t in enumerate(self.terms)}
 
 
 def _check_orders(orders: Iterable[int]) -> tuple[int, ...]:
@@ -188,14 +191,7 @@ def _fit_vocabulary(
     cols = np.flatnonzero(df >= min_df)
     if max_size is not None and len(cols) > max_size:
         cols = np.sort(cols[np.lexsort((cols, -df[cols]))[:max_size]])
-    kept = grams.strings(cols)
-    vocab = Vocabulary(
-        index={t: i for i, t in enumerate(kept)},
-        df=dict(zip(kept, df[cols].tolist())),
-        orders=orders,
-        n_docs=n_docs,
-        max_size=max_size,
-    )
+    vocab = Vocabulary(tuple(grams.strings(cols)), tuple(df[cols].tolist()), orders, n_docs, max_size)
     return vocab, cols, df[cols]
 
 
@@ -404,10 +400,7 @@ def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -
     )
     counts = counts @ to_vocab
     counts.sort_indices()
-    idf = None
-    if weighting == "tfidf":
-        idf = _idf(np.array([vocab.df[t] for t in vocab.tokens_by_index()]), vocab.n_docs)
-    return _document_rows(counts, idf)
+    return _document_rows(counts, _idf(np.array(vocab.df), vocab.n_docs) if weighting == "tfidf" else None)
 
 
 def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> csr_matrix:
@@ -715,8 +708,7 @@ def feature_importance(model: RiskModel, top_k: int) -> list[tuple[str, float]]:
         raise InputError("top_k must be >= 0")
     entries = _nonzero_weights(model)
     if model.vocabulary is not None:
-        names = model.vocabulary.tokens_by_index()
-        entries = [(names[i], w) for i, w in entries]
+        entries = [(model.vocabulary.terms[i], w) for i, w in entries]
     else:
         entries = [(str(i), w) for i, w in entries]
     entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
@@ -727,18 +719,18 @@ MODEL_FORMAT = "caserisk-model/1"
 
 
 def save_model(model: RiskModel, path: str | Path) -> None:
-    if model.vocabulary is None:
-        vocab_blob = None
-    else:
+    vocab = model.vocabulary
+    vocab_blob = None
+    if vocab is not None:
         vocab_blob = {
-            "index": dict(sorted(model.vocabulary.index.items())),
-            "df": dict(sorted(model.vocabulary.df.items())),
-            "orders": list(model.vocabulary.orders),
-            "n_docs": model.vocabulary.n_docs,
-            "max_size": model.vocabulary.max_size,
+            "index": dict(sorted(zip(vocab.terms, range(len(vocab))))),
+            "df": dict(sorted(zip(vocab.terms, vocab.df))),
+            "orders": list(vocab.orders),
+            "n_docs": vocab.n_docs,
+            "max_size": vocab.max_size,
         }
     entries = _nonzero_weights(model)
-    if model.vocabulary is None and len(model.weights) and model.weights[-1] == 0.0:
+    if vocab is None and len(model.weights) and model.weights[-1] == 0.0:
         # With no vocabulary the last index written is the vector's width.
         entries.append((len(model.weights) - 1, 0.0))
     blob = {
@@ -762,9 +754,10 @@ def load_model(path: str | Path) -> RiskModel:
 
     The weight vector has one entry per vocabulary term, or with no
     vocabulary, up to the largest weight index, which ``save_model``
-    always writes.  A vocabulary index that
-    is not a permutation of 0..n-1, or a weight index outside the weight
-    vector, makes the file malformed.
+    always writes.  A vocabulary index that is not a permutation of
+    0..n-1, a df that names other terms than the index, n-gram orders
+    outside {1, 2, 3}, or a weight index outside the weight vector, makes
+    the file malformed.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -778,17 +771,20 @@ def load_model(path: str | Path) -> RiskModel:
         vocab_blob = blob.get("vocabulary")
         vocabulary = None
         if vocab_blob is not None:
+            index, df = vocab_blob["index"], vocab_blob["df"]
+            by_column = {int(j): t for t, j in index.items()}
+            if sorted(by_column) != list(range(len(index))):
+                raise InputError(f"{path}: vocabulary index is not a permutation of 0..{len(index) - 1}")
+            if df.keys() != index.keys():
+                raise InputError(f"{path}: vocabulary df and index name different terms")
+            try:
+                orders = _check_orders(vocab_blob["orders"])
+            except InputError as exc:
+                raise InputError(f"{path}: vocabulary {exc}") from exc
+            terms = tuple(by_column[j] for j in range(len(index)))
             vocabulary = Vocabulary(
-                index={t: int(i) for t, i in vocab_blob["index"].items()},
-                df={t: int(c) for t, c in vocab_blob["df"].items()},
-                orders=tuple(vocab_blob["orders"]),
-                n_docs=int(vocab_blob["n_docs"]),
-                max_size=vocab_blob["max_size"],
+                terms, tuple(int(df[t]) for t in terms), orders, int(vocab_blob["n_docs"]), vocab_blob["max_size"]
             )
-            if sorted(vocabulary.index.values()) != list(range(len(vocabulary))):
-                raise InputError(
-                    f"{path}: vocabulary index is not a permutation of 0..{len(vocabulary) - 1}"
-                )
         entries = {int(i): float(w) for i, w in blob["weights"].items()}
         dim = len(vocabulary) if vocabulary is not None else max(entries, default=-1) + 1
         outside = sorted(i for i in entries if not 0 <= i < dim)

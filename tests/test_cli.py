@@ -272,6 +272,27 @@ class TestPipeline:
         ]
         assert mismatched == []
 
+    def test_bias_recheck_uses_the_configured_correction(self, tmp_path):
+        # Uncorrected, each feature is tested at alpha itself; a Bonferroni
+        # recheck would test two features at alpha / 2.
+        run_synth(tmp_path)
+        lines = ("bias.correction = none", "bias.features = domain,location")
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=lines)
+        out = tmp_path / "run"
+        assert main(["pipeline", "--config", str(conf), "--out", str(out)]) == 0
+        recheck = json.loads((out / "eval_report.json").read_text())["bias_recheck"]
+        assert recheck["correction"] == "none" and len(recheck["results"]) == 2
+        assert recheck == json.loads((out / "bias_report.json").read_text())
+
+    def test_model_file_round_trips_byte_for_byte(self, tmp_path):
+        run_synth(tmp_path)
+        lines = ("model.orders = 1,2", "model.weighting = tfidf")
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=lines)
+        assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+        path, again = tmp_path / "run" / "model.json", tmp_path / "again.json"
+        caserisk.model.save_model(caserisk.model.load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
+
     def test_pipeline_writes_what_the_stages_write(self, tmp_path):
         run_synth(tmp_path)
         conf = write_config(tmp_path / "p.conf", tmp_path)

@@ -55,8 +55,8 @@ def doc(doc_id, text, **kwargs):
 class TestVocabulary:
     def test_unigram_counts(self):
         vocab = build_vocabulary([doc("1", "a b"), doc("2", "a c")], orders=(1,), min_df=1)
-        assert set(vocab.index) == {"a", "b", "c"}
-        assert vocab.df == {"a": 2, "b": 1, "c": 1}
+        assert vocab.terms == ("a", "b", "c")
+        assert vocab.df == (2, 1, 1)
 
     def test_min_df_filter(self):
         vocab = build_vocabulary([doc("1", "a b"), doc("2", "a c")], orders=(1,), min_df=2)
@@ -79,6 +79,12 @@ class TestVocabulary:
         vocab = build_vocabulary(docs, orders=(1,), min_df=1, max_size=2)
         assert "common" in vocab
         assert len(vocab) == 2
+
+    def test_index_built_on_first_lookup(self):
+        vocab = build_vocabulary([doc("1", "c a b")], orders=(1,))
+        assert "index" not in vars(vocab) and len(vocab) == 3
+        assert "b" in vocab and vocab.index == {"a": 0, "b": 1, "c": 2}
+        assert vars(vocab)["index"] is vocab.index
 
     def test_indices_dense_and_sorted(self):
         vocab = build_vocabulary([doc("1", "c a b")], orders=(1,))
@@ -135,7 +141,7 @@ class TestVectorize:
 
     def test_vocabulary_index_gives_the_column(self):
         # A loaded vocabulary need not number its grams in sorted order.
-        vocab = Vocabulary(index={"b": 0, "a": 1}, df={"a": 1, "b": 1}, orders=(1,), n_docs=1)
+        vocab = Vocabulary(terms=("b", "a"), df=(1, 1), orders=(1,), n_docs=1)
         vec = vectorize_document(doc("1", "a a b zz"), vocab).toarray()[0]
         assert vec == pytest.approx([1 / math.sqrt(5), 2 / math.sqrt(5)])
 
@@ -163,7 +169,7 @@ def reference_cluster_vector(cluster, corpus, vocab, weighting):
         for gram, c in counts.items():
             idf = 1.0
             if weighting == "tfidf":
-                idf = math.log((1 + vocab.n_docs) / (1 + vocab.df[gram])) + 1.0
+                idf = math.log((1 + vocab.n_docs) / (1 + vocab.df[vocab.index[gram]])) + 1.0
             vec[vocab.index[gram]] = c * idf
         for idx, w in unit(vec).items():
             total[idx] = total.get(idx, 0.0) + w
@@ -295,8 +301,8 @@ class TestClusterTerms:
                     terms.featurize(min_df, max_size, weighting, fit=fit)
                 continue
             vocab, x = terms.featurize(min_df, max_size, weighting, fit=fit)
-            assert dict(vocab.index) == dict(expected.index)
-            assert dict(vocab.df) == dict(expected.df)
+            assert vocab.terms == expected.terms
+            assert vocab.df == expected.df
             assert vocab.n_docs == expected.n_docs
             # The fit clusters' rows first, then the held-out clusters'.
             order = np.concatenate((np.flatnonzero(fit), np.flatnonzero(~fit)))
@@ -732,7 +738,16 @@ class TestModelIO:
 
     @pytest.mark.parametrize(
         "fault",
-        ["weight outside vocabulary", "negative weight index", "vocabulary index not a permutation"],
+        [
+            "weight outside vocabulary",
+            "negative weight index",
+            "vocabulary index not a permutation",
+            "df lacks a term",
+            "df has an extra term",
+            "no orders",
+            "order not an integer",
+            "order beyond trigrams",
+        ],
     )
     def test_inconsistent_model_file_rejected(self, tmp_path, fault):
         vocab = build_vocabulary([doc("1", "a b c d")], orders=(1,))
@@ -742,12 +757,23 @@ class TestModelIO:
         path = tmp_path / "model.json"
         save_model(model, path)
         blob = json.loads(path.read_text())
+        vocab_blob = blob["vocabulary"]
         if fault == "weight outside vocabulary":
             blob["weights"]["4"] = 1.5
         elif fault == "negative weight index":
             blob["weights"]["-1"] = 1.5
+        elif fault == "vocabulary index not a permutation":
+            vocab_blob["index"]["d"] = 0
+        elif fault == "df lacks a term":
+            del vocab_blob["df"]["c"]
+        elif fault == "df has an extra term":
+            vocab_blob["df"]["e"] = 1
+        elif fault == "no orders":
+            vocab_blob["orders"] = []
+        elif fault == "order not an integer":
+            vocab_blob["orders"] = ["1"]
         else:
-            blob["vocabulary"]["index"]["d"] = 0
+            vocab_blob["orders"] = [4]
         path.write_text(json.dumps(blob))
         with pytest.raises(InputError, match="model.json"):
             load_model(path)
@@ -774,8 +800,8 @@ class TestModelIO:
         vocabulary = None
         if with_vocabulary:
             vocabulary = Vocabulary(
-                index={t: i for i, t in enumerate(tokens)},
-                df={t: data.draw(st.integers(1, 50)) for t in tokens},
+                terms=tuple(tokens),
+                df=tuple(data.draw(st.integers(1, 50)) for _ in tokens),
                 orders=tuple(sorted(data.draw(st.sets(st.sampled_from([1, 2, 3]), min_size=1)))),
                 n_docs=data.draw(st.integers(1, 50)),
                 max_size=data.draw(st.one_of(st.none(), st.integers(1, 500))),
