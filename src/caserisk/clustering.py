@@ -1,30 +1,33 @@
 """Similarity graph construction and correlation clustering.
 
 Documents are linked by a disjunction of interpretable signals (shared
-phone, high text-shingle overlap, shared location within a date window).
-Candidate pairs come from blocking on shared phones and rare shingles so
-large corpora never pay an all-pairs comparison.  Partitions are produced
-by random-pivot correlation clustering, optionally combined across seeds
-by co-association consensus and polished by single-node local search on
-the disagreement objective.
+phone, high text-shingle overlap, shared location within a date window
+with weaker text overlap), one rule at every corpus size.  Candidate
+pairs are those that share a phone and those that prefix filtering finds
+for the text thresholds, which miss no pair that reaches them, so large
+corpora never pay an all-pairs comparison.  Partitions are produced by
+random-pivot correlation clustering, optionally combined across seeds by
+co-association consensus and polished by single-node local search on the
+disagreement objective.
 
 The graph is built over integer document indices ``0..n-1``.  Each
 document's phones, locations and word shingles become a row of a 0/1
 sparse incidence matrix.  A shingle is identified by its exact
 ``gram_ids`` id (its token ids packed into an int64, or ranked when they
 do not fit), so distinct shingles never collide; ``gram_counts`` gives
-each document's ids sorted, and one sort of all of them numbers the
-columns.  Only shingles that two or more documents share get a column;
-the rest count toward their row's size alone.  Blocking is integer-only:
-the candidate pairs are the upper triangle of ``B @ B.T`` for the phone
-matrix and for the rare-shingle columns, de-duplicated on a packed ``i *
-n + j`` key.  Every candidate pair is then scored from row-wise sparse
-intersections.  Products and scoring run a block at a time, each block
-bounded by the non-zeros it touches, so their temporaries stay small
-beside the graph.  ``SimilarityGraph`` keeps the edges as index arrays
-with provenance bitmasks plus CSR adjacency.  KwikCluster, consensus and
-refine run over those arrays on label arrays, one label per node, and
-only the result becomes a ``Clustering``.
+each document's ids sorted, and one sort of all of them finds the shared
+ones.  Only shingles that two or more documents share get a column,
+numbered by ascending document frequency; the rest count toward their
+row's size alone.  Candidate generation is integer-only: the candidate
+pairs are the upper triangle of ``B @ B.T`` for the phone matrix and for
+the matrix of each row's prefix, its rarest shingles, de-duplicated on a
+packed ``i * n + j`` key.  Every candidate pair is then scored from
+row-wise sparse intersections.  Products and scoring run a block at a
+time, each block bounded by the non-zeros it touches, so their
+temporaries stay small beside the graph.  ``SimilarityGraph`` keeps the
+edges as index arrays with provenance bitmasks plus CSR adjacency.
+KwikCluster, consensus and refine run over those arrays on label arrays,
+one label per node, and only the result becomes a ``Clustering``.
 """
 
 from __future__ import annotations
@@ -91,8 +94,6 @@ class GraphConfig:
     use_text: bool = True
     use_location_date: bool = False
     date_window_days: int = 7
-    rare_shingle_df_cap: int = 10
-    all_pairs_cutoff: int = 1000
 
 
 class SimilarityGraph:
@@ -205,8 +206,9 @@ def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[csr_
     A document's shingles are the set ``shingles`` returns.  Row d of the
     0/1 matrix holds those of document d that some other document has too;
     a shingle no other document has adds to no intersection, so it only
-    counts toward the row's size.  Columns are numbered in ``gram_ids``
-    order.
+    counts toward the row's size.  Columns are numbered by ascending
+    document frequency, ties in ``gram_ids`` order, so each row lists its
+    shingles rarest first.
     """
     vocab, ids, lengths = token_ids(doc.text for doc in docs)
     indptr, grams, _, _ = gram_counts(ids, lengths, shingle_len, len(vocab))
@@ -222,7 +224,44 @@ def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[csr_
         (np.ones(len(kept), dtype=np.int32), col[kept], np.searchsorted(kept, indptr)),
         shape=(len(docs), len(shared)),
     )
+    del col, keep, kept
+    df = np.bincount(text.indices, minlength=len(shared))
+    rank = np.empty(len(shared), dtype=np.int32)
+    rank[np.argsort(df, kind="stable")] = np.arange(len(shared))
+    text.indices = rank[text.indices]
+    text.has_sorted_indices = False  # a cached flag would describe the old numbering
+    text.sort_indices()
     return text, np.diff(indptr)
+
+
+def _prefixes(text: csr_matrix, sizes: np.ndarray, tau: float, scale: int) -> csr_matrix:
+    """Each row's prefix: of the shared shingles in ``text`` (rarest first),
+    those that two documents must have one of in common when their
+    Jaccard similarity J meets ``scale * J >= tau``.
+
+    Prefix filtering (Bayardo, Ma & Srikant, WWW 2007): order every
+    shingle by ascending document frequency.  A document of ``size``
+    shingles that reaches the threshold with another shares at least t of
+    them, the least t with ``scale * (t / size) >= tau`` in float, since
+    ``t / size`` only grows with t and J is at most ``shared / size``.  Two
+    such documents then share one of their first ``size - t + 1``
+    shingles.  A document's unshared shingles, of frequency 1, come first
+    there, so its prefix keeps the first ``shared - t + 1`` of its shared
+    ones.  ``ceil(tau * size / scale)`` may miss that t by one either way
+    (0.28 * 25 is 7.000000000000001), so it is corrected on the test.
+    """
+    counts = np.diff(text.indptr)
+    rows = np.flatnonzero(counts)
+    size = sizes[rows]
+    t = np.ceil(tau * size / scale)
+    t -= scale * ((t - 1) / size) >= tau
+    t += scale * (t / size) < tau
+    keep = np.zeros(len(counts), dtype=np.int64)
+    keep[rows] = np.maximum(counts[rows] - t.astype(np.int64) + 1, 0)
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(keep, out=indptr[1:])
+    at = np.arange(indptr[-1]) + np.repeat(text.indptr[:-1] - indptr[:-1], keep)
+    return csr_matrix((np.ones(len(at), dtype=np.int32), text.indices[at], indptr), shape=text.shape)
 
 
 def _row_blocks(matrix: csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -239,20 +278,9 @@ def _row_blocks(matrix: csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray, np
         yield row[upper], shared.col[upper].astype(np.int64), shared.data[upper]
 
 
-def _candidate_pairs(
-    n: int, config: GraphConfig, phones: Optional[csr_matrix], text: Optional[csr_matrix]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs ``i < j``, sorted: every pair up to ``all_pairs_cutoff``
-    documents, else the pairs that share a phone or a rare shingle."""
-    if n <= config.all_pairs_cutoff:
-        i, j = np.triu_indices(n, k=1)
-        return i.astype(np.int32), j.astype(np.int32)
-    blocks = []
-    if phones is not None:
-        blocks.append(phones)
-    if text is not None:
-        df = np.bincount(text.indices, minlength=text.shape[1])
-        blocks.append(text[:, np.flatnonzero(df <= config.rare_shingle_df_cap)])
+def _candidate_pairs(n: int, blocks: Sequence[csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``i < j``, sorted, whose rows in one of the 0/1
+    ``blocks`` share a column."""
     keys = [np.empty(0, dtype=np.int64)]
     for block in blocks:
         for i, j, _ in _row_blocks(block):
@@ -269,25 +297,33 @@ def _overlap(matrix: csr_matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> SimilarityGraph:
-    """Link candidate pairs whose enabled signals agree.
+    """Link the pairs of documents whose enabled signals agree.
 
-    A candidate pair is linked iff the phone sets intersect, or text
-    similarity reaches ``tau_text``, or the location sets intersect with
-    posted dates within ``date_window_days`` (each signal subject to its
-    toggle).  Up to ``all_pairs_cutoff`` documents every pair is a
-    candidate.  Above it only pairs that share a phone or a rare shingle
-    are, so a shared location and date alone never links two documents.
+    A pair is linked iff its phone sets intersect, or the Jaccard
+    similarity J of its shingle sets reaches ``tau_text``, or its location
+    sets intersect, its posted dates lie within ``date_window_days`` and J
+    reaches ``tau_text / 2`` (each signal subject to its toggle).  The
+    rule is the same at every corpus size; J is ``shared / union`` in
+    float, 0 for two empty sets, and "J reaches ``tau_text / 2``" is
+    ``2 * J >= tau_text``.  The candidate pairs are those that share a
+    phone and those whose prefixes (``_prefixes``) share a shingle, which
+    hold every pair with J at the lower threshold in use; each candidate
+    is scored.
     """
     config = config or GraphConfig()
-    if not 0.0 <= config.tau_text <= 1.0:
-        raise InputError("tau_text must be in [0, 1]")
-    if config.use_text and config.shingle_len < 1:
+    if not 0.0 < config.tau_text <= 1.0:
+        raise InputError("tau_text must be in (0, 1]")
+    use_shingles = config.use_text or config.use_location_date
+    if use_shingles and config.shingle_len < 1:
         raise InputError("shingle_len must be >= 1")
     docs = corpus.documents
     phones = _value_incidence([doc.phones for doc in docs]) if config.use_phones else None
+    blocks = [phones] if phones is not None else []
     text = shingle_counts = None
-    if config.use_text:
+    if use_shingles:
         text, shingle_counts = _shingle_incidence(docs, config.shingle_len)
+        # One pass at the lower threshold finds the pairs of both.
+        blocks.append(_prefixes(text, shingle_counts, config.tau_text, 2 if config.use_location_date else 1))
     locations = None
     if config.use_location_date:
         locations = _value_incidence([doc.locations for doc in docs])
@@ -296,7 +332,8 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
             [doc.posted_date.toordinal() if doc.posted_date is not None else 0 for doc in docs],
             dtype=np.int64,
         )
-    i, j = _candidate_pairs(len(docs), config, phones, text)
+    i, j = _candidate_pairs(len(docs), blocks)
+    del blocks
 
     # A pair's cost is the non-zeros its rows bring to the row products.
     cost = np.ones(len(i), dtype=np.int32)
@@ -313,11 +350,13 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
         if text is not None:
             inter = _overlap(text, a, b)
             union = shingle_counts[a] + shingle_counts[b] - inter
-            linked = union > 0
-            linked[linked] = inter[linked] / union[linked] >= config.tau_text
-            code[linked] |= _TEXT
+            similarity = np.zeros(len(a))
+            np.divide(inter, union, out=similarity, where=union > 0)
+            if config.use_text:
+                code[similarity >= config.tau_text] |= _TEXT
         if locations is not None:
             near = dated[a] & dated[b] & (np.abs(ordinals[a] - ordinals[b]) <= config.date_window_days)
+            near &= 2 * similarity >= config.tau_text
             near[near] = _overlap(locations, a[near], b[near]) > 0
             code[near] |= _LOCATION_DATE
     # Only the edges are kept while the adjacency is built.

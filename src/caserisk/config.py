@@ -98,14 +98,12 @@ KEY_REGISTRY: dict[str, Key] = {
     "paths.rules": Key("rules_path", str, None, "indicator rules JSON"),
     "paths.remove_lexicon": Key("remove_lexicon_path", str, None, "tokens to delete before featurization"),
     "ingest.limit": Key("ingest_limit", int, lambda v: v is None or v >= 0, "cap on ingested records"),
-    "clustering.tau_text": Key("graph.tau_text", float, lambda v: 0.0 <= v <= 1.0, "text similarity edge threshold in [0,1]"),
+    "clustering.tau_text": Key("graph.tau_text", float, lambda v: 0.0 < v <= 1.0, "text similarity edge threshold in (0,1]"),
     "clustering.shingle_len": Key("graph.shingle_len", int, _at_least(1), "word shingle length"),
     "clustering.use_phones": Key("graph.use_phones", _parse_bool, None, "enable shared-phone signal"),
     "clustering.use_text": Key("graph.use_text", _parse_bool, None, "enable text-shingle signal"),
-    "clustering.use_location_date": Key("graph.use_location_date", _parse_bool, None, "enable location+date signal"),
+    "clustering.use_location_date": Key("graph.use_location_date", _parse_bool, None, "enable location+date signal (also needs text similarity >= tau_text/2)"),
     "clustering.date_window_days": Key("graph.date_window_days", int, _at_least(0), "date window for location signal"),
-    "clustering.rare_shingle_df_cap": Key("graph.rare_shingle_df_cap", int, _at_least(1), "max document frequency for a blocking shingle"),
-    "clustering.all_pairs_cutoff": Key("graph.all_pairs_cutoff", int, _at_least(0), "corpus size above which blocking replaces all-pairs"),
     "clustering.consensus_runs": Key("consensus_runs", int, _at_least(1), "KWIKCLUSTER runs combined by consensus (1 = single run)"),
     "clustering.consensus_threshold": Key("consensus_threshold", float, lambda v: 0.0 < v <= 1.0, "co-association fraction in (0,1]"),
     "clustering.refine_passes": Key("refine_passes", int, _at_least(0), "local-search passes (0 = off)"),

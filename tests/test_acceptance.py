@@ -384,7 +384,7 @@ def test_criterion_6_leakage_invariants():
 def test_criterion_7_clustering_recovery():
     started = time.perf_counter()
     result = generate(SynthConfig(num_clusters=200, positive_fraction=0.3, seed=70))
-    graph = build_graph(result.corpus, GraphConfig(use_text=False, all_pairs_cutoff=0))
+    graph = build_graph(result.corpus, GraphConfig(use_text=False))
     recovered = kwikcluster(graph, 7)
     ari = adjusted_rand(recovered, result.clustering)
     elapsed = time.perf_counter() - started

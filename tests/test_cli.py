@@ -67,11 +67,9 @@ def write_config(path, out, corpus="corpus.jsonl", labels="labels_expert.csv", l
 # One invalid value for every key that has a validity check.
 INVALID = {
     "ingest.limit": "-1",
-    "clustering.tau_text": "3.5",
+    "clustering.tau_text": "0",
     "clustering.shingle_len": "0",
     "clustering.date_window_days": "-3",
-    "clustering.rare_shingle_df_cap": "0",
-    "clustering.all_pairs_cutoff": "-1",
     "clustering.consensus_runs": "0",
     "clustering.consensus_threshold": "0",
     "clustering.refine_passes": "-1",
@@ -97,7 +95,7 @@ INVALID = {
 FLOAT_KEYS = sorted(key for key, entry in KEY_REGISTRY.items() if entry.parse is float)
 OUT_OF_RANGE = [pytest.param(key, raw, id=key) for key, raw in sorted(INVALID.items())] + [
     pytest.param(key, raw, id=f"{key}={raw}") for key in FLOAT_KEYS for raw in ("inf", "-inf", "nan")
-]
+] + [pytest.param("clustering.tau_text", "3.5", id="clustering.tau_text=3.5")]
 
 
 class TestConfig:
@@ -146,14 +144,21 @@ class TestConfig:
         assert rc == 2
         assert "sampling.ratio" in err and "Traceback" not in err
 
-    def test_removed_fold_retry_key_exits_2(self, tmp_path, capsys):
-        # Folds are assigned in one pass; there is no reshuffle budget.
+    # Folds are assigned in one pass, so there is no reshuffle budget; one
+    # edge rule holds at every corpus size, so there is no blocking knob.
+    @pytest.mark.parametrize(
+        "line",
+        ["eval.max_retries = 50", "clustering.rare_shingle_df_cap = 10", "clustering.all_pairs_cutoff = 1000"],
+        ids=lambda line: line.partition(" ")[0],
+    )
+    def test_removed_key_exits_2(self, tmp_path, capsys, line):
         run_synth(tmp_path)
-        conf = write_config(tmp_path / "p.conf", tmp_path, lines=("eval.max_retries = 50",))
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(line,))
         rc = main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "eval.max_retries" in err and "Traceback" not in err
+        key = line.partition(" ")[0]
+        assert f"unknown key {key!r}" in err and "Traceback" not in err
 
     def test_comments_and_lists(self, tmp_path):
         path = tmp_path / "ok.conf"
@@ -319,7 +324,11 @@ class TestPipeline:
             tmp_path / "p.conf",
             tmp_path,
             lines=(
-                "clustering.use_location_date = true",
+                # Word overlap between unrelated ads: a graph that is not
+                # disjoint cliques, so pivots change the partition.
+                "clustering.use_phones = false",
+                "clustering.shingle_len = 1",
+                "clustering.tau_text = 0.08",
                 "clustering.consensus_runs = 3",
                 "clustering.refine_passes = 2",
                 # With these runs refine meets ties, which the numbering breaks.
@@ -566,8 +575,6 @@ GRAPH_VALUES = {
     "clustering.use_text": ("false", False),
     "clustering.use_location_date": ("true", True),
     "clustering.date_window_days": ("3", 3),
-    "clustering.rare_shingle_df_cap": ("4", 4),
-    "clustering.all_pairs_cutoff": ("5", 5),
 }
 SOLVER_VALUES = {
     "model.loss": ("hinge", "hinge"),

@@ -22,11 +22,13 @@ from caserisk.clustering import (
     kwikcluster,
     read_clustering,
     refine,
+    shingles,
     text_similarity,
     write_clustering,
 )
 from caserisk.corpus import Corpus, Document
 from caserisk.errors import InputError
+from caserisk.synth import SynthConfig, generate
 
 
 def doc(doc_id, text="", phones=(), locations=(), posted=None, domain="x"):
@@ -123,52 +125,105 @@ class TestBuildGraph:
     def test_location_date_window(self):
         from datetime import date
 
+        # Jaccard 2/4 between any two texts reaches tau_text / 2 = 0.25.
         near = [
-            doc("a", "aaa", locations=["springfield"], posted=date(2024, 1, 1)),
-            doc("b", "bbb", locations=["springfield"], posted=date(2024, 1, 5)),
-            doc("c", "ccc", locations=["springfield"], posted=date(2024, 3, 1)),
+            doc("a", "one two three four", locations=["springfield"], posted=date(2024, 1, 1)),
+            doc("b", "one two three five", locations=["springfield"], posted=date(2024, 1, 5)),
+            doc("c", "one two three six", locations=["springfield"], posted=date(2024, 3, 1)),
         ]
         config = GraphConfig(use_phones=False, use_text=False, use_location_date=True, date_window_days=7)
         graph = build_graph(Corpus(near), config)
         assert ("a", "b") in graph
         assert ("a", "c") not in graph
 
-    @pytest.mark.parametrize("cutoff, linked", [(3, True), (2, True), (1, False), (0, False)])
-    def test_location_date_links_only_up_to_all_pairs_cutoff(self, cutoff, linked):
-        # Above the cutoff candidates come from phone and shingle blocks
-        # only, so a shared location and date alone make no pair.
+    @pytest.mark.parametrize("size", [2, 1200])
+    @pytest.mark.parametrize("text_b, linked", [("w1 w4", True), ("w1 w4 w5", False)])
+    def test_location_date_needs_half_tau_text_at_every_size(self, size, text_b, linked):
+        # Against "w1 w2 w3", "w1 w4" has Jaccard 1/4, which reaches
+        # tau_text / 2 = 0.25, and "w1 w4 w5" has 1/5, which does not.
+        # Fillers share nothing with either, so only the corpus size moves.
+        from datetime import date
+
+        pair = [
+            doc("a", "w1 w2 w3", locations=["springfield"], posted=date(2024, 1, 1)),
+            doc("b", text_b, locations=["springfield"], posted=date(2024, 1, 2)),
+        ]
+        fillers = [doc(f"f{k:04d}", f"filler{k} pad{k}") for k in range(size - 2)]
+        config = GraphConfig(tau_text=0.5, shingle_len=1, use_location_date=True)
+        graph = build_graph(Corpus(pair + fillers), config)
+        expected = {("a", "b"): frozenset({"location-date"})} if linked else {}
+        assert graph.edges == expected
+
+    def test_text_threshold_reached_in_float(self):
+        # 7 of 25 shingles: 7 / 25 >= 0.28 holds in float, though 0.28 * 25
+        # is 7.000000000000001, so a prefix cut from its ceiling misses b.
+        words = [f"w{k}" for k in range(25)]
+        corpus = Corpus([doc("a", " ".join(words)), doc("b", " ".join(words[-7:]))])
+        graph = build_graph(corpus, GraphConfig(tau_text=0.28, shingle_len=1))
+        assert graph.edges == {("a", "b"): frozenset({"text-shingle"})}
+
+    def test_least_subnormal_tau_needs_a_shared_shingle(self):
+        # Half of 5e-324 rounds to 0.0; the location-date threshold is
+        # tau_text / 2 exactly, so texts with no shared shingle stay apart.
         from datetime import date
 
         corpus = Corpus(
             [
-                doc("a", "alpha beta gamma", locations=["springfield"], posted=date(2024, 1, 1)),
-                doc("b", "delta epsilon zeta", locations=["springfield"], posted=date(2024, 1, 2)),
+                doc("a", "alpha beta", locations=["springfield"], posted=date(2024, 1, 1)),
+                doc("b", "gamma delta", locations=["springfield"], posted=date(2024, 1, 1)),
+                doc("c", "alpha zeta", locations=["springfield"], posted=date(2024, 1, 1)),
             ]
         )
-        graph = build_graph(corpus, GraphConfig(use_location_date=True, all_pairs_cutoff=cutoff))
-        assert (("a", "b") in graph) is linked
+        graph = build_graph(corpus, GraphConfig(tau_text=5e-324, shingle_len=1, use_location_date=True))
+        assert graph.edges == {("a", "c"): frozenset({"text-shingle", "location-date"})}
+
+    @pytest.mark.parametrize("tau", [0.0, -0.5, 1.5, float("nan")])
+    def test_tau_text_outside_unit_interval_rejected(self, tau):
+        # At 0 every pair would reach it, shared shingle or not.
+        with pytest.raises(InputError):
+            build_graph(Corpus([doc("a"), doc("b")]), GraphConfig(tau_text=tau))
 
     def test_phone_listed_twice_links_once(self):
-        # Above the cutoff a repeated phone must not pair a document with itself.
+        # Phone pairs come from the phone matrix's products, where a
+        # repeated phone must not pair a document with itself.
         corpus = Corpus(
             [doc("a", phones=["5550001111", "5550001111"]), doc("b", phones=["5550001111"])]
         )
-        graph = build_graph(corpus, GraphConfig(use_text=False, all_pairs_cutoff=0))
+        graph = build_graph(corpus, GraphConfig(use_text=False))
         assert graph.edges == {("a", "b"): frozenset({"phone-match"})}
 
     def test_blocking_matches_all_pairs(self):
-        # above the cutoff, phone/shingle blocking must find the same edges
-        docs = []
-        for i in range(30):
-            docs.append(doc(f"p{i:02d}", f"noise{i} filler{i}", phones=[f"55500000{i % 5:02d}"]))
-        corpus = Corpus(docs)
-        base = GraphConfig(tau_text=0.9)
-        all_pairs = build_graph(corpus, base)
-        blocked = build_graph(
-            corpus,
-            GraphConfig(tau_text=0.9, all_pairs_cutoff=0, rare_shingle_df_cap=10),
+        # Phone and prefix candidates give the edges of every pair compared
+        # by the rule, on a synthetic corpus with near-duplicate texts.
+        result = generate(
+            SynthConfig(num_clusters=40, vocab_size=60, doc_tokens=12, duplication_rate=0.3, seed=3)
         )
-        assert set(all_pairs.edges) == set(blocked.edges)
+        corpus = result.corpus
+        ids = sorted(corpus.ids())
+        sets = {doc_id: shingles(corpus.get(doc_id).text, 2) for doc_id in ids}
+        for tau in (0.05, 0.28, 0.5, 1.0):
+            config = GraphConfig(tau_text=tau, use_location_date=True, date_window_days=30)
+            expected = {}
+            for k, a_id in enumerate(ids):
+                a = corpus.get(a_id)
+                for b_id in ids[k + 1 :]:
+                    b = corpus.get(b_id)
+                    shared = len(sets[a_id] & sets[b_id])
+                    similarity = shared / (len(sets[a_id]) + len(sets[b_id]) - shared)
+                    signals = set()
+                    if set(a.phones) & set(b.phones):
+                        signals.add("phone-match")
+                    if similarity >= tau:
+                        signals.add("text-shingle")
+                    if (
+                        set(a.locations) & set(b.locations)
+                        and abs((a.posted_date - b.posted_date).days) <= 30
+                        and 2 * similarity >= tau
+                    ):
+                        signals.add("location-date")
+                    if signals:
+                        expected[(a_id, b_id)] = frozenset(signals)
+            assert build_graph(corpus, config).edges == expected
 
 
 class TestKwikcluster:

@@ -52,62 +52,41 @@ class RefGraph:
         return self.adjacency[node]
 
 
-def ref_candidate_pairs(corpus, config, shingle_sets):
-    ids = corpus.ids()
-    if len(ids) <= config.all_pairs_cutoff:
-        return {(a, b) for i, a in enumerate(ids) for b in ids[i + 1 :]}
-    blocks = []
-    if config.use_phones:
-        by_phone = defaultdict(list)
-        for doc in corpus:
-            for phone in doc.phones:
-                by_phone[phone].append(doc.id)
-        blocks.extend(by_phone.values())
-    if config.use_text:
-        df = Counter(s for doc_shingles in shingle_sets.values() for s in doc_shingles)
-        by_shingle = defaultdict(list)
-        for doc_id, doc_shingles in shingle_sets.items():
-            for s in doc_shingles:
-                if df[s] <= config.rare_shingle_df_cap:
-                    by_shingle[s].append(doc_id)
-        blocks.extend(by_shingle.values())
-    pairs = set()
-    for members in blocks:
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                # A document that lists one phone twice sits twice in its
-                # block; the self-pair that makes is no candidate.
-                if a != b:
-                    pairs.add((a, b) if a < b else (b, a))
-    return pairs
-
-
 def ref_build_graph(corpus, config):
-    shingle_cache = {}
-    if config.use_text:
+    # Every pair is compared.  "Jaccard reaches tau_text / 2" is written
+    # 2 * shared / union >= tau_text, which doubling makes exact: tau_text
+    # / 2 rounds to 0 for the least subnormal tau_text.
+    shingle_sets = {}
+    if config.use_text or config.use_location_date:
         for doc in corpus:
-            shingle_cache[doc.id] = shingles(doc.text, config.shingle_len)
+            shingle_sets[doc.id] = shingles(doc.text, config.shingle_len)
+    ids = sorted(corpus.ids())
     edges = {}
-    for a_id, b_id in sorted(ref_candidate_pairs(corpus, config, shingle_cache)):
-        a, b = corpus.get(a_id), corpus.get(b_id)
-        provenance = set()
-        if config.use_phones and a.phones and b.phones:
-            if set(a.phones) & set(b.phones):
+    for k, a_id in enumerate(ids):
+        for b_id in ids[k + 1 :]:
+            a, b = corpus.get(a_id), corpus.get(b_id)
+            shared = union = 0
+            if shingle_sets:
+                sa, sb = shingle_sets[a_id], shingle_sets[b_id]
+                shared = len(sa & sb)
+                union = len(sa) + len(sb) - shared
+            provenance = set()
+            if config.use_phones and set(a.phones) & set(b.phones):
                 provenance.add(SIGNAL_PHONE)
-        if config.use_text:
-            sa, sb = shingle_cache[a_id], shingle_cache[b_id]
-            if sa or sb:
-                inter = len(sa & sb)
-                union = len(sa) + len(sb) - inter
-                if union and inter / union >= config.tau_text:
-                    provenance.add(SIGNAL_TEXT)
-        if config.use_location_date and a.locations and b.locations:
-            if set(a.locations) & set(b.locations):
-                if a.posted_date is not None and b.posted_date is not None:
-                    if abs((a.posted_date - b.posted_date).days) <= config.date_window_days:
-                        provenance.add(SIGNAL_LOCATION_DATE)
-        if provenance:
-            edges[(a_id, b_id)] = frozenset(provenance)
+            if config.use_text and union and shared / union >= config.tau_text:
+                provenance.add(SIGNAL_TEXT)
+            if (
+                config.use_location_date
+                and set(a.locations) & set(b.locations)
+                and a.posted_date is not None
+                and b.posted_date is not None
+                and abs((a.posted_date - b.posted_date).days) <= config.date_window_days
+                and union
+                and 2 * shared / union >= config.tau_text
+            ):
+                provenance.add(SIGNAL_LOCATION_DATE)
+            if provenance:
+                edges[(a_id, b_id)] = frozenset(provenance)
     return RefGraph(corpus.ids(), edges)
 
 
@@ -247,19 +226,17 @@ def corpora(draw):
 
 
 @st.composite
-def graph_configs(draw, n):
-    # A cutoff below, at and above the corpus size exercises both the
-    # all-pairs and the blocking route.
-    cutoff = draw(st.sampled_from((0, max(n - 1, 0), n, 1000)))
+def graph_configs(draw):
+    # Thresholds that binary fractions do not hold exactly, and any float
+    # in (0, 1], down to the least subnormal, whose half rounds to 0.
+    tau = st.sampled_from((1 / 3, 0.3, 0.7, 0.05, 1.0)) | st.floats(0, 1, exclude_min=True)
     return GraphConfig(
-        tau_text=draw(st.sampled_from((0.0, 0.5, 1.0))),
+        tau_text=draw(tau),
         shingle_len=draw(st.integers(1, 4)),
         use_phones=draw(st.booleans()),
         use_text=draw(st.booleans()),
         use_location_date=draw(st.booleans()),
         date_window_days=draw(st.integers(0, 5)),
-        rare_shingle_df_cap=draw(st.integers(1, 4)),
-        all_pairs_cutoff=cutoff,
     )
 
 
@@ -279,13 +256,37 @@ def graphs(draw):
 @given(st.data())
 def test_build_graph_matches_per_pair_reference(data):
     corpus = data.draw(corpora())
-    config = data.draw(graph_configs(len(corpus)))
+    config = data.draw(graph_configs())
     graph = build_graph(corpus, config)
     reference = ref_build_graph(corpus, config)
     assert graph.edges == reference.edges
     assert graph.edge_count() == len(reference.edges)
     assert graph.adjacency == reference.adjacency
     assert graph_csv(graph) == graph_csv(reference)
+
+
+def test_often_posted_text_links_all_its_copies():
+    # 12 copies of one text with no phone among 1,188 random texts with a
+    # phone each: no phone pairs the copies and none of their shingles is
+    # rare (each is in 12 documents), yet the rule links all 66 pairs.
+    rng = random.Random(12)
+    words = [f"w{k}" for k in range(300)]
+    docs = [
+        Document(
+            id=f"r{k:04d}",
+            source_domain="x",
+            text=" ".join(rng.choices(words, k=12)),
+            phones=(f"555{k:07d}",),
+        )
+        for k in range(1188)
+    ]
+    copies = [f"c{k:02d}" for k in range(12)]
+    text = "same ad posted again and again in one city tonight"
+    docs += [Document(id=doc_id, source_domain="x", text=text) for doc_id in copies]
+    graph = build_graph(Corpus(docs), GraphConfig())
+    pairs = [(a, b) for k, a in enumerate(copies) for b in copies[k + 1 :]]
+    assert len(pairs) == 66
+    assert {pair: graph.edges.get(pair) for pair in pairs} == dict.fromkeys(pairs, frozenset({SIGNAL_TEXT}))
 
 
 @settings(max_examples=200, deadline=None)

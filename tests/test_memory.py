@@ -42,7 +42,9 @@ DOCS = 10_000
 
 # Each bound is about 1.3 times the rise measured on a 2-core x86-64
 # machine (Python 3.11, numpy 2.4, scipy 1.17, five runs each):
-# build_graph 15.4-15.7 MB and ClusterTerms 18.1-18.3 MB.  cross_validate
+# build_graph 15.4-15.7 MB and ClusterTerms 18.1-18.3 MB.  Since its
+# candidates come from prefix filtering, build_graph rises 11.1-11.4 MB;
+# its bound was left as it was.  cross_validate
 # rose 6.7-7.6 MB, where counting each fold's document frequency over one
 # int64 copy of its column indices rose 10.6-12.0 MB; its bound lies
 # between the two.  A fold's copy of its training rows does not show in
@@ -67,7 +69,7 @@ call, corpus_path, clusters_path, labels_path = sys.argv[1:5]
 corpus, _ = ingest(corpus_path)
 clustering = read_clustering(clusters_path)
 if call == "build_graph":
-    config = GraphConfig(use_location_date=True, all_pairs_cutoff=1000)
+    config = GraphConfig(use_location_date=True)
     step = lambda: build_graph(corpus, config)
 elif call == "cluster_terms":
     clusters = list(clustering)
@@ -121,8 +123,8 @@ def run_child(code, *args):
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A link-heavy corpus: a small vocabulary and duplicated texts make
-    dense rare-shingle blocks; every document has a phone, a location and
-    a date."""
+    many shared shingles; every document has a phone, a location and a
+    date."""
     out = tmp_path_factory.mktemp("memory")
     config = synth.SynthConfig(
         num_clusters=DOCS // 7 + 20, seed=303, vocab_size=800, duplication_rate=0.3

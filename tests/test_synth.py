@@ -55,7 +55,7 @@ class TestGenerate:
 
     def test_recovery_by_phone_blocking(self):
         result = generate(SynthConfig(num_clusters=60, seed=4))
-        graph = build_graph(result.corpus, GraphConfig(use_text=False, all_pairs_cutoff=0))
+        graph = build_graph(result.corpus, GraphConfig(use_text=False))
         recovered = kwikcluster(graph, 17)
         assert adjusted_rand(recovered, result.clustering) == pytest.approx(1.0)
 
