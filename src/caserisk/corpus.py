@@ -412,12 +412,73 @@ class Gazetteer(Lexicon):
         return sorted({" ".join(term) for _, term in self.occurrences(tokenize(text))})
 
 
+class _EmptyExtras(Mapping):
+    """A read-only empty mapping: the ``extras`` of every ingested document
+    without extra fields.  It pickles and copies as ``EMPTY_EXTRAS`` itself,
+    and writing to it raises TypeError."""
+
+    __slots__ = ()
+
+    def __getitem__(self, key):
+        raise KeyError(key)
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+    def __repr__(self) -> str:
+        return "{}"
+
+    def __reduce__(self) -> str:
+        return "EMPTY_EXTRAS"
+
+
+EMPTY_EXTRAS: Mapping[str, str] = _EmptyExtras()
+
+
+class _Shared:
+    """The values that the records of one ingest have given so far.
+
+    Each raw phone string maps to its ``normalize_phone`` result and each
+    raw date string to its ``date``, so each is parsed once.  ``share``
+    maps each domain, phone tuple, location tuple and date to the first
+    equal one seen, so documents that repeat a value hold one object.
+    """
+
+    def __init__(self):
+        self.phones: dict[str, Optional[str]] = {}
+        self.dates: dict[str, date] = {}
+        self.values: dict[object, object] = {}
+
+    def share(self, value):
+        return self.values.setdefault(value, value)
+
+    def phone(self, raw: str) -> Optional[str]:
+        if raw not in self.phones:
+            self.phones[raw] = normalize_phone(raw)
+        return self.phones[raw]
+
+    def date(self, raw: str) -> date:
+        """Raises ValueError when ``raw`` is no ISO-8601 date."""
+        if raw not in self.dates:
+            self.dates[raw] = self.share(date.fromisoformat(raw))
+        return self.dates[raw]
+
+
 def extract_attributes(record: Mapping[str, object], gazetteer: Optional[Gazetteer] = None) -> Document:
     """Build a Document from a raw record dict.
 
     Raises MalformedRecordError when required fields are missing/empty or
-    optional fields have the wrong shape.
+    optional fields have the wrong shape.  The document shares no value
+    with a document from another call, except the read-only
+    ``EMPTY_EXTRAS`` when it has no extra fields.
     """
+    return _extract(record, gazetteer, _Shared())
+
+
+def _extract(record: Mapping[str, object], gazetteer: Optional[Gazetteer], shared: _Shared) -> Document:
     if not isinstance(record, Mapping):
         raise MalformedRecordError("record is not an object")
     doc_id = record.get("id")
@@ -438,7 +499,7 @@ def extract_attributes(record: Mapping[str, object], gazetteer: Optional[Gazette
     if not isinstance(raw_phones, list) or any(not isinstance(p, str) for p in raw_phones):
         raise MalformedRecordError("'phones' must be a list of strings")
     for raw in raw_phones:
-        normalized = normalize_phone(raw)
+        normalized = shared.phone(raw)
         if normalized is not None and normalized not in phones:
             phones.append(normalized)
     for normalized in phones_in_text(text):
@@ -458,7 +519,7 @@ def extract_attributes(record: Mapping[str, object], gazetteer: Optional[Gazette
         if not isinstance(raw_date, str):
             raise MalformedRecordError("'date' must be an ISO-8601 string")
         try:
-            posted = date.fromisoformat(raw_date)
+            posted = shared.date(raw_date)
         except ValueError as exc:
             raise MalformedRecordError(f"bad date {raw_date!r}") from exc
 
@@ -472,12 +533,12 @@ def extract_attributes(record: Mapping[str, object], gazetteer: Optional[Gazette
 
     return Document(
         id=doc_id.strip(),
-        source_domain=domain.strip(),
+        source_domain=shared.share(domain.strip()),
         text=text,
-        phones=tuple(phones),
-        locations=tuple(sorted(locations)),
+        phones=shared.share(tuple(phones)),
+        locations=shared.share(tuple(sorted(locations))),
         posted_date=posted,
-        extras=extras,
+        extras=extras or EMPTY_EXTRAS,
     )
 
 
@@ -499,8 +560,13 @@ def ingest(
     counted in the returned stats and skipped.  A file whose non-blank
     lines yield zero valid records raises EmptyCorpusError; an entirely
     empty file yields an empty corpus.
+
+    Documents that repeat a domain, phone tuple, location tuple or date
+    hold one object for it, and each distinct raw phone and date string is
+    parsed once.  A document without extra fields has ``EMPTY_EXTRAS``.
     """
     stats = IngestStats()
+    shared = _Shared()
     documents: list[Document] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8") as fh:
@@ -513,7 +579,7 @@ def ingest(
                 continue
             try:
                 record = json.loads(line)
-                doc = extract_attributes(record, gazetteer)
+                doc = _extract(record, gazetteer, shared)
                 if doc.id in seen:
                     raise MalformedRecordError(f"duplicate id {doc.id!r}")
             except (json.JSONDecodeError, MalformedRecordError):
@@ -545,9 +611,10 @@ def document_to_record(doc: Document) -> dict:
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
     """Export as line-delimited JSON; re-ingesting yields identical documents."""
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for doc in corpus:
-            fh.write(json.dumps(document_to_record(doc), sort_keys=True))
+            fh.write(encode(document_to_record(doc)))
             fh.write("\n")
 
 

@@ -1,6 +1,8 @@
 """Ingestion, normalization, and token-removal behavior."""
 
+import copy
 import json
+import pickle
 import re
 import tempfile
 import time
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 import caserisk.corpus
 from caserisk.clustering import GraphConfig, build_graph
 from caserisk.corpus import (
+    EMPTY_EXTRAS,
     Corpus,
     Document,
     Gazetteer,
@@ -52,6 +55,26 @@ _RAW_TEXTS = st.one_of(
         max_size=12,
     ).map("".join),
     st.text(max_size=20),
+)
+
+# Equal values in other spellings: "20240305" is 2024-03-05, and the two
+# phone lists normalize alike.
+_RAW_RECORDS = st.fixed_dictionaries(
+    {"id": _RAW_IDS, "domain": st.sampled_from(["x.example", " y ", "z"]), "text": _RAW_TEXTS},
+    optional={
+        "phones": st.one_of(
+            st.sampled_from([["555.012.3456"], ["(555) 012-3456", "555-012-3456"]]),
+            st.lists(_RAW_PHONES, max_size=3),
+        ),
+        "locations": st.lists(
+            st.one_of(st.sampled_from(["Springfield ", "new YORK", " ", "İstanbul"]), st.text(max_size=6)),
+            max_size=3,
+        ),
+        "date": st.one_of(
+            st.sampled_from(["2024-03-05", "20240305", "2024-13-05"]), st.dates().map(date.isoformat)
+        ),
+        "note": st.text(max_size=6),
+    },
 )
 
 
@@ -240,24 +263,7 @@ class TestIngest:
         assert corpus2.documents == corpus.documents
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.lists(
-            st.fixed_dictionaries(
-                {"id": _RAW_IDS, "domain": st.sampled_from(["x.example", " y ", "z"]), "text": _RAW_TEXTS},
-                optional={
-                    "phones": st.lists(_RAW_PHONES, max_size=3),
-                    "locations": st.lists(
-                        st.one_of(st.sampled_from(["Springfield ", "new YORK", " ", "İstanbul"]), st.text(max_size=6)),
-                        max_size=3,
-                    ),
-                    "date": st.dates().map(date.isoformat),
-                    "note": st.text(max_size=6),
-                },
-            ),
-            max_size=6,
-        ),
-        st.booleans(),
-    )
+    @given(st.lists(_RAW_RECORDS, max_size=6), st.booleans())
     def test_write_then_ingest_gives_the_same_corpus(self, records, use_gazetteer):
         gazetteer = Gazetteer(["springfield", "new york"]) if use_gazetteer else None
         with tempfile.TemporaryDirectory() as tmp:
@@ -286,6 +292,96 @@ class TestIngest:
         )
         corpus2, _ = ingest(path)
         assert corpus2.schema == base_schema | {"ethnicity"}
+
+
+class TestIngestSharing:
+    """Ingest shares equal values between documents; nothing can tell but
+    ``is`` and the memory it saves."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_RAW_RECORDS, max_size=8), st.booleans())
+    def test_documents_equal_each_line_extracted_alone(self, records, use_gazetteer):
+        gazetteer = Gazetteer(["springfield", "new york"]) if use_gazetteer else None
+        alone = {}
+        for record in records:
+            try:
+                doc = extract_attributes(record, gazetteer)
+            except MalformedRecordError:
+                continue
+            alone.setdefault(doc.id, doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "raw.jsonl"
+            write_lines(path, records)
+            try:
+                corpus, _ = ingest(path, gazetteer=gazetteer)
+            except EmptyCorpusError:
+                assert not alone
+                return
+        assert corpus.documents == tuple(alone.values())
+        for doc in corpus:
+            assert (doc.extras is EMPTY_EXTRAS) == (not doc.extras)
+            for other in corpus:
+                for name in ("source_domain", "phones", "locations", "posted_date"):
+                    mine, theirs = getattr(doc, name), getattr(other, name)
+                    assert (mine is theirs) == (mine == theirs)
+
+    def test_equal_values_are_one_object(self, tmp_path):
+        path = tmp_path / "shared.jsonl"
+        base = {"domain": "x.example", "locations": ["Springfield "], "date": "2024-03-05"}
+        write_lines(
+            path,
+            [
+                {**base, "id": "a", "text": "one", "phones": ["(555) 012-3456"]},
+                {**base, "id": "b", "text": "two", "phones": ["555.012.3456"]},
+                {**base, "id": "c", "text": "call 555-012-3456", "date": "20240305"},
+            ],
+        )
+        corpus, _ = ingest(path)
+        a, *others = corpus.documents
+        for doc in others:
+            assert doc.source_domain is a.source_domain
+            assert doc.phones is a.phones
+            assert doc.locations is a.locations
+            assert doc.posted_date is a.posted_date
+            assert doc.extras is a.extras is EMPTY_EXTRAS
+        # Called on its own, extraction shares nothing with another call.
+        record = {**base, "id": "a", "text": "one", "phones": ["555-012-3456"]}
+        first, second = extract_attributes(record), extract_attributes(record)
+        assert first == second
+        assert first.phones is not second.phones and first.posted_date is not second.posted_date
+
+    def test_empty_extras_is_read_only(self, tmp_path):
+        path = tmp_path / "extras.jsonl"
+        write_lines(
+            path,
+            [
+                {"id": "a", "domain": "x", "text": "one"},
+                {"id": "b", "domain": "x", "text": "two", "note": "kept"},
+                {"id": "c", "domain": "x", "text": "three"},
+            ],
+        )
+        corpus, _ = ingest(path)
+        with pytest.raises(TypeError):
+            corpus.get("a").extras["note"] = "everywhere"
+        assert [dict(doc.extras) for doc in corpus] == [{}, {"note": "kept"}, {}]
+        assert corpus.get("c").attribute_names() == {"id", "domain", "text"}
+
+    def test_ingested_corpus_pickles_and_deep_copies(self, tmp_path):
+        path = tmp_path / "copy.jsonl"
+        write_lines(
+            path,
+            [
+                {"id": "a", "domain": "x", "text": "one", "phones": ["555-012-3456"], "date": "2024-03-05"},
+                {"id": "b", "domain": "x", "text": "two", "phones": ["555-012-3456"], "date": "2024-03-05"},
+                {"id": "c", "domain": "y", "text": "three", "note": "kept"},
+            ],
+        )
+        corpus, _ = ingest(path)
+        for copied in (pickle.loads(pickle.dumps(corpus)), copy.deepcopy(corpus)):
+            assert copied.documents == corpus.documents and copied.schema == corpus.schema
+            assert copied.get("b").extras is EMPTY_EXTRAS
+            assert copied.get("b").phones is copied.get("a").phones
+            assert copied.get("c").extras == {"note": "kept"}
 
 
 _REMOVAL_TEXTS = st.lists(

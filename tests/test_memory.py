@@ -7,7 +7,7 @@ what the operating system charges, so it sees the allocations that
 tracemalloc does not (numpy's hash tables, the allocator's free lists).
 The last tests check in process that cross-validation's folds count
 and featurize without copies, and get the same results as with them, and
-what a fitted vocabulary holds.
+what an ingested corpus and a fitted vocabulary hold.
 """
 
 import json
@@ -42,20 +42,22 @@ DOCS = 10_000
 
 # Each bound is about 1.3 times the rise measured on a 2-core x86-64
 # machine (Python 3.11, numpy 2.4, scipy 1.17, five runs each):
-# build_graph 15.4-15.7 MB and ClusterTerms 18.1-18.3 MB.  Since its
-# candidates come from prefix filtering, build_graph rises 11.1-11.4 MB;
-# its bound was left as it was.  cross_validate
+# build_graph 11.2-11.5 MB and ClusterTerms 18.1-18.3 MB.  cross_validate
 # rose 6.7-7.6 MB, where counting each fold's document frequency over one
 # int64 copy of its column indices rose 10.6-12.0 MB; its bound lies
 # between the two.  A fold's copy of its training rows does not show in
 # this rise; test_folds_train_on_views_of_the_feature_rows guards that.
-BOUNDS_MB = {"build_graph": 21.0, "cluster_terms": 24.0, "cross_validate": 9.0}
+BOUNDS_MB = {"build_graph": 15.0, "cluster_terms": 24.0, "cross_validate": 9.0}
 # About 1.5 times the rise of importing caserisk.cli over numpy and
 # scipy.sparse, 3.4 MB on the same machine; importing scipy.special made
 # it 8.8 MB.
 IMPORT_BOUND_MB = 5.0
 # What a fitted 50,000-gram vocabulary may hold, as tracemalloc counts it.
 VOCABULARY_BOUND_MB = 4.0
+# What the ingested 10k corpus may hold, as tracemalloc counts it: about 1.3
+# times the 4.5 MB measured on the same machine, where documents that each
+# held their own domain, phones, locations, date and extras held 7.9 MB.
+CORPUS_BOUND_MB = 5.9
 
 CHILD = """
 import json, resource, sys
@@ -200,6 +202,21 @@ def test_split_featurization_matches_copies(inputs):
             np.testing.assert_array_equal(view.indptr, copy.indptr)
             np.testing.assert_array_equal(view.indices, copy.indices)
             assert view.data.tobytes() == copy.data.tobytes()
+
+
+def test_ingested_corpus_shares_repeated_values(inputs):
+    """Ingest keeps one object per repeated domain, phone tuple, location
+    tuple and date, and one empty extras mapping, so the corpus costs about
+    its texts and ids."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        corpus, _ = ingest(inputs[0])
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == DOCS
+    assert held <= CORPUS_BOUND_MB * 2**20, f"the ingested corpus holds {held / 2**20:.1f} MB"
 
 
 def test_vocabulary_holds_its_columns_compactly(inputs):
