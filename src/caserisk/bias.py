@@ -266,6 +266,28 @@ def group_counts(cluster, corpus: Corpus, feature: FeatureSpec) -> Counter[str]:
     return counts
 
 
+def column_sums(
+    per_cluster: Sequence[Counter[str]], columns: Sequence[str], col_labels: Sequence[str]
+) -> dict[str, list[int]]:
+    """Each group's documents summed per column, by group in sorted order:
+    ``per_cluster[i]`` is a cluster's ``group_counts`` and ``columns[i]``
+    its column, one of ``col_labels``, which give the order of the sums."""
+    index = {label: j for j, label in enumerate(col_labels)}
+    sums: dict[str, list[int]] = {}
+    for counts, column in zip(per_cluster, columns, strict=True):
+        for group, n in counts.items():
+            sums.setdefault(group, [0] * len(index))[index[column]] += n
+    return dict(sorted(sums.items()))
+
+
+def group_table(
+    per_cluster: Sequence[Counter[str]], columns: Sequence[str], col_labels: Sequence[str]
+) -> ContingencyTable:
+    """The ``column_sums`` as a table of group x column."""
+    sums = column_sums(per_cluster, columns, col_labels)
+    return ContingencyTable(tuple(sums), tuple(col_labels), tuple(map(tuple, sums.values())))
+
+
 def contingency(
     corpus: Corpus,
     labeled: Sequence,
@@ -278,17 +300,8 @@ def contingency(
     """
     if not labeled:
         raise EmptyInputError("no labeled clusters")
-    per_class: dict[str, Counter[str]] = {POSITIVE: Counter(), NEGATIVE: Counter()}
-    for lc in labeled:
-        per_class[lc.label].update(group_counts(lc.cluster, corpus, feature))
-    rows = tuple(sorted(per_class[POSITIVE].keys() | per_class[NEGATIVE].keys()))
-    if not rows:
-        raise EmptyInputError("labeled clusters contain no documents")
-    return ContingencyTable(
-        row_labels=rows,
-        col_labels=(POSITIVE, NEGATIVE),
-        counts=tuple((per_class[POSITIVE][g], per_class[NEGATIVE][g]) for g in rows),
-    )
+    per_cluster = [group_counts(lc.cluster, corpus, feature) for lc in labeled]
+    return group_table(per_cluster, [lc.label for lc in labeled], (POSITIVE, NEGATIVE))
 
 
 @dataclass(frozen=True)

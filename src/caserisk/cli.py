@@ -14,7 +14,6 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
 from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
@@ -88,6 +87,14 @@ class Run:
     @cached_property
     def rules(self) -> list[model_mod.IndicatorRule]:
         return model_mod.load_rules(self.config.rules_path)
+
+    @cached_property
+    def bias_report(self) -> bias_mod.BiasReport:
+        """The audit of ``bias.features`` that diagnose writes and evaluate
+        attaches as its bias recheck."""
+        config = self.config
+        features = _features_from_names(config.bias_features)
+        return bias_mod.audit(self.corpus, self.labeled, features, config.alpha, config.correction)
 
     @cached_property
     def terms(self) -> model_mod.ClusterTerms:
@@ -194,8 +201,7 @@ def stage_sample(run: Run) -> list[sampling_mod.LabeledCluster]:
 
 def stage_diagnose(run: Run) -> bias_mod.BiasReport:
     config, out, corpus, labeled = run.config, run.out, run.corpus, run.labeled
-    features = _features_from_names(config.bias_features)
-    report = bias_mod.audit(corpus, labeled, features, config.alpha, config.correction)
+    report = run.bias_report
     bias_mod.write_report(report, out / "bias_report.json", out / "bias_report.txt")
 
     extras: dict = {}
@@ -220,17 +226,12 @@ def stage_diagnose(run: Run) -> bias_mod.BiasReport:
 
 def _domain_renyi(corpus, labeled) -> float:
     """Order-2 Renyi divergence of positive vs negative domain mixes."""
-    pos: Counter[str] = Counter()
-    neg: Counter[str] = Counter()
     domain = bias_mod.FeatureSpec("domain")
-    for lc in labeled:
-        side = pos if lc.label == bias_mod.POSITIVE else neg
-        side.update(bias_mod.group_counts(lc.cluster, corpus, domain))
-    domains = sorted(set(pos) | set(neg))
-    p_total, q_total = sum(pos.values()), sum(neg.values())
-    p = [pos.get(d, 0) / p_total for d in domains]
-    q = [neg.get(d, 0) / q_total for d in domains]
-    value = bias_mod.renyi_divergence(p, q, 2.0)
+    per_cluster = [bias_mod.group_counts(lc.cluster, corpus, domain) for lc in labeled]
+    columns = (bias_mod.POSITIVE, bias_mod.NEGATIVE)
+    pos, neg = zip(*bias_mod.column_sums(per_cluster, [lc.label for lc in labeled], columns).values())
+    p_total, q_total = sum(pos), sum(neg)
+    value = bias_mod.renyi_divergence([n / p_total for n in pos], [n / q_total for n in neg], 2.0)
     return value if value != float("inf") else -1.0  # -1 encodes infinity in JSON
 
 
@@ -272,8 +273,9 @@ def stage_train(run: Run) -> model_mod.RiskModel:
 
 def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
     """Cross-validate on the mitigated ``run.terms``; the top features
-    are those of the train stage's model, and the bias recheck is audited
-    as the diagnose stage audits."""
+    are those of the train stage's model, and the bias recheck is the
+    diagnose stage's audit, ``run.bias_report`` (audited here when the
+    stage runs on its own)."""
     config, out, corpus, labeled = run.config, run.out, run.corpus, run.labeled
     risk_model = run.model  # before the folds, so a missing model.json fails fast
     features = _features_from_names(config.bias_features)
@@ -295,12 +297,11 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         config.max_vocab,
         config.weighting,
         config.train,
-        top_k=0,
         terms=run.terms,
     )
     report.top_features = tuple(model_mod.feature_importance(risk_model, config.top_k))
     if features:
-        report.bias_recheck = bias_mod.audit(corpus, labeled, features, config.alpha, config.correction)
+        report.bias_recheck = run.bias_report
     evaluate_mod.write_report(
         report, out / "eval_report.json", out / "roc.csv", out / "eval_report.txt", plan
     )

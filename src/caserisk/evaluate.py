@@ -27,12 +27,11 @@ from .bias import (
     NEGATIVE,
     POSITIVE,
     BiasReport,
-    ContingencyTable,
     FeatureSpec,
     TestResult,
-    audit,
     chi_squared_test,
     group_counts,
+    group_table,
 )
 from .corpus import Corpus
 from .errors import (
@@ -42,7 +41,7 @@ from .errors import (
     UndefinedMetricError,
     UnsplittableError,
 )
-from .model import ClusterTerms, TrainConfig, feature_importance, row_view, train
+from .model import ClusterTerms, TrainConfig, row_view, train
 from .sampling import LabeledCluster, majority_group
 
 
@@ -150,24 +149,17 @@ def _homogeneity_tests(
     ``features[f]``.  A feature constant within a class is trivially
     homogeneous.
     """
+    folds = [f"fold{i}" for i in range(k)]
+    columns = [folds[assignment[lc.cluster.id]] for lc in labeled]
+    by_class = {
+        label: [i for i, lc in enumerate(labeled) if lc.label == label] for label in (POSITIVE, NEGATIVE)
+    }
     results: dict[str, TestResult] = {}
     for feature, per_cluster in zip(features, cluster_counts):
-        for label in (POSITIVE, NEGATIVE):
-            counts: dict[str, list[int]] = defaultdict(lambda: [0] * k)
-            for lc, groups in zip(labeled, per_cluster):
-                if lc.label != label:
-                    continue
-                fold = assignment[lc.cluster.id]
-                for group, n in groups.items():
-                    counts[group][fold] += n
+        for label, members in by_class.items():
             key = f"{feature.name}/{label}"
-            rows = sorted(counts)
             try:
-                table = ContingencyTable(
-                    row_labels=tuple(rows),
-                    col_labels=tuple(f"fold{i}" for i in range(k)),
-                    counts=tuple(tuple(counts[g]) for g in rows),
-                )
+                table = group_table([per_cluster[i] for i in members], [columns[i] for i in members], folds)
                 results[key] = chi_squared_test(table, alpha)
             except DegenerateTableError:
                 results[key] = TestResult(0.0, 1, 1.0, alpha, False)
@@ -272,8 +264,8 @@ class EvalReport:
     fold_aucs: tuple[float, ...]
     roc_points: tuple[tuple[float, float], ...]
     roc_thresholds: tuple[float, ...]
-    top_features: tuple[tuple[str, float], ...]
-    bias_recheck: Optional[BiasReport]
+    top_features: tuple[tuple[str, float], ...] = ()
+    bias_recheck: Optional[BiasReport] = None
     scores: tuple[tuple[str, float, str], ...] = ()  # (cluster id, score, label)
     converged_folds: int = 0  # fold fits whose solver reached its tolerance
 
@@ -297,9 +289,6 @@ def cross_validate(
     max_vocab: Optional[int] = 50000,
     weighting: str = "tf",
     train_config: Optional[TrainConfig] = None,
-    features: Sequence[FeatureSpec] = (),
-    alpha: float = 0.05,
-    top_k: int = 25,
     terms: Optional[ClusterTerms] = None,
 ) -> EvalReport:
     """Per-fold train/score with fold-local vocabularies.
@@ -309,7 +298,9 @@ def cross_validate(
     ``corpus`` with ``vocab_orders``.  The vocabulary for each fold is
     built from training-fold documents only, so test-fold tokens can never
     leak into a model.  Pooled AUC is the headline number; per-fold AUCs
-    show dispersion.
+    show dispersion.  Only the fold models are trained, and the report's
+    ``top_features`` and ``bias_recheck`` are left empty: rank ``train``'s
+    model with ``feature_importance`` and audit with ``audit``.
     """
     if not labeled:
         raise EmptyInputError("no labeled clusters")
@@ -348,22 +339,12 @@ def cross_validate(
 
     auc, points = roc_auc(pooled)
     thresholds = [t for t, _, _ in roc_curve(pooled)]
-
-    # Final model over the full labeled set for the feature ranking.
-    top: list[tuple[str, float]] = []
-    if top_k != 0:
-        vocab, x = terms.featurize(min_df, max_vocab, weighting)
-        top = feature_importance(train((x, labels), vocab, train_config), top_k)
-
-    recheck = audit(corpus, labeled, features, alpha) if features else None
     pooled_with_ids.sort(key=lambda row: row[0])
     return EvalReport(
         auc=auc,
         fold_aucs=tuple(fold_aucs),
         roc_points=tuple(points),
         roc_thresholds=tuple(thresholds),
-        top_features=tuple(top),
-        bias_recheck=recheck,
         scores=tuple(pooled_with_ids),
         converged_folds=converged,
     )

@@ -838,13 +838,17 @@ class IndicatorRule:
             if not self.pattern:
                 raise RuleCompilationError(self.name, "pattern rule needs a pattern")
             try:
-                re.compile(self.pattern, re.IGNORECASE)
+                self._compiled
             except re.error as exc:
                 raise RuleCompilationError(self.name, f"bad pattern: {exc}") from exc
 
     @cached_property
     def _lexicon(self) -> Lexicon:
         return Lexicon(self.terms)
+
+    @cached_property
+    def _compiled(self) -> re.Pattern:
+        return re.compile(self.pattern, re.IGNORECASE)
 
 
 def apply_indicators(
@@ -861,8 +865,7 @@ def apply_indicators(
     out: dict[str, bool] = {}
     for rule in rules:
         if rule.kind == "pattern":
-            compiled = re.compile(rule.pattern, re.IGNORECASE)
-            out[rule.name] = any(compiled.search(d.text) for d in docs)
+            out[rule.name] = any(rule._compiled.search(d.text) for d in docs)
         elif rule.kind == "lexicon":
             out[rule.name] = any(rule._lexicon.occurrences(t) for t in tokens)
         elif rule.kind == "min_distinct_locations":
@@ -887,9 +890,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
     Each entry has name, kind, and optional terms / lexicon_path / pattern
     / k; lexicon_path is resolved relative to the rules file.  Other keys
     are ignored.  A file that is not such a list, that has a rule without a
-    non-empty string name, or that names two rules alike, raises
-    InputError naming it; a rule that does not compile
-    raises RuleCompilationError naming the rule.
+    non-empty string name or with a k that is not a JSON integer, or that
+    names two rules alike, raises InputError naming it; a rule that does
+    not compile raises RuleCompilationError naming the rule.
     """
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
@@ -913,10 +916,9 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
         pattern = entry.get("pattern", "")
         if not isinstance(pattern, str):
             raise InputError(f"{path}: rule {position}: pattern must be a string")
-        try:
-            k = int(entry.get("k", 1))
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"{path}: rule {position}: bad k: {exc}") from exc
+        k = entry.get("k", 1)
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise InputError(f"{path}: rule {position}: k must be an integer, got {k!r}")
         lexicon_path = entry.get("lexicon_path")
         if lexicon_path:
             terms += tuple(read_terms(base / lexicon_path))

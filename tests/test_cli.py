@@ -9,6 +9,7 @@ from operator import attrgetter
 
 import pytest
 
+import caserisk.bias
 import caserisk.cli
 import caserisk.clustering
 import caserisk.corpus
@@ -288,6 +289,27 @@ class TestPipeline:
         recheck = json.loads((out / "eval_report.json").read_text())["bias_recheck"]
         assert recheck["correction"] == "none" and len(recheck["results"]) == 2
         assert recheck == json.loads((out / "bias_report.json").read_text())
+
+    def test_pipeline_audits_once_and_trains_one_model_per_fold_and_one_more(self, tmp_path, monkeypatch):
+        # diagnose and evaluate share one audit; evaluate trains only the
+        # fold models, and the train stage's model is the one more.
+        calls = Counter()
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(caserisk.bias, "audit", counting("audit", caserisk.bias.audit))
+        train = counting("train", caserisk.model.train)
+        monkeypatch.setattr(caserisk.model, "train", train)
+        monkeypatch.setattr(caserisk.evaluate, "train", train)
+        run_synth(tmp_path)
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=("bias.features = domain,location",))
+        assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+        assert calls == {"audit": 1, "train": load_config(conf).folds + 1}
 
     def test_model_file_round_trips_byte_for_byte(self, tmp_path):
         run_synth(tmp_path)

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caserisk.bias import FeatureSpec, NEGATIVE, POSITIVE
+from caserisk.bias import (
+    NEGATIVE,
+    POSITIVE,
+    ContingencyTable,
+    FeatureSpec,
+    TestResult,
+    chi_squared_test,
+)
 from caserisk.clustering import Cluster
 from caserisk.corpus import Corpus, Document
-from caserisk.errors import InputError, UndefinedMetricError, UnsplittableError
+from caserisk.errors import DegenerateTableError, InputError, UndefinedMetricError, UnsplittableError
 from caserisk.evaluate import cross_validate, make_folds, roc_auc, roc_curve, split
 from caserisk.model import ClusterTerms, TrainConfig
 from caserisk.sampling import SOURCE_EXPERT, SOURCE_SAMPLED, LabeledCluster
@@ -271,6 +278,54 @@ def test_fold_assignment_properties(inputs, seed):
     assert make_folds(corpus, shuffled, k, features, seed=seed).assignment == plan.assignment
 
 
+@st.composite
+def mixed_fold_inputs(draw):
+    """(k, corpus, labeled): 2 to 4 folds and k to 2k clusters per class,
+    each document with its own domain and location, or none."""
+    k = draw(st.integers(2, 4))
+    documents, labeled = [], []
+    for label in (POSITIVE, NEGATIVE):
+        for _ in range(draw(st.integers(k, 2 * k))):
+            ci = len(labeled)
+            ids = [f"c{ci:03d}-d{di:03d}" for di in range(draw(st.integers(1, 6)))]
+            for i in ids:
+                domain = draw(st.sampled_from(("g1", "g2", "g3")))
+                locations = draw(st.sampled_from(((), ("north",), ("south",))))
+                documents.append(Document(id=i, source_domain=domain, text="filler", locations=locations))
+            labeled.append(LabeledCluster(Cluster(id=min(ids), members=frozenset(ids)), label, SOURCE_EXPERT))
+    return k, Corpus(documents), labeled
+
+
+@settings(max_examples=40, deadline=None)
+@given(inputs=mixed_fold_inputs(), seed=st.integers(0, 2**16))
+def test_homogeneity_tests_count_documents_one_by_one(inputs, seed):
+    """Each homogeneity test is the chi-squared test of a group x fold table
+    counted document by document; a feature with one group in a class (the
+    extra field "tier", which no document has) is trivially homogeneous."""
+    k, corpus, labeled = inputs
+    features = [FeatureSpec("domain"), FeatureSpec("location"), FeatureSpec("tier")]
+    plan = make_folds(corpus, labeled, k, features, alpha=0.05, seed=seed)
+    assert sorted(plan.homogeneity) == sorted(f"{f.name}/{c}" for f in features for c in (POSITIVE, NEGATIVE))
+    for feature in features:
+        for label in (POSITIVE, NEGATIVE):
+            counts = {}
+            for lc in labeled:
+                if lc.label == label:
+                    for doc_id in lc.cluster.members:
+                        group = feature.group_of(corpus.get(doc_id))
+                        counts.setdefault(group, [0] * k)[plan.assignment[lc.cluster.id]] += 1
+            rows = sorted(counts)
+            try:
+                table = ContingencyTable(
+                    tuple(rows), tuple(f"fold{i}" for i in range(k)), tuple(tuple(counts[g]) for g in rows)
+                )
+                expected = chi_squared_test(table, 0.05)
+            except DegenerateTableError:
+                assert len(rows) == 1
+                expected = TestResult(0.0, 1, 1.0, 0.05, False)
+            assert plan.homogeneity[f"{feature.name}/{label}"] == expected
+
+
 def signal_text(label, doc_id):
     rng = random.Random(doc_id)
     words = [f"w{rng.randrange(200):03d}" for _ in range(12)]
@@ -346,23 +401,6 @@ class TestCrossValidate:
         vocab = build_vocabulary(train_docs, (1,), 1, None)
         assert "uniquemarkertoken" not in vocab
 
-    def test_bias_recheck_attached(self):
-        corpus, labeled = self.build(n_per_class=8)
-        plan = make_folds(corpus, labeled, 2, seed=2)
-        report = cross_validate(
-            corpus,
-            labeled,
-            plan,
-            (1,),
-            1,
-            None,
-            "tf",
-            TrainConfig(epochs=60),
-            features=[FeatureSpec("domain")],
-        )
-        assert report.bias_recheck is not None
-        assert "domain" in report.bias_recheck.results
-
     def test_scores_cover_every_cluster(self):
         corpus, labeled = self.build(n_per_class=6)
         plan = make_folds(corpus, labeled, 2, seed=3)
@@ -405,8 +443,6 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluate_mod, "train", counting_train)
         corpus, labeled = self.build(n_per_class=6)
         plan = make_folds(corpus, labeled, 3, seed=3)
-        report = cross_validate(
-            corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60), top_k=0
-        )
-        assert report.top_features == ()
+        report = cross_validate(corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60))
+        assert report.top_features == () and report.bias_recheck is None
         assert len(calls) == plan.k

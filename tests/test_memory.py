@@ -256,7 +256,7 @@ def test_folds_train_on_views_of_the_feature_rows(inputs, monkeypatch):
 
     monkeypatch.setattr(ClusterTerms, "featurize", recording_featurize)
     monkeypatch.setattr(evaluate, "train", recording_train)
-    evaluate.cross_validate(corpus, labeled, plan, (1, 2), min_df=2, terms=terms, top_k=0)
+    evaluate.cross_validate(corpus, labeled, plan, (1, 2), min_df=2, terms=terms)
     assert len(trained_on) == len(matrices) == 5
     for x, rows, fold in zip(matrices, trained_on, range(5)):
         assert rows.shape[0] == np.count_nonzero(folds != fold)

@@ -911,6 +911,7 @@ class TestIndicators:
         )
         rules = load_rules(tmp_path / "rules.json")
         assert [r.name for r in rules] == ["movement", "risky"]
+        assert [r.k for r in rules] == [2, 1]
         assert "tonight" in rules[1].terms
 
     def test_rules_file_with_bad_pattern_names_rule(self, tmp_path):
@@ -924,6 +925,13 @@ class TestIndicators:
             '[{"name": "r", "kind": "min_distinct_phones"}, {"name": "r", "kind": "min_distinct_locations"}]'
         )
         with pytest.raises(InputError, match="duplicate rule name 'r'"):
+            load_rules(tmp_path / "rules.json")
+
+    @pytest.mark.parametrize("k", [2.9, 2.0, True, "2", None, [2]])
+    def test_rules_file_with_a_k_that_is_not_an_integer_rejected(self, tmp_path, k):
+        rule = {"name": "contacts", "kind": "min_distinct_phones", "k": k}
+        (tmp_path / "rules.json").write_text(json.dumps([{"name": "ok", "kind": "min_distinct_phones"}, rule]))
+        with pytest.raises(InputError, match=r"rules\.json: rule 1: k must be an integer"):
             load_rules(tmp_path / "rules.json")
 
     @pytest.mark.parametrize("name", ["", 5, None])
