@@ -258,12 +258,7 @@ def renyi_divergence(p: Sequence[float], q: Sequence[float], order: float) -> fl
 def group_counts(cluster, corpus: Corpus, feature: FeatureSpec) -> Counter[str]:
     """The documents of ``cluster`` counted by their group of ``feature``;
     every member id must exist in the corpus."""
-    counts: Counter[str] = Counter()
-    for doc_id in cluster.members:
-        if doc_id not in corpus:
-            raise InputError(f"cluster member {doc_id!r} not in corpus")
-        counts[feature.group_of(corpus.get(doc_id))] += 1
-    return counts
+    return Counter(feature.group_of(doc) for doc in corpus.members(cluster.members))
 
 
 def column_sums(

@@ -10,8 +10,9 @@ random-pivot correlation clustering, optionally combined across seeds by
 co-association consensus and polished by single-node local search on the
 disagreement objective.
 
-The graph is built over integer document indices ``0..n-1``.  Each
-document's phones, locations and word shingles become a row of a 0/1
+The graph is built over integer document indices ``0..n-1``, numbered
+in ascending id order, so every order over nodes is an order over ids.
+Each document's phones, locations and word shingles become a row of a 0/1
 sparse incidence matrix.  A shingle is identified by its exact
 ``gram_ids`` id (its token ids packed into an int64, or ranked when they
 do not fit), so distinct shingles never collide; ``gram_counts`` gives
@@ -99,9 +100,10 @@ class GraphConfig:
 class SimilarityGraph:
     """Undirected positive-edge graph over document ids with edge provenance.
 
-    Node ``k`` is ``node_ids[k]``.  Edge ``e`` joins nodes ``src[e] <
-    dst[e]``, sorted by ``(src, dst)``, and its provenance is
-    ``provenances[codes[e]]``.  ``indptr`` and ``indices`` are the CSR
+    ``node_ids`` holds the ids given, sorted, and node ``k`` is
+    ``node_ids[k]``, the k-th smallest id.  Edge ``e`` joins nodes ``src[e]
+    < dst[e]``, sorted by ``(src, dst)`` and so by id pair, and its
+    provenance is ``provenances[codes[e]]``.  ``indptr`` and ``indices`` are the CSR
     adjacency, each row's neighbours ascending; node indices are int32.
     ``edges`` (id pair with the smaller id first -> provenance) and
     ``adjacency`` (id -> neighbour ids) are views built from the arrays on
@@ -109,7 +111,7 @@ class SimilarityGraph:
     """
 
     def __init__(self, node_ids: Iterable[str], edges: Mapping[tuple[str, str], Iterable[str]]):
-        node_ids = tuple(node_ids)
+        node_ids = tuple(sorted(node_ids))
         index = {node: k for k, node in enumerate(node_ids)}
         if len(index) != len(node_ids):
             raise InputError("duplicate node ids")
@@ -135,8 +137,8 @@ class SimilarityGraph:
 
     @classmethod
     def _from_arrays(cls, node_ids, src, dst, codes, provenances) -> "SimilarityGraph":
-        """A graph from edge arrays that already hold: ``src < dst``,
-        sorted by ``(src, dst)``, no pair twice."""
+        """A graph from sorted ids and edge arrays that already hold: ``src
+        < dst``, sorted by ``(src, dst)``, no pair twice."""
         graph = cls.__new__(cls)
         node_ids = tuple(node_ids)
         graph._store(node_ids, {node: k for k, node in enumerate(node_ids)}, src, dst, codes, provenances)
@@ -158,18 +160,12 @@ class SimilarityGraph:
         ids, provenances = self.node_ids, self.provenances
         out = {}
         for i, j, code in zip(self.src.tolist(), self.dst.tolist(), self.codes.tolist()):
-            a, b = ids[i], ids[j]
-            out[(a, b) if a < b else (b, a)] = provenances[code]
+            out[(ids[i], ids[j])] = provenances[code]
         return out
 
     @cached_property
     def adjacency(self) -> dict[str, set[str]]:
         return {node: self.neighbors(node) for node in self.node_ids}
-
-    @cached_property
-    def id_order(self) -> list[int]:
-        """Node indices in ascending id order."""
-        return sorted(range(len(self.node_ids)), key=self.node_ids.__getitem__)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
         a, b = pair
@@ -316,7 +312,8 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
     use_shingles = config.use_text or config.use_location_date
     if use_shingles and config.shingle_len < 1:
         raise InputError("shingle_len must be >= 1")
-    docs = corpus.documents
+    docs = sorted(corpus.documents, key=lambda doc: doc.id)
+    ids = [doc.id for doc in docs]
     phones = _value_incidence([doc.phones for doc in docs]) if config.use_phones else None
     blocks = [phones] if phones is not None else []
     text = shingle_counts = None
@@ -332,7 +329,8 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
             [doc.posted_date.toordinal() if doc.posted_date is not None else 0 for doc in docs],
             dtype=np.int64,
         )
-    i, j = _candidate_pairs(len(docs), blocks)
+    del docs
+    i, j = _candidate_pairs(len(ids), blocks)
     del blocks
 
     # A pair's cost is the non-zeros its rows bring to the row products.
@@ -364,7 +362,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
     keep = np.flatnonzero(codes)
     i, j, codes = i[keep], j[keep], codes[keep]
     del keep
-    return SimilarityGraph._from_arrays(corpus.ids(), i, j, codes, _PROVENANCE)
+    return SimilarityGraph._from_arrays(ids, i, j, codes, _PROVENANCE)
 
 
 @dataclass(frozen=True)
@@ -422,17 +420,14 @@ class Clustering:
         return [c.size() for c in self.clusters]
 
 
-def _check_partition_of(clustering: Clustering, node_ids: Iterable[str]) -> None:
-    if clustering.ids() != set(node_ids):
-        raise InputError("clustering does not partition the graph's node set")
-
-
-def _positions(clustering: Clustering, graph: SimilarityGraph) -> np.ndarray:
-    """Index in ``clustering`` of each graph node's cluster."""
-    _check_partition_of(clustering, graph.node_ids)
-    position = np.empty(len(graph.node_ids), dtype=np.int64)
+def _positions(clustering: Clustering, index: Mapping[str, int]) -> np.ndarray:
+    """Index in ``clustering`` of each node's cluster, where ``index`` maps
+    each id to its node and ``clustering`` must partition those ids."""
+    if clustering.cluster_of.keys() != index.keys():
+        raise InputError("clustering does not partition the node ids")
+    position = np.empty(len(index), dtype=np.int64)
     for k, cluster in enumerate(clustering):
-        position[[graph.index[doc_id] for doc_id in cluster.members]] = k
+        position[[index[doc_id] for doc_id in cluster.members]] = k
     return position
 
 
@@ -450,14 +445,13 @@ def _group(node_ids: Sequence[str], labels: np.ndarray) -> Clustering:
 # smallest member id; refine breaks ties by that number.
 
 
-def _numbered(graph: SimilarityGraph, labels: np.ndarray) -> np.ndarray:
-    """The labels renumbered 0, 1, ... in the id order of each cluster's
+def _numbered(labels: np.ndarray) -> np.ndarray:
+    """The labels renumbered 0, 1, ... in the order of each cluster's
     smallest member."""
-    in_id_order = labels[graph.id_order]
-    order = np.argsort(in_id_order, kind="stable")
-    first = run_starts(in_id_order[order])
-    values = in_id_order[order[first]]
-    smallest = order[first]  # first id-order position per label
+    order = np.argsort(labels, kind="stable")
+    first = run_starts(labels[order])
+    values = labels[order[first]]
+    smallest = order[first]  # first node per label
     number = np.empty(int(values[-1]) + 1 if len(values) else 0, dtype=np.int64)
     number[values[np.argsort(smallest)]] = np.arange(len(values))
     return number[labels]
@@ -465,9 +459,7 @@ def _numbered(graph: SimilarityGraph, labels: np.ndarray) -> np.ndarray:
 
 def _kwik_labels(graph: SimilarityGraph, seed: int) -> np.ndarray:
     """KwikCluster's partition; a cluster's label is its pivot's turn."""
-    # Shuffling the node indices in id order draws the same permutation
-    # as shuffling sorted(node_ids): shuffle only looks at the length.
-    order = list(graph.id_order)
+    order = list(range(len(graph.node_ids)))
     random.Random(seed).shuffle(order)
     indptr, indices = graph.indptr.tolist(), graph.indices
     label = [-1] * len(order)
@@ -519,7 +511,7 @@ def _refine_labels(graph: SimilarityGraph, labels: np.ndarray, max_passes: int) 
     indptr, indices = graph.indptr.tolist(), graph.indices
     for _ in range(max_passes):
         moved = False
-        for node in graph.id_order:
+        for node in range(len(assign)):
             home = assign[node]
             edges_to = Counter(assign[v] for v in indices[indptr[node] : indptr[node + 1]].tolist())
             edges_home = edges_to.pop(home, 0)
@@ -564,7 +556,7 @@ def correlation_clustering(
     kwik = [_kwik_labels(graph, seed + i) for i in range(runs)]
     labels = kwik[0] if runs == 1 else _consensus_labels(kwik, threshold)
     if refine_passes > 0:
-        labels = _refine_labels(graph, _numbered(graph, labels), refine_passes)
+        labels = _refine_labels(graph, _numbered(labels), refine_passes)
     return _group(graph.node_ids, labels)
 
 
@@ -581,7 +573,7 @@ def kwikcluster(graph: SimilarityGraph, seed: int) -> Clustering:
 def disagreement_cost(clustering: Clustering, graph: SimilarityGraph) -> int:
     """Correlation-clustering objective: cut positive edges plus missing
     within-cluster edges."""
-    position = _positions(clustering, graph)
+    position = _positions(clustering, graph.index)
     within = int(np.count_nonzero(position[graph.src] == position[graph.dst]))
     cut = graph.edge_count() - within
     possible_within = sum(n * (n - 1) // 2 for n in clustering.sizes())
@@ -614,18 +606,9 @@ def consensus(clusterings: Sequence[Clustering], threshold: float) -> Clustering
     """
     if not clusterings:
         raise InputError("no clusterings to combine")
-    base_ids = clusterings[0].ids()
-    for other in clusterings[1:]:
-        if other.ids() != base_ids:
-            raise InputError("clusterings cover different id sets")
-    ids = sorted(base_ids)
+    ids = sorted(clusterings[0].ids())
     index = {doc_id: k for k, doc_id in enumerate(ids)}
-    runs = []
-    for clustering in clusterings:
-        run = np.empty(len(ids), dtype=np.int64)
-        for k, cluster in enumerate(clustering):
-            run[[index[doc_id] for doc_id in cluster.members]] = k
-        runs.append(run)
+    runs = [_positions(clustering, index) for clustering in clusterings]
     return _group(ids, _consensus_labels(runs, threshold))
 
 
@@ -637,7 +620,7 @@ def refine(clustering: Clustering, graph: SimilarityGraph, max_passes: int = 3) 
     into a fresh singleton.  Stops when a pass makes no move or max_passes
     is reached; never increases the objective.
     """
-    return _group(graph.node_ids, _refine_labels(graph, _positions(clustering, graph), max_passes))
+    return _group(graph.node_ids, _refine_labels(graph, _positions(clustering, graph.index), max_passes))
 
 
 def adjusted_rand(a: Clustering, b: Clustering) -> float:
@@ -691,22 +674,17 @@ _CSV_ROWS = 1 << 16
 def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
     """One ``id_a,id_b,provenance`` row per edge, ``id_a < id_b``, rows
     sorted by id pair, signals joined by ``|`` in sorted order."""
-    rank = np.empty(len(graph.node_ids), dtype=np.int64)
-    rank[graph.id_order] = np.arange(len(graph.node_ids))
-    lo = np.minimum(rank[graph.src], rank[graph.dst])
-    hi = np.maximum(rank[graph.src], rank[graph.dst])
-    order = np.lexsort((hi, lo))
-    ids = [graph.node_ids[k] for k in graph.id_order]
+    ids = graph.node_ids
     provenance = ["|".join(sorted(signals)) for signals in graph.provenances]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_a", "id_b", "provenance"])
-        for start in range(0, len(order), _CSV_ROWS):
-            rows = order[start : start + _CSV_ROWS]
+        for start in range(0, graph.edge_count(), _CSV_ROWS):
+            rows = slice(start, start + _CSV_ROWS)
             writer.writerows(
                 zip(
-                    map(ids.__getitem__, lo[rows].tolist()),
-                    map(ids.__getitem__, hi[rows].tolist()),
+                    map(ids.__getitem__, graph.src[rows].tolist()),
+                    map(ids.__getitem__, graph.dst[rows].tolist()),
                     map(provenance.__getitem__, graph.codes[rows].tolist()),
                 )
             )

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyCorpusError, MalformedRecordError
+from .errors import EmptyCorpusError, InputError, MalformedRecordError
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -332,6 +332,17 @@ class Corpus:
 
     def ids(self) -> list[str]:
         return [doc.id for doc in self.documents]
+
+    def members(self, doc_ids: Iterable[str]) -> list[Document]:
+        """The documents of a set of member ids, in id order; an id the
+        corpus does not hold raises InputError naming the first one."""
+        by_id = self._by_id
+        docs = []
+        for doc_id in sorted(doc_ids):
+            if doc_id not in by_id:
+                raise InputError(f"cluster member {doc_id!r} not in corpus")
+            docs.append(by_id[doc_id])
+        return docs
 
 
 def read_terms(path: str | Path) -> list[str]:

@@ -308,12 +308,8 @@ class ClusterTerms:
         docs = []
         sizes = []
         for cluster in self.clusters:
-            members = sorted(cluster.members)
-            for doc_id in members:
-                if doc_id not in corpus:
-                    raise InputError(f"cluster member {doc_id!r} not in corpus")
-                docs.append(corpus.get(doc_id))
-            sizes.append(len(members))
+            docs += corpus.members(cluster.members)
+            sizes.append(cluster.size())
         self.doc_ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.counts, self.grams = _count_grams(docs, self.orders, remove)
 
@@ -413,12 +409,8 @@ def vectorize_cluster(
 ) -> csr_matrix:
     """The cluster's 1 x |V| row: the renormalized mean of its member
     document rows."""
-    members = sorted(cluster.members)
-    for doc_id in members:
-        if doc_id not in corpus:
-            raise InputError(f"cluster member {doc_id!r} not in corpus")
-    doc_rows = _rows_against([corpus.get(d) for d in members], vocab, weighting)
-    return _unit_rows(_cluster_means(doc_rows, np.array([0, len(members)])))
+    doc_rows = _rows_against(corpus.members(cluster.members), vocab, weighting)
+    return _unit_rows(_cluster_means(doc_rows, np.array([0, cluster.size()])))
 
 
 @dataclass
@@ -860,7 +852,7 @@ def apply_indicators(
     names = [r.name for r in rules]
     if len(set(names)) != len(names):
         raise InputError("duplicate rule names")
-    docs = [corpus.get(d) for d in sorted(cluster.members)]
+    docs = corpus.members(cluster.members)
     tokens = [tokenize(d.text) for d in docs] if any(r.kind in _LEXICON_KINDS for r in rules) else []
     out: dict[str, bool] = {}
     for rule in rules:
@@ -890,9 +882,10 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
     Each entry has name, kind, and optional terms / lexicon_path / pattern
     / k; lexicon_path is resolved relative to the rules file.  Other keys
     are ignored.  A file that is not such a list, that has a rule without a
-    non-empty string name or with a k that is not a JSON integer, or that
-    names two rules alike, raises InputError naming it; a rule that does
-    not compile raises RuleCompilationError naming the rule.
+    non-empty string name, with a k that is not a JSON integer or with a
+    lexicon_path that is not a string, or that names two rules alike,
+    raises InputError naming it; a rule that does not compile raises
+    RuleCompilationError naming the rule.
     """
     base = Path(path).parent
     with open(path, "r", encoding="utf-8") as fh:
@@ -920,6 +913,8 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
         if not isinstance(k, int) or isinstance(k, bool):
             raise InputError(f"{path}: rule {position}: k must be an integer, got {k!r}")
         lexicon_path = entry.get("lexicon_path")
+        if lexicon_path is not None and not isinstance(lexicon_path, str):
+            raise InputError(f"{path}: rule {position}: lexicon_path must be a string")
         if lexicon_path:
             terms += tuple(read_terms(base / lexicon_path))
         if any(rule.name == name for rule in rules):

@@ -337,7 +337,8 @@ class TestPipeline:
         # Refine breaks ties by cluster number, which the library sets by
         # each cluster's smallest member id, so the stage must number its
         # clusters the same way to write the library's partition.  The
-        # corpus is shuffled so that node order is not id order.
+        # corpus is shuffled so that its input order is not id order, which
+        # the graph's node order must not follow.
         run_synth(tmp_path)
         lines = (tmp_path / "corpus.jsonl").read_text().splitlines(keepends=True)
         random.Random(0).shuffle(lines)
@@ -586,6 +587,21 @@ class TestPipeline:
         assert rc == 1
         err = capsys.readouterr().err
         assert "InputError" in err and "rules.json" in err and "Traceback" not in err
+
+    def test_clusters_naming_a_document_missing_from_the_corpus_exit_1(self, tmp_path, capsys):
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"id": "a", "domain": "x", "text": "first ad"}\n{"id": "b", "domain": "x", "text": "second ad"}\n'
+        )
+        rules = write_rules(tmp_path / "rules.json")
+        out = tmp_path / "run"
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=(f"paths.rules = {rules}",))
+        assert main(["ingest", "--config", str(conf), "--out", str(out)]) == 0
+        (out / "clusters.csv").write_text("cluster_id,document_id\na,a\nb,b\nz,z\n")
+        capsys.readouterr()
+        rc = main(["indicators", "--config", str(conf), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "InputError" in err and "'z' not in corpus" in err and "Traceback" not in err
 
 
 # A non-default valid value for every graph and solver key, as written in a

@@ -259,6 +259,7 @@ def test_build_graph_matches_per_pair_reference(data):
     config = data.draw(graph_configs())
     graph = build_graph(corpus, config)
     reference = ref_build_graph(corpus, config)
+    assert graph.node_ids == tuple(sorted(corpus.ids()))
     assert graph.edges == reference.edges
     assert graph.edge_count() == len(reference.edges)
     assert graph.adjacency == reference.adjacency
@@ -295,6 +296,7 @@ def test_clustering_matches_string_reference(nodes_edges, seed, passes, data):
     nodes, edges = nodes_edges
     graph = SimilarityGraph(nodes, edges)
     reference = RefGraph(nodes, edges)
+    assert graph.node_ids == tuple(sorted(nodes))
     assert graph.edges == reference.edges
     assert graph_csv(graph) == graph_csv(reference)
 

@@ -907,12 +907,14 @@ class TestIndicators:
         (tmp_path / "risky.txt").write_text("tonight\nnow\n")
         (tmp_path / "rules.json").write_text(
             '[{"name": "movement", "kind": "min_distinct_locations", "scope": "cluster", "k": 2},'
-            ' {"name": "risky", "kind": "lexicon", "lexicon_path": "risky.txt"}]'
+            ' {"name": "risky", "kind": "lexicon", "lexicon_path": "risky.txt"},'
+            ' {"name": "late", "kind": "lexicon", "terms": ["late"], "lexicon_path": null}]'
         )
         rules = load_rules(tmp_path / "rules.json")
-        assert [r.name for r in rules] == ["movement", "risky"]
-        assert [r.k for r in rules] == [2, 1]
+        assert [r.name for r in rules] == ["movement", "risky", "late"]
+        assert [r.k for r in rules] == [2, 1, 1]
         assert "tonight" in rules[1].terms
+        assert rules[2].terms == ("late",)
 
     def test_rules_file_with_bad_pattern_names_rule(self, tmp_path):
         (tmp_path / "rules.json").write_text('[{"name": "nightly", "kind": "pattern", "pattern": "(unclosed"}]')
@@ -932,6 +934,13 @@ class TestIndicators:
         rule = {"name": "contacts", "kind": "min_distinct_phones", "k": k}
         (tmp_path / "rules.json").write_text(json.dumps([{"name": "ok", "kind": "min_distinct_phones"}, rule]))
         with pytest.raises(InputError, match=r"rules\.json: rule 1: k must be an integer"):
+            load_rules(tmp_path / "rules.json")
+
+    @pytest.mark.parametrize("lexicon_path", [5, 0, False, ["risky.txt"], {"path": "risky.txt"}])
+    def test_rules_file_with_a_lexicon_path_that_is_not_a_string_rejected(self, tmp_path, lexicon_path):
+        rule = {"name": "risky", "kind": "lexicon", "lexicon_path": lexicon_path}
+        (tmp_path / "rules.json").write_text(json.dumps([{"name": "ok", "kind": "min_distinct_phones"}, rule]))
+        with pytest.raises(InputError, match=r"rules\.json: rule 1: lexicon_path must be a string"):
             load_rules(tmp_path / "rules.json")
 
     @pytest.mark.parametrize("name", ["", 5, None])
