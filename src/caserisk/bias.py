@@ -43,7 +43,7 @@ class FeatureSpec:
         return self.grouping.get(value, "other")
 
     def value_of(self, doc: Document) -> str:
-        if self.name in ("domain", "source_domain"):
+        if self.name == "domain":
             return doc.source_domain
         if self.name == "location":
             return doc.locations[0] if doc.locations else "(none)"

@@ -1,7 +1,9 @@
 """Command-line pipeline driver.
 
 Each stage subcommand reads its declared inputs, writes machine-readable
-artifacts into the output directory, and prints a one-line summary.
+artifacts into the output directory, and prints a one-line summary.  A
+stage takes every setting, input paths and seed included, from its
+``--config`` file alone.
 ``pipeline`` runs the same stage functions in order over one shared
 ``Run``, so it writes exactly the bytes that the stages run one at a time
 write.  Outputs are deterministic: rerunning with the same config and
@@ -25,7 +27,7 @@ from . import evaluate as evaluate_mod
 from . import model as model_mod
 from . import sampling as sampling_mod
 from . import synth as synth_mod
-from .config import PipelineConfig, config_help, load_config, require_paths, validate
+from .config import PipelineConfig, config_help, load_config, require_paths
 from .errors import ConfigError, PipelineError
 
 
@@ -114,7 +116,7 @@ class Run:
 def stage_ingest(run: Run) -> corpus_mod.Corpus:
     config, out = run.config, run.out
     gazetteer = _load_gazetteer(config)
-    corpus, stats = corpus_mod.ingest(config.corpus_path, config.ingest_limit, gazetteer)
+    corpus, stats = corpus_mod.ingest(config.corpus_path, gazetteer)
     run.corpus = corpus
     corpus_mod.write_corpus(corpus, out / "corpus_clean.jsonl")
     _write_json(
@@ -332,21 +334,9 @@ def stage_indicators(run: Run) -> int:
 
 
 def _build_config(args: argparse.Namespace) -> PipelineConfig:
-    if getattr(args, "config", None):
-        config = load_config(args.config)
-    else:
-        config = PipelineConfig()
-    for attr in ("corpus_path", "labels_path", "gazetteer_path", "rules_path"):
-        flag = attr.replace("_path", "")
-        value = getattr(args, flag, None)
-        if value:
-            setattr(config, attr, value)
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
-    if getattr(args, "mode", None):
-        config.sampling_mode = args.mode
-    validate(config)
-    return config
+    """The ``--config`` file's settings, the only ones a stage reads; with
+    no file, every key's default."""
+    return load_config(args.config) if args.config else PipelineConfig()
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -363,7 +353,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         duplication_rate=args.duplication,
         vocab_size=args.vocab_size,
         doc_tokens=args.doc_tokens,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     result = synth_mod.generate(config)
     paths = synth_mod.write_artifacts(result, _out_dir(args))
@@ -451,60 +441,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="pipeline config file")
+    def command(name: str, help: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--out", default="out", help="artifact directory (default: out)")
-        p.add_argument("--seed", type=int, default=None, help="override the master seed")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus with ground truth")
-    common(p)
+    def stage(name: str, help: str, func=cmd_stage) -> argparse.ArgumentParser:
+        p = command(name, help, func)
+        p.add_argument("--config", help="pipeline config file, the only source of settings (default: all defaults)")
+        return p
+
+    p = command("synth", "generate a synthetic corpus with ground truth", cmd_synth)
+    p.add_argument("--seed", type=int, default=0, help="generator seed (default: 0)")
     p.add_argument("--num-clusters", type=int, default=200)
     p.add_argument("--positive-fraction", type=float, default=0.3)
     p.add_argument("--domain-skew", type=float, default=0.0)
     p.add_argument("--duplication", type=float, default=0.0)
     p.add_argument("--vocab-size", type=int, default=2000)
     p.add_argument("--doc-tokens", type=int, default=30)
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("ingest", help="ingest and normalize a corpus file")
-    common(p)
-    p.add_argument("--corpus", help="override paths.corpus")
-    p.add_argument("--gazetteer", help="override paths.gazetteer")
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("cluster", help="build the similarity graph and cluster it")
-    common(p)
+    stage("ingest", "ingest and normalize a corpus file")
+    p = stage("cluster", "build the similarity graph and cluster it")
     p.add_argument("--export-graph", action="store_true", help="also write graph.csv")
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("sample", help="draw noisy negative labels")
-    common(p)
-    p.add_argument("--labels", help="override paths.labels")
-    p.add_argument("--mode", choices=["random", "conditioned"], help="override sampling.mode")
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("diagnose", help="audit labeled data for feature-class dependence")
-    common(p)
+    stage("sample", "draw noisy negative labels")
+    p = stage("diagnose", "audit labeled data for feature-class dependence")
     p.add_argument("--table2", action="store_true", help="run the built-in 2x2 fixture instead")
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("train", help="train the risk model on all labeled clusters")
-    common(p)
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("evaluate", help="conditioned cross-validation with pooled AUC")
-    common(p)
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("indicators", help="evaluate indicator rules per cluster")
-    common(p)
-    p.add_argument("--rules", help="override paths.rules")
-    p.set_defaults(func=cmd_stage)
-
-    p = sub.add_parser("pipeline", help="run every stage in order")
-    common(p)
+    stage("train", "train the risk model on all labeled clusters")
+    stage("evaluate", "conditioned cross-validation with pooled AUC")
+    stage("indicators", "evaluate indicator rules per cluster")
+    p = stage("pipeline", "run every stage in order", cmd_pipeline)
     p.add_argument("--export-graph", action="store_true", help="also write graph.csv")
-    p.set_defaults(func=cmd_pipeline)
 
     return parser
 

@@ -657,13 +657,19 @@ def write_clustering(clustering: Clustering, path: str | Path) -> None:
 
 
 def read_clustering(path: str | Path) -> Clustering:
+    """Read a clustering written by ``write_clustering``; a missing header,
+    or a row with a missing or empty field, raises InputError naming the
+    file and the line."""
     groups: dict[str, set[str]] = defaultdict(set)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or not {"cluster_id", "document_id"} <= set(reader.fieldnames):
             raise InputError(f"{path}: expected header cluster_id,document_id")
         for row in reader:
-            groups[row["cluster_id"]].add(row["document_id"])
+            cluster_id, doc_id = row["cluster_id"], row["document_id"]
+            if not (cluster_id and doc_id):
+                raise InputError(f"{path}:{reader.line_num}: missing cluster_id or document_id")
+            groups[cluster_id].add(doc_id)
     return Clustering.from_member_sets(groups.values())
 
 

@@ -20,6 +20,7 @@ from typing import Any, Callable, NamedTuple, Optional
 from .clustering import GraphConfig
 from .errors import ConfigError
 from .model import TrainConfig
+from .sampling import DEFAULT_SIZE_BUCKETS
 
 
 def _parse_bool(raw: str) -> bool:
@@ -47,8 +48,6 @@ class PipelineConfig:
     gazetteer_path: Optional[str] = None
     rules_path: Optional[str] = None
     remove_lexicon_path: Optional[str] = None
-    # ingest
-    ingest_limit: Optional[int] = None
     # clustering: the graph's signals, then how the graph is clustered
     graph: GraphConfig = field(default_factory=GraphConfig)
     consensus_runs: int = 1
@@ -58,7 +57,7 @@ class PipelineConfig:
     sampling_mode: str = "conditioned"  # random | conditioned
     sampling_ratio: float = 1.0  # negatives per positive cluster
     sampling_features: tuple[str, ...] = ("domain",)
-    size_buckets: tuple[int, ...] = (1, 2, 5, 17, 65)
+    size_buckets: tuple[int, ...] = DEFAULT_SIZE_BUCKETS
     # bias
     bias_features: tuple[str, ...] = ("domain",)
     alpha: float = 0.05
@@ -97,7 +96,6 @@ KEY_REGISTRY: dict[str, Key] = {
     "paths.gazetteer": Key("gazetteer_path", str, None, "location lexicon, one lowercase term per line"),
     "paths.rules": Key("rules_path", str, None, "indicator rules JSON"),
     "paths.remove_lexicon": Key("remove_lexicon_path", str, None, "tokens to delete before featurization"),
-    "ingest.limit": Key("ingest_limit", int, lambda v: v is None or v >= 0, "cap on ingested records"),
     "clustering.tau_text": Key("graph.tau_text", float, lambda v: 0.0 < v <= 1.0, "text similarity edge threshold in (0,1]"),
     "clustering.shingle_len": Key("graph.shingle_len", int, _at_least(1), "word shingle length"),
     "clustering.use_phones": Key("graph.use_phones", _parse_bool, None, "enable shared-phone signal"),
@@ -122,7 +120,6 @@ KEY_REGISTRY: dict[str, Key] = {
     "model.penalty": Key("train.penalty", str, _one_of("l2", "l1"), "l2 | l1"),
     "model.lambda": Key("train.lam", float, _at_least(0), "penalty strength"),
     "model.epochs": Key("train.epochs", int, _at_least(1), "solver iteration cap"),
-    "model.learning_rate": Key("train.learning_rate", float, lambda v: v > 0, "first step length"),
     "eval.folds": Key("folds", int, _at_least(2), "cross-validation fold count"),
     "eval.top_k": Key("top_k", int, _at_least(0), "features reported by importance"),
     "seed": Key("seed", int, None, "master seed"),

@@ -560,17 +560,13 @@ class IngestStats:
     skipped: int = 0
 
 
-def ingest(
-    path: str | Path,
-    limit: Optional[int] = None,
-    gazetteer: Optional[Gazetteer] = None,
-) -> tuple[Corpus, IngestStats]:
+def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Corpus, IngestStats]:
     """Read a line-delimited corpus file into a Corpus.
 
-    Malformed lines (bad JSON, failed extraction, duplicate ids) are
-    counted in the returned stats and skipped.  A file whose non-blank
-    lines yield zero valid records raises EmptyCorpusError; an entirely
-    empty file yields an empty corpus.
+    Malformed lines (bytes that are not UTF-8, bad JSON, failed
+    extraction, duplicate ids) are counted in the returned stats and
+    skipped.  A file whose non-blank lines yield zero valid records raises
+    EmptyCorpusError; an entirely empty file yields an empty corpus.
 
     Documents that repeat a domain, phone tuple, location tuple or date
     hold one object for it, and each distinct raw phone and date string is
@@ -580,20 +576,22 @@ def ingest(
     shared = _Shared()
     documents: list[Document] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             stats.total_lines += 1
-            if limit is not None and stats.ingested >= limit:
-                continue
             try:
+                if not line.isascii():
+                    # A byte that is not UTF-8 was decoded to a lone
+                    # surrogate, which has no UTF-8 encoding.
+                    line.encode("utf-8")
                 record = json.loads(line)
                 doc = _extract(record, gazetteer, shared)
                 if doc.id in seen:
                     raise MalformedRecordError(f"duplicate id {doc.id!r}")
-            except (json.JSONDecodeError, MalformedRecordError):
+            except (UnicodeEncodeError, json.JSONDecodeError, MalformedRecordError):
                 stats.skipped += 1
                 continue
             seen.add(doc.id)

@@ -419,16 +419,15 @@ class TrainConfig:
     penalty: str = "l2"  # l2 | l1
     lam: float = 1e-4
     epochs: int = 300  # solver iteration cap
-    learning_rate: float = 0.5  # length of the first step
 
     def validate(self) -> None:
         if self.loss not in ("logistic", "hinge"):
             raise InputError(f"unknown loss {self.loss!r}")
         if self.penalty not in ("l2", "l1"):
             raise InputError(f"unknown penalty {self.penalty!r}")
-        if not (math.isfinite(self.lam) and math.isfinite(self.learning_rate)):
+        if not math.isfinite(self.lam):
             raise InputError("training hyperparameters must be finite")
-        if self.lam < 0 or self.epochs < 1 or self.learning_rate <= 0:
+        if self.lam < 0 or self.epochs < 1:
             raise InputError("bad training hyperparameters")
 
 
@@ -530,6 +529,7 @@ _MEMORY = 10  # curvature pairs kept
 _TOLERANCE = 1e-6  # converged at this (pseudo-)gradient inf-norm
 _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking search
 _HALVINGS = 60  # backtracking steps before the search gives up
+_FIRST_STEP = 0.5  # length of the step taken before any curvature pair exists
 
 
 def _pseudo_gradient(theta: np.ndarray, grad: np.ndarray, l1: float) -> np.ndarray:
@@ -560,13 +560,13 @@ def _lbfgs_direction(grad: np.ndarray, pairs: Sequence[tuple]) -> np.ndarray:
     return -q
 
 
-def _minimize(fun, n: int, l1: float, first_step: float, max_iter: int):
+def _minimize(fun, n: int, l1: float, max_iter: int):
     """Minimize ``fun(theta) + l1 * |theta[:-1]|_1`` from zero.
 
     ``fun`` returns the smooth part and its gradient.  Each iteration steps
     along the L-BFGS direction of the pseudo-gradient, backtracking by
     halves to the Armijo condition from a step of 1 or, with no curvature
-    pair yet, from a step of length ``first_step``.  Only pairs with
+    pair yet, from a step of length ``_FIRST_STEP``.  Only pairs with
     ``s.y > 0`` are kept, so the direction descends.  A step that changes
     no gradient (the squared hinge is flat where every margin exceeds 1),
     or a search that finds no decrease, drops the pairs: steepest descent
@@ -595,7 +595,7 @@ def _minimize(fun, n: int, l1: float, first_step: float, max_iter: int):
         if norm <= _TOLERANCE or iterations == max_iter:
             break
         direction = _lbfgs_direction(pg, pairs) if pairs else -pg
-        step = 1.0 if pairs else first_step / float(np.linalg.norm(pg))
+        step = 1.0 if pairs else _FIRST_STEP / float(np.linalg.norm(pg))
         if l1:
             orthant = np.where(theta[:-1] != 0, np.sign(theta[:-1]), -np.sign(pg[:-1]))
         for _ in range(_HALVINGS):
@@ -635,11 +635,10 @@ def train(
     the examples; anything else raises InputError.  The model has one
     weight per column of the matrix.
 
-    ``config.epochs`` caps the solver's iterations and
-    ``config.learning_rate`` is the length of its first step.  The metadata
-    records the iterations run (``epochs``), the final (pseudo-)gradient
-    inf-norm (``grad_norm``) and whether it reached the tolerance
-    (``converged``).  Training is deterministic for identical inputs.
+    ``config.epochs`` caps the solver's iterations.  The metadata records
+    the iterations run (``epochs``), the final (pseudo-)gradient inf-norm
+    (``grad_norm``) and whether it reached the tolerance (``converged``).
+    Training is deterministic for identical inputs.
     """
     config = config or TrainConfig()
     config.validate()
@@ -662,9 +661,7 @@ def train(
         value, grad_w, grad_b = _smooth_objective(config.loss, theta[:-1], theta[-1], x, y, l2)
         return value, np.append(grad_w, grad_b)
 
-    theta, objective, iterations, grad_norm, converged = _minimize(
-        smooth, x.shape[1] + 1, l1, config.learning_rate, config.epochs
-    )
+    theta, objective, iterations, grad_norm, converged = _minimize(smooth, x.shape[1] + 1, l1, config.epochs)
     return RiskModel(
         weights=theta[:-1],
         intercept=float(theta[-1]),
@@ -677,7 +674,6 @@ def train(
             "final_objective": objective,
             "grad_norm": grad_norm,
             "converged": converged,
-            "learning_rate": config.learning_rate,
             "examples": len(labels),
         },
     )
@@ -748,8 +744,9 @@ def load_model(path: str | Path) -> RiskModel:
     vocabulary, up to the largest weight index, which ``save_model``
     always writes.  A vocabulary index that is not a permutation of
     0..n-1, a df that names other terms than the index, n-gram orders
-    outside {1, 2, 3}, or a weight index outside the weight vector, makes
-    the file malformed.
+    outside {1, 2, 3}, a weight index outside the weight vector, a loss,
+    penalty or lambda that ``TrainConfig.validate`` rejects, or metadata
+    that is not an object, makes the file malformed.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -760,6 +757,14 @@ def load_model(path: str | Path) -> RiskModel:
         found = blob.get("format") if isinstance(blob, dict) else None
         raise InputError(f"{path}: unsupported model format {found!r}")
     try:
+        solver = TrainConfig(loss=blob["loss"], penalty=blob["penalty"], lam=float(blob["lambda"]))
+        try:
+            solver.validate()
+        except InputError as exc:
+            raise InputError(f"{path}: {exc}") from exc
+        metadata = blob.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise InputError(f"{path}: metadata is not a JSON object")
         vocab_blob = blob.get("vocabulary")
         vocabulary = None
         if vocab_blob is not None:
@@ -788,10 +793,10 @@ def load_model(path: str | Path) -> RiskModel:
             weights=weights,
             intercept=float(blob["intercept"]),
             vocabulary=vocabulary,
-            loss=blob["loss"],
-            penalty=blob["penalty"],
-            lam=float(blob["lambda"]),
-            metadata=blob.get("metadata", {}),
+            loss=solver.loss,
+            penalty=solver.penalty,
+            lam=solver.lam,
+            metadata=metadata,
         )
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"{path}: malformed model file: {type(exc).__name__}: {exc}") from exc

@@ -250,7 +250,7 @@ def _biased_config(seed):
 def test_criterion_5_end_to_end_bias_mitigation():
     started = time.perf_counter()
     domain_feature = FeatureSpec("domain")
-    train_config = TrainConfig(epochs=300, learning_rate=0.5, lam=1e-4)
+    train_config = TrainConfig(epochs=300, lam=1e-4)
 
     # (a) unmitigated on a representative seed
     result = generate(_biased_config(seed=11))

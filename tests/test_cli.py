@@ -3,6 +3,7 @@
 import filecmp
 import json
 import random
+import re
 import shutil
 from collections import Counter
 from operator import attrgetter
@@ -67,7 +68,6 @@ def write_config(path, out, corpus="corpus.jsonl", labels="labels_expert.csv", l
 
 # One invalid value for every key that has a validity check.
 INVALID = {
-    "ingest.limit": "-1",
     "clustering.tau_text": "0",
     "clustering.shingle_len": "0",
     "clustering.date_window_days": "-3",
@@ -87,12 +87,11 @@ INVALID = {
     "model.penalty": "elasticnet",
     "model.lambda": "-0.1",
     "model.epochs": "0",
-    "model.learning_rate": "0",
     "eval.folds": "1",
     "eval.top_k": "-1",
 }
-# Every float key must be finite: inf used to pass model.learning_rate,
-# model.lambda and sampling.ratio.
+# Every float key must be finite: inf used to pass model.lambda and
+# sampling.ratio.
 FLOAT_KEYS = sorted(key for key, entry in KEY_REGISTRY.items() if entry.parse is float)
 OUT_OF_RANGE = [pytest.param(key, raw, id=key) for key, raw in sorted(INVALID.items())] + [
     pytest.param(key, raw, id=f"{key}={raw}") for key in FLOAT_KEYS for raw in ("inf", "-inf", "nan")
@@ -146,10 +145,17 @@ class TestConfig:
         assert "sampling.ratio" in err and "Traceback" not in err
 
     # Folds are assigned in one pass, so there is no reshuffle budget; one
-    # edge rule holds at every corpus size, so there is no blocking knob.
+    # edge rule holds at every corpus size, so there is no blocking knob;
+    # ingest reads the whole corpus, and the solver's first step is fixed.
     @pytest.mark.parametrize(
         "line",
-        ["eval.max_retries = 50", "clustering.rare_shingle_df_cap = 10", "clustering.all_pairs_cutoff = 1000"],
+        [
+            "eval.max_retries = 50",
+            "clustering.rare_shingle_df_cap = 10",
+            "clustering.all_pairs_cutoff = 1000",
+            "ingest.limit = 5",
+            "model.learning_rate = 0.25",
+        ],
         ids=lambda line: line.partition(" ")[0],
     )
     def test_removed_key_exits_2(self, tmp_path, capsys, line):
@@ -207,6 +213,25 @@ class TestSubcommands:
         # Nested options show their GraphConfig and TrainConfig defaults.
         assert rows["clustering.tau_text"].endswith("(default: 0.5)")
         assert rows["model.lambda"].endswith("(default: 0.0001)")
+
+    @pytest.mark.parametrize(
+        "command, own",
+        [
+            ("ingest", []),
+            ("cluster", ["--export-graph"]),
+            ("sample", []),
+            ("diagnose", ["--table2"]),
+            ("train", []),
+            ("evaluate", []),
+            ("indicators", []),
+            ("pipeline", ["--export-graph"]),
+        ],
+    )
+    def test_stage_takes_settings_only_from_config(self, capsys, command, own):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        options = set(re.findall(r"(?<![\w-])--?[a-z][a-z0-9-]*", capsys.readouterr().out))
+        assert options == {"-h", "--help", "--config", "--out", *own}
 
     def test_stagewise_run_matches_artifacts(self, tmp_path):
         run_synth(tmp_path)
@@ -619,7 +644,6 @@ SOLVER_VALUES = {
     "model.penalty": ("l1", "l1"),
     "model.lambda": ("0.001", 0.001),
     "model.epochs": ("40", 40),
-    "model.learning_rate": ("0.25", 0.25),
 }
 
 
@@ -744,3 +768,124 @@ class TestPathsCheckedFirst:
         rc, _ = self.pipeline(tmp_path, conf)
         assert rc == 2
         assert "stage sample" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """Inputs and the out directory of one complete pipeline run."""
+    base = tmp_path_factory.mktemp("finished")
+    run_synth(base)
+    conf = write_config(base / "p.conf", base)
+    assert main(["pipeline", "--config", str(conf), "--out", str(base / "run")]) == 0
+    return base
+
+
+def _append_bytes(name, data):
+    def mutate(base):
+        with open(base / name, "ab") as fh:
+            fh.write(data)
+
+    return mutate
+
+
+def _insert_clusters_row(row):
+    """Make ``row`` line 2 of clusters.csv, right below the header."""
+
+    def mutate(base):
+        path = base / "run" / "clusters.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + [row] + lines[1:]))
+
+    return mutate
+
+
+def _set_in_model(key, value):
+    def mutate(base):
+        path = base / "run" / "model.json"
+        blob = json.loads(path.read_text())
+        blob[key] = value
+        path.write_text(json.dumps(blob))
+
+    return mutate
+
+
+def _unchanged(base):
+    pass
+
+
+# (id, mutation of a copy of finished_run, argv before --config/--out with
+# "{base}" standing for the copy, exit code, stderr fragments, (summary file,
+# expected change of its entries) or None).
+STAGE_CASES = [
+    (
+        "corpus line with a byte that is not UTF-8",
+        _append_bytes("corpus.jsonl", b'{"id": "zz-latin1", "domain": "x", "text": "caf\xe9"}\n'),
+        ["ingest"], 0, [], ("ingest_summary.json", {"skipped": 1, "documents": 0}),
+    ),
+    (
+        "clusters row missing its document_id field",
+        _insert_clusters_row("c-lonely\n"),
+        ["sample"], 1, ["InputError", "clusters.csv:2"], None,
+    ),
+    (
+        "clusters row with an empty document_id",
+        _insert_clusters_row("c-empty,\n"),
+        ["sample"], 1, ["InputError", "clusters.csv:2"], None,
+    ),
+    (
+        "model with an unknown loss",
+        _set_in_model("loss", "foo"),
+        ["evaluate"], 1, ["InputError", "model.json", "unknown loss 'foo'"], None,
+    ),
+    (
+        "model with an unknown penalty",
+        _set_in_model("penalty", "elasticnet"),
+        ["evaluate"], 1, ["InputError", "model.json", "unknown penalty 'elasticnet'"], None,
+    ),
+    (
+        "model metadata that is not an object",
+        _set_in_model("metadata", [1]),
+        ["evaluate"], 1, ["InputError", "model.json", "metadata is not a JSON object"], None,
+    ),
+    ("sample --mode", _unchanged, ["sample", "--mode", "random"], 2, ["unrecognized arguments"], None),
+    ("pipeline --seed", _unchanged, ["pipeline", "--seed", "3"], 2, ["unrecognized arguments"], None),
+    ("ingest --corpus", _unchanged, ["ingest", "--corpus", "{base}/corpus.jsonl"], 2, ["unrecognized arguments"], None),
+    ("ingest --gazetteer", _unchanged, ["ingest", "--gazetteer", "{base}/gazetteer.txt"], 2, ["unrecognized arguments"], None),
+    ("sample --labels", _unchanged, ["sample", "--labels", "{base}/labels_expert.csv"], 2, ["unrecognized arguments"], None),
+    (
+        "indicators --rules",
+        lambda base: write_rules(base / "rules.json"),
+        ["indicators", "--rules", "{base}/rules.json"], 2, ["unrecognized arguments"], None,
+    ),
+    ("synth --config", _unchanged, ["synth"], 2, ["unrecognized arguments: --config"], None),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, argv, code, fragments, summary", [pytest.param(*case[1:], id=case[0]) for case in STAGE_CASES]
+)
+def test_stage_refuses_bad_input_and_removed_settings(
+    finished_run, tmp_path, capsys, mutate, argv, code, fragments, summary
+):
+    """A defective artifact fails with a named error, or, for an
+    undecodable corpus line, is skipped and counted; a removed flag is
+    refused."""
+    base = tmp_path / "case"
+    shutil.copytree(finished_run, base)
+    write_config(base / "p.conf", base)
+    clean = (base / "run" / "ingest_summary.json").read_text()
+    mutate(base)
+    argv = [arg.format(base=base) for arg in argv]
+    capsys.readouterr()
+    try:
+        rc = main([*argv, "--config", str(base / "p.conf"), "--out", str(base / "run")])
+    except SystemExit as exc:  # argparse refuses an unknown option
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert all(fragment in err for fragment in fragments), err
+    assert "Traceback" not in err
+    if summary is not None:
+        name, expected = summary
+        before, after = json.loads(clean), json.loads((base / "run" / name).read_text())
+        assert {key: after[key] - before[key] for key in expected} == expected

@@ -210,6 +210,20 @@ class TestIngest:
         assert len(corpus) == 2
         assert stats.skipped == 1
 
+    def test_undecodable_line_skipped_and_counted(self, tmp_path):
+        # Lines end at \n, \r\n or \r alike; a line holding a byte that is
+        # not UTF-8 (a Latin-1 e-acute, an encoded surrogate) is skipped.
+        path = tmp_path / "bytes.jsonl"
+        path.write_bytes(
+            b'{"id": "a", "domain": "x", "text": "caf\xc3\xa9"}\r\n'
+            b'{"id": "b", "domain": "x", "text": "caf\xe9"}\n'
+            b'{"id": "c", "domain": "x", "text": "ok"}\r{"id": "d", "domain": "x", "text": "\xed\xb2\x80"}\n'
+        )
+        corpus, stats = ingest(path)
+        assert corpus.ids() == ["a", "c"]
+        assert corpus.get("a").text == "caf\u00e9"
+        assert (stats.total_lines, stats.ingested, stats.skipped) == (4, 2, 2)
+
     def test_all_invalid_raises_empty_corpus(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n{\"id\": \"a\"}\n")
@@ -219,12 +233,6 @@ class TestIngest:
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):
             ingest(tmp_path / "nope.jsonl")
-
-    def test_limit_caps_records(self, tmp_path):
-        path = tmp_path / "many.jsonl"
-        write_lines(path, [{"id": f"d{i}", "domain": "x", "text": "t"} for i in range(10)])
-        corpus, _ = ingest(path, limit=4)
-        assert len(corpus) == 4
 
     def test_duplicate_id_skipped(self, tmp_path):
         path = tmp_path / "dup.jsonl"

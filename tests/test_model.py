@@ -366,7 +366,7 @@ TWO_POINTS = (sv({0: 1.0}, {1: 1.0}), ["positive", "negative"])
 class TestTrain:
     def test_separable_two_points(self):
         x, labels = TWO_POINTS
-        model = train((x, labels), config=TrainConfig(epochs=200, learning_rate=1.0, lam=1e-6))
+        model = train((x, labels), config=TrainConfig(epochs=200, lam=1e-6))
         scores = model.scores(x)
         assert scores[0] > 0.5
         assert scores[1] < 0.5
@@ -390,11 +390,12 @@ class TestTrain:
         with pytest.raises(DegenerateTrainingError):
             train((TWO_POINTS[0], ["positive", "positive"]))
 
-    def test_objective_non_increasing(self):
+    def test_objective_non_increasing(self, monkeypatch):
         # Each run capped at k iterations is a prefix of the same
         # deterministic trajectory, so the final objectives for k = 1, 2, ...
         # follow the solver's own descent.  The large first step forces
         # backtracking.
+        monkeypatch.setattr(caserisk.model, "_FIRST_STEP", 4.0)
         rng = random.Random(0)
         vectors, labels = [], []
         for i in range(40):
@@ -403,7 +404,7 @@ class TestTrain:
         x = sv(*vectors, dim=10)
         history = []
         for epochs in range(1, 301):
-            model = train((x, labels), config=TrainConfig(epochs=epochs, learning_rate=4.0))
+            model = train((x, labels), config=TrainConfig(epochs=epochs))
             history.append(model.metadata["final_objective"])
             if model.metadata["converged"]:
                 break
@@ -427,7 +428,7 @@ class TestTrain:
         x = sv(*[{0: 1.0}, {1: 1.0}] * 3)
         model = train(
             (x, ["positive", "negative"] * 3),
-            config=TrainConfig(loss="hinge", epochs=150, learning_rate=0.5),
+            config=TrainConfig(loss="hinge", epochs=150),
         )
         scores = model.scores(x)
         assert scores[0] > 0.5 > scores[1]
@@ -573,12 +574,7 @@ class TestOptimality:
         full = train(examples, config=TrainConfig())
         assert full.metadata["converged"] and 1 < full.metadata["epochs"] < 300
 
-    def test_first_step_has_learning_rate_length(self):
-        model = train(TWO_POINTS, config=TrainConfig(epochs=1, learning_rate=0.25, lam=0.0))
-        step = np.array([model.weights[0], model.weights[1], model.intercept])
-        assert np.linalg.norm(step) == pytest.approx(0.25)
-
-    @pytest.mark.parametrize("field", ["lam", "learning_rate"])
+    @pytest.mark.parametrize("field", ["lam"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_hyperparameters_rejected(self, field, value):
         with pytest.raises(InputError):
