@@ -1,0 +1,263 @@
+"""Compressed sparse rows over numpy alone.
+
+A ``CSR`` is the triple (``indptr``, ``indices``, ``data``) and a shape.
+Every matrix the pipeline builds keeps its rows canonical: each row's
+column indices ascending and distinct.  The kernels are the few sparse
+operations caserisk needs, each a handful of numpy calls over Gustavson's
+row expansion (ACM TOMS 4(3), 1978): a stable argsort of the column
+indices is the transpose, and an entry expanded over a row or a column
+gives the products.  Loops that expand entries run a block of rows (or
+pairs) at a time, each block bounded by ``_BUDGET`` expanded entries, so
+their temporaries stay small beside the matrices.
+
+scipy is not imported: ``as_csr`` takes the arrays of any object with a
+``tocsr`` method.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Iterator, Sequence
+
+import numpy as np
+
+from .corpus import run_starts, spans
+
+# Entries that one step of an expanding loop creates.
+_BUDGET = 1 << 16
+
+
+@dataclass(frozen=True, eq=False)
+class CSR:
+    """Row i holds columns ``indices[indptr[i]:indptr[i + 1]]``, ascending
+    and distinct, with values ``data`` at the same positions."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def nnz(self) -> int:
+        return len(self.indices)
+
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.indptr)
+
+    def row_of_entry(self) -> np.ndarray:
+        return np.repeat(np.arange(self.shape[0]), self.lengths())
+
+    @cached_property
+    def keys(self) -> np.ndarray:
+        """``row * ncols + column`` of every entry, ascending."""
+        return self.row_of_entry() * np.int64(self.shape[1]) + self.indices
+
+
+def ones(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> CSR:
+    """The 0/1 matrix with these rows."""
+    return CSR(indptr, indices, np.ones(len(indices), dtype=np.int8), (len(indptr) - 1, ncols))
+
+
+def is_sparse(x) -> bool:
+    """Whether ``x`` is ``CSR`` rows or has a ``tocsr`` method, as every
+    scipy sparse matrix does."""
+    return isinstance(x, CSR) or hasattr(x, "tocsr")
+
+
+def as_csr(x) -> CSR:
+    """``x`` itself, or a scipy sparse matrix's CSR form (canonical, sharing
+    its arrays when they already are)."""
+    if isinstance(x, CSR):
+        return x
+    x = x.tocsr()
+    if not x.has_canonical_format:
+        x = x.copy()
+        x.sum_duplicates()
+    return CSR(x.indptr, x.indices, x.data, tuple(x.shape))
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lengths[i]``, end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def take_columns(x: CSR, lookup: np.ndarray, width: int) -> CSR:
+    """``x`` with each column c moved to column ``lookup[c]`` of ``width``,
+    or dropped where that is -1; ``lookup`` is one-to-one where it keeps."""
+    mapped = np.take(lookup, x.indices)
+    kept = np.flatnonzero(mapped >= 0)
+    out = CSR(np.searchsorted(kept, x.indptr), mapped[kept].astype(np.int32), x.data[kept], (x.shape[0], width))
+    order = lookup[lookup >= 0]
+    return out if np.all(order[1:] > order[:-1]) else summed([out])
+
+
+def summed(parts: Sequence[CSR]) -> CSR:
+    """The sum of matrices of one shape, with canonical rows; a part's rows
+    may be unsorted or repeat a column.  A block of rows at a time."""
+    nrows, ncols = parts[0].shape
+    lengths = sum(part.lengths() for part in parts)
+    indices = np.empty(int(lengths.sum()), dtype=np.int32)
+    data = np.empty(len(indices), dtype=np.result_type(*(part.data for part in parts)))
+    indptr = np.zeros(nrows + 1, dtype=np.int64)
+    at = 0
+    for start, stop in spans(lengths + 1, _BUDGET):
+        rows, cols, values = [], [], []
+        for part in parts:
+            lo, hi = part.indptr[start], part.indptr[stop]
+            rows.append(np.repeat(np.arange(stop - start, dtype=np.int64), np.diff(part.indptr[start : stop + 1])))
+            cols.append(part.indices[lo:hi])
+            values.append(part.data[lo:hi])
+        key = np.concatenate(rows) * ncols + np.concatenate(cols)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.flatnonzero(run_starts(key))
+        key = key[first]
+        found = len(key)
+        if found:
+            data[at : at + found] = np.add.reduceat(np.concatenate(values)[order], first)
+        row, indices[at : at + found] = np.divmod(key, ncols)
+        indptr[start + 1 : stop + 1] = at + np.cumsum(np.bincount(row, minlength=stop - start))
+        at += found
+    return CSR(indptr, indices[:at], data[:at], (nrows, ncols))
+
+
+def upper_gram(x: CSR) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``x @ x.T`` above the diagonal for a 0/1 ``x``, a block of rows at a
+    time: the packed keys ``i * n + j`` (i < j, ascending) of the pairs
+    of rows that share a column, and how many columns each shares.
+
+    Each entry of row i is expanded over the later rows of its column,
+    found in the column-major order of a stable argsort of ``indices``;
+    sorting the block's keys and counting their runs sums the products.
+    """
+    n = x.shape[0]
+    by_column = np.argsort(x.indices, kind="stable")
+    position = np.empty(x.nnz, dtype=np.int64)
+    position[by_column] = np.arange(x.nnz)
+    column_rows = x.row_of_entry()[by_column].astype(np.int32)
+    del by_column
+    column_end = np.cumsum(np.bincount(x.indices, minlength=x.shape[1]))[x.indices]
+    later = column_end - position - 1
+    del column_end
+    touched = np.zeros(x.nnz + 1, dtype=np.int64)
+    np.cumsum(later, out=touched[1:])
+    for start, stop in spans(np.diff(touched[x.indptr]) + 1, _BUDGET):
+        lo, hi = x.indptr[start], x.indptr[stop]
+        count = later[lo:hi]
+        rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(x.indptr[start : stop + 1]))
+        keys = np.repeat(rows * n, count) + column_rows[ranges(position[lo:hi] + 1, count)]
+        keys.sort()
+        first = np.flatnonzero(run_starts(keys))
+        yield keys[first], np.diff(first, append=len(keys))
+
+
+def row_intersections(x: CSR, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|row a[k] & row b[k]|`` of a 0/1 ``x``: the shorter row of each
+    pair is expanded, and its columns looked up in the other row by
+    ``searchsorted`` over the packed ``keys``."""
+    lengths = x.lengths()
+    swap = lengths[a] > lengths[b]
+    short, other = np.where(swap, b, a), np.where(swap, a, b)
+    count = lengths[short]
+    probe = np.repeat(other.astype(np.int64) * x.shape[1], count) + x.indices[ranges(x.indptr[short], count)]
+    # A probe past the last key is clipped to it, which it differs from.
+    found = np.take(x.keys, np.searchsorted(x.keys, probe), mode="clip") == probe
+    return np.diff(np.searchsorted(np.flatnonzero(found), np.concatenate(([0], np.cumsum(count)))))
+
+
+def segments(x: CSR, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each group of rows ``ptr[g]:ptr[g + 1]`` of ``x`` merged into one
+    row of every column they hold: the merged rows' ``indptr``, and for
+    each entry of ``x`` the place of its column in its group's merged row,
+    so that ``place + repeat(indptr[:-1], entries)`` is its position among
+    the merged entries.
+
+    A block of groups at a time, keys ``g * ncols + column`` are sorted
+    and their runs numbered; entries with one key share a place, so the
+    sort need not be stable.
+    """
+    ncols = x.shape[1]
+    entries = np.diff(x.indptr[ptr])
+    # A merged row is no longer than its group's entries or a row's width.
+    place = np.empty(x.nnz, dtype=np.min_scalar_type(max(min(int(entries.max(initial=0)), ncols) - 1, 0)))
+    indptr = np.zeros(len(entries) + 1, dtype=np.int64)
+    for start, stop in spans(entries + 1, _BUDGET):
+        lo, hi = x.indptr[ptr[start]], x.indptr[ptr[stop]]
+        group = np.repeat(np.arange(stop - start, dtype=np.int64), entries[start:stop])
+        key = group * ncols + x.indices[lo:hi]
+        order = np.argsort(key)
+        key = key[order]
+        first = run_starts(key)
+        merged_at = np.cumsum(first) - 1
+        key = key[first]
+        found = np.searchsorted(key, np.arange(stop - start + 1) * ncols)
+        indptr[start + 1 : stop + 1] = indptr[start] + found[1:]
+        place[lo + order] = merged_at - found[group[order]]
+    return indptr, place
+
+
+def segment_means(x: CSR, ptr: np.ndarray) -> CSR:
+    """Row g is the mean of rows ``ptr[g]:ptr[g + 1]`` of ``x``, which must
+    be non-empty and cover ``x``.  Each sum is taken by ``bincount`` in
+    row order, as scipy's product with a membership matrix takes it."""
+    indptr, place = segments(x, ptr)
+    entries, sizes = np.diff(x.indptr[ptr]), np.diff(ptr)
+    positions = place + np.repeat(indptr[:-1], entries)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    indices[positions] = x.indices
+    values = sums(positions, x.data * np.repeat(1.0 / sizes, entries), len(indices))
+    return CSR(indptr, indices, values, (len(sizes), x.shape[1]))
+
+
+def sums(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The ``values`` summed at their ``positions`` in entry order."""
+    # bincount gives integers for no entries at all.
+    return np.bincount(positions, values, minlength=size).astype(np.float64, copy=False)
+
+
+class Products:
+    """``x @ w`` and ``x.T @ c`` of one matrix, for a solver that asks for
+    them many times: the column indices are widened to ``intp`` once, which
+    ``take`` and ``add.at`` would otherwise do on every call, and the
+    products run a block of rows at a time into one reused scratch array.
+
+    ``x @ w`` takes, multiplies and sums each row by ``np.add.reduceat``
+    (pairwise, so within rounding of scipy's running sum); ``x.T @ c``
+    adds ``data * repeat(c, row_lengths)`` into its columns by
+    ``np.add.at`` in entry order, bit for bit as scipy sums it.
+    """
+
+    def __init__(self, x: CSR):
+        self.x = x
+        self.indices = x.indices.astype(np.intp)
+        self.lengths = x.lengths()
+        # Per block: its rows, its entries, and its non-empty rows with
+        # where each starts among the block's entries.
+        self.blocks = []
+        for start, stop in spans(self.lengths + 1, _BUDGET):
+            rows = start + np.flatnonzero(self.lengths[start:stop])
+            lo, hi = x.indptr[start], x.indptr[stop]
+            self.blocks.append((slice(start, stop), slice(lo, hi), rows, x.indptr[rows] - lo))
+        self.scratch = np.empty(max((block.stop - block.start for _, block, _, _ in self.blocks), default=0))
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        x = self.x
+        out = np.zeros(x.shape[0])
+        for _, entries, rows, starts in self.blocks:
+            if len(rows):
+                products = self.scratch[: entries.stop - entries.start]
+                np.take(w, self.indices[entries], out=products, mode="clip")
+                products *= x.data[entries]
+                out[rows] = np.add.reduceat(products, starts)
+        return out
+
+    def rmatvec(self, c: np.ndarray) -> np.ndarray:
+        x = self.x
+        out = np.zeros(x.shape[1])
+        for block, entries, _, _ in self.blocks:
+            products = self.scratch[: entries.stop - entries.start]
+            np.multiply(x.data[entries], np.repeat(c[block], self.lengths[block]), out=products)
+            np.add.at(out, self.indices[entries], products)
+        return out

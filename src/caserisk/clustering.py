@@ -23,8 +23,9 @@ row's size alone.  Candidate generation is integer-only: the candidate
 pairs are the upper triangle of ``B @ B.T`` for the phone matrix and for
 the matrix of each row's prefix, its rarest shingles, de-duplicated on a
 packed ``i * n + j`` key.  Every candidate pair is then scored from
-row-wise sparse intersections.  Products and scoring run a block at a
-time, each block bounded by the non-zeros it touches, so their
+row-wise sparse intersections.  The triangle and the scoring
+(``_sparse.upper_gram`` and ``row_intersections``, numpy alone) run a
+block at a time, each block bounded by the entries it expands, so their
 temporaries stay small beside the graph.  ``SimilarityGraph`` keeps the
 edges as index arrays with provenance bitmasks plus CSR adjacency.
 KwikCluster, consensus and refine run over those arrays on label arrays,
@@ -40,12 +41,12 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import coo_matrix, csr_matrix
 
-from .corpus import Corpus, Document, columns_of, gram_counts, run_starts, spans, token_ids, tokenize
+from ._sparse import CSR, ones, row_intersections, summed, upper_gram
+from .corpus import Corpus, Document, columns_of, gram_counts, run_starts, spans, text_lines, token_ids, tokenize
 from .errors import InputError
 
 SIGNAL_PHONE = "phone-match"
@@ -58,9 +59,9 @@ _PHONE, _TEXT, _LOCATION_DATE = 1, 2, 4
 _PROVENANCE = tuple(
     frozenset(s for bit, s in enumerate(_SIGNALS) if code >> bit & 1) for code in range(8)
 )
-# Non-zeros that one step of a chunked sparse product touches: bounds the
-# temporaries of blocking, scoring and consensus.
-_STEP = 1 << 19
+# Non-zeros of the two rows of each candidate pair that one step of
+# scoring reads: bounds its temporaries.
+_STEP = 1 << 17
 
 
 def shingles(text: str, shingle_len: int) -> frozenset[str]:
@@ -180,23 +181,18 @@ class SimilarityGraph:
         return len(self.src)
 
 
-def _value_incidence(values_per_doc: Sequence[Sequence[str]]) -> csr_matrix:
+def _value_incidence(values_per_doc: Sequence[Sequence[str]]) -> CSR:
     """Document x value 0/1 incidence (phones, locations); a value listed
     twice counts once."""
     ids: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    for row, values in enumerate(values_per_doc):
-        for value in values:
-            rows.append(row)
-            cols.append(ids.setdefault(value, len(ids)))
-    shape = (len(values_per_doc), len(ids))
-    matrix = coo_matrix((np.ones(len(rows), dtype=np.int32), (rows, cols)), shape=shape).tocsr()
-    matrix.data[:] = 1  # tocsr summed the repeats
-    return matrix
+    cols = np.fromiter((ids.setdefault(v, len(ids)) for values in values_per_doc for v in values), np.int32)
+    indptr = np.zeros(len(values_per_doc) + 1, dtype=np.int64)
+    np.cumsum([len(values) for values in values_per_doc], out=indptr[1:])
+    merged = summed([ones(indptr, cols, len(ids))])  # sorted, a repeat summed into one entry
+    return ones(merged.indptr, merged.indices, len(ids))
 
 
-def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[csr_matrix, np.ndarray]:
+def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[CSR, np.ndarray]:
     """The shared-shingle incidence and each document's shingle count.
 
     A document's shingles are the set ``shingles`` returns.  Row d of the
@@ -216,21 +212,16 @@ def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[csr_
     del ordered, repeat
     col, keep = columns_of(grams, shared)
     kept = np.flatnonzero(keep)
-    text = csr_matrix(
-        (np.ones(len(kept), dtype=np.int32), col[kept], np.searchsorted(kept, indptr)),
-        shape=(len(docs), len(shared)),
-    )
-    del col, keep, kept
-    df = np.bincount(text.indices, minlength=len(shared))
+    col = col[kept]
+    del keep
+    df = np.bincount(col, minlength=len(shared))
     rank = np.empty(len(shared), dtype=np.int32)
     rank[np.argsort(df, kind="stable")] = np.arange(len(shared))
-    text.indices = rank[text.indices]
-    text.has_sorted_indices = False  # a cached flag would describe the old numbering
-    text.sort_indices()
+    text = summed([ones(np.searchsorted(kept, indptr), rank[col], len(shared))])
     return text, np.diff(indptr)
 
 
-def _prefixes(text: csr_matrix, sizes: np.ndarray, tau: float, scale: int) -> csr_matrix:
+def _prefixes(text: CSR, sizes: np.ndarray, tau: float, scale: int) -> CSR:
     """Each row's prefix: of the shared shingles in ``text`` (rarest first),
     those that two documents must have one of in common when their
     Jaccard similarity J meets ``scale * J >= tau``.
@@ -246,7 +237,7 @@ def _prefixes(text: csr_matrix, sizes: np.ndarray, tau: float, scale: int) -> cs
     ones.  ``ceil(tau * size / scale)`` may miss that t by one either way
     (0.28 * 25 is 7.000000000000001), so it is corrected on the test.
     """
-    counts = np.diff(text.indptr)
+    counts = text.lengths()
     rows = np.flatnonzero(counts)
     size = sizes[rows]
     t = np.ceil(tau * size / scale)
@@ -257,39 +248,19 @@ def _prefixes(text: csr_matrix, sizes: np.ndarray, tau: float, scale: int) -> cs
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(keep, out=indptr[1:])
     at = np.arange(indptr[-1]) + np.repeat(text.indptr[:-1] - indptr[:-1], keep)
-    return csr_matrix((np.ones(len(at), dtype=np.int32), text.indices[at], indptr), shape=text.shape)
+    return ones(indptr, text.indices[at], text.shape[1])
 
 
-def _row_blocks(matrix: csr_matrix) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``matrix @ matrix.T`` above the diagonal, a block of rows at a time:
-    the (row, column, value) entries.  A block's rows touch at most about
-    ``_STEP`` non-zeros of the transpose, which bounds its temporaries."""
-    transposed = matrix.T.tocsr()
-    touched = np.zeros(len(matrix.indices) + 1, dtype=np.int64)
-    np.cumsum(np.diff(transposed.indptr)[matrix.indices], out=touched[1:])
-    for start, stop in spans(np.diff(touched[matrix.indptr]) + 1, _STEP):
-        shared = (matrix[start:stop] @ transposed).tocoo()
-        row = shared.row.astype(np.int64) + start
-        upper = row < shared.col
-        yield row[upper], shared.col[upper].astype(np.int64), shared.data[upper]
-
-
-def _candidate_pairs(n: int, blocks: Sequence[csr_matrix]) -> tuple[np.ndarray, np.ndarray]:
+def _candidate_pairs(n: int, blocks: Sequence[CSR]) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs ``i < j``, sorted, whose rows in one of the 0/1
     ``blocks`` share a column."""
     keys = [np.empty(0, dtype=np.int64)]
     for block in blocks:
-        for i, j, _ in _row_blocks(block):
-            keys.append(i * n + j)
+        keys.extend(pairs for pairs, _ in upper_gram(block))
     keys = np.concatenate(keys)
     keys.sort()
     i, j = np.divmod(keys[run_starts(keys)], n)
     return i.astype(np.int32), j.astype(np.int32)
-
-
-def _overlap(matrix: csr_matrix, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise intersection sizes of a 0/1 matrix: |row a[k] & row b[k]|."""
-    return np.asarray(matrix[a].multiply(matrix[b]).sum(axis=1)).ravel()
 
 
 def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> SimilarityGraph:
@@ -337,16 +308,16 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
     cost = np.ones(len(i), dtype=np.int32)
     for matrix in (phones, text):
         if matrix is not None:
-            row_nnz = np.diff(matrix.indptr)
+            row_nnz = matrix.lengths()
             cost += row_nnz[i]
             cost += row_nnz[j]
     codes = np.zeros(len(i), dtype=np.int8)
     for start, stop in spans(cost, _STEP):
         a, b, code = i[start:stop], j[start:stop], codes[start:stop]
         if phones is not None:
-            code[_overlap(phones, a, b) > 0] |= _PHONE
+            code[row_intersections(phones, a, b) > 0] |= _PHONE
         if text is not None:
-            inter = _overlap(text, a, b)
+            inter = row_intersections(text, a, b)
             union = shingle_counts[a] + shingle_counts[b] - inter
             similarity = np.zeros(len(a))
             np.divide(inter, union, out=similarity, where=union > 0)
@@ -355,7 +326,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
         if locations is not None:
             near = dated[a] & dated[b] & (np.abs(ordinals[a] - ordinals[b]) <= config.date_window_days)
             near &= 2 * similarity >= config.tau_text
-            near[near] = _overlap(locations, a[near], b[near]) > 0
+            near[near] = row_intersections(locations, a[near], b[near]) > 0
             code[near] |= _LOCATION_DATE
     # Only the edges are kept while the adjacency is built.
     del cost, phones, text, locations
@@ -486,19 +457,16 @@ def _consensus_labels(runs: Sequence[np.ndarray], threshold: float) -> np.ndarra
     # Node x (run, label) membership; its Gram matrix counts, per pair,
     # the runs that put the two nodes in one cluster.
     offsets = np.cumsum([0] + [int(run.max()) + 1 if n else 0 for run in runs])
-    member = csr_matrix(
-        (
-            np.ones(n * len(runs), dtype=np.int32),
-            np.stack([run + offset for run, offset in zip(runs, offsets)], axis=1).ravel(),
-            np.arange(0, n * len(runs) + 1, len(runs)),
-        ),
-        shape=(n, int(offsets[-1])),
+    member = ones(
+        np.arange(0, n * len(runs) + 1, len(runs)),
+        np.stack([run + offset for run, offset in zip(runs, offsets)], axis=1).ravel(),
+        int(offsets[-1]),
     )
     a, b = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
-    for i, j, together in _row_blocks(member):
-        agree = together >= needed
-        a.append(i[agree])
-        b.append(j[agree])
+    for pairs, together in upper_gram(member):
+        i, j = np.divmod(pairs[together >= needed], n)
+        a.append(i)
+        b.append(j)
     return _components(n, np.concatenate(a), np.concatenate(b))
 
 
@@ -658,18 +626,17 @@ def write_clustering(clustering: Clustering, path: str | Path) -> None:
 
 def read_clustering(path: str | Path) -> Clustering:
     """Read a clustering written by ``write_clustering``; a missing header,
-    or a row with a missing or empty field, raises InputError naming the
-    file and the line."""
+    a row with a missing or empty field, or a byte that is not UTF-8,
+    raises InputError naming the file and the line."""
     groups: dict[str, set[str]] = defaultdict(set)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"cluster_id", "document_id"} <= set(reader.fieldnames):
-            raise InputError(f"{path}: expected header cluster_id,document_id")
-        for row in reader:
-            cluster_id, doc_id = row["cluster_id"], row["document_id"]
-            if not (cluster_id and doc_id):
-                raise InputError(f"{path}:{reader.line_num}: missing cluster_id or document_id")
-            groups[cluster_id].add(doc_id)
+    reader = csv.DictReader(text_lines(path, newline=""))
+    if reader.fieldnames is None or not {"cluster_id", "document_id"} <= set(reader.fieldnames):
+        raise InputError(f"{path}: expected header cluster_id,document_id")
+    for row in reader:
+        cluster_id, doc_id = row["cluster_id"], row["document_id"]
+        if not (cluster_id and doc_id):
+            raise InputError(f"{path}:{reader.line_num}: missing cluster_id or document_id")
+        groups[cluster_id].add(doc_id)
     return Clustering.from_member_sets(groups.values())
 
 

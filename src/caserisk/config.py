@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple, Optional
 
 from .clustering import GraphConfig
+from .corpus import text_lines
 from .errors import ConfigError
 from .model import TrainConfig
 from .sampling import DEFAULT_SIZE_BUCKETS
@@ -132,24 +133,23 @@ def _value(config: PipelineConfig, key: str) -> Any:
 
 def load_config(path: str | Path) -> PipelineConfig:
     config = PipelineConfig()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
-            key = key.strip()
-            raw = raw.strip()
-            if key not in KEY_REGISTRY:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            parent, _, name = KEY_REGISTRY[key].attr.rpartition(".")
-            try:
-                value = KEY_REGISTRY[key].parse(raw)
-            except (ValueError, TypeError) as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-            setattr(attrgetter(parent)(config) if parent else config, name, value)
+    for lineno, line in enumerate(text_lines(path, error=ConfigError), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, raw = line.partition("=")
+        key = key.strip()
+        raw = raw.strip()
+        if key not in KEY_REGISTRY:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        parent, _, name = KEY_REGISTRY[key].attr.rpartition(".")
+        try:
+            value = KEY_REGISTRY[key].parse(raw)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+        setattr(attrgetter(parent)(config) if parent else config, name, value)
     validate(config)
     return config
 

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyCorpusError, InputError, MalformedRecordError
+from .errors import EmptyCorpusError, InputError, MalformedRecordError, PipelineError
 
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -42,6 +42,13 @@ _PHONE_CANDIDATE_RE = re.compile(
 _PHONE_CORE_RE = re.compile(r"\d{3}[-. ]?\d{4}")
 # A candidate's first core starts at most this far into it: "+1-(555)-".
 _PHONE_LEAD = 9
+# An ASCII text's bytes as classes for the core: "0" for a digit, "-" for
+# each separator and "x" for every other byte, so a core is one of two
+# byte strings.
+_PHONE_CLASSES = bytes(
+    ord("0") if chr(b).isdigit() else ord("-") if chr(b) in "-. " else ord("x") for b in range(128)
+) + b"x" * 128
+_PHONE_CORES = (b"0000000", b"000-0000")
 
 PHONE_MIN_DIGITS = 7
 PHONE_MAX_DIGITS = 15
@@ -264,14 +271,25 @@ def normalize_phone(raw: str) -> Optional[str]:
     return None
 
 
+def _first_core(text: str) -> Optional[int]:
+    """Where ``_PHONE_CORE_RE`` first matches in ``text``, or None.  An
+    ASCII text is searched as byte classes, by two ``find`` calls."""
+    if not text.isascii():
+        core = _PHONE_CORE_RE.search(text)
+        return None if core is None else core.start()
+    classes = text.encode("ascii").translate(_PHONE_CLASSES)
+    starts = [at for at in map(classes.find, _PHONE_CORES) if at >= 0]
+    return min(starts, default=None)
+
+
 def phones_in_text(text: str) -> list[str]:
     """Scan free text for phone-like spans and normalize the hits."""
-    core = _PHONE_CORE_RE.search(text)
+    core = _first_core(text)
     if core is None:
         return []
     found = []
     # The lookbehind still sees the characters before the scan's start.
-    for candidate in _PHONE_CANDIDATE_RE.findall(text, max(core.start() - _PHONE_LEAD, 0)):
+    for candidate in _PHONE_CANDIDATE_RE.findall(text, max(core - _PHONE_LEAD, 0)):
         normalized = normalize_phone(candidate)
         if normalized is not None and normalized not in found:
             found.append(normalized)
@@ -345,11 +363,28 @@ class Corpus:
         return docs
 
 
+def text_lines(
+    path: str | Path, newline: Optional[str] = None, error: type[PipelineError] = InputError
+) -> Iterator[str]:
+    """The lines of a UTF-8 file as ``open(path, encoding="utf-8",
+    newline=newline)`` gives them; a line holding a byte that is not UTF-8
+    raises ``error`` naming the file and the line."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    # A byte that is not UTF-8 was decoded to a lone
+                    # surrogate, which has no UTF-8 encoding.
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise error(f"{path}:{number}: a byte that is not UTF-8") from None
+            yield line
+
+
 def read_terms(path: str | Path) -> list[str]:
     """The terms of a one-term-per-line file: its non-blank lines, stripped
     and lowercased."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip().lower() for line in fh if line.strip()]
+    return [line.strip().lower() for line in text_lines(path) if line.strip()]
 
 
 class Lexicon:

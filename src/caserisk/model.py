@@ -1,17 +1,19 @@
 """Featurization and interpretable linear risk models.
 
 One representation runs through the module: a feature vector is a row of a
-CSR matrix whose columns are a vocabulary's, and a model's weights are one
-dense array with a weight per column.  ``vectorize_document`` and
-``vectorize_cluster`` return 1 x |V| rows, ``train`` takes a (feature
-matrix, labels) pair, and ``RiskModel.scores`` scores the rows of a matrix.
+CSR matrix (``_sparse.CSR``, over numpy alone) whose columns are a
+vocabulary's, and a model's weights are one dense array with a weight per
+column.  ``vectorize_document`` and ``vectorize_cluster`` return 1 x |V|
+rows as scipy matrices, importing scipy when called, ``train`` takes a
+(feature matrix, labels) pair, and ``RiskModel.scores`` scores the rows of
+a matrix; both take ``CSR`` rows or any scipy sparse matrix.
 
 Documents are tokenized once into a document x n-gram count matrix (CSR),
 with columns in sorted gram order.  A vocabulary is the set of columns
 kept by document frequency over the training rows; document rows are
 L2-normalized, and a cluster row is the renormalized mean of its member
-rows, computed as a row-normalized membership matrix times the document
-rows.  Models are penalized linear classifiers: logistic or squared-hinge
+rows, summed by ``bincount`` into the cluster's merged row of grams, which
+is found once per ``ClusterTerms``.  Models are penalized linear classifiers: logistic or squared-hinge
 (L2-SVM) loss, both smooth, with an L2 or L1 penalty on the weights and an
 unpenalized intercept.  One quasi-Newton solver minimizes every
 combination: L-BFGS, and under L1 its orthant-wise form OWL-QN, whose
@@ -34,11 +36,22 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix, issparse
 
+from ._sparse import CSR, Products, as_csr, is_sparse, ranges, segment_means, segments, summed, sums, take_columns
 from .clustering import Cluster
 from .corpus import (
-    Corpus, Document, Lexicon, columns_of, gram_counts, gram_tokens, read_terms, run_starts, spans, token_ids, tokenize
+    Corpus,
+    Document,
+    Lexicon,
+    columns_of,
+    gram_counts,
+    gram_tokens,
+    read_terms,
+    run_starts,
+    spans,
+    text_lines,
+    token_ids,
+    tokenize,
 )
 from .errors import (
     DegenerateTrainingError,
@@ -50,7 +63,7 @@ from .errors import (
 
 # Entries handled per step of this module's block loops (gram ids to
 # columns, feature rows, row norms): bounds their temporaries.
-_ROW_BLOCK = 1 << 17
+_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,7 +122,7 @@ class _GramColumns:
 
 def _count_grams(
     docs: Sequence[Document], orders: tuple[int, ...], remove: Optional[Lexicon] = None
-) -> tuple[csr_matrix, _GramColumns]:
+) -> tuple[CSR, _GramColumns]:
     """Tokenize each document once into a document x n-gram count matrix,
     without the tokens ``remove`` cuts (see ``token_ids``).
 
@@ -145,18 +158,16 @@ def _count_grams(
     column = np.empty(len(parts), dtype=np.int32)
     column[order] = np.arange(len(parts))
     del order
-    counts = None
-    while per_order:
-        # Columns keep an order's own gram order, so each order's matrix,
-        # and their sum, has sorted rows.
-        indptr, cols, data = per_order.pop(0)
-        order_counts = csr_matrix((data, column[cols], indptr), shape=(len(docs), len(parts)))
-        del indptr, cols, data
-        counts = order_counts if counts is None else counts + order_counts
+    # Columns keep an order's own gram order, so each order's rows are
+    # sorted, and a single order is its own sum.
+    shape = (len(docs), len(parts))
+    orders_counts = [CSR(indptr, column[cols], data, shape) for indptr, cols, data in per_order]
+    del per_order
+    counts = orders_counts[0] if len(orders_counts) == 1 else summed(orders_counts)
     return counts, _GramColumns(tokens, parts)
 
 
-def _document_frequency(counts: csr_matrix, rows: Optional[np.ndarray] = None) -> np.ndarray:
+def _document_frequency(counts: CSR, rows: Optional[np.ndarray] = None) -> np.ndarray:
     """Each column's document frequency over the rows of ``counts`` that
     the boolean mask ``rows`` selects (all rows when None).
 
@@ -216,53 +227,33 @@ def build_vocabulary(
     return vocab
 
 
-def _unit_rows(x: csr_matrix) -> csr_matrix:
+def _unit_rows(x: CSR) -> CSR:
     """Scale every non-zero row of x to unit L2 norm, in place.
 
-    A row's squares are summed bit for bit as ``x.multiply(x).sum(axis=1)``
-    sums them, a block of rows at a time and without the copies of x that
-    ``multiply`` makes: scipy keeps the entries of a canonical matrix in
-    stored order, and those of a matrix with unsorted rows (a matrix
-    product's) in reverse stored order within each row.
+    A row's squares are summed bit for bit as scipy's
+    ``x.multiply(x).sum(axis=1)`` sums them, a block of rows at a time and
+    without the copies of x that ``multiply`` makes.
     """
-    canonical = x.has_canonical_format
-    for start, stop in spans(np.diff(x.indptr) + 1, _ROW_BLOCK):
+    for start, stop in spans(x.lengths() + 1, _ROW_BLOCK):
         ptr = x.indptr[start : stop + 1] - x.indptr[start]
         data = x.data[x.indptr[start] : x.indptr[stop]]
         rows = np.flatnonzero(np.diff(ptr))
-        if canonical:
-            sums = np.add.reduceat(np.square(data), ptr[rows])
-        else:
-            sums = np.add.reduceat(np.square(data[::-1]), len(data) - ptr[rows + 1][::-1])[::-1]
+        squares = np.add.reduceat(np.square(data), ptr[rows])
         norms = np.zeros(stop - start)
-        norms[rows] = np.sqrt(sums)
+        norms[rows] = np.sqrt(squares)
         data /= np.repeat(norms, np.diff(ptr))
     return x
 
 
-def _document_rows(counts: csr_matrix, idf: Optional[np.ndarray]) -> csr_matrix:
+def _document_rows(counts: CSR, idf: Optional[np.ndarray]) -> CSR:
     """L2-normalized tf (or tf-idf, given idf by column) document rows."""
-    x = csr_matrix((counts.data.astype(np.float64), counts.indices, counts.indptr), shape=counts.shape)
+    data = counts.data.astype(np.float64)
     if idf is not None:
-        x.data *= idf[x.indices]
-    return _unit_rows(x)
+        data *= idf[counts.indices]
+    return _unit_rows(CSR(counts.indptr, counts.indices, data, counts.shape))
 
 
-def _cluster_means(doc_rows: csr_matrix, doc_ptr: np.ndarray) -> csr_matrix:
-    """Mean of each cluster's document rows; ``_unit_rows`` renormalizes it.
-
-    Cluster i owns document rows doc_ptr[i]:doc_ptr[i + 1], which must be
-    non-empty.
-    """
-    sizes = np.diff(doc_ptr)
-    membership = csr_matrix(
-        (np.repeat(1.0 / sizes, sizes), np.arange(doc_ptr[-1]), doc_ptr),
-        shape=(len(sizes), doc_rows.shape[0]),
-    )
-    return membership @ doc_rows
-
-
-def _stacked(blocks: list[csr_matrix], width: int) -> csr_matrix:
+def _stacked(blocks: list[CSR], width: int) -> CSR:
     """The blocks' rows in order as one CSR matrix; the list is emptied,
     so each block is freed once it is copied."""
     nnz = sum(block.nnz for block in blocks)
@@ -278,7 +269,7 @@ def _stacked(blocks: list[csr_matrix], width: int) -> csr_matrix:
         indptr.append(block.indptr[1:] + at)
         at += block.nnz
     indptr = np.concatenate(indptr)
-    return csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, width))
+    return CSR(indptr, indices, data, (len(indptr) - 1, width))
 
 
 def _idf(df: np.ndarray, n_docs: int) -> np.ndarray:
@@ -297,7 +288,10 @@ class ClusterTerms:
     cluster in sequence order, members in sorted id order, and columns in
     sorted gram order.  ``featurize`` selects a vocabulary's columns from
     it, so cross-validation folds never re-tokenize a document.  Tokens
-    that ``remove`` cuts (see ``token_ids``) are not counted.
+    that ``remove`` cuts (see ``token_ids``) are not counted.  Each
+    cluster's document rows are also merged once into one row of its grams
+    (``_sparse.segments``: ``merged_ptr`` and each entry's ``place``), so
+    that a fold sums its means without sorting.
     """
 
     def __init__(
@@ -312,6 +306,7 @@ class ClusterTerms:
             sizes.append(cluster.size())
         self.doc_ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
         self.counts, self.grams = _count_grams(docs, self.orders, remove)
+        self.merged_ptr, self.place = segments(self.counts, self.doc_ptr)
 
     @cached_property
     def df(self) -> np.ndarray:
@@ -324,7 +319,7 @@ class ClusterTerms:
         max_size: Optional[int] = None,
         weighting: str = "tf",
         fit: Optional[np.ndarray] = None,
-    ) -> tuple[Vocabulary, csr_matrix]:
+    ) -> tuple[Vocabulary, CSR]:
         """Vocabulary of the clusters selected by the boolean mask ``fit``
         (all clusters when None) and every cluster's row against it.
 
@@ -351,37 +346,43 @@ class ClusterTerms:
         if len(vocab) == 0:
             raise EmptyInputError("empty vocabulary")
         idf = _idf(df, n_docs) if weighting == "tfidf" else None
+        lookup = np.full(self.counts.shape[1], -1, dtype=np.int32)
+        lookup[cols] = np.arange(len(cols))
+        counts = self.counts
+        entries, lengths = np.diff(counts.indptr[self.doc_ptr]), np.diff(self.merged_ptr)
+        doc_lengths = counts.lengths()
+        share = np.repeat(1.0 / sizes, sizes)  # a document's weight in its cluster's mean
         # A block of clusters at a time, so that a block's document rows
-        # exist only while its means are taken; a row's values do not
+        # exist only while its means are summed; a row's values do not
         # depend on the block it is computed in.
-        starts, sizes = self.doc_ptr[order], sizes[order]
         means = []
-        for start, stop in spans(np.diff(self.counts.indptr[self.doc_ptr])[order] + 1, _ROW_BLOCK):
-            block_ptr = np.concatenate(([0], np.cumsum(sizes[start:stop])))
-            docs = self.counts[_ranges(starts[start:stop], block_ptr)][:, cols]
-            means.append(_cluster_means(_document_rows(docs, idf), block_ptr))
+        for start, stop in spans(entries[order] + 1, _ROW_BLOCK):
+            block = order[start:stop]
+            rows = ranges(self.doc_ptr[block], sizes[block])
+            at = ranges(counts.indptr[self.doc_ptr[block]], entries[block])
+            merged_ptr = np.concatenate(([0], np.cumsum(lengths[block])))
+            positions = self.place[at] + np.repeat(merged_ptr[:-1], entries[block])
+            # The vocabulary's columns of the documents' grams, then of the
+            # clusters' merged grams; -1 where a gram is not in it.
+            mapped = np.take(lookup, counts.indices[at])
+            kept = np.flatnonzero(mapped >= 0)
+            doc_ptr = np.searchsorted(kept, np.concatenate(([0], np.cumsum(doc_lengths[rows]))))
+            docs = _document_rows(CSR(doc_ptr, mapped[kept], counts.data[at[kept]], (len(rows), len(cols))), idf)
+            total = sums(positions[kept], docs.data * np.repeat(share[rows], docs.lengths()), merged_ptr[-1])
+            column = np.empty(merged_ptr[-1], dtype=np.int32)
+            column[positions] = mapped
+            found = np.flatnonzero(column >= 0)
+            means.append(CSR(np.searchsorted(found, merged_ptr), column[found], total[found], (len(block), len(cols))))
         return vocab, _unit_rows(_stacked(means, len(cols)))
 
 
-def _ranges(starts: np.ndarray, ptr: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i] : starts[i] + ptr[i + 1] - ptr[i]``, end to end."""
-    return np.arange(ptr[-1]) + np.repeat(starts - ptr[:-1], np.diff(ptr))
-
-
-def row_view(x: csr_matrix, start: int, stop: int) -> csr_matrix:
-    """Rows ``start:stop`` of ``x`` over slices of its data and indices.
-
-    ``x[start:stop]`` copies them; this does not, except that scipy copies
-    a slice that holds under half of its array.
-    """
+def row_view(x: CSR, start: int, stop: int) -> CSR:
+    """Rows ``start:stop`` of ``x`` over slices of its data and indices."""
     lo, hi = x.indptr[start], x.indptr[stop]
-    return csr_matrix(
-        (x.data[lo:hi], x.indices[lo:hi], x.indptr[start : stop + 1] - lo),
-        shape=(stop - start, x.shape[1]),
-    )
+    return CSR(x.indptr[start : stop + 1] - lo, x.indices[lo:hi], x.data[lo:hi], (stop - start, x.shape[1]))
 
 
-def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> csr_matrix:
+def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> CSR:
     """L2-normalized document rows over an existing vocabulary: every gram
     is counted, and the vocabulary's grams are moved to its columns."""
     _check_weighting(weighting)
@@ -389,28 +390,28 @@ def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -
         raise EmptyInputError("empty vocabulary")
     counts, columns = _count_grams(docs, vocab.orders)
     grams = columns.strings(np.arange(len(columns)))
-    kept = np.array([j for j, g in enumerate(grams) if g in vocab.index], dtype=np.int64)
-    to_vocab = csr_matrix(
-        (np.ones(len(kept)), (kept, [vocab.index[grams[j]] for j in kept.tolist()])),
-        shape=(len(grams), len(vocab)),
-    )
-    counts = counts @ to_vocab
-    counts.sort_indices()
+    lookup = np.array([vocab.index.get(gram, -1) for gram in grams], dtype=np.int64)
+    counts = take_columns(counts, lookup, len(vocab))
     return _document_rows(counts, _idf(np.array(vocab.df), vocab.n_docs) if weighting == "tfidf" else None)
 
 
-def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> csr_matrix:
-    """The document's 1 x |V| bag-of-n-grams row, L2-normalized when non-zero."""
-    return _rows_against([doc], vocab, weighting)
+def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf"):
+    """The document's 1 x |V| bag-of-n-grams row as a ``scipy.sparse``
+    ``csr_matrix``, L2-normalized when non-zero."""
+    from scipy.sparse import csr_matrix
+
+    row = _rows_against([doc], vocab, weighting)
+    return csr_matrix((row.data, row.indices, row.indptr), shape=row.shape)
 
 
-def vectorize_cluster(
-    cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf"
-) -> csr_matrix:
-    """The cluster's 1 x |V| row: the renormalized mean of its member
-    document rows."""
+def vectorize_cluster(cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf"):
+    """The cluster's 1 x |V| row as a ``scipy.sparse`` ``csr_matrix``: the
+    renormalized mean of its member document rows."""
+    from scipy.sparse import csr_matrix
+
     doc_rows = _rows_against(corpus.members(cluster.members), vocab, weighting)
-    return _unit_rows(_cluster_means(doc_rows, np.array([0, cluster.size()])))
+    row = _unit_rows(segment_means(doc_rows, np.array([0, cluster.size()])))
+    return csr_matrix((row.data, row.indices, row.indptr), shape=row.shape)
 
 
 @dataclass
@@ -441,16 +442,25 @@ class RiskModel:
     lam: float
     metadata: dict = field(default_factory=dict)
 
-    def scores(self, x: csr_matrix) -> np.ndarray:
-        """Risk scores in [0, 1] of the rows of a feature matrix: the
-        sigmoid of the margins ``x @ weights + intercept``.
+    def scores(self, x) -> np.ndarray:
+        """Risk scores in [0, 1] of the rows of a sparse feature matrix
+        (``CSR`` rows or any scipy sparse matrix): the sigmoid of the
+        margins ``x @ weights + intercept``.
 
         Hinge-trained models use the same logistic link on the raw margin
         (identity-parameter calibration).
         """
+        x = _features(x)
         if x.shape[1] != len(self.weights):
             raise InputError(f"{x.shape[1]} feature columns for a model of {len(self.weights)} weights")
-        return _stable_sigmoid(x @ self.weights + self.intercept)
+        return _stable_sigmoid(Products(x).matvec(self.weights) + self.intercept)
+
+
+def _features(x) -> CSR:
+    """``x`` as ``CSR`` rows; InputError for anything but a sparse matrix."""
+    if not is_sparse(x):
+        raise InputError("features must be a sparse feature matrix")
+    return as_csr(x)
 
 
 def _as_sign(label) -> float:
@@ -462,11 +472,11 @@ def _as_sign(label) -> float:
 
 
 def _smooth_objective(
-    loss: str, w: np.ndarray, b: float, x: csr_matrix, y: np.ndarray, l2: float
+    loss: str, w: np.ndarray, b: float, x: Products, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic or squared-hinge loss plus ``l2 * w.w``, with its
     analytic gradient (objective, grad_w, grad_b)."""
-    z = y * (x.dot(w) + b)
+    z = y * (x.matvec(w) + b)
     # slope_i = -d loss_i / d z_i
     if loss == "logistic":
         losses, slope = np.logaddexp(0.0, -z), _stable_sigmoid(-z)
@@ -475,14 +485,14 @@ def _smooth_objective(
         losses, slope = gap * gap, 2.0 * gap
     coef = -y * slope / len(y)
     value = float(np.mean(losses)) + l2 * float(np.dot(w, w))
-    return value, x.T.dot(coef) + 2.0 * l2 * w, float(np.sum(coef))
+    return value, x.rmatvec(coef) + 2.0 * l2 * w, float(np.sum(coef))
 
 
 def _penalized_objective(
     loss: str,
     w: np.ndarray,
     b: float,
-    x: csr_matrix,
+    x: Products,
     y: np.ndarray,
     penalty: str,
     lam: float,
@@ -502,16 +512,17 @@ def _penalized_objective(
 def logistic_objective(
     w: np.ndarray,
     b: float,
-    x: csr_matrix,
+    x,
     y: np.ndarray,
     penalty: str,
     lam: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Regularized mean logistic loss with its analytic gradient.
+    """Regularized mean logistic loss with its analytic gradient, over the
+    rows of a sparse feature matrix ``x``.
 
     Returns (objective, grad_w, grad_b).  The intercept is not penalized.
     """
-    return _penalized_objective("logistic", w, b, x, y, penalty, lam)
+    return _penalized_objective("logistic", w, b, Products(_features(x)), y, penalty, lam)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -625,15 +636,16 @@ def _minimize(fun, n: int, l1: float, max_iter: int):
 
 
 def train(
-    examples: tuple[csr_matrix, Sequence[object]],
+    examples: tuple[object, Sequence[object]],
     vocabulary: Optional[Vocabulary] = None,
     config: Optional[TrainConfig] = None,
 ) -> RiskModel:
     """Minimize the penalized objective with ``_minimize``.
 
     ``examples`` is one (sparse feature matrix, labels) pair whose rows are
-    the examples; anything else raises InputError.  The model has one
-    weight per column of the matrix.
+    the examples, the matrix ``CSR`` rows or any scipy sparse matrix;
+    anything else raises InputError.  The model has one weight per column
+    of the matrix.
 
     ``config.epochs`` caps the solver's iterations.  The metadata records
     the iterations run (``epochs``), the final (pseudo-)gradient inf-norm
@@ -642,9 +654,9 @@ def train(
     """
     config = config or TrainConfig()
     config.validate()
-    if not (isinstance(examples, (tuple, list)) and len(examples) == 2 and issparse(examples[0])):
+    if not (isinstance(examples, (tuple, list)) and len(examples) == 2 and is_sparse(examples[0])):
         raise InputError("training examples must be one (sparse feature matrix, labels) pair")
-    x, labels = csr_matrix(examples[0]), list(examples[1])
+    x, labels = as_csr(examples[0]), list(examples[1])
     if x.shape[0] != len(labels):
         raise InputError(f"{x.shape[0]} feature rows for {len(labels)} labels")
     if vocabulary is not None and x.shape[1] != len(vocabulary):
@@ -656,9 +668,10 @@ def train(
         raise DegenerateTrainingError("training data has a single class")
 
     l2, l1 = (config.lam, 0.0) if config.penalty == "l2" else (0.0, config.lam)
+    products = Products(x)
 
     def smooth(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad_w, grad_b = _smooth_objective(config.loss, theta[:-1], theta[-1], x, y, l2)
+        value, grad_w, grad_b = _smooth_objective(config.loss, theta[:-1], theta[-1], products, y, l2)
         return value, np.append(grad_w, grad_b)
 
     theta, objective, iterations, grad_norm, converged = _minimize(smooth, x.shape[1] + 1, l1, config.epochs)
@@ -679,7 +692,7 @@ def train(
     )
 
 
-def score(model: RiskModel, x: csr_matrix) -> np.ndarray:
+def score(model: RiskModel, x) -> np.ndarray:
     """The risk scores of the rows of ``x``: ``model.scores(x)``."""
     return model.scores(x)
 
@@ -748,11 +761,10 @@ def load_model(path: str | Path) -> RiskModel:
     penalty or lambda that ``TrainConfig.validate`` rejects, or metadata
     that is not an object, makes the file malformed.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            blob = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not a JSON model file: {exc}") from exc
+    try:
+        blob = json.loads("".join(text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not a JSON model file: {exc}") from exc
     if not isinstance(blob, dict) or blob.get("format") != MODEL_FORMAT:
         found = blob.get("format") if isinstance(blob, dict) else None
         raise InputError(f"{path}: unsupported model format {found!r}")
@@ -893,11 +905,10 @@ def load_rules(path: str | Path) -> list[IndicatorRule]:
     RuleCompilationError naming the rule.
     """
     base = Path(path).parent
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"{path}: not a JSON rules file: {exc}") from exc
+    try:
+        raw = json.loads("".join(text_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{path}: not a JSON rules file: {exc}") from exc
     if not isinstance(raw, list):
         raise InputError(f"{path}: rules file must contain a JSON list")
     rules = []

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .bias import NEGATIVE, POSITIVE, BiasReport, FeatureSpec, audit, group_counts
 from .clustering import Cluster, Clustering
-from .corpus import Corpus
+from .corpus import Corpus, text_lines
 from .errors import EmptyInputError, InputError, InsufficientPoolError
 
 SOURCE_EXPERT = "expert"
@@ -252,14 +252,13 @@ def read_labels(
     sampled ones for the same cluster.
     """
     rows: list[tuple[str, str, str]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"cluster_id", "label"} <= set(reader.fieldnames):
-            raise InputError(f"{path}: expected header cluster_id,label[,source]")
-        for row in reader:
-            rows.append(
-                (row["cluster_id"], row["label"], row.get("source") or SOURCE_EXPERT)
-            )
+    reader = csv.DictReader(text_lines(path, newline=""))
+    if reader.fieldnames is None or not {"cluster_id", "label"} <= set(reader.fieldnames):
+        raise InputError(f"{path}: expected header cluster_id,label[,source]")
+    for row in reader:
+        rows.append(
+            (row["cluster_id"], row["label"], row.get("source") or SOURCE_EXPERT)
+        )
     known = {c.id for c in clustering}
     by_cluster: dict[str, tuple[str, str]] = {}
     missing = []

@@ -889,3 +889,37 @@ def test_stage_refuses_bad_input_and_removed_settings(
         name, expected = summary
         before, after = json.loads(clean), json.loads((base / "run" / name).read_text())
         assert {key: after[key] - before[key] for key in expected} == expected
+
+
+# (file holding the byte, relative to the copy of finished_run; config
+# lines that make a stage read it; the stage; exit code).
+UNDECODABLE = {
+    "config": ("p.conf", [], "train", 2),
+    "clusters.csv": ("run/clusters.csv", [], "sample", 1),
+    "labels.csv": ("run/labels.csv", [], "train", 1),
+    "model.json": ("run/model.json", [], "evaluate", 1),
+    "rules": ("rules.json", ["paths.rules = {base}/rules.json"], "indicators", 1),
+    "remove lexicon": ("domains.txt", ["paths.remove_lexicon = {base}/domains.txt"], "train", 1),
+    "gazetteer": ("gazetteer.txt", ["paths.gazetteer = {base}/gazetteer.txt"], "ingest", 1),
+}
+
+
+@pytest.mark.parametrize("name, stage, code, lines", [
+    pytest.param(name, stage, code, lines, id=case) for case, (name, lines, stage, code) in UNDECODABLE.items()
+])
+def test_undecodable_byte_fails_by_name(finished_run, tmp_path, capsys, name, stage, code, lines):
+    """A byte that is not UTF-8 in any file a stage reads ends the stage
+    with a named error that gives the file and its line, not a
+    traceback."""
+    base = tmp_path / "case"
+    shutil.copytree(finished_run, base)
+    write_rules(base / "rules.json")
+    write_config(base / "p.conf", base, lines=[line.format(base=base) for line in lines])
+    with open(base / name, "ab") as fh:
+        fh.write(b"model.min_df = 1\xff\n" if name == "p.conf" else b"c\xff,d\n")
+    capsys.readouterr()
+    rc = main([stage, "--config", str(base / "p.conf"), "--out", str(base / "run")])
+    err = capsys.readouterr().err
+    assert rc == code, err
+    assert re.search(rf"{re.escape(str(base / name))}:\d+: ", err), err
+    assert "Traceback" not in err

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import caserisk.corpus
 from caserisk.clustering import GraphConfig, build_graph
 from caserisk.corpus import (
+    _PHONE_CORE_RE,
     EMPTY_EXTRAS,
     Corpus,
     Document,
@@ -37,6 +38,7 @@ from caserisk.corpus import (
     token_ids,
     tokenize,
     write_corpus,
+    _first_core,
 )
 from caserisk.errors import EmptyCorpusError, MalformedRecordError
 
@@ -625,6 +627,15 @@ _PHONE_TEXTS = st.one_of(
     ).map("".join),
     st.text(alphabet=_DIGITS + "+()-. ab<>", max_size=40),
 )
+# ASCII letters, the three separators, and ASCII, Arabic-Indic and
+# fullwidth digits; the first strategy keeps to ASCII, whose texts take the
+# byte-class prefilter.
+_CORE_ASCII = "abcxyzABZ" "-. " "0123456789"
+_CORE_TEXTS = st.one_of(
+    st.text(alphabet=_CORE_ASCII, max_size=40),
+    st.lists(st.sampled_from(["555", "0123", "12", "-", ".", " ", "a", "B9"]), max_size=12).map("".join),
+    st.text(alphabet=_CORE_ASCII + "\u0660\u0663\u0665\u0669" "\uff10\uff13\uff15\uff19", max_size=40),
+)
 _WHITESPACE_TEXTS = st.one_of(
     st.text(alphabet="ab<>/ \t\n\x1c\x1f\x85\xa0\u2028\u3000\u200b", max_size=30),
     st.text(max_size=30),
@@ -638,6 +649,12 @@ class TestFastTextPasses:
     @given(_PHONE_TEXTS)
     def test_phones_in_text_matches_reference(self, text):
         assert phones_in_text(text) == reference_phones_in_text(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(_CORE_TEXTS)
+    def test_first_core_matches_the_core_pattern(self, text):
+        core = _PHONE_CORE_RE.search(text)
+        assert _first_core(text) == (None if core is None else core.start())
 
     def test_phones_in_text_on_every_digit_script(self):
         text = "a \u0665\u0665\u0665-\u0660\u0661\u0662-\u0663\u0664\u0665\u0666 b (555) 012-3456"

@@ -1,5 +1,6 @@
-"""Peak-memory regression: the import floor, and the graph build, the n-gram
-counts and cross-validation on 10k documents.
+"""Peak-memory regression: the import floor, which holds no scipy module,
+and the graph build, the n-gram counts and cross-validation on 10k
+documents.
 
 Each measurement runs in a fresh interpreter, which reports how far the
 measured step raised ``ru_maxrss``, the peak resident set.  Peak RSS is
@@ -19,14 +20,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from caserisk import evaluate, synth
+from caserisk._sparse import as_csr, segment_means
 from caserisk.clustering import Clustering, read_clustering
 from caserisk.corpus import Corpus, ingest
 from caserisk.evaluate import make_folds
 from caserisk.model import (
     ClusterTerms,
-    _cluster_means,
     _document_frequency,
     _document_rows,
     _fit_vocabulary,
@@ -48,9 +50,9 @@ DOCS = 10_000
 # between the two.  A fold's copy of its training rows does not show in
 # this rise; test_folds_train_on_views_of_the_feature_rows guards that.
 BOUNDS_MB = {"build_graph": 15.0, "cluster_terms": 24.0, "cross_validate": 9.0}
-# About 1.5 times the rise of importing caserisk.cli over numpy and
-# scipy.sparse, 3.4 MB on the same machine; importing scipy.special made
-# it 8.8 MB.
+# About 1.3 times the rise of importing caserisk.cli over numpy alone,
+# 3.8-3.9 MB on the same machine (five runs); importing scipy.sparse as
+# well made the import's peak 52 MB where it is now 31 MB.
 IMPORT_BOUND_MB = 5.0
 # What a fitted 50,000-gram vocabulary may hold, as tracemalloc counts it.
 VOCABULARY_BOUND_MB = 4.0
@@ -95,12 +97,20 @@ print(json.dumps({"rise_mb": (after - before) / 1024}))
 
 IMPORT_CHILD = """
 import json, resource, sys
-import numpy, scipy.sparse
+import numpy
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 import caserisk.cli
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-special = sorted(m for m in sys.modules if m == "scipy.special" or m.startswith("scipy.special."))
-print(json.dumps({"rise_mb": (after - before) / 1024, "special": special}))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"rise_mb": (after - before) / 1024, "scipy": scipy}))
+"""
+
+PIPELINE_CHILD = """
+import json, sys
+from caserisk.cli import main
+rc = main(["pipeline", "--export-graph", "--config", sys.argv[1], "--out", sys.argv[2]])
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"rc": rc, "scipy": scipy}))
 """
 
 
@@ -153,8 +163,26 @@ def import_probe():
     return run_child(IMPORT_CHILD)
 
 
-def test_import_leaves_out_scipy_special(import_probe):
-    assert import_probe["special"] == []
+def test_import_leaves_out_scipy(import_probe):
+    assert import_probe["scipy"] == []
+
+
+def test_pipeline_runs_without_scipy(tmp_path):
+    """Every stage, with bigrams, location-date links, consensus, a
+    gazetteer, a removal lexicon and rules, runs on numpy alone."""
+    config = synth.SynthConfig(num_clusters=40, seed=3, positive_fraction=0.4)
+    paths = synth.write_artifacts(synth.generate(config), tmp_path / "in")
+    rules = tmp_path / "rules.json"
+    rules.write_text(json.dumps([{"name": "contacts", "kind": "min_distinct_phones", "k": 2}]))
+    conf = tmp_path / "p.conf"
+    conf.write_text(
+        f"paths.corpus = {paths['corpus']}\npaths.labels = {paths['expert_labels']}\n"
+        f"paths.gazetteer = {paths['gazetteer']}\npaths.remove_lexicon = {paths['domain_lexicon']}\n"
+        f"paths.rules = {rules}\nmodel.orders = 1,2\nmodel.min_df = 1\neval.folds = 3\n"
+        "clustering.use_location_date = true\nclustering.consensus_runs = 3\nclustering.refine_passes = 1\n"
+    )
+    probe = run_child(PIPELINE_CHILD, conf, tmp_path / "run")
+    assert probe == {"rc": 0, "scipy": []}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
@@ -195,8 +223,10 @@ def test_split_featurization_matches_copies(inputs):
         vocab, x = terms.featurize(2, None, "tfidf", fit=fit)
         expected, cols, df = _fit_vocabulary(direct, int(in_fit.sum()), terms.grams, terms.orders, 2, None)
         assert vocab.terms == expected.terms and vocab.df == expected.df
-        means = _cluster_means(_document_rows(counts[:, cols], _idf(df, vocab.n_docs)), terms.doc_ptr)
+        columns = as_csr(csr_matrix((counts.data, counts.indices, counts.indptr), shape=counts.shape)[:, cols])
+        means = segment_means(_document_rows(columns, _idf(df, vocab.n_docs)), terms.doc_ptr)
         whole = _unit_rows(_stacked([means], len(cols)))
+        whole = csr_matrix((whole.data, whole.indices, whole.indptr), shape=whole.shape)
         for part, (start, stop) in ((train_idx, (0, len(train_idx))), (test_idx, (len(train_idx), x.shape[0]))):
             copy, view = whole[part], row_view(x, start, stop)
             np.testing.assert_array_equal(view.indptr, copy.indptr)

@@ -1,0 +1,154 @@
+"""The numpy sparse kernels against scipy.sparse as the oracle.
+
+Every property draws random 0/1 or float matrices with empty rows and
+empty columns, and runs the kernels at budgets small enough to cut them
+into many blocks.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import caserisk._sparse
+from caserisk._sparse import (
+    CSR,
+    Products,
+    as_csr,
+    row_intersections,
+    segment_means,
+    summed,
+    take_columns,
+    upper_gram,
+)
+
+BUDGETS = st.sampled_from([1, 7, 1 << 16])
+
+
+def random_matrix(rng, shape, density, binary=False):
+    """A scipy CSR matrix with some rows and columns left empty."""
+    dense = (rng.random(shape) < density).astype(float)
+    if not binary:
+        dense *= rng.normal(size=shape)
+    dense[rng.random(shape[0]) < 0.2] = 0.0
+    dense[:, rng.random(shape[1]) < 0.2] = 0.0
+    return sp.csr_matrix(dense.astype(np.int8) if binary else dense)
+
+
+@st.composite
+def matrices(draw, binary=False, min_rows=0, count=None):
+    """One matrix, or ``count`` of one shape."""
+    shape = (draw(st.integers(min_rows, 30)), draw(st.integers(0, 30)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    made = [random_matrix(rng, shape, draw(st.floats(0.0, 1.0)), binary) for _ in range(count or 1)]
+    return made if count else made[0]
+
+
+def canonical(x: CSR) -> bool:
+    """Every row's columns ascending and distinct."""
+    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
+    step = np.diff(x.indices.astype(np.int64))
+    return bool(np.all((step > 0) | (rows[1:] != rows[:-1])))
+
+
+def assert_same(got: CSR, expected) -> None:
+    """Equal shape, structure and values, bit for bit."""
+    expected = expected.tocsr()
+    expected.sort_indices()
+    assert got.shape == expected.shape and canonical(got)
+    np.testing.assert_array_equal(got.indptr, expected.indptr)
+    np.testing.assert_array_equal(got.indices, expected.indices)
+    assert np.asarray(got.data, dtype=float).tobytes() == expected.data.astype(float).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(binary=True), BUDGETS)
+def test_upper_gram_matches_the_triangle_of_the_product(b, budget):
+    n = b.shape[0]
+    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+        blocks = list(upper_gram(as_csr(b)))
+    keys = np.concatenate([np.empty(0, dtype=np.int64)] + [k for k, _ in blocks])
+    counts = np.concatenate([np.empty(0, dtype=np.int64)] + [c for _, c in blocks])
+    assert np.all(np.diff(keys) > 0)
+    expected = sp.triu(b.astype(np.int64) @ b.T.astype(np.int64), 1).tocoo()
+    order = np.lexsort((expected.col, expected.row))
+    np.testing.assert_array_equal(keys, expected.row[order].astype(np.int64) * n + expected.col[order])
+    np.testing.assert_array_equal(counts, expected.data[order])
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(binary=True, min_rows=1), st.data())
+def test_row_intersections_match_the_elementwise_product(b, data):
+    pairs = st.lists(st.integers(0, b.shape[0] - 1), max_size=40)
+    a = np.array(data.draw(pairs), dtype=np.int32)
+    c = np.array(data.draw(st.lists(st.integers(0, b.shape[0] - 1), min_size=len(a), max_size=len(a))), dtype=np.int32)
+    expected = np.asarray(b[a].multiply(b[c]).sum(axis=1)).ravel() if len(a) else np.zeros(0)
+    np.testing.assert_array_equal(row_intersections(as_csr(b), a, c), expected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_take_columns_matches_column_indexing(x, data):
+    cols = np.array(data.draw(st.permutations(range(x.shape[1])))[: data.draw(st.integers(0, x.shape[1]))], dtype=np.int64)
+    lookup = np.full(x.shape[1], -1, dtype=np.int64)
+    lookup[cols] = np.arange(len(cols))
+    with mock.patch.object(caserisk._sparse, "_BUDGET", data.draw(BUDGETS)):
+        got = take_columns(as_csr(x), lookup, len(cols))
+    assert_same(got, x[:, cols] if len(cols) else sp.csr_matrix((x.shape[0], 0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(min_rows=1), st.data(), BUDGETS)
+def test_segment_means_match_the_membership_product(x, data, budget):
+    n = x.shape[0]
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=5)) if n > 1 else []))
+    ptr = np.array([0, *cuts, n], dtype=np.int64)
+    sizes = np.diff(ptr)
+    membership = sp.csr_matrix((np.repeat(1.0 / sizes, sizes), np.arange(n), ptr), shape=(len(sizes), n))
+    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+        got = segment_means(as_csr(x), ptr)
+    assert_same(got, membership @ x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda count: matrices(count=count)), BUDGETS)
+def test_summed_matches_the_sum(parts, budget):
+    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+        got = summed([as_csr(part) for part in parts])
+    expected = sum(parts[1:], parts[0]).toarray()
+    assert got.shape == parts[0].shape and canonical(got)
+    got = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape).toarray()
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+def test_summed_sorts_and_merges_unsorted_rows():
+    x = CSR(np.array([0, 3, 3, 5]), np.array([4, 1, 4, 0, 2], dtype=np.int32), np.array([1, 2, 3, 4, 5]), (3, 6))
+    got = summed([x])
+    assert got.indptr.tolist() == [0, 2, 2, 4]
+    assert got.indices.tolist() == [1, 4, 0, 2] and got.data.tolist() == [2, 4, 4, 5]
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.integers(0, 2**32 - 1), BUDGETS)
+def test_products_match_scipy(x, seed, budget):
+    rng = np.random.default_rng(seed)
+    w, c = rng.normal(size=x.shape[1]), rng.normal(size=x.shape[0])
+    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+        products = Products(as_csr(x))
+    np.testing.assert_allclose(products.matvec(w), x @ w, rtol=1e-12, atol=1e-12)
+    assert products.rmatvec(c).tobytes() == (x.T @ c).tobytes()
+
+
+def test_as_csr_canonicalizes_a_copy():
+    x = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 2]), np.array([0, 3])), shape=(1, 3))
+    rows = as_csr(x)
+    assert rows.indices.tolist() == [0, 2] and rows.data.tolist() == [2.0, 4.0]
+    assert x.indices.tolist() == [2, 0, 2]
+
+
+@pytest.mark.parametrize("dense", [np.eye(2), [[1.0]], None])
+def test_dense_input_is_not_sparse(dense):
+    assert not caserisk._sparse.is_sparse(dense)
