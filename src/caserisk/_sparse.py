@@ -8,10 +8,9 @@ row expansion (ACM TOMS 4(3), 1978): a stable argsort of the column
 indices is the transpose, and an entry expanded over a row or a column
 gives the products.  Loops that expand entries run a block of rows (or
 pairs) at a time, each block bounded by ``_BUDGET`` expanded entries, so
-their temporaries stay small beside the matrices.
-
-scipy is not imported: ``as_csr`` takes the arrays of any object with a
-``tocsr`` method.
+their temporaries stay small beside the matrices.  The solver's
+products ``x @ w`` and ``x.T @ c`` are one numpy expression each over the
+whole matrix.
 """
 
 from __future__ import annotations
@@ -53,28 +52,35 @@ class CSR:
         """``row * ncols + column`` of every entry, ascending."""
         return self.row_of_entry() * np.int64(self.shape[1]) + self.indices
 
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """``indices`` widened to ``intp``, which indexing and ``bincount``
+        would otherwise convert them to on every call."""
+        return self.indices.astype(np.intp)
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``x @ w``: each non-empty row's products summed by
+        ``np.add.reduceat`` (pairwise, so within rounding of a running
+        sum)."""
+        out = np.zeros(self.shape[0])
+        rows = np.flatnonzero(self.lengths())
+        if len(rows):
+            products = np.take(w, self.columns)
+            products *= self.data
+            out[rows] = np.add.reduceat(products, self.indptr[rows])
+        return out
+
+    def rmatvec(self, c: np.ndarray) -> np.ndarray:
+        """``x.T @ c``: ``data * repeat(c, row_lengths)`` summed into the
+        columns by ``bincount`` in entry order."""
+        products = np.repeat(c, self.lengths())
+        products *= self.data
+        return sums(self.columns, products, self.shape[1])
+
 
 def ones(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> CSR:
     """The 0/1 matrix with these rows."""
     return CSR(indptr, indices, np.ones(len(indices), dtype=np.int8), (len(indptr) - 1, ncols))
-
-
-def is_sparse(x) -> bool:
-    """Whether ``x`` is ``CSR`` rows or has a ``tocsr`` method, as every
-    scipy sparse matrix does."""
-    return isinstance(x, CSR) or hasattr(x, "tocsr")
-
-
-def as_csr(x) -> CSR:
-    """``x`` itself, or a scipy sparse matrix's CSR form (canonical, sharing
-    its arrays when they already are)."""
-    if isinstance(x, CSR):
-        return x
-    x = x.tocsr()
-    if not x.has_canonical_format:
-        x = x.copy()
-        x.sum_duplicates()
-    return CSR(x.indptr, x.indices, x.data, tuple(x.shape))
 
 
 def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -201,7 +207,7 @@ def segments(x: CSR, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def segment_means(x: CSR, ptr: np.ndarray) -> CSR:
     """Row g is the mean of rows ``ptr[g]:ptr[g + 1]`` of ``x``, which must
     be non-empty and cover ``x``.  Each sum is taken by ``bincount`` in
-    row order, as scipy's product with a membership matrix takes it."""
+    row order."""
     indptr, place = segments(x, ptr)
     entries, sizes = np.diff(x.indptr[ptr]), np.diff(ptr)
     positions = place + np.repeat(indptr[:-1], entries)
@@ -215,49 +221,3 @@ def sums(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     """The ``values`` summed at their ``positions`` in entry order."""
     # bincount gives integers for no entries at all.
     return np.bincount(positions, values, minlength=size).astype(np.float64, copy=False)
-
-
-class Products:
-    """``x @ w`` and ``x.T @ c`` of one matrix, for a solver that asks for
-    them many times: the column indices are widened to ``intp`` once, which
-    ``take`` and ``add.at`` would otherwise do on every call, and the
-    products run a block of rows at a time into one reused scratch array.
-
-    ``x @ w`` takes, multiplies and sums each row by ``np.add.reduceat``
-    (pairwise, so within rounding of scipy's running sum); ``x.T @ c``
-    adds ``data * repeat(c, row_lengths)`` into its columns by
-    ``np.add.at`` in entry order, bit for bit as scipy sums it.
-    """
-
-    def __init__(self, x: CSR):
-        self.x = x
-        self.indices = x.indices.astype(np.intp)
-        self.lengths = x.lengths()
-        # Per block: its rows, its entries, and its non-empty rows with
-        # where each starts among the block's entries.
-        self.blocks = []
-        for start, stop in spans(self.lengths + 1, _BUDGET):
-            rows = start + np.flatnonzero(self.lengths[start:stop])
-            lo, hi = x.indptr[start], x.indptr[stop]
-            self.blocks.append((slice(start, stop), slice(lo, hi), rows, x.indptr[rows] - lo))
-        self.scratch = np.empty(max((block.stop - block.start for _, block, _, _ in self.blocks), default=0))
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        x = self.x
-        out = np.zeros(x.shape[0])
-        for _, entries, rows, starts in self.blocks:
-            if len(rows):
-                products = self.scratch[: entries.stop - entries.start]
-                np.take(w, self.indices[entries], out=products, mode="clip")
-                products *= x.data[entries]
-                out[rows] = np.add.reduceat(products, starts)
-        return out
-
-    def rmatvec(self, c: np.ndarray) -> np.ndarray:
-        x = self.x
-        out = np.zeros(x.shape[1])
-        for block, entries, _, _ in self.blocks:
-            products = self.scratch[: entries.stop - entries.start]
-            np.multiply(x.data[entries], np.repeat(c[block], self.lengths[block]), out=products)
-            np.add.at(out, self.indices[entries], products)
-        return out

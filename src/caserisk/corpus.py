@@ -371,14 +371,22 @@ def text_lines(
     raises ``error`` naming the file and the line."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline=newline) as fh:
         for number, line in enumerate(fh, 1):
-            if not line.isascii():
-                try:
-                    # A byte that is not UTF-8 was decoded to a lone
-                    # surrogate, which has no UTF-8 encoding.
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise error(f"{path}:{number}: a byte that is not UTF-8") from None
+            if _undecodable(line):
+                raise error(f"{path}:{number}: a byte that is not UTF-8")
             yield line
+
+
+def _undecodable(line: str) -> bool:
+    """Whether a line read with ``errors="surrogateescape"`` held a byte
+    that is not UTF-8: that byte was decoded to a lone surrogate, which has
+    no UTF-8 encoding."""
+    if line.isascii():
+        return False
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def read_terms(path: str | Path) -> list[str]:
@@ -618,15 +626,13 @@ def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Cor
                 continue
             stats.total_lines += 1
             try:
-                if not line.isascii():
-                    # A byte that is not UTF-8 was decoded to a lone
-                    # surrogate, which has no UTF-8 encoding.
-                    line.encode("utf-8")
+                if _undecodable(line):
+                    raise MalformedRecordError("a byte that is not UTF-8")
                 record = json.loads(line)
                 doc = _extract(record, gazetteer, shared)
                 if doc.id in seen:
                     raise MalformedRecordError(f"duplicate id {doc.id!r}")
-            except (UnicodeEncodeError, json.JSONDecodeError, MalformedRecordError):
+            except (json.JSONDecodeError, MalformedRecordError):
                 stats.skipped += 1
                 continue
             seen.add(doc.id)

@@ -4,9 +4,10 @@ One representation runs through the module: a feature vector is a row of a
 CSR matrix (``_sparse.CSR``, over numpy alone) whose columns are a
 vocabulary's, and a model's weights are one dense array with a weight per
 column.  ``vectorize_document`` and ``vectorize_cluster`` return 1 x |V|
-rows as scipy matrices, importing scipy when called, ``train`` takes a
-(feature matrix, labels) pair, and ``RiskModel.scores`` scores the rows of
-a matrix; both take ``CSR`` rows or any scipy sparse matrix.
+``CSR`` rows, ``ClusterTerms.featurize`` returns the rows of many clusters
+as one matrix, ``train`` takes a (``CSR`` feature matrix, labels) pair, and
+``RiskModel.scores`` scores the rows of a ``CSR`` matrix.  The solver's
+products are the matrix's own (``CSR.matvec``, ``CSR.rmatvec``).
 
 Documents are tokenized once into a document x n-gram count matrix (CSR),
 with columns in sorted gram order.  A vocabulary is the set of columns
@@ -37,7 +38,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._sparse import CSR, Products, as_csr, is_sparse, ranges, segment_means, segments, summed, sums, take_columns
+from ._sparse import CSR, ranges, segment_means, segments, summed, sums, take_columns
 from .clustering import Cluster
 from .corpus import (
     Corpus,
@@ -230,9 +231,8 @@ def build_vocabulary(
 def _unit_rows(x: CSR) -> CSR:
     """Scale every non-zero row of x to unit L2 norm, in place.
 
-    A row's squares are summed bit for bit as scipy's
-    ``x.multiply(x).sum(axis=1)`` sums them, a block of rows at a time and
-    without the copies of x that ``multiply`` makes.
+    A row's squares are summed by ``np.add.reduceat``, a block of rows at
+    a time and without a copy of x.
     """
     for start, stop in spans(x.lengths() + 1, _ROW_BLOCK):
         ptr = x.indptr[start : stop + 1] - x.indptr[start]
@@ -395,23 +395,17 @@ def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -
     return _document_rows(counts, _idf(np.array(vocab.df), vocab.n_docs) if weighting == "tfidf" else None)
 
 
-def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf"):
-    """The document's 1 x |V| bag-of-n-grams row as a ``scipy.sparse``
-    ``csr_matrix``, L2-normalized when non-zero."""
-    from scipy.sparse import csr_matrix
-
-    row = _rows_against([doc], vocab, weighting)
-    return csr_matrix((row.data, row.indices, row.indptr), shape=row.shape)
+def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> CSR:
+    """The document's 1 x |V| bag-of-n-grams row, L2-normalized when
+    non-zero."""
+    return _rows_against([doc], vocab, weighting)
 
 
-def vectorize_cluster(cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf"):
-    """The cluster's 1 x |V| row as a ``scipy.sparse`` ``csr_matrix``: the
-    renormalized mean of its member document rows."""
-    from scipy.sparse import csr_matrix
-
+def vectorize_cluster(cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf") -> CSR:
+    """The cluster's 1 x |V| row: the renormalized mean of its member
+    document rows."""
     doc_rows = _rows_against(corpus.members(cluster.members), vocab, weighting)
-    row = _unit_rows(segment_means(doc_rows, np.array([0, cluster.size()])))
-    return csr_matrix((row.data, row.indices, row.indptr), shape=row.shape)
+    return _unit_rows(segment_means(doc_rows, np.array([0, cluster.size()])))
 
 
 @dataclass
@@ -442,25 +436,18 @@ class RiskModel:
     lam: float
     metadata: dict = field(default_factory=dict)
 
-    def scores(self, x) -> np.ndarray:
-        """Risk scores in [0, 1] of the rows of a sparse feature matrix
-        (``CSR`` rows or any scipy sparse matrix): the sigmoid of the
-        margins ``x @ weights + intercept``.
+    def scores(self, x: CSR) -> np.ndarray:
+        """Risk scores in [0, 1] of the ``CSR`` rows of a sparse feature
+        matrix: the sigmoid of the margins ``x @ weights + intercept``.
 
         Hinge-trained models use the same logistic link on the raw margin
         (identity-parameter calibration).
         """
-        x = _features(x)
+        if not isinstance(x, CSR):
+            raise InputError("features must be a sparse feature matrix")
         if x.shape[1] != len(self.weights):
             raise InputError(f"{x.shape[1]} feature columns for a model of {len(self.weights)} weights")
-        return _stable_sigmoid(Products(x).matvec(self.weights) + self.intercept)
-
-
-def _features(x) -> CSR:
-    """``x`` as ``CSR`` rows; InputError for anything but a sparse matrix."""
-    if not is_sparse(x):
-        raise InputError("features must be a sparse feature matrix")
-    return as_csr(x)
+        return _stable_sigmoid(x.matvec(self.weights) + self.intercept)
 
 
 def _as_sign(label) -> float:
@@ -472,7 +459,7 @@ def _as_sign(label) -> float:
 
 
 def _smooth_objective(
-    loss: str, w: np.ndarray, b: float, x: Products, y: np.ndarray, l2: float
+    loss: str, w: np.ndarray, b: float, x: CSR, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, float]:
     """Mean logistic or squared-hinge loss plus ``l2 * w.w``, with its
     analytic gradient (objective, grad_w, grad_b)."""
@@ -488,41 +475,27 @@ def _smooth_objective(
     return value, x.rmatvec(coef) + 2.0 * l2 * w, float(np.sum(coef))
 
 
-def _penalized_objective(
-    loss: str,
+def logistic_objective(
     w: np.ndarray,
     b: float,
-    x: Products,
+    x: CSR,
     y: np.ndarray,
     penalty: str,
     lam: float,
 ) -> tuple[float, np.ndarray, float]:
-    """Regularized mean logistic or squared-hinge loss with its analytic
-    gradient (under L1, the subgradient ``lam * sign(w)``).
+    """Regularized mean logistic loss with its analytic gradient (under L1,
+    the subgradient ``lam * sign(w)``), over the ``CSR`` rows of a sparse
+    feature matrix ``x``.
 
     Returns (objective, grad_w, grad_b).  The intercept is not penalized.
     """
-    value, grad_w, grad_b = _smooth_objective(loss, w, b, x, y, lam if penalty == "l2" else 0.0)
+    if not isinstance(x, CSR):
+        raise InputError("features must be a sparse feature matrix")
+    value, grad_w, grad_b = _smooth_objective("logistic", w, b, x, y, lam if penalty == "l2" else 0.0)
     if penalty == "l1":
         value += lam * float(np.sum(np.abs(w)))
         grad_w = grad_w + lam * np.sign(w)
     return value, grad_w, grad_b
-
-
-def logistic_objective(
-    w: np.ndarray,
-    b: float,
-    x,
-    y: np.ndarray,
-    penalty: str,
-    lam: float,
-) -> tuple[float, np.ndarray, float]:
-    """Regularized mean logistic loss with its analytic gradient, over the
-    rows of a sparse feature matrix ``x``.
-
-    Returns (objective, grad_w, grad_b).  The intercept is not penalized.
-    """
-    return _penalized_objective("logistic", w, b, Products(_features(x)), y, penalty, lam)
 
 
 def _stable_sigmoid(z: np.ndarray) -> np.ndarray:
@@ -643,9 +616,9 @@ def train(
     """Minimize the penalized objective with ``_minimize``.
 
     ``examples`` is one (sparse feature matrix, labels) pair whose rows are
-    the examples, the matrix ``CSR`` rows or any scipy sparse matrix;
-    anything else raises InputError.  The model has one weight per column
-    of the matrix.
+    the examples, the matrix ``CSR`` rows as ``ClusterTerms.featurize``
+    gives them; anything else raises InputError.  The model has one weight
+    per column of the matrix.
 
     ``config.epochs`` caps the solver's iterations.  The metadata records
     the iterations run (``epochs``), the final (pseudo-)gradient inf-norm
@@ -654,9 +627,9 @@ def train(
     """
     config = config or TrainConfig()
     config.validate()
-    if not (isinstance(examples, (tuple, list)) and len(examples) == 2 and is_sparse(examples[0])):
+    if not (isinstance(examples, (tuple, list)) and len(examples) == 2 and isinstance(examples[0], CSR)):
         raise InputError("training examples must be one (sparse feature matrix, labels) pair")
-    x, labels = as_csr(examples[0]), list(examples[1])
+    x, labels = examples[0], list(examples[1])
     if x.shape[0] != len(labels):
         raise InputError(f"{x.shape[0]} feature rows for {len(labels)} labels")
     if vocabulary is not None and x.shape[1] != len(vocabulary):
@@ -668,10 +641,9 @@ def train(
         raise DegenerateTrainingError("training data has a single class")
 
     l2, l1 = (config.lam, 0.0) if config.penalty == "l2" else (0.0, config.lam)
-    products = Products(x)
 
     def smooth(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad_w, grad_b = _smooth_objective(config.loss, theta[:-1], theta[-1], products, y, l2)
+        value, grad_w, grad_b = _smooth_objective(config.loss, theta[:-1], theta[-1], x, y, l2)
         return value, np.append(grad_w, grad_b)
 
     theta, objective, iterations, grad_norm, converged = _minimize(smooth, x.shape[1] + 1, l1, config.epochs)
@@ -692,7 +664,7 @@ def train(
     )
 
 
-def score(model: RiskModel, x) -> np.ndarray:
+def score(model: RiskModel, x: CSR) -> np.ndarray:
     """The risk scores of the rows of ``x``: ``model.scores(x)``."""
     return model.scores(x)
 

@@ -249,13 +249,17 @@ def read_labels(
 
     Returns the resolved labeled clusters and the ids that did not match
     any cluster (left to the caller to report).  Expert labels win over
-    sampled ones for the same cluster.
+    sampled ones for the same cluster.  A missing header, or a row with a
+    missing or empty cluster_id or label, raises InputError naming the
+    file and the line.
     """
     rows: list[tuple[str, str, str]] = []
     reader = csv.DictReader(text_lines(path, newline=""))
     if reader.fieldnames is None or not {"cluster_id", "label"} <= set(reader.fieldnames):
         raise InputError(f"{path}: expected header cluster_id,label[,source]")
     for row in reader:
+        if not (row["cluster_id"] and row["label"]):
+            raise InputError(f"{path}:{reader.line_num}: missing cluster_id or label")
         rows.append(
             (row["cluster_id"], row["label"], row.get("source") or SOURCE_EXPERT)
         )

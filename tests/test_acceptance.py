@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix, vstack
+from sparse_rows import csr
 
 from caserisk.bias import FeatureSpec, audit, chi_squared_test, contingency
 from caserisk.clustering import (
@@ -32,6 +32,7 @@ from caserisk.evaluate import cross_validate, make_folds, roc_auc, split
 from caserisk.model import (
     ClusterTerms,
     TrainConfig,
+    _stacked,
     build_vocabulary,
     feature_importance,
     logistic_objective,
@@ -198,7 +199,7 @@ def test_criterion_4_gradient_check():
         n = int(rng.integers(2, 51))
         d = int(rng.integers(1, 21))
         dense = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.5)
-        x = csr_matrix(dense)
+        x = csr(dense)
         y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         y[0], y[-1] = 1.0, -1.0
         w = rng.normal(size=d) * 0.8
@@ -267,7 +268,7 @@ def test_criterion_5_end_to_end_bias_mitigation():
 
     docs = [result.corpus.get(d) for lc in labeled for d in sorted(lc.cluster.members)]
     vocab = build_vocabulary(docs, (1,), min_df=2, max_size=50000)
-    x = vstack([vectorize_cluster(lc.cluster, result.corpus, vocab) for lc in labeled])
+    x = _stacked([vectorize_cluster(lc.cluster, result.corpus, vocab) for lc in labeled], len(vocab))
     model = train((x, [lc.label for lc in labeled]), vocab, train_config)
     top10 = [t for t, _ in feature_importance(model, 10)]
     biased_proxy = result.config.domains[0]
@@ -318,10 +319,10 @@ def test_criterion_5_end_to_end_bias_mitigation():
     fresh = random_negatives(result.clustering, used, sum(1 for lc in test_side if lc.label == "positive"), 43)
     train_docs = [cleaned.get(d) for lc in train_side for d in sorted(lc.cluster.members)]
     vocab_m = build_vocabulary(train_docs, (1,), min_df=2, max_size=50000)
-    x_m = vstack([vectorize_cluster(lc.cluster, cleaned, vocab_m) for lc in train_side])
+    x_m = _stacked([vectorize_cluster(lc.cluster, cleaned, vocab_m) for lc in train_side], len(vocab_m))
     model_m = train((x_m, [lc.label for lc in train_side]), vocab_m, train_config)
     held_out = [lc for lc in test_side if lc.label == "positive"] + fresh
-    held_x = vstack([vectorize_cluster(lc.cluster, cleaned, vocab_m) for lc in held_out])
+    held_x = _stacked([vectorize_cluster(lc.cluster, cleaned, vocab_m) for lc in held_out], len(vocab_m))
     held_scores = list(zip(model_m.scores(held_x).tolist(), [lc.label for lc in held_out]))
     held_auc, _ = roc_auc(held_scores)
     assert held_auc >= 0.9

@@ -1,14 +1,20 @@
 """Subcommand behavior, config validation, and pipeline determinism."""
 
+import contextlib
 import filecmp
+import io
 import json
 import random
 import re
 import shutil
+import tempfile
 from collections import Counter
 from operator import attrgetter
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import caserisk.bias
 import caserisk.cli
@@ -788,13 +794,24 @@ def _append_bytes(name, data):
     return mutate
 
 
-def _insert_clusters_row(row):
-    """Make ``row`` line 2 of clusters.csv, right below the header."""
+def _insert_row(name, row):
+    """Make ``row`` line 2 of the CSV file ``name``, right below the header."""
 
     def mutate(base):
-        path = base / "run" / "clusters.csv"
+        path = base / name
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:1] + [row] + lines[1:]))
+
+    return mutate
+
+
+def _labels_first(*rows):
+    """The expert labels with the label column first, then ``rows``."""
+
+    def mutate(base):
+        path = base / "labels_expert.csv"
+        lines = [line.split(",")[:2] for line in path.read_text().splitlines()]
+        path.write_text("".join(f"{label},{cid}\n" for cid, label in lines) + "".join(rows))
 
     return mutate
 
@@ -824,13 +841,28 @@ STAGE_CASES = [
     ),
     (
         "clusters row missing its document_id field",
-        _insert_clusters_row("c-lonely\n"),
+        _insert_row("run/clusters.csv", "c-lonely\n"),
         ["sample"], 1, ["InputError", "clusters.csv:2"], None,
     ),
     (
         "clusters row with an empty document_id",
-        _insert_clusters_row("c-empty,\n"),
+        _insert_row("run/clusters.csv", "c-empty,\n"),
         ["sample"], 1, ["InputError", "clusters.csv:2"], None,
+    ),
+    (
+        "labels row missing its cluster_id field",
+        _labels_first("positive\n", "positive,nosuch\n"),
+        ["sample"], 1, ["InputError", "labels_expert.csv:", "missing cluster_id or label"], None,
+    ),
+    (
+        "labels row with an empty cluster_id",
+        _insert_row("labels_expert.csv", ",positive,expert\n"),
+        ["sample"], 1, ["InputError", "labels_expert.csv:2"], None,
+    ),
+    (
+        "labels row with an empty label",
+        _insert_row("run/labels.csv", "c-empty,,expert\n"),
+        ["train"], 1, ["InputError", "labels.csv:2"], None,
     ),
     (
         "model with an unknown loss",
@@ -923,3 +955,86 @@ def test_undecodable_byte_fails_by_name(finished_run, tmp_path, capsys, name, st
     assert rc == code, err
     assert re.search(rf"{re.escape(str(base / name))}:\d+: ", err), err
     assert "Traceback" not in err
+
+
+# The optional paths of small_run's config, by key.
+READ_BY = {"rules": "rules.json", "remove_lexicon": "domains.txt", "gazetteer": "gazetteer.txt"}
+# Each file a stage reads, relative to small_run, and the stage that reads it.
+READERS = {
+    "corpus.jsonl": "ingest",
+    "p.conf": "sample",
+    "run/clusters.csv": "sample",
+    "labels_expert.csv": "sample",
+    "run/labels.csv": "train",
+    "run/model.json": "evaluate",
+    "rules.json": "indicators",
+    "domains.txt": "train",
+    "gazetteer.txt": "ingest",
+}
+
+
+def write_small_config(base):
+    lines = [f"paths.{key} = {base / file}" for key, file in READ_BY.items()]
+    return write_config(base / "p.conf", base, lines=lines)
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """A complete pipeline run over 40 synth clusters, with rules, a
+    removal lexicon and a gazetteer.  Its expert labels put the label
+    column first and name one cluster that the clustering lacks, as a
+    labels file may."""
+    base = tmp_path_factory.mktemp("small")
+    assert main(["synth", "--out", str(base), "--num-clusters", "40", "--positive-fraction", "0.4", "--seed", "2"]) == 0
+    _labels_first("positive,withdrawn\n")(base)
+    write_rules(base / "rules.json")
+    conf = write_small_config(base)
+    assert main(["pipeline", "--config", str(conf), "--out", str(base / "run")]) == 0
+    return base
+
+
+MUTATIONS = ("truncate", "invalid UTF-8", "drop a field", "duplicate a row", "blank a row")
+
+
+def mutated(data: bytes, kind: str, draw) -> bytes:
+    """``data`` with one mutation of ``kind``, placed by ``draw``.  A field
+    is what a comma or an equals sign separates, and it is dropped with one
+    separator next to it."""
+    if kind == "truncate":
+        return data[: draw(st.integers(0, max(len(data) - 1, 0)))]
+    if kind == "invalid UTF-8":
+        at = draw(st.integers(0, len(data)))
+        return data[:at] + b"\xff" + data[at:]
+    lines = data.splitlines(keepends=True) or [b""]
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    body = line.rstrip(b"\r\n")
+    if kind == "duplicate a row":
+        lines.insert(i, line)
+    elif kind == "blank a row":
+        lines[i] = line[len(body):]
+    else:
+        parts = re.split(rb"([,=])", body)  # field, separator, field, ...
+        j = 2 * draw(st.integers(0, len(parts) // 2))
+        start = j if j + 1 < len(parts) else max(j - 1, 0)
+        del parts[start : start + 2]
+        lines[i] = b"".join(parts) + line[len(body):]
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("kind", MUTATIONS)
+@pytest.mark.parametrize("name", sorted(READERS))
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_input_ends_in_an_exit_code(small_run, name, kind, data):
+    """One mutation of one file that a stage reads ends the stage with exit
+    code 0, 1 or 2; no exception escapes ``cli.main``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "case"
+        shutil.copytree(small_run, base)
+        conf = write_small_config(base)
+        path = base / name
+        path.write_bytes(mutated(path.read_bytes(), kind, data.draw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main([READERS[name], "--config", str(conf), "--out", str(base / "run")])
+    assert rc in (0, 1, 2)

@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_matrix
 
 from caserisk import evaluate, synth
-from caserisk._sparse import as_csr, segment_means
+from caserisk._sparse import ranges, segment_means, take_columns
 from caserisk.clustering import Clustering, read_clustering
 from caserisk.corpus import Corpus, ingest
 from caserisk.evaluate import make_folds
@@ -107,10 +106,22 @@ print(json.dumps({"rise_mb": (after - before) / 1024, "scipy": scipy}))
 
 PIPELINE_CHILD = """
 import json, sys
+sys.modules["scipy"] = None  # every import of scipy now fails
 from caserisk.cli import main
-rc = main(["pipeline", "--export-graph", "--config", sys.argv[1], "--out", sys.argv[2]])
-scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"rc": rc, "scipy": scipy}))
+from caserisk.clustering import read_clustering
+from caserisk.corpus import ingest
+from caserisk.model import _stacked, build_vocabulary, train, vectorize_cluster, vectorize_document
+from caserisk.sampling import read_labels
+
+conf, out = sys.argv[1:3]
+rc = main(["pipeline", "--export-graph", "--config", conf, "--out", out])
+corpus, _ = ingest(f"{out}/corpus_clean.jsonl")
+labeled, _ = read_labels(f"{out}/labels.csv", read_clustering(f"{out}/clusters.csv"))
+vocab = build_vocabulary(corpus.documents, (1, 2))
+x = _stacked([vectorize_cluster(lc.cluster, corpus, vocab) for lc in labeled], len(vocab))
+model = train((x, [lc.label for lc in labeled]), vocab)
+scores = model.scores(vectorize_document(corpus.documents[0], vocab))
+print(json.dumps({"rc": rc, "scored": len(scores)}))
 """
 
 
@@ -169,7 +180,9 @@ def test_import_leaves_out_scipy(import_probe):
 
 def test_pipeline_runs_without_scipy(tmp_path):
     """Every stage, with bigrams, location-date links, consensus, a
-    gazetteer, a removal lexicon and rules, runs on numpy alone."""
+    gazetteer, a removal lexicon and rules, and then ``vectorize_document``,
+    ``vectorize_cluster``, ``train`` and ``RiskModel.scores`` run where
+    every import of scipy fails."""
     config = synth.SynthConfig(num_clusters=40, seed=3, positive_fraction=0.4)
     paths = synth.write_artifacts(synth.generate(config), tmp_path / "in")
     rules = tmp_path / "rules.json"
@@ -182,7 +195,7 @@ def test_pipeline_runs_without_scipy(tmp_path):
         "clustering.use_location_date = true\nclustering.consensus_runs = 3\nclustering.refine_passes = 1\n"
     )
     probe = run_child(PIPELINE_CHILD, conf, tmp_path / "run")
-    assert probe == {"rc": 0, "scipy": []}
+    assert probe == {"rc": 0, "scored": 1}
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
@@ -223,15 +236,17 @@ def test_split_featurization_matches_copies(inputs):
         vocab, x = terms.featurize(2, None, "tfidf", fit=fit)
         expected, cols, df = _fit_vocabulary(direct, int(in_fit.sum()), terms.grams, terms.orders, 2, None)
         assert vocab.terms == expected.terms and vocab.df == expected.df
-        columns = as_csr(csr_matrix((counts.data, counts.indices, counts.indptr), shape=counts.shape)[:, cols])
+        lookup = np.full(counts.shape[1], -1)
+        lookup[cols] = np.arange(len(cols))
+        columns = take_columns(counts, lookup, len(cols))
         means = segment_means(_document_rows(columns, _idf(df, vocab.n_docs)), terms.doc_ptr)
         whole = _unit_rows(_stacked([means], len(cols)))
-        whole = csr_matrix((whole.data, whole.indices, whole.indptr), shape=whole.shape)
         for part, (start, stop) in ((train_idx, (0, len(train_idx))), (test_idx, (len(train_idx), x.shape[0]))):
-            copy, view = whole[part], row_view(x, start, stop)
-            np.testing.assert_array_equal(view.indptr, copy.indptr)
-            np.testing.assert_array_equal(view.indices, copy.indices)
-            assert view.data.tobytes() == copy.data.tobytes()
+            view, lengths = row_view(x, start, stop), whole.lengths()[part]
+            copy = ranges(whole.indptr[part], lengths)  # the entries of rows ``part``
+            np.testing.assert_array_equal(view.indptr, np.concatenate(([0], np.cumsum(lengths))))
+            np.testing.assert_array_equal(view.indices, whole.indices[copy])
+            assert view.data.tobytes() == whole.data[copy].tobytes()
 
 
 def test_ingested_corpus_shares_repeated_values(inputs):

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse import csr_matrix, vstack
+import scipy.sparse as sp
 from scipy.sparse import random as sparse_random
+from sparse_rows import canonical, csr, dense
 
 import caserisk.model
-from caserisk._sparse import Products, as_csr, segment_means
+from caserisk._sparse import CSR, segment_means
 from caserisk.clustering import Cluster
 from caserisk.corpus import Corpus, Document, remove_tokens, tokenize
 from caserisk.errors import (
@@ -37,8 +38,8 @@ from caserisk.model import (
     load_model,
     load_rules,
     _count_grams,
-    _penalized_objective,
     _smooth_objective,
+    _stacked,
     _unit_rows,
     logistic_objective,
     save_model,
@@ -51,11 +52,6 @@ from caserisk.model import (
 
 def doc(doc_id, text, **kwargs):
     return Document(id=doc_id, source_domain="x", text=text, **kwargs)
-
-
-def scipy_rows(x):
-    """Internal ``CSR`` rows as a scipy ``csr_matrix`` over the same arrays."""
-    return csr_matrix((x.data, x.indices, x.indptr), shape=x.shape)
 
 
 class TestVocabulary:
@@ -106,12 +102,12 @@ class TestVectorize:
     def test_single_token_unit_weight(self):
         vocab = build_vocabulary([doc("1", "a b")], orders=(1,))
         vec = vectorize_document(doc("2", "a"), vocab)
-        assert isinstance(vec, csr_matrix) and vec.shape == (1, 2)
+        assert isinstance(vec, CSR) and vec.shape == (1, 2)
         assert vec.indices.tolist() == [vocab.index["a"]] and vec.data.tolist() == [1.0]
 
     def test_tf_normalization_hand_check(self):
         vocab = build_vocabulary([doc("1", "a b")], orders=(1,))
-        vec = vectorize_document(doc("2", "a a b"), vocab).toarray()[0]
+        vec = dense(vectorize_document(doc("2", "a a b"), vocab))[0]
         assert vec[vocab.index["a"]] == pytest.approx(2 / math.sqrt(5))
         assert vec[vocab.index["b"]] == pytest.approx(1 / math.sqrt(5))
 
@@ -126,14 +122,14 @@ class TestVectorize:
         cluster = Cluster(id="1", members=frozenset(["1"]))
         merged = vectorize_cluster(cluster, corpus, vocab)
         assert merged.shape == (1, len(vocab))
-        assert merged.toarray().tolist() == vectorize_document(corpus.get("1"), vocab).toarray().tolist()
+        assert dense(merged).tolist() == dense(vectorize_document(corpus.get("1"), vocab)).tolist()
 
     def test_cluster_of_duplicates_equals_single(self):
         corpus = Corpus([doc("1", "a b c"), doc("2", "a b c"), doc("3", "a b c")])
         vocab = build_vocabulary(list(corpus.documents), orders=(1,))
         cluster = Cluster(id="1", members=frozenset(["1", "2", "3"]))
-        single = vectorize_document(corpus.get("1"), vocab).toarray()[0]
-        merged = vectorize_cluster(cluster, corpus, vocab).toarray()[0]
+        single = dense(vectorize_document(corpus.get("1"), vocab))[0]
+        merged = dense(vectorize_cluster(cluster, corpus, vocab))[0]
         assert np.flatnonzero(merged).tolist() == np.flatnonzero(single).tolist()
         assert merged == pytest.approx(single)
 
@@ -148,7 +144,7 @@ class TestVectorize:
     def test_vocabulary_index_gives_the_column(self):
         # A loaded vocabulary need not number its grams in sorted order.
         vocab = Vocabulary(terms=("b", "a"), df=(1, 1), orders=(1,), n_docs=1)
-        vec = vectorize_document(doc("1", "a a b zz"), vocab).toarray()[0]
+        vec = dense(vectorize_document(doc("1", "a a b zz"), vocab))[0]
         assert vec == pytest.approx([1 / math.sqrt(5), 2 / math.sqrt(5)])
 
     def test_removed_tokens_never_in_vocabulary(self):
@@ -223,17 +219,16 @@ class TestCountGrams:
     def test_matches_reference(self, texts, orders):
         docs = [doc(str(i), text) for i, text in enumerate(texts)]
         counts, columns = _count_grams(docs, orders)
-        counts = scipy_rows(counts)
-        dense, grams = reference_count_grams(docs, orders)
-        assert counts.has_canonical_format
-        assert counts.shape == dense.shape
-        np.testing.assert_array_equal(counts.toarray(), dense)
+        expected, grams = reference_count_grams(docs, orders)
+        assert canonical(counts)
+        assert counts.shape == expected.shape
+        np.testing.assert_array_equal(dense(counts), expected)
         assert columns.strings(np.arange(len(columns))) == grams
 
     def test_prefix_tokens_sort_before_extensions(self):
         counts, columns = _count_grams([doc("1", "a0 a b a a0")], (1, 2))
         assert columns.strings(np.arange(len(columns))) == ["a", "a a0", "a b", "a0", "a0 a", "b", "b a"]
-        assert scipy_rows(counts).toarray().tolist() == [[2, 1, 1, 2, 1, 1, 1]]
+        assert dense(counts).tolist() == [[2, 1, 1, 2, 1, 1, 1]]
 
 
 def reference_unit_rows(x):
@@ -250,13 +245,13 @@ def reference_unit_rows(x):
 @given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([7, 1 << 17]))
 def test_unit_rows_match_scipy_bit_for_bit(seed, means, block):
     rng = np.random.default_rng(seed)
-    x = sparse_random(int(rng.integers(1, 30)), 40, density=rng.uniform(0.05, 0.9), format="csr", random_state=rng)
+    x = csr(sparse_random(int(rng.integers(1, 30)), 40, density=rng.uniform(0.05, 0.9), random_state=rng).toarray())
     if means:
         cuts = np.unique(rng.integers(1, x.shape[0] + 1, size=3))
-        x = scipy_rows(segment_means(as_csr(x), np.concatenate(([0], cuts[cuts < x.shape[0]], [x.shape[0]]))))
-    expected = reference_unit_rows(x.copy())
+        x = segment_means(x, np.concatenate(([0], cuts[cuts < x.shape[0]], [x.shape[0]])))
+    expected = reference_unit_rows(sp.csr_matrix((x.data.copy(), x.indices, x.indptr), shape=x.shape))
     with mock.patch.object(caserisk.model, "_ROW_BLOCK", block):
-        got = _unit_rows(as_csr(x.copy()))
+        got = _unit_rows(CSR(x.indptr, x.indices, x.data.copy(), x.shape))
     np.testing.assert_array_equal(got.indices, expected.indices)
     assert got.data.tobytes() == expected.data.tobytes()
 
@@ -315,9 +310,9 @@ class TestClusterTerms:
             # The fit clusters' rows first, then the held-out clusters'.
             order = np.concatenate((np.flatnonzero(fit), np.flatnonzero(~fit)))
             assert x.shape[0] == len(clusters)
-            for row, i in zip(scipy_rows(x).toarray(), order.tolist()):
+            for row, i in zip(dense(x), order.tolist()):
                 cluster = clusters[i]
-                wrapped = vectorize_cluster(cluster, corpus, vocab, weighting).toarray()[0]
+                wrapped = dense(vectorize_cluster(cluster, corpus, vocab, weighting))[0]
                 reference = reference_cluster_vector(cluster, corpus, vocab, weighting)
                 np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
@@ -348,27 +343,16 @@ class TestClusterTerms:
         terms = ClusterTerms(clusters, corpus)
         vocab, x = terms.featurize(fit=np.array([True, True, False]))
         assert "zz" not in vocab and x.shape == (3, len(vocab))
-        assert scipy_rows(x)[2].toarray().tolist() == [[1.0] + [0.0] * (len(vocab) - 1)]
+        assert dense(x)[2].tolist() == [1.0] + [0.0] * (len(vocab) - 1)
 
     def test_member_missing_from_corpus_rejected(self):
         corpus = Corpus([doc("1", "a b")])
         with pytest.raises(InputError):
             ClusterTerms([Cluster(id="1", members=frozenset(["1", "2"]))], corpus)
 
-def sv(*vectors, dim=None):
-    """CSR rows from {column: value} maps, over ``dim`` columns (by default
-    one past the largest column used)."""
-    if dim is None:
-        dim = 1 + max((max(v) for v in vectors if v), default=-1)
-    dense = np.zeros((len(vectors), dim))
-    for i, vec in enumerate(vectors):
-        for j, value in vec.items():
-            dense[i, j] = value
-    return csr_matrix(dense)
-
-
 # Two one-hot examples, one per class, the smallest problem train accepts.
-TWO_POINTS = (sv({0: 1.0}, {1: 1.0}), ["positive", "negative"])
+TWO_POINTS = (csr(np.eye(2)), ["positive", "negative"])
+ALTERNATING = np.eye(2).tolist()  # one-hot rows of the two classes in turn
 
 
 class TestTrain:
@@ -380,15 +364,15 @@ class TestTrain:
         assert scores[1] < 0.5
 
     def test_huge_penalty_shrinks_weights(self):
-        x = sv(*[{0: 1.0}, {1: 1.0}] * 5)
+        x = csr(ALTERNATING * 5)
         model = train((x, ["positive", "negative"] * 5), config=TrainConfig(epochs=100, lam=1e6))
         assert all(abs(w) < 1e-3 for w in model.weights)
-        assert model.scores(sv({0: 1.0}, dim=2))[0] == pytest.approx(
+        assert model.scores(csr([[1.0, 0.0]]))[0] == pytest.approx(
             1.0 / (1.0 + math.exp(-model.intercept)), abs=1e-3
         )
 
     def test_gradient_at_zero_hand_check(self):
-        x = csr_matrix(np.array([[1.0]]))
+        x = csr([[1.0]])
         y = np.array([1.0])
         _, grad_w, grad_b = logistic_objective(np.zeros(1), 0.0, x, y, "l2", 0.0)
         assert grad_w[0] == pytest.approx(-0.5)
@@ -405,11 +389,12 @@ class TestTrain:
         # backtracking.
         monkeypatch.setattr(caserisk.model, "_FIRST_STEP", 4.0)
         rng = random.Random(0)
-        vectors, labels = [], []
+        rows, labels = np.zeros((40, 10)), []
         for i in range(40):
             labels.append("positive" if i % 2 == 0 else "negative")
-            vectors.append({j: rng.random() for j in rng.sample(range(10), 3)})
-        x = sv(*vectors, dim=10)
+            for j in rng.sample(range(10), 3):
+                rows[i, j] = rng.random()
+        x = csr(rows)
         history = []
         for epochs in range(1, 301):
             model = train((x, labels), config=TrainConfig(epochs=epochs))
@@ -421,19 +406,19 @@ class TestTrain:
 
     def test_determinism_bit_for_bit(self):
         rng = random.Random(1)
-        vectors, labels = [], []
+        rows, labels = [], []
         for i in range(30):
             labels.append("positive" if rng.random() < 0.5 else "negative")
-            vectors.append({j: rng.random() for j in range(5)})
+            rows.append([rng.random() for j in range(5)])
         if len(set(labels)) < 2:
             labels[0], labels[1] = "positive", "negative"
-        x = sv(*vectors)
+        x = csr(rows)
         a = train((x, labels), config=TrainConfig(epochs=80))
         b = train((x, labels), config=TrainConfig(epochs=80))
         assert a.weights.tobytes() == b.weights.tobytes() and a.intercept == b.intercept
 
     def test_hinge_loss_trains(self):
-        x = sv(*[{0: 1.0}, {1: 1.0}] * 3)
+        x = csr(ALTERNATING * 3)
         model = train(
             (x, ["positive", "negative"] * 3),
             config=TrainConfig(loss="hinge", epochs=150),
@@ -442,7 +427,7 @@ class TestTrain:
         assert scores[0] > 0.5 > scores[1]
 
     def test_l1_penalty_trains(self):
-        x = sv(*[{0: 1.0}, {1: 1.0}] * 3)
+        x = csr(ALTERNATING * 3)
         model = train(
             (x, ["positive", "negative"] * 3),
             config=TrainConfig(penalty="l1", lam=1e-3, epochs=150),
@@ -451,10 +436,10 @@ class TestTrain:
 
     def test_empty_examples_rejected(self):
         with pytest.raises(EmptyInputError):
-            train((csr_matrix((0, 2)), []))
+            train((csr(np.zeros((0, 2))), []))
 
     def test_one_weight_per_column(self):
-        x = sv({0: 1.0}, {1: 1.0}, dim=5)
+        x = csr(np.eye(2, 5))
         model = train((x, ["positive", "negative"]))
         assert isinstance(model.weights, np.ndarray) and model.weights.shape == (5,)
         assert model.weights[2:].tolist() == [0.0, 0.0, 0.0]
@@ -463,11 +448,12 @@ class TestTrain:
         "examples",
         [
             [({0: 1.0}, "positive"), ({1: 1.0}, "negative")],
-            [(sv({0: 1.0}, dim=2), "positive"), (sv({1: 1.0}, dim=2), "negative")],
-            (TWO_POINTS[0].toarray(), TWO_POINTS[1]),
+            [(csr([[1.0, 0.0]]), "positive"), (csr([[0.0, 1.0]]), "negative")],
+            (np.eye(2), TWO_POINTS[1]),
+            (sp.csr_matrix(np.eye(2)), TWO_POINTS[1]),
             [],
         ],
-        ids=["dict pairs", "row pairs", "dense matrix", "empty list"],
+        ids=["dict pairs", "row pairs", "dense matrix", "scipy matrix", "empty list"],
     )
     def test_anything_but_a_matrix_and_labels_rejected(self, examples):
         with pytest.raises(InputError, match="sparse feature matrix"):
@@ -495,7 +481,17 @@ def small_problems(draw):
         lam=draw(st.sampled_from([1e-3, 1e-2, 0.1, 1.0])),
         epochs=1000,
     )
-    return csr_matrix(dense), labels, config
+    return csr(dense), labels, config
+
+
+def penalized_objective(loss, w, b, x, y, penalty, lam):
+    """The objective ``train`` states: the smooth part plus, under L1,
+    ``lam * |w|_1`` and its subgradient ``lam * sign(w)``."""
+    value, grad_w, grad_b = _smooth_objective(loss, w, b, x, y, lam if penalty == "l2" else 0.0)
+    if penalty == "l1":
+        value += lam * float(np.sum(np.abs(w)))
+        grad_w = grad_w + lam * np.sign(w)
+    return value, grad_w, grad_b
 
 
 def assert_optimal(x, labels, config):
@@ -507,8 +503,7 @@ def assert_optimal(x, labels, config):
     w = model.weights
     y = np.array([1.0 if label == "positive" else -1.0 for label in labels])
     l2 = config.lam if config.penalty == "l2" else 0.0
-    products = Products(as_csr(x))
-    _, grad_w, grad_b = _smooth_objective(config.loss, w, model.intercept, products, y, l2)
+    _, grad_w, grad_b = _smooth_objective(config.loss, w, model.intercept, x, y, l2)
     assert abs(grad_b) <= 1e-6
     if config.penalty == "l2":
         assert np.max(np.abs(grad_w)) <= 1e-6
@@ -516,7 +511,7 @@ def assert_optimal(x, labels, config):
         zero = w == 0.0
         assert np.all(np.abs(grad_w[zero]) <= config.lam + 1e-6)
         np.testing.assert_allclose(grad_w[~zero], -config.lam * np.sign(w[~zero]), rtol=0, atol=1e-6)
-    full, _, _ = _penalized_objective(config.loss, w, model.intercept, products, y, config.penalty, config.lam)
+    full, _, _ = penalized_objective(config.loss, w, model.intercept, x, y, config.penalty, config.lam)
     assert model.metadata["final_objective"] == pytest.approx(full, rel=1e-12, abs=1e-15)
 
 
@@ -560,7 +555,7 @@ class TestOptimality:
         rows, signs = HARD_L1_HINGE[name]
         labels = ["positive" if s == "+" else "negative" for s in signs]
         config = TrainConfig(loss="hinge", penalty="l1", lam=1e-4)
-        assert_optimal(csr_matrix(np.array(rows, dtype=float)), labels, config)
+        assert_optimal(csr(np.array(rows, dtype=float)), labels, config)
 
     @pytest.mark.parametrize("loss", ["logistic", "hinge"])
     def test_l1_zeroes_irrelevant_columns(self, loss):
@@ -570,13 +565,13 @@ class TestOptimality:
         labels = ["positive" if i % 2 else "negative" for i in range(n)]
         signal = np.array([1.0 if label == "positive" else -1.0 for label in labels])
         dense = np.column_stack([signal + 0.3 * rng.normal(size=n), 0.1 * rng.normal(size=(n, 4))])
-        model = train((csr_matrix(dense), labels), config=TrainConfig(loss=loss, penalty="l1", lam=0.05))
+        model = train((csr(dense), labels), config=TrainConfig(loss=loss, penalty="l1", lam=0.05))
         assert model.metadata["converged"]
         assert np.flatnonzero(model.weights).tolist() == [0]
         assert model.weights[0] > 0.0
 
     def test_epochs_caps_iterations(self):
-        examples = (sv(*[{0: 1.0, 1: 0.5}, {1: 1.0}] * 3), ["positive", "negative"] * 3)
+        examples = (csr([[1.0, 0.5], [0.0, 1.0]] * 3), ["positive", "negative"] * 3)
         capped = train(examples, config=TrainConfig(epochs=1))
         assert capped.metadata["epochs"] == 1 and not capped.metadata["converged"]
         assert capped.metadata["grad_norm"] > 1e-6
@@ -597,20 +592,20 @@ class TestGradientCheck:
         for trial in range(30):
             n = int(rng.integers(2, 40))
             d = int(rng.integers(1, 12))
-            x = csr_matrix(rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.5))
+            values = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.5)
+            x = csr(values)
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             w = rng.normal(size=d)
             b = float(rng.normal())
             penalty = "l2" if trial % 2 == 0 else "l1"
             lam = float(rng.choice([0.0, 1e-3, 0.1]))
-            products = Products(as_csr(x))
 
             def f(w, b):
-                return _penalized_objective("hinge", w, b, products, y, penalty, lam)[0]
+                return penalized_objective("hinge", w, b, x, y, penalty, lam)[0]
 
-            value, grad_w, grad_b = _penalized_objective("hinge", w, b, products, y, penalty, lam)
+            value, grad_w, grad_b = penalized_objective("hinge", w, b, x, y, penalty, lam)
             assert value == pytest.approx(
-                np.mean(np.maximum(0.0, 1.0 - y * (x @ w + b)) ** 2)
+                np.mean(np.maximum(0.0, 1.0 - y * (values @ w + b)) ** 2)
                 + lam * (np.dot(w, w) if penalty == "l2" else np.sum(np.abs(w)))
             )
             numeric = [
@@ -627,8 +622,7 @@ class TestGradientCheck:
         for trial in range(30):
             n = int(rng.integers(2, 50))
             d = int(rng.integers(1, 20))
-            dense = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.4)
-            x = csr_matrix(dense)
+            x = csr(rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.4))
             y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
             if len(set(y.tolist())) < 2:
                 y[0] = 1.0
@@ -666,36 +660,48 @@ def fixed_model(weights, intercept=0.0):
 class TestScoreAndImportance:
     def test_zero_vector_zero_intercept(self):
         model = fixed_model([0.0, 0.0])
-        assert model.scores(csr_matrix((1, 2))).tolist() == [0.5]
+        assert model.scores(csr(np.zeros((1, 2)))).tolist() == [0.5]
 
     def test_sigmoid_limits(self):
         model = fixed_model([1000.0, 0.0])
-        scores = model.scores(sv({0: 1.0}, {0: -1.0}, dim=2))
+        scores = model.scores(csr([[1.0, 0.0], [-1.0, 0.0]]))
         assert scores[0] == pytest.approx(1.0)
         assert scores[1] == pytest.approx(0.0)
 
     def test_margin_ln3_scores_three_quarters(self):
         model = fixed_model([1.0, 0.0])
-        assert model.scores(sv({0: math.log(3)}, dim=2))[0] == pytest.approx(0.75)
+        assert model.scores(csr([[math.log(3), 0.0]]))[0] == pytest.approx(0.75)
 
     def test_score_monotone_in_margin(self):
         model = fixed_model([1.0, 0.0])
-        scores = model.scores(sv(*[{0: m} for m in [-3, -1, 0, 1, 3]], dim=2)).tolist()
+        scores = model.scores(csr([[m, 0.0] for m in [-3, -1, 0, 1, 3]])).tolist()
         assert scores == sorted(scores)
 
     def test_score_function_is_the_method(self):
         model = train(TWO_POINTS)
-        x = sv({0: 0.5, 1: 0.25}, {1: 2.0})
+        x = csr([[0.5, 0.25], [0.0, 2.0]])
         assert score(model, x).tolist() == model.scores(x).tolist()
 
     @pytest.mark.parametrize("columns", [2, 7])
     def test_wrong_width_rejected(self, columns):
         vocab = build_vocabulary([doc("1", "a b c d")], orders=(1,))
-        model = train((sv({0: 1.0}, {1: 1.0}, dim=4), ["positive", "negative"]), vocab)
+        model = train((csr(np.eye(2, 4)), ["positive", "negative"]), vocab)
         with pytest.raises(InputError, match="4 weights"):
-            model.scores(csr_matrix((1, columns)))
+            model.scores(csr(np.zeros((1, columns))))
         with pytest.raises(InputError):
-            score(model, csr_matrix((1, columns)))
+            score(model, csr(np.zeros((1, columns))))
+
+    @pytest.mark.parametrize(
+        "x", [np.eye(2), sp.csr_matrix(np.eye(2)), [[1.0, 0.0]], None], ids=["dense", "scipy", "list", "none"]
+    )
+    def test_anything_but_a_matrix_rejected(self, x):
+        model = train(TWO_POINTS)
+        with pytest.raises(InputError, match="sparse feature matrix"):
+            model.scores(x)
+        with pytest.raises(InputError, match="sparse feature matrix"):
+            score(model, x)
+        with pytest.raises(InputError, match="sparse feature matrix"):
+            logistic_objective(np.zeros(2), 0.0, x, np.array([1.0, -1.0]), "l2", 0.0)
 
     def make_model(self, weights):
         model = fixed_model(weights)
@@ -730,7 +736,7 @@ class TestModelIO:
     def test_round_trip_exact(self, tmp_path):
         docs = [doc("1", "alpha beta gamma"), doc("2", "alpha delta")]
         vocab = build_vocabulary(docs, orders=(1,))
-        x = vstack([vectorize_document(d, vocab) for d in docs])
+        x = _stacked([vectorize_document(d, vocab) for d in docs], len(vocab))
         model = train((x, ["positive", "negative"]), vocab, TrainConfig(epochs=60))
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -757,7 +763,7 @@ class TestModelIO:
     )
     def test_inconsistent_model_file_rejected(self, tmp_path, fault):
         vocab = build_vocabulary([doc("1", "a b c d")], orders=(1,))
-        model = train((sv({0: 1.0}, {1: 1.0}, dim=4), ["positive", "negative"]), vocab)
+        model = train((csr(np.eye(2, 4)), ["positive", "negative"]), vocab)
         if fault == "negative weight index":
             model.vocabulary = None
         path = tmp_path / "model.json"
@@ -786,7 +792,7 @@ class TestModelIO:
 
     def test_round_trip_without_vocabulary_keeps_the_width(self, tmp_path):
         # The last column is all zeros, so its weight trains to exactly 0.
-        x = csr_matrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]]))
+        x = csr([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
         model = train((x, ["positive", "negative", "positive"]), config=TrainConfig(penalty="l1"))
         assert model.vocabulary is None and model.weights[-1] == 0.0
         path = tmp_path / "model.json"

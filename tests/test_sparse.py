@@ -2,22 +2,21 @@
 
 Every property draws random 0/1 or float matrices with empty rows and
 empty columns, and runs the kernels at budgets small enough to cut them
-into many blocks.
+into many blocks.  A kernel gets ``CSR`` rows, and scipy its own matrix
+of the same dense array.
 """
 
 from unittest import mock
 
 import numpy as np
-import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sparse_rows import canonical, csr, dense
 
 import caserisk._sparse
 from caserisk._sparse import (
     CSR,
-    Products,
-    as_csr,
     row_intersections,
     segment_means,
     summed,
@@ -29,13 +28,13 @@ BUDGETS = st.sampled_from([1, 7, 1 << 16])
 
 
 def random_matrix(rng, shape, density, binary=False):
-    """A scipy CSR matrix with some rows and columns left empty."""
-    dense = (rng.random(shape) < density).astype(float)
+    """A dense array with some rows and columns left empty."""
+    values = (rng.random(shape) < density).astype(float)
     if not binary:
-        dense *= rng.normal(size=shape)
-    dense[rng.random(shape[0]) < 0.2] = 0.0
-    dense[:, rng.random(shape[1]) < 0.2] = 0.0
-    return sp.csr_matrix(dense.astype(np.int8) if binary else dense)
+        values *= rng.normal(size=shape)
+    values[rng.random(shape[0]) < 0.2] = 0.0
+    values[:, rng.random(shape[1]) < 0.2] = 0.0
+    return values.astype(np.int8) if binary else values
 
 
 @st.composite
@@ -45,13 +44,6 @@ def matrices(draw, binary=False, min_rows=0, count=None):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     made = [random_matrix(rng, shape, draw(st.floats(0.0, 1.0)), binary) for _ in range(count or 1)]
     return made if count else made[0]
-
-
-def canonical(x: CSR) -> bool:
-    """Every row's columns ascending and distinct."""
-    rows = np.repeat(np.arange(x.shape[0]), np.diff(x.indptr))
-    step = np.diff(x.indices.astype(np.int64))
-    return bool(np.all((step > 0) | (rows[1:] != rows[:-1])))
 
 
 def assert_same(got: CSR, expected) -> None:
@@ -69,7 +61,8 @@ def assert_same(got: CSR, expected) -> None:
 def test_upper_gram_matches_the_triangle_of_the_product(b, budget):
     n = b.shape[0]
     with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
-        blocks = list(upper_gram(as_csr(b)))
+        blocks = list(upper_gram(csr(b)))
+    b = sp.csr_matrix(b)
     keys = np.concatenate([np.empty(0, dtype=np.int64)] + [k for k, _ in blocks])
     counts = np.concatenate([np.empty(0, dtype=np.int64)] + [c for _, c in blocks])
     assert np.all(np.diff(keys) > 0)
@@ -85,8 +78,10 @@ def test_row_intersections_match_the_elementwise_product(b, data):
     pairs = st.lists(st.integers(0, b.shape[0] - 1), max_size=40)
     a = np.array(data.draw(pairs), dtype=np.int32)
     c = np.array(data.draw(st.lists(st.integers(0, b.shape[0] - 1), min_size=len(a), max_size=len(a))), dtype=np.int32)
+    got = row_intersections(csr(b), a, c)
+    b = sp.csr_matrix(b)
     expected = np.asarray(b[a].multiply(b[c]).sum(axis=1)).ravel() if len(a) else np.zeros(0)
-    np.testing.assert_array_equal(row_intersections(as_csr(b), a, c), expected)
+    np.testing.assert_array_equal(got, expected)
 
 
 @settings(max_examples=200, deadline=None)
@@ -96,8 +91,8 @@ def test_take_columns_matches_column_indexing(x, data):
     lookup = np.full(x.shape[1], -1, dtype=np.int64)
     lookup[cols] = np.arange(len(cols))
     with mock.patch.object(caserisk._sparse, "_BUDGET", data.draw(BUDGETS)):
-        got = take_columns(as_csr(x), lookup, len(cols))
-    assert_same(got, x[:, cols] if len(cols) else sp.csr_matrix((x.shape[0], 0)))
+        got = take_columns(csr(x), lookup, len(cols))
+    assert_same(got, sp.csr_matrix(x)[:, cols] if len(cols) else sp.csr_matrix((x.shape[0], 0)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -109,19 +104,18 @@ def test_segment_means_match_the_membership_product(x, data, budget):
     sizes = np.diff(ptr)
     membership = sp.csr_matrix((np.repeat(1.0 / sizes, sizes), np.arange(n), ptr), shape=(len(sizes), n))
     with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
-        got = segment_means(as_csr(x), ptr)
-    assert_same(got, membership @ x)
+        got = segment_means(csr(x), ptr)
+    assert_same(got, membership @ sp.csr_matrix(x))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda count: matrices(count=count)), BUDGETS)
 def test_summed_matches_the_sum(parts, budget):
     with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
-        got = summed([as_csr(part) for part in parts])
-    expected = sum(parts[1:], parts[0]).toarray()
+        got = summed([csr(part) for part in parts])
+    expected = sum(map(sp.csr_matrix, parts[1:]), sp.csr_matrix(parts[0])).toarray()
     assert got.shape == parts[0].shape and canonical(got)
-    got = sp.csr_matrix((got.data, got.indices, got.indptr), shape=got.shape).toarray()
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense(got), expected, rtol=0, atol=1e-12)
 
 
 def test_summed_sorts_and_merges_unsorted_rows():
@@ -132,23 +126,10 @@ def test_summed_sorts_and_merges_unsorted_rows():
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices(), st.integers(0, 2**32 - 1), BUDGETS)
-def test_products_match_scipy(x, seed, budget):
+@given(matrices(), st.integers(0, 2**32 - 1))
+def test_products_match_scipy(x, seed):
     rng = np.random.default_rng(seed)
     w, c = rng.normal(size=x.shape[1]), rng.normal(size=x.shape[0])
-    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
-        products = Products(as_csr(x))
-    np.testing.assert_allclose(products.matvec(w), x @ w, rtol=1e-12, atol=1e-12)
-    assert products.rmatvec(c).tobytes() == (x.T @ c).tobytes()
-
-
-def test_as_csr_canonicalizes_a_copy():
-    x = sp.csr_matrix((np.array([1.0, 2.0, 3.0]), np.array([2, 0, 2]), np.array([0, 3])), shape=(1, 3))
-    rows = as_csr(x)
-    assert rows.indices.tolist() == [0, 2] and rows.data.tolist() == [2.0, 4.0]
-    assert x.indices.tolist() == [2, 0, 2]
-
-
-@pytest.mark.parametrize("dense", [np.eye(2), [[1.0]], None])
-def test_dense_input_is_not_sparse(dense):
-    assert not caserisk._sparse.is_sparse(dense)
+    rows, oracle = csr(x), sp.csr_matrix(x)
+    np.testing.assert_allclose(rows.matvec(w), oracle @ w, rtol=1e-12, atol=1e-12)
+    assert rows.rmatvec(c).tobytes() == (oracle.T @ c).tobytes()
