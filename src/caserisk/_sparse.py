@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import run_starts, spans
+from .corpus import ranges, run_starts, spans
 
 # Entries that one step of an expanding loop creates.
 _BUDGET = 1 << 16
@@ -46,11 +46,6 @@ class CSR:
 
     def row_of_entry(self) -> np.ndarray:
         return np.repeat(np.arange(self.shape[0]), self.lengths())
-
-    @cached_property
-    def keys(self) -> np.ndarray:
-        """``row * ncols + column`` of every entry, ascending."""
-        return self.row_of_entry() * np.int64(self.shape[1]) + self.indices
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -81,12 +76,6 @@ class CSR:
 def ones(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> CSR:
     """The 0/1 matrix with these rows."""
     return CSR(indptr, indices, np.ones(len(indices), dtype=np.int8), (len(indptr) - 1, ncols))
-
-
-def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i] : starts[i] + lengths[i]``, end to end."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def take_columns(x: CSR, lookup: np.ndarray, width: int) -> CSR:
@@ -160,17 +149,18 @@ def upper_gram(x: CSR) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def row_intersections(x: CSR, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``|row a[k] & row b[k]|`` of a 0/1 ``x``: the shorter row of each
-    pair is expanded, and its columns looked up in the other row by
-    ``searchsorted`` over the packed ``keys``."""
+    """``|row a[k] & row b[k]|`` of a 0/1 ``x``, by merge: the entries of
+    rows ``a`` and of rows ``b`` are packed as ``k * ncols + column``, two
+    ascending runs that one stable sort merges, and a column both rows of
+    pair k hold is a run of two equal keys."""
     lengths = x.lengths()
-    swap = lengths[a] > lengths[b]
-    short, other = np.where(swap, b, a), np.where(swap, a, b)
-    count = lengths[short]
-    probe = np.repeat(other.astype(np.int64) * x.shape[1], count) + x.indices[ranges(x.indptr[short], count)]
-    # A probe past the last key is clipped to it, which it differs from.
-    found = np.take(x.keys, np.searchsorted(x.keys, probe), mode="clip") == probe
-    return np.diff(np.searchsorted(np.flatnonzero(found), np.concatenate(([0], np.cumsum(count)))))
+    pair = np.arange(len(a), dtype=np.int64) * x.shape[1]
+    keys = np.concatenate(
+        [np.repeat(pair, lengths[rows]) + x.indices[ranges(x.indptr[rows], lengths[rows])] for rows in (a, b)]
+    )
+    keys.sort(kind="stable")
+    both = keys[1:][keys[1:] == keys[:-1]]
+    return np.bincount(both // x.shape[1], minlength=len(a))
 
 
 def segments(x: CSR, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,14 +100,18 @@ class Run:
 
     @cached_property
     def terms(self) -> model_mod.ClusterTerms:
-        """The labeled clusters' documents, tokenized once for both train
+        """The labeled clusters' documents, counted once for both train
         and evaluate.  With ``paths.remove_lexicon`` set, a document's
         tokens are those ``remove_tokens`` with that lexicon would leave,
-        the bias mitigation; it changes no other document field."""
+        the bias mitigation; it changes no other document field.  The
+        corpus's token stream is freed once its rows are gathered: no
+        later stage reads it."""
         path = self.config.remove_lexicon_path
         remove = None if path is None else corpus_mod.Lexicon.from_file(path)
         clusters = [lc.cluster for lc in self.labeled]
-        return model_mod.ClusterTerms(clusters, self.corpus, self.config.vocab_orders, remove)
+        terms = model_mod.ClusterTerms(clusters, self.corpus, self.config.vocab_orders, remove)
+        del self.corpus.token_stream
+        return terms
 
 
 # --- stages -------------------------------------------------------------

@@ -13,7 +13,9 @@ disagreement objective.
 The graph is built over integer document indices ``0..n-1``, numbered
 in ascending id order, so every order over nodes is an order over ids.
 Each document's phones, locations and word shingles become a row of a 0/1
-sparse incidence matrix.  A shingle is identified by its exact
+sparse incidence matrix.  The shingles are counted from the corpus's
+token stream (``Corpus.token_stream``), whose rows are in node order, so
+the graph tokenizes no text itself.  A shingle is identified by its exact
 ``gram_ids`` id (its token ids packed into an int64, or ranked when they
 do not fit), so distinct shingles never collide; ``gram_counts`` gives
 each document's ids sorted, and one sort of all of them finds the shared
@@ -23,7 +25,8 @@ row's size alone.  Candidate generation is integer-only: the candidate
 pairs are the upper triangle of ``B @ B.T`` for the phone matrix and for
 the matrix of each row's prefix, its rarest shingles, de-duplicated on a
 packed ``i * n + j`` key.  Every candidate pair is then scored from
-row-wise sparse intersections.  The triangle and the scoring
+row-wise sparse intersections, each a merge of the pair's two rows.  The
+triangle and the scoring
 (``_sparse.upper_gram`` and ``row_intersections``, numpy alone) run a
 block at a time, each block bounded by the entries it expands, so their
 temporaries stay small beside the graph.  ``SimilarityGraph`` keeps the
@@ -46,7 +49,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from ._sparse import CSR, ones, row_intersections, summed, upper_gram
-from .corpus import Corpus, Document, columns_of, gram_counts, run_starts, spans, text_lines, token_ids, tokenize
+from .corpus import Corpus, Document, columns_of, gram_counts, run_starts, shingles, spans, text_lines
 from .errors import InputError
 
 SIGNAL_PHONE = "phone-match"
@@ -62,18 +65,6 @@ _PROVENANCE = tuple(
 # Non-zeros of the two rows of each candidate pair that one step of
 # scoring reads: bounds its temporaries.
 _STEP = 1 << 17
-
-
-def shingles(text: str, shingle_len: int) -> frozenset[str]:
-    """Set of word shingles of the given length over lowercased tokens."""
-    if shingle_len < 1:
-        raise InputError("shingle_len must be >= 1")
-    tokens = tokenize(text)
-    if len(tokens) < shingle_len:
-        return frozenset()
-    return frozenset(
-        " ".join(tokens[i : i + shingle_len]) for i in range(len(tokens) - shingle_len + 1)
-    )
 
 
 def text_similarity(a: Document, b: Document, shingle_len: int) -> float:
@@ -192,8 +183,9 @@ def _value_incidence(values_per_doc: Sequence[Sequence[str]]) -> CSR:
     return ones(merged.indptr, merged.indices, len(ids))
 
 
-def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[CSR, np.ndarray]:
-    """The shared-shingle incidence and each document's shingle count.
+def _shingle_incidence(stream: tuple[list[str], np.ndarray, np.ndarray], shingle_len: int) -> tuple[CSR, np.ndarray]:
+    """The shared-shingle incidence and each document's shingle count, from
+    the documents' token stream (``Corpus.token_stream``).
 
     A document's shingles are the set ``shingles`` returns.  Row d of the
     0/1 matrix holds those of document d that some other document has too;
@@ -202,23 +194,21 @@ def _shingle_incidence(docs: Sequence[Document], shingle_len: int) -> tuple[CSR,
     document frequency, ties in ``gram_ids`` order, so each row lists its
     shingles rarest first.
     """
-    vocab, ids, lengths = token_ids(doc.text for doc in docs)
+    vocab, ids, lengths = stream
     indptr, grams, _, _ = gram_counts(ids, lengths, shingle_len, len(vocab))
-    del ids
     ordered = np.sort(grams)
     repeat = ordered[1:] == ordered[:-1]
     shared = ordered[1:][repeat]
     shared = shared[run_starts(shared)]
     del ordered, repeat
     col, keep = columns_of(grams, shared)
-    kept = np.flatnonzero(keep)
-    col = col[kept]
+    del grams
+    col = col[keep]
+    indptr, sizes = np.concatenate(([0], np.cumsum(keep)))[indptr], np.diff(indptr)
     del keep
-    df = np.bincount(col, minlength=len(shared))
     rank = np.empty(len(shared), dtype=np.int32)
-    rank[np.argsort(df, kind="stable")] = np.arange(len(shared))
-    text = summed([ones(np.searchsorted(kept, indptr), rank[col], len(shared))])
-    return text, np.diff(indptr)
+    rank[np.argsort(np.bincount(col, minlength=len(shared)), kind="stable")] = np.arange(len(shared))
+    return summed([ones(indptr, rank[col], len(shared))]), sizes
 
 
 def _prefixes(text: CSR, sizes: np.ndarray, tau: float, scale: int) -> CSR:
@@ -289,7 +279,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
     blocks = [phones] if phones is not None else []
     text = shingle_counts = None
     if use_shingles:
-        text, shingle_counts = _shingle_incidence(docs, config.shingle_len)
+        text, shingle_counts = _shingle_incidence(corpus.token_stream, config.shingle_len)
         # One pass at the lower threshold finds the pairs of both.
         blocks.append(_prefixes(text, shingle_counts, config.tau_text, 2 if config.use_location_date else 1))
     locations = None

@@ -5,6 +5,14 @@ required fields ``id``, ``domain`` and ``text``; optional ``phones``,
 ``locations`` and ``date``; any further string-valued fields are kept in
 ``extras``.  Ingestion is strict: malformed records are counted and
 skipped, never repaired.
+
+A token is a run of ``[a-z0-9]`` in a lowercased text; an ASCII text is
+tokenized by one byte translation and a split, and only other text needs
+the regex.  A corpus is tokenized once, into its ``token_stream``: the
+sorted token list, every token of every text (in ascending id order) as
+its index there, and each text's token count.  Gazetteer matching
+(``Lexicon.find``), the graph's shingles and the model's n-gram counts
+all read those ids, so no stage tokenizes a text again.
 """
 
 from __future__ import annotations
@@ -13,10 +21,12 @@ import json
 import re
 import unicodedata
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
+from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Optional
@@ -28,6 +38,12 @@ from .errors import EmptyCorpusError, InputError, MalformedRecordError, Pipeline
 _TAG_RE = re.compile(r"<[^>]*>")
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 _TOKEN_SPLIT_RE = re.compile(f"({_TOKEN_RE.pattern})")
+# Each byte of an ASCII text as ``tokenize`` reads it: a letter lowercased,
+# a digit kept and any other byte a space, so that ``split`` gives the
+# ``_TOKEN_RE`` runs of the lowered text.
+_TOKEN_BYTES = bytes(
+    ord(chr(b).lower()) if chr(b).lower() in "abcdefghijklmnopqrstuvwxyz0123456789" else ord(" ") for b in range(256)
+)
 
 # North-American style numbers (optional +1 / separators) plus bare digit runs.
 _PHONE_CANDIDATE_RE = re.compile(
@@ -65,17 +81,21 @@ def clean_text(raw: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased tokens split on non-alphanumeric boundaries."""
+    """Lowercased tokens split on non-alphanumeric boundaries: the runs of
+    ``[a-z0-9]`` in ``text.lower()``.  An ASCII text takes one byte
+    translation and a split; the regex runs only on other texts."""
+    if text.isascii():
+        return text.encode("ascii").translate(_TOKEN_BYTES).decode("ascii").split()
     return _TOKEN_RE.findall(text.lower())
 
 
-def token_ids(texts: Iterable[str], remove: Optional[Lexicon] = None) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Tokenize each text once, into integer ids.
+def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Tokenize each text once, into integer ids: a token stream.
 
     Returns the distinct tokens in sorted order, every token of every text
-    (texts one after another) as its index in that list (int32), and each
-    text's token count.  With ``remove``, a text's tokens are those its
-    ``remove.cuts`` keep: the tokens of what ``remove_tokens`` leaves.
+    (texts one after another) as its index in that list, and each text's
+    token count.  Ids take 2 bytes a token (uint16) for up to 65,536
+    distinct tokens and 4 bytes (int32) beyond.
     """
     seen: defaultdict[str, int] = defaultdict()
     seen.default_factory = seen.__len__  # a new token's id: the count so far
@@ -83,18 +103,34 @@ def token_ids(texts: Iterable[str], remove: Optional[Lexicon] = None) -> tuple[l
     lengths = array("q")
     for text in texts:
         tokens = tokenize(text)
-        if remove is not None:
-            for start, stop in reversed(remove.cuts(tokens)):
-                del tokens[start:stop]
         ids.extend(map(seen.__getitem__, tokens))
         lengths.append(len(tokens))
     vocab = sorted(seen)
     rank = np.empty(len(vocab), dtype=np.int32)
     rank[[seen[token] for token in vocab]] = np.arange(len(vocab))
-    ids = np.frombuffer(ids, dtype=np.int32)
-    for start in range(0, len(ids), _GRAM_STEP):  # in place, a step at a time
-        ids[start : start + _GRAM_STEP] = rank[ids[start : start + _GRAM_STEP]]
+    first = np.frombuffer(ids, dtype=np.int32)
+    ids = np.empty(len(first), dtype=np.uint16 if len(vocab) <= 1 << 16 else np.int32)
+    for start in range(0, len(ids), _GRAM_STEP):  # a step at a time
+        ids[start : start + _GRAM_STEP] = rank[first[start : start + _GRAM_STEP]]
     return vocab, ids, np.frombuffer(lengths, dtype=np.int64)
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lengths[i]``, end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def shingles(text: str, shingle_len: int) -> frozenset[str]:
+    """Set of word shingles of the given length over lowercased tokens."""
+    if shingle_len < 1:
+        raise InputError("shingle_len must be >= 1")
+    tokens = tokenize(text)
+    if len(tokens) < shingle_len:
+        return frozenset()
+    return frozenset(
+        " ".join(tokens[i : i + shingle_len]) for i in range(len(tokens) - shingle_len + 1)
+    )
 
 
 def run_starts(ordered: np.ndarray) -> np.ndarray:
@@ -321,7 +357,14 @@ class Document:
 
 
 class Corpus:
-    """Immutable ordered collection of documents with a derived schema."""
+    """Immutable ordered collection of documents with a derived schema.
+
+    ``token_stream`` is the corpus's one tokenization: ``token_ids`` of
+    its texts in ascending id order, built on first use (or given by
+    ``ingest``) and read by every stage that needs tokens.  It costs 2 or
+    4 bytes a token; ``del corpus.token_stream`` frees it, and a later use
+    builds it again.
+    """
 
     def __init__(self, documents: Sequence[Document]):
         self.documents: tuple[Document, ...] = tuple(documents)
@@ -350,6 +393,22 @@ class Corpus:
 
     def ids(self) -> list[str]:
         return [doc.id for doc in self.documents]
+
+    @cached_property
+    def token_stream(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        return token_ids(self._by_id[doc_id].text for doc_id in sorted(self._by_id))
+
+    def rows(self, doc_ids: Iterable[str]) -> np.ndarray:
+        """Each id's place in ascending id order, its row of
+        ``token_stream``; an id the corpus does not hold raises InputError
+        naming the first one."""
+        row = {doc_id: k for k, doc_id in enumerate(sorted(self._by_id))}
+        out = []
+        for doc_id in doc_ids:
+            if doc_id not in row:
+                raise InputError(f"cluster member {doc_id!r} not in corpus")
+            out.append(row[doc_id])
+        return np.array(out, dtype=np.int64)
 
     def members(self, doc_ids: Iterable[str]) -> list[Document]:
         """The documents of a set of member ids, in id order; an id the
@@ -399,18 +458,23 @@ class Lexicon:
     """Terms as ``tokenize`` sequences: a term occurs where a text's tokens
     run as its own, whatever the case or the separators between them.
 
-    Terms that tokenize alike are one; ``terms`` joins each with spaces.
+    Terms that tokenize alike are one; ``terms`` joins each with spaces,
+    and ``ordered`` lists them sorted.
     """
 
     def __init__(self, terms: Iterable[str]):
-        phrases = {tuple(tokenize(t)) for t in terms} - {()}
-        self.terms: frozenset[str] = frozenset(" ".join(p) for p in phrases)
+        # Sorted token tuples join into sorted strings: the joining space
+        # sorts before every token character.
+        phrases = sorted({tuple(tokenize(t)) for t in terms} - {()})
+        self.ordered: tuple[str, ...] = tuple(" ".join(p) for p in phrases)
+        self.terms: frozenset[str] = frozenset(self.ordered)
         # A deletion can join its neighbours only into a term of several
         # tokens, so only with one of those do cuts repeat their pass.
         self._joins = any(len(p) > 1 for p in phrases)
         self._by_first: dict[str, list[tuple[str, ...]]] = {}  # shortest first
         for phrase in sorted(phrases, key=len):
             self._by_first.setdefault(phrase[0], []).append(phrase)
+        self._number = {phrase: k for k, phrase in enumerate(phrases)}  # index in ``ordered``
 
     @classmethod
     def from_file(cls, path: str | Path):
@@ -457,13 +521,73 @@ class Lexicon:
                 outer.append((start, stop))
         return outer
 
+    def first_ids(self, tokens: Sequence[str]) -> np.ndarray:
+        """The ids in a stream's sorted ``tokens`` of the terms' first
+        tokens that it holds, ascending: a text holds a term only where it
+        holds one of these."""
+        return np.array([at for at, token in enumerate(tokens) if token in self._by_first], dtype=np.int64)
+
+    def find(self, stream: tuple[list[str], np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """Where the terms occur in the texts of a ``token_ids`` stream: the
+        distinct ``(text, term)`` pairs, ascending, as a text array and a
+        term array, a term as its index in ``ordered``.
+
+        Each term's tokens are looked up in the stream's sorted token list,
+        and a term with a token that is not there cannot occur.  The others
+        are tried at every position whose token is their first, and a term
+        of several tokens is compared there token by token, at shifted
+        positions that must stay inside the text.
+        """
+        tokens, ids, lengths = stream
+        # The terms that can occur, by ascending first token id.
+        table = []
+        for first in self.first_ids(tokens).tolist():
+            for phrase in self._by_first[tokens[first]]:
+                parts = _find(tokens, phrase)
+                if None not in parts:
+                    table.append((self._number[phrase], parts))
+        if not table:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        number = np.array([k for k, _ in table], dtype=np.int64)
+        size = np.array([len(parts) for _, parts in table], dtype=np.int64)
+        term_ids = np.full((len(table), int(size.max())), -1, dtype=np.int64)
+        for row, (_, parts) in enumerate(table):
+            term_ids[row, : len(parts)] = parts
+        first = term_ids[:, 0]
+        # Every (position, term) whose first token the position holds.
+        at = np.flatnonzero(np.isin(ids, first))
+        lo = np.searchsorted(first, ids[at])
+        count = np.searchsorted(first, ids[at], side="right") - lo
+        at = np.repeat(at, count)
+        term = ranges(lo, count)
+        ends = np.cumsum(lengths)
+        text = np.searchsorted(ends, at, side="right")
+        hit = at + size[term] <= ends[text]
+        for k in range(1, term_ids.shape[1]):
+            check = np.flatnonzero(hit & (size[term] > k))
+            hit[check] = ids[at[check] + k] == term_ids[term[check], k]
+        key = text[hit] * len(self.ordered) + number[term[hit]]
+        key.sort()
+        return np.divmod(key[run_starts(key)], len(self.ordered))
+
+
+def _find(tokens: Sequence[str], words: Iterable[str]) -> list[Optional[int]]:
+    """Each word's index in the sorted ``tokens``, or None where it is not
+    there."""
+    found = []
+    for word in words:
+        at = bisect_left(tokens, word)
+        found.append(at if at < len(tokens) and tokens[at] == word else None)
+    return found
+
 
 class Gazetteer(Lexicon):
     """Location lexicon; terms are lowercase, possibly multi-word."""
 
     def matches(self, text: str) -> list[str]:
         """All terms present as whole-token spans of the text, sorted."""
-        return sorted({" ".join(term) for _, term in self.occurrences(tokenize(text))})
+        _, found = self.find(token_ids([text]))
+        return [self.ordered[k] for k in found.tolist()]
 
 
 class _EmptyExtras(Mapping):
@@ -529,10 +653,23 @@ def extract_attributes(record: Mapping[str, object], gazetteer: Optional[Gazette
     with a document from another call, except the read-only
     ``EMPTY_EXTRAS`` when it has no extra fields.
     """
-    return _extract(record, gazetteer, _Shared())
+    shared = _Shared()
+    doc = _extract(record, shared)
+    if gazetteer is None:
+        return doc
+    return _located(doc, gazetteer.matches(doc.text), shared)
 
 
-def _extract(record: Mapping[str, object], gazetteer: Optional[Gazetteer], shared: _Shared) -> Document:
+def _located(doc: Document, places: Iterable[str], shared: _Shared) -> Document:
+    """The document with gazetteer matches added to its locations."""
+    locations = set(doc.locations)
+    locations.update(places)
+    if len(locations) == len(doc.locations):
+        return doc
+    return replace(doc, locations=shared.share(tuple(sorted(locations))))
+
+
+def _extract(record: Mapping[str, object], shared: _Shared) -> Document:
     if not isinstance(record, Mapping):
         raise MalformedRecordError("record is not an object")
     doc_id = record.get("id")
@@ -564,8 +701,6 @@ def _extract(record: Mapping[str, object], gazetteer: Optional[Gazetteer], share
     if not isinstance(raw_locations, list) or any(not isinstance(x, str) for x in raw_locations):
         raise MalformedRecordError("'locations' must be a list of strings")
     locations = {loc.strip().lower() for loc in raw_locations if loc.strip()}
-    if gazetteer is not None:
-        locations.update(gazetteer.matches(text))
 
     posted = None
     raw_date = record.get("date")
@@ -614,6 +749,9 @@ def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Cor
     Documents that repeat a domain, phone tuple, location tuple or date
     hold one object for it, and each distinct raw phone and date string is
     parsed once.  A document without extra fields has ``EMPTY_EXTRAS``.
+
+    With a gazetteer, the valid documents are tokenized once, into the
+    corpus's ``token_stream``, and the gazetteer is matched over its ids.
     """
     stats = IngestStats()
     shared = _Shared()
@@ -629,7 +767,7 @@ def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Cor
                 if _undecodable(line):
                     raise MalformedRecordError("a byte that is not UTF-8")
                 record = json.loads(line)
-                doc = _extract(record, gazetteer, shared)
+                doc = _extract(record, shared)
                 if doc.id in seen:
                     raise MalformedRecordError(f"duplicate id {doc.id!r}")
             except (json.JSONDecodeError, MalformedRecordError):
@@ -640,7 +778,19 @@ def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Cor
             stats.ingested += 1
     if stats.total_lines > 0 and stats.ingested == 0:
         raise EmptyCorpusError(f"no valid records in {path}")
-    return Corpus(documents), stats
+    if gazetteer is None:
+        return Corpus(documents), stats
+    order = sorted(range(len(documents)), key=lambda k: documents[k].id)
+    stream = token_ids(documents[k].text for k in order)
+    rows, terms = gazetteer.find(stream)
+    places: defaultdict[int, list[str]] = defaultdict(list)
+    for row, term in zip(rows.tolist(), terms.tolist()):
+        places[order[row]].append(gazetteer.ordered[term])
+    for k, found in places.items():
+        documents[k] = _located(documents[k], found, shared)
+    corpus = Corpus(documents)
+    corpus.token_stream = stream
+    return corpus, stats
 
 
 def document_to_record(doc: Document) -> dict:

@@ -9,13 +9,15 @@ as one matrix, ``train`` takes a (``CSR`` feature matrix, labels) pair, and
 ``RiskModel.scores`` scores the rows of a ``CSR`` matrix.  The solver's
 products are the matrix's own (``CSR.matvec``, ``CSR.rmatvec``).
 
-Documents are tokenized once into a document x n-gram count matrix (CSR),
-with columns in sorted gram order.  A vocabulary is the set of columns
-kept by document frequency over the training rows; document rows are
-L2-normalized, and a cluster row is the renormalized mean of its member
-rows, summed by ``bincount`` into the cluster's merged row of grams, which
-is found once per ``ClusterTerms``.  Models are penalized linear classifiers: logistic or squared-hinge
-(L2-SVM) loss, both smooth, with an L2 or L1 penalty on the weights and an
+A ``ClusterTerms`` gathers its documents' rows of the corpus's token
+stream (``Corpus.token_stream``), cuts a removal lexicon's terms from
+them, and counts them once into a document x n-gram count matrix (CSR),
+with columns in sorted gram order; it tokenizes no text.  A vocabulary is
+the set of columns kept by document frequency over the training rows;
+document rows are L2-normalized, and a cluster row is the renormalized
+mean of its member rows, summed by ``bincount`` into the cluster's merged
+row of grams, which is found once per ``ClusterTerms``.  Models are
+penalized linear classifiers: logistic or squared-hinge (L2-SVM) loss, both smooth, with an L2 or L1 penalty on the weights and an
 unpenalized intercept.  One quasi-Newton solver minimizes every
 combination: L-BFGS, and under L1 its orthant-wise form OWL-QN, whose
 weights come out exactly zero where the penalty wins.  It runs until the
@@ -38,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._sparse import CSR, ranges, segment_means, segments, summed, sums, take_columns
+from ._sparse import CSR, segment_means, segments, summed, sums, take_columns
 from .clustering import Cluster
 from .corpus import (
     Corpus,
@@ -48,6 +50,7 @@ from .corpus import (
     gram_counts,
     gram_tokens,
     read_terms,
+    ranges,
     run_starts,
     spans,
     text_lines,
@@ -121,11 +124,8 @@ class _GramColumns:
         return out.tolist()
 
 
-def _count_grams(
-    docs: Sequence[Document], orders: tuple[int, ...], remove: Optional[Lexicon] = None
-) -> tuple[CSR, _GramColumns]:
-    """Tokenize each document once into a document x n-gram count matrix,
-    without the tokens ``remove`` cuts (see ``token_ids``).
+def _count_grams(stream: tuple[list[str], np.ndarray, np.ndarray], orders: tuple[int, ...]) -> tuple[CSR, _GramColumns]:
+    """The document x n-gram count matrix of a ``token_ids`` stream.
 
     Every gram seen gets a column, in sorted gram order, and the grams are
     returned by column.  Grams are counted as ``gram_counts`` rows of
@@ -136,7 +136,7 @@ def _count_grams(
     every token character.  So one lexsort of the grams of every order, as
     token-id rows padded with -1 to the longest order, gives the columns.
     """
-    tokens, ids, lengths = token_ids((doc.text for doc in docs), remove)
+    tokens, ids, lengths = stream
     width = max(orders)
     per_order, parts = [], []
     base = 0
@@ -152,6 +152,7 @@ def _count_grams(
         order_parts[:, :n] = gram_tokens(values, n, len(tokens), keys)
         parts.append(order_parts)
         del grams, values, cols, counts
+    n_docs = len(lengths)
     del ids, lengths
     parts = np.concatenate(parts)
     order = np.lexsort(parts.T[::-1])
@@ -161,7 +162,7 @@ def _count_grams(
     del order
     # Columns keep an order's own gram order, so each order's rows are
     # sorted, and a single order is its own sum.
-    shape = (len(docs), len(parts))
+    shape = (n_docs, len(parts))
     orders_counts = [CSR(indptr, column[cols], data, shape) for indptr, cols, data in per_order]
     del per_order
     counts = orders_counts[0] if len(orders_counts) == 1 else summed(orders_counts)
@@ -223,7 +224,7 @@ def build_vocabulary(
         raise InputError("min_df must be >= 1")
     if not docs:
         raise EmptyInputError("no documents to build a vocabulary from")
-    counts, grams = _count_grams(docs, orders)
+    counts, grams = _count_grams(token_ids(doc.text for doc in docs), orders)
     vocab, _, _ = _fit_vocabulary(_document_frequency(counts), len(docs), grams, orders, min_df, max_size)
     return vocab
 
@@ -281,17 +282,55 @@ def _check_weighting(weighting: str) -> None:
         raise InputError(f"unknown weighting {weighting!r}")
 
 
+def _gathered(
+    stream: tuple[list[str], np.ndarray, np.ndarray], rows: np.ndarray, remove: Optional[Lexicon] = None
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Texts ``rows`` of a ``token_ids`` stream, in that order, as their own
+    stream: what ``token_ids`` of those texts gives.  With ``remove``, a
+    text keeps the tokens that ``remove.cuts`` keeps, which are the tokens
+    of what ``remove_tokens`` leaves of it.
+
+    Only a text that holds a term's first token can lose tokens; each such
+    text is cut on its token strings, and every other text is kept whole.
+    """
+    tokens, stream_ids, lengths = stream
+    starts = (np.cumsum(lengths) - lengths)[rows]
+    lengths = lengths[rows]
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    ids = np.empty(ptr[-1], dtype=stream_ids.dtype)
+    for start, stop in spans(lengths + 1, _ROW_BLOCK):  # a block of texts at a time
+        ids[ptr[start] : ptr[stop]] = stream_ids[ranges(starts[start:stop], lengths[start:stop])]
+    if remove is not None:
+        marked = np.searchsorted(ptr, np.flatnonzero(np.isin(ids, remove.first_ids(tokens))), side="right") - 1
+        keep = np.ones(len(ids), dtype=bool)
+        for text in marked[run_starts(marked)].tolist():
+            lo = ptr[text]
+            for start, stop in remove.cuts([tokens[i] for i in ids[lo : ptr[text + 1]].tolist()]):
+                keep[lo + start : lo + stop] = False
+                lengths[text] -= stop - start
+        ids = ids[keep]
+    # Renumbered over the tokens left, which keeps their sorted order.
+    held = np.zeros(len(tokens), dtype=bool)
+    held[ids] = True
+    number = np.cumsum(held) - 1
+    for start in range(0, len(ids), _ROW_BLOCK):  # in place, a step at a time
+        ids[start : start + _ROW_BLOCK] = number[ids[start : start + _ROW_BLOCK]]
+    return [tokens[i] for i in np.flatnonzero(held).tolist()], ids, lengths
+
+
 class ClusterTerms:
-    """The member documents of a cluster sequence, tokenized once.
+    """The member documents of a cluster sequence, counted once.
 
     ``counts`` is their document x n-gram count matrix: rows grouped by
     cluster in sequence order, members in sorted id order, and columns in
-    sorted gram order.  ``featurize`` selects a vocabulary's columns from
-    it, so cross-validation folds never re-tokenize a document.  Tokens
-    that ``remove`` cuts (see ``token_ids``) are not counted.  Each
-    cluster's document rows are also merged once into one row of its grams
-    (``_sparse.segments``: ``merged_ptr`` and each entry's ``place``), so
-    that a fold sums its means without sorting.
+    sorted gram order.  The rows are gathered from the corpus's
+    ``token_stream``, so no document is tokenized again.  ``featurize``
+    selects a vocabulary's columns from it, so cross-validation folds
+    never count a document again.  Tokens that ``remove`` cuts (see
+    ``_gathered``) are not counted.  Each cluster's document rows are also
+    merged once into one row of its grams (``_sparse.segments``:
+    ``merged_ptr`` and each entry's ``place``), so that a fold sums its
+    means without sorting.
     """
 
     def __init__(
@@ -299,13 +338,9 @@ class ClusterTerms:
     ):
         self.orders = _check_orders(orders)
         self.clusters = list(clusters)
-        docs = []
-        sizes = []
-        for cluster in self.clusters:
-            docs += corpus.members(cluster.members)
-            sizes.append(cluster.size())
-        self.doc_ptr = np.concatenate(([0], np.cumsum(sizes, dtype=np.int64)))
-        self.counts, self.grams = _count_grams(docs, self.orders, remove)
+        rows = corpus.rows(doc_id for cluster in self.clusters for doc_id in sorted(cluster.members))
+        self.doc_ptr = np.concatenate(([0], np.cumsum([cluster.size() for cluster in self.clusters], dtype=np.int64)))
+        self.counts, self.grams = _count_grams(_gathered(corpus.token_stream, rows, remove), self.orders)
         self.merged_ptr, self.place = segments(self.counts, self.doc_ptr)
 
     @cached_property
@@ -388,7 +423,7 @@ def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -
     _check_weighting(weighting)
     if len(vocab) == 0:
         raise EmptyInputError("empty vocabulary")
-    counts, columns = _count_grams(docs, vocab.orders)
+    counts, columns = _count_grams(token_ids(doc.text for doc in docs), vocab.orders)
     grams = columns.strings(np.arange(len(columns)))
     lookup = np.array([vocab.index.get(gram, -1) for gram in grams], dtype=np.int64)
     counts = take_columns(counts, lookup, len(vocab))

@@ -7,6 +7,7 @@ import json
 import random
 import re
 import shutil
+import sys
 import tempfile
 from collections import Counter
 from operator import attrgetter
@@ -425,18 +426,53 @@ class TestPipeline:
         assert calls == Counter(stages)
 
     def test_labeled_documents_tokenized_once(self, tmp_path, monkeypatch):
-        # The train stage and cross-validation share the run's ClusterTerms.
-        built = []
+        # One token pass over the corpus feeds the gazetteer, the shingles
+        # and the n-gram counts, and the train stage and cross-validation
+        # share the run's ClusterTerms.  Cutting "sitealpha" joins "sigpos
+        # springfield", so the removal runs its second pass.
+        built, passes, callers = [], [], Counter()
 
         class CountingTerms(caserisk.model.ClusterTerms):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
+            def __init__(self, clusters, corpus, *args, **kwargs):
+                built.append(corpus)
+                super().__init__(clusters, corpus, *args, **kwargs)
+
+        token_ids, tokenize = caserisk.corpus.token_ids, caserisk.corpus.tokenize
+
+        def counting_token_ids(texts):
+            texts = list(texts)
+            passes.append((sys._getframe(1).f_globals["__name__"], len(texts)))
+            return token_ids(texts)
+
+        def counting_tokenize(text):
+            callers[sys._getframe(1).f_code.co_qualname.split(".<locals>")[0]] += 1
+            return tokenize(text)
 
         monkeypatch.setattr(caserisk.model, "ClusterTerms", CountingTerms)
         monkeypatch.setattr(caserisk.evaluate, "ClusterTerms", CountingTerms)
-        self.run_pipeline(tmp_path, tmp_path / "run")
+        monkeypatch.setattr(caserisk.corpus, "token_ids", counting_token_ids)
+        monkeypatch.setattr(caserisk.corpus, "tokenize", counting_tokenize)
+        run_synth(tmp_path)
+        lexicon = tmp_path / "remove.txt"
+        lexicon.write_text("sitealpha\nsigpos springfield\n")
+        lines = (
+            f"paths.gazetteer = {tmp_path / 'gazetteer.txt'}",
+            f"paths.remove_lexicon = {lexicon}",
+            "clustering.use_text = true",
+            "clustering.use_location_date = true",
+            "model.orders = 1,2",
+        )
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=lines)
+        assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
+        documents = json.loads((tmp_path / "run" / "ingest_summary.json").read_text())["documents"]
+        assert passes == [("caserisk.corpus", documents)]
+        # Besides that pass, only the lexicons tokenize, each of its terms.
+        assert callers["token_ids"] == documents
+        assert set(callers) == {"token_ids", "Lexicon.__init__"}
         assert len(built) == 1
+        assert "token_stream" not in vars(built[0])  # freed once the labeled rows were gathered
+        vocabulary = json.loads((tmp_path / "run" / "model.json").read_text())["vocabulary"]
+        assert "sitealpha" not in json.dumps(vocabulary) and "sigpos springfield" not in json.dumps(vocabulary)
 
     def test_mitigation_equals_training_on_the_cut_corpus(self, tmp_path):
         # The pipeline cuts the removal lexicon from the labeled documents'

@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import caserisk.corpus
@@ -41,6 +41,7 @@ from caserisk.corpus import (
     _first_core,
 )
 from caserisk.errors import EmptyCorpusError, MalformedRecordError
+from caserisk.model import _gathered
 
 
 _RAW_IDS = st.one_of(st.sampled_from(["a", " b", "c ", "a"]), st.text(min_size=1, max_size=4))
@@ -502,8 +503,8 @@ class TestRemoveTokens:
         for start, stop in reversed(Lexicon(lexicon).cuts(tokens)):
             del tokens[start:stop]
         assert tokens == tokenize(remove_tokens(self.corpus_of(text), lexicon).get("a").text)
-        vocab, ids, _ = token_ids([text], Lexicon(lexicon))
-        assert [vocab[i] for i in ids] == tokens
+        vocab, ids, lengths = _gathered(token_ids([text]), np.array([0]), Lexicon(lexicon))
+        assert [vocab[i] for i in ids] == tokens and lengths.tolist() == [len(tokens)]
 
 
 class TestLexicon:
@@ -542,6 +543,59 @@ class TestLexicon:
         path.write_text("  New York \n\n\tSITEALPHA\n")
         assert read_terms(path) == ["new york", "sitealpha"]
         assert Lexicon.from_file(path).terms == Gazetteer.from_file(path).terms == {"new york", "sitealpha"}
+
+
+_REFERENCE_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_TEXTS = st.one_of(
+    st.text(),
+    st.text(alphabet=st.characters(max_codepoint=127)),
+    st.lists(st.sampled_from(["Abc", "x9", "-", " ", "\u212a", "\u0130", "\u00df", "\uff21", "\u0663", "_"])).map("".join),
+)
+
+
+class TestTokenStream:
+    """The byte-translation tokenizer and the array matcher against the
+    regex and ``Lexicon.occurrences``."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_TOKEN_TEXTS)
+    @example("Hillcrest\u2014Caf\u00e9 \u212aelvin")  # KELVIN SIGN lowercases to ASCII "k"
+    @example("\u0130stanbul")  # lowercases to two code points
+    @example("Stra\u00dfe")
+    @example("\uff21\uff22\uff23\uff11\uff12\uff13")  # fullwidth
+    @example("\u0661\u0662\u0663 tel 123")  # Arabic-Indic digits
+    @example("a\x00b\x01c\x1f d\x7fe\x0b")  # NUL and control characters
+    def test_tokenize_equals_the_regex(self, text):
+        assert tokenize(text) == _REFERENCE_TOKEN_RE.findall(text.lower())
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_TOKEN_TEXTS, max_size=6))
+    def test_token_ids_equal_a_per_text_reference(self, texts):
+        per_text = [_REFERENCE_TOKEN_RE.findall(text.lower()) for text in texts]
+        vocab, ids, lengths = token_ids(texts)
+        assert vocab == sorted({token for tokens in per_text for token in tokens})
+        assert [vocab[i] for i in ids.tolist()] == [token for tokens in per_text for token in tokens]
+        assert lengths.tolist() == [len(tokens) for tokens in per_text]
+
+    # "e" is in no text, so neither are the terms that hold it; "a a",
+    # "a b a" and "b a" overlap other terms and themselves.
+    @settings(max_examples=400, deadline=None)
+    @given(
+        st.lists(st.sampled_from(["a", "b", "a a", "a b", "b a", "a b a", "c", "a c", "A-B", "e", "a e", "e a"]), max_size=7),
+        st.lists(st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=8), max_size=5),
+    )
+    def test_find_equals_the_occurrences(self, terms, texts):
+        lexicon = Lexicon(terms)
+        rows, found = lexicon.find(token_ids(" ".join(tokens) for tokens in texts))
+        expected = sorted(
+            (row, lexicon.ordered.index(" ".join(term)))
+            for row, tokens in enumerate(texts)
+            for term in {term for _, term in lexicon.occurrences(tokens)}
+        )
+        assert list(zip(rows.tolist(), found.tolist())) == expected
+        firsts = {lexicon.ordered[k].split(" ")[0] for k in range(len(lexicon.ordered))}
+        vocab, _, _ = token_ids(" ".join(tokens) for tokens in texts)
+        assert lexicon.first_ids(vocab).tolist() == [i for i, token in enumerate(vocab) if token in firsts]
 
 
 def test_clean_text_collapses_whitespace():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -19,7 +20,7 @@ from sparse_rows import canonical, csr, dense
 import caserisk.model
 from caserisk._sparse import CSR, segment_means
 from caserisk.clustering import Cluster
-from caserisk.corpus import Corpus, Document, remove_tokens, tokenize
+from caserisk.corpus import Corpus, Document, Lexicon, remove_tokens, token_ids, tokenize
 from caserisk.errors import (
     DegenerateTrainingError,
     EmptyInputError,
@@ -218,7 +219,7 @@ class TestCountGrams:
     @given(_GRAM_TEXTS, st.sampled_from([(1,), (2,), (1, 2), (2, 3), (1, 2, 3)]))
     def test_matches_reference(self, texts, orders):
         docs = [doc(str(i), text) for i, text in enumerate(texts)]
-        counts, columns = _count_grams(docs, orders)
+        counts, columns = _count_grams(token_ids(d.text for d in docs), orders)
         expected, grams = reference_count_grams(docs, orders)
         assert canonical(counts)
         assert counts.shape == expected.shape
@@ -226,7 +227,7 @@ class TestCountGrams:
         assert columns.strings(np.arange(len(columns))) == grams
 
     def test_prefix_tokens_sort_before_extensions(self):
-        counts, columns = _count_grams([doc("1", "a0 a b a a0")], (1, 2))
+        counts, columns = _count_grams(token_ids(["a0 a b a a0"]), (1, 2))
         assert columns.strings(np.arange(len(columns))) == ["a", "a a0", "a b", "a0", "a0 a", "b", "b a"]
         assert dense(counts).tolist() == [[2, 1, 1, 2, 1, 1, 1]]
 
@@ -280,6 +281,33 @@ def fold_worlds(draw):
 
 class TestClusterTerms:
     """The tokenize-once path against the per-document reference wrappers."""
+
+    # "z" is in no text; cutting "c" can join "a" and "b" into "a b".
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fold_worlds(),
+        st.lists(st.sampled_from(["a b", "c", "b-C", "d e", "z", "a z", "f f", "e"]), max_size=4),
+        st.booleans(),
+    )
+    def test_counts_equal_a_per_document_reference(self, world, entries, cut):
+        """Rows gathered from the corpus's token stream and cut on its ids
+        equal each member text tokenized by the regex, less what
+        ``Lexicon.cuts`` gives, counted gram by gram."""
+        corpus, clusters, _, orders, _, _, _ = world
+        lexicon = Lexicon(entries) if cut else None
+        terms = ClusterTerms(clusters, corpus, orders, lexicon)
+        expected = []
+        for cluster in clusters:
+            for doc_id in sorted(cluster.members):
+                tokens = re.findall(r"[a-z0-9]+", corpus.get(doc_id).text.lower())
+                for start, stop in reversed(lexicon.cuts(tokens) if cut else []):
+                    del tokens[start:stop]
+                expected.append(Counter(ngrams(tokens, orders)))
+        grams = terms.grams.strings(np.arange(len(terms.grams)))
+        assert grams == sorted(set().union(*expected))
+        assert canonical(terms.counts)
+        rows = [{grams[j]: int(n) for j, n in enumerate(row) if n} for row in dense(terms.counts)]
+        assert rows == [dict(counts) for counts in expected]
 
     @settings(max_examples=150, deadline=None)
     @given(fold_worlds())
