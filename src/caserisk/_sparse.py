@@ -6,11 +6,12 @@ column indices ascending and distinct.  The kernels are the few sparse
 operations caserisk needs, each a handful of numpy calls over Gustavson's
 row expansion (ACM TOMS 4(3), 1978): a stable argsort of the column
 indices is the transpose, and an entry expanded over a row or a column
-gives the products.  Loops that expand entries run a block of rows (or
-pairs) at a time, each block bounded by ``_BUDGET`` expanded entries, so
-their temporaries stay small beside the matrices.  The solver's
-products ``x @ w`` and ``x.T @ c`` are one numpy expression each over the
-whole matrix.
+gives the products.  ``segments`` merges groups of rows once, for the
+cluster means of ``model.ClusterTerms``.  Loops that expand entries run a
+block of rows (or pairs) at a time, each block bounded by ``_BUDGET``
+expanded entries, so their temporaries stay small beside the matrices.
+The solver's products ``x @ w`` and ``x.T @ c`` are one numpy expression
+each over the whole matrix.
 """
 
 from __future__ import annotations
@@ -76,16 +77,6 @@ class CSR:
 def ones(indptr: np.ndarray, indices: np.ndarray, ncols: int) -> CSR:
     """The 0/1 matrix with these rows."""
     return CSR(indptr, indices, np.ones(len(indices), dtype=np.int8), (len(indptr) - 1, ncols))
-
-
-def take_columns(x: CSR, lookup: np.ndarray, width: int) -> CSR:
-    """``x`` with each column c moved to column ``lookup[c]`` of ``width``,
-    or dropped where that is -1; ``lookup`` is one-to-one where it keeps."""
-    mapped = np.take(lookup, x.indices)
-    kept = np.flatnonzero(mapped >= 0)
-    out = CSR(np.searchsorted(kept, x.indptr), mapped[kept].astype(np.int32), x.data[kept], (x.shape[0], width))
-    order = lookup[lookup >= 0]
-    return out if np.all(order[1:] > order[:-1]) else summed([out])
 
 
 def summed(parts: Sequence[CSR]) -> CSR:
@@ -192,19 +183,6 @@ def segments(x: CSR, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         indptr[start + 1 : stop + 1] = indptr[start] + found[1:]
         place[lo + order] = merged_at - found[group[order]]
     return indptr, place
-
-
-def segment_means(x: CSR, ptr: np.ndarray) -> CSR:
-    """Row g is the mean of rows ``ptr[g]:ptr[g + 1]`` of ``x``, which must
-    be non-empty and cover ``x``.  Each sum is taken by ``bincount`` in
-    row order."""
-    indptr, place = segments(x, ptr)
-    entries, sizes = np.diff(x.indptr[ptr]), np.diff(ptr)
-    positions = place + np.repeat(indptr[:-1], entries)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    indices[positions] = x.indices
-    values = sums(positions, x.data * np.repeat(1.0 / sizes, entries), len(indices))
-    return CSR(indptr, indices, values, (len(sizes), x.shape[1]))
 
 
 def sums(positions: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:

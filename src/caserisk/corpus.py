@@ -12,7 +12,9 @@ the regex.  A corpus is tokenized once, into its ``token_stream``: the
 sorted token list, every token of every text (in ascending id order) as
 its index there, and each text's token count.  Gazetteer matching
 (``Lexicon.find``), the graph's shingles and the model's n-gram counts
-all read those ids, so no stage tokenizes a text again.
+all read those ids, so no stage tokenizes a text again, but for one: the
+indicators stage tokenizes each member text again when a rule is of a
+lexicon kind (``model.apply_indicators``).
 """
 
 from __future__ import annotations
@@ -196,8 +198,11 @@ def gram_ids(
     further token k, the rank of ``previous id * vocab_size + token id``
     among that step's distinct values, which are ``keys[k - 1]``.  Either
     way an id stays below 2**46 for fewer than 2**46 occurrences, which
-    leaves ``gram_counts`` room for a row number.
+    leaves ``gram_counts`` room for a row number.  When no text holds n
+    tokens, ids and keys are empty, found without a step per token of n.
     """
+    if n > lengths.max(initial=0):
+        return np.empty(0, dtype=np.int64), []
     m = max(len(ids) - n + 1, 0)
     bits = _gram_bits(n, vocab_size)
     grams = ids[:m].astype(np.int64)
@@ -236,6 +241,8 @@ def _gram_bits(n: int, vocab_size: int) -> Optional[int]:
 def gram_tokens(grams: np.ndarray, n: int, vocab_size: int, keys: list[np.ndarray]) -> np.ndarray:
     """The token ids of each order-n ``gram_ids`` id, one row per gram."""
     parts = np.empty((len(grams), n), dtype=np.int64)
+    if not len(grams):
+        return parts  # no keys to decode by
     bits = _gram_bits(n, vocab_size)
     for k in range(n - 1, 0, -1):
         if bits is None:

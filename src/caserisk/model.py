@@ -3,9 +3,10 @@
 One representation runs through the module: a feature vector is a row of a
 CSR matrix (``_sparse.CSR``, over numpy alone) whose columns are a
 vocabulary's, and a model's weights are one dense array with a weight per
-column.  ``vectorize_document`` and ``vectorize_cluster`` return 1 x |V|
-``CSR`` rows, ``ClusterTerms.featurize`` returns the rows of many clusters
-as one matrix, ``train`` takes a (``CSR`` feature matrix, labels) pair, and
+column.  Every feature row comes from ``ClusterTerms``: ``featurize``
+fits a vocabulary, ``rows`` takes an existing one, and
+``vectorize_document`` and ``vectorize_cluster`` are its 1 x |V| rows.
+``train`` takes a (``CSR`` feature matrix, labels) pair, and
 ``RiskModel.scores`` scores the rows of a ``CSR`` matrix.  The solver's
 products are the matrix's own (``CSR.matvec``, ``CSR.rmatvec``).
 
@@ -40,7 +41,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._sparse import CSR, segment_means, segments, summed, sums, take_columns
+from ._sparse import CSR, segments, summed, sums
 from .clustering import Cluster
 from .corpus import (
     Corpus,
@@ -325,8 +326,9 @@ class ClusterTerms:
     cluster in sequence order, members in sorted id order, and columns in
     sorted gram order.  The rows are gathered from the corpus's
     ``token_stream``, so no document is tokenized again.  ``featurize``
-    selects a vocabulary's columns from it, so cross-validation folds
-    never count a document again.  Tokens that ``remove`` cuts (see
+    selects a fitted vocabulary's columns from it, so cross-validation
+    folds never count a document again, and ``rows`` an existing
+    vocabulary's, found by gram.  Tokens that ``remove`` cuts (see
     ``_gathered``) are not counted.  Each cluster's document rows are also
     merged once into one row of its grams (``_sparse.segments``:
     ``merged_ptr`` and each entry's ``place``), so that a fold sums its
@@ -360,8 +362,8 @@ class ClusterTerms:
 
         The fit clusters' rows come first and the others' after them, each
         in sequence order, so that each side is a ``row_view`` of one
-        matrix.  The rows equal ``vectorize_cluster`` of each cluster with
-        that vocabulary, up to floating-point summation order.
+        matrix.  The rows equal, bit for bit, ``vectorize_cluster`` of each
+        cluster with that vocabulary.
         """
         _check_weighting(weighting)
         if min_df < 1:
@@ -380,10 +382,32 @@ class ClusterTerms:
         vocab, cols, df = _fit_vocabulary(df, n_docs, self.grams, self.orders, min_df, max_size)
         if len(vocab) == 0:
             raise EmptyInputError("empty vocabulary")
-        idf = _idf(df, n_docs) if weighting == "tfidf" else None
         lookup = np.full(self.counts.shape[1], -1, dtype=np.int32)
         lookup[cols] = np.arange(len(cols))
+        return vocab, self._rows(lookup, len(cols), _idf(df, n_docs) if weighting == "tfidf" else None, order)
+
+    def rows(self, vocab: Vocabulary, weighting: str = "tf") -> CSR:
+        """Every cluster's row against an existing vocabulary, in sequence
+        order: a column's gram is looked up in ``vocab.index``, and idf
+        comes from ``vocab.df`` and ``vocab.n_docs``."""
+        _check_weighting(weighting)
+        if len(vocab) == 0:
+            raise EmptyInputError("empty vocabulary")
+        grams = self.grams.strings(np.arange(len(self.grams)))
+        lookup = np.array([vocab.index.get(gram, -1) for gram in grams], dtype=np.int32)
+        idf = _idf(np.array(vocab.df), vocab.n_docs) if weighting == "tfidf" else None
+        x = self._rows(lookup, len(vocab), idf, np.arange(len(self.clusters)))
+        kept = lookup[lookup >= 0]  # out of gram order in a hand-built vocabulary
+        return x if np.all(kept[1:] > kept[:-1]) else summed([x])
+
+    def _rows(self, lookup: np.ndarray, width: int, idf: Optional[np.ndarray], order: np.ndarray) -> CSR:
+        """The rows of clusters ``order``, in that order, over ``width``
+        columns: count column c goes to column ``lookup[c]``, or is dropped
+        where that is -1.  A cluster's row is the renormalized mean of its
+        L2-normalized tf (or tf-idf, given idf by output column) document
+        rows."""
         counts = self.counts
+        sizes = np.diff(self.doc_ptr)
         entries, lengths = np.diff(counts.indptr[self.doc_ptr]), np.diff(self.merged_ptr)
         doc_lengths = counts.lengths()
         share = np.repeat(1.0 / sizes, sizes)  # a document's weight in its cluster's mean
@@ -397,18 +421,18 @@ class ClusterTerms:
             at = ranges(counts.indptr[self.doc_ptr[block]], entries[block])
             merged_ptr = np.concatenate(([0], np.cumsum(lengths[block])))
             positions = self.place[at] + np.repeat(merged_ptr[:-1], entries[block])
-            # The vocabulary's columns of the documents' grams, then of the
-            # clusters' merged grams; -1 where a gram is not in it.
+            # The output columns of the documents' grams, then of the
+            # clusters' merged grams; -1 where a gram is dropped.
             mapped = np.take(lookup, counts.indices[at])
             kept = np.flatnonzero(mapped >= 0)
             doc_ptr = np.searchsorted(kept, np.concatenate(([0], np.cumsum(doc_lengths[rows]))))
-            docs = _document_rows(CSR(doc_ptr, mapped[kept], counts.data[at[kept]], (len(rows), len(cols))), idf)
+            docs = _document_rows(CSR(doc_ptr, mapped[kept], counts.data[at[kept]], (len(rows), width)), idf)
             total = sums(positions[kept], docs.data * np.repeat(share[rows], docs.lengths()), merged_ptr[-1])
             column = np.empty(merged_ptr[-1], dtype=np.int32)
             column[positions] = mapped
             found = np.flatnonzero(column >= 0)
-            means.append(CSR(np.searchsorted(found, merged_ptr), column[found], total[found], (len(block), len(cols))))
-        return vocab, _unit_rows(_stacked(means, len(cols)))
+            means.append(CSR(np.searchsorted(found, merged_ptr), column[found], total[found], (len(block), width)))
+        return _unit_rows(_stacked(means, width))
 
 
 def row_view(x: CSR, start: int, stop: int) -> CSR:
@@ -417,30 +441,17 @@ def row_view(x: CSR, start: int, stop: int) -> CSR:
     return CSR(x.indptr[start : stop + 1] - lo, x.indices[lo:hi], x.data[lo:hi], (stop - start, x.shape[1]))
 
 
-def _rows_against(docs: Sequence[Document], vocab: Vocabulary, weighting: str) -> CSR:
-    """L2-normalized document rows over an existing vocabulary: every gram
-    is counted, and the vocabulary's grams are moved to its columns."""
-    _check_weighting(weighting)
-    if len(vocab) == 0:
-        raise EmptyInputError("empty vocabulary")
-    counts, columns = _count_grams(token_ids(doc.text for doc in docs), vocab.orders)
-    grams = columns.strings(np.arange(len(columns)))
-    lookup = np.array([vocab.index.get(gram, -1) for gram in grams], dtype=np.int64)
-    counts = take_columns(counts, lookup, len(vocab))
-    return _document_rows(counts, _idf(np.array(vocab.df), vocab.n_docs) if weighting == "tfidf" else None)
-
-
 def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> CSR:
     """The document's 1 x |V| bag-of-n-grams row, L2-normalized when
-    non-zero."""
-    return _rows_against([doc], vocab, weighting)
+    non-zero: its ``ClusterTerms`` row as a cluster of one."""
+    cluster = Cluster(id=doc.id, members=frozenset([doc.id]))
+    return ClusterTerms([cluster], Corpus([doc]), vocab.orders).rows(vocab, weighting)
 
 
 def vectorize_cluster(cluster: Cluster, corpus: Corpus, vocab: Vocabulary, weighting: str = "tf") -> CSR:
     """The cluster's 1 x |V| row: the renormalized mean of its member
-    document rows."""
-    doc_rows = _rows_against(corpus.members(cluster.members), vocab, weighting)
-    return _unit_rows(segment_means(doc_rows, np.array([0, cluster.size()])))
+    document rows.  Only the members are tokenized."""
+    return ClusterTerms([cluster], Corpus(corpus.members(cluster.members)), vocab.orders).rows(vocab, weighting)
 
 
 @dataclass

@@ -270,6 +270,19 @@ class TestSubcommands:
         assert rc == 2
         assert "ingest" in capsys.readouterr().err
 
+    def test_shingle_len_above_every_text_links_no_text(self, tmp_path):
+        # No text holds a billion tokens, so text links no pair; the
+        # shingles are found without a step per token of their length.
+        run_synth(tmp_path)
+        graphs = []
+        for name, line in (("long", "clustering.shingle_len = 1000000000"), ("off", "clustering.use_text = false")):
+            out = tmp_path / name
+            conf = write_config(tmp_path / f"{name}.conf", tmp_path, lines=(line,))
+            assert main(["ingest", "--config", str(conf), "--out", str(out)]) == 0
+            assert main(["cluster", "--config", str(conf), "--out", str(out), "--export-graph"]) == 0
+            graphs.append((out / "graph.csv").read_bytes())
+        assert graphs[0] == graphs[1]
+
     def test_indicators_stage(self, tmp_path):
         run_synth(tmp_path)
         rules = write_rules(tmp_path / "rules.json")

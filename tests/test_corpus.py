@@ -750,17 +750,20 @@ class TestFastTextPasses:
 
 # A vocabulary of 2**24 tokens takes 24 bits a token: a unigram id is
 # packed, and a bigram's or trigram's is ranked token by token instead.
+# An order of a billion tokens, above every text's length, is counted
+# without a step per token.
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.lists(st.integers(0, 5), max_size=9), max_size=6),
-    st.integers(1, 4),
+    st.one_of(st.integers(1, 4), st.just(10**9)),
     st.sampled_from([6, 2**24]),
 )
 def test_gram_counts_match_reference(texts, n, vocab_size):
     ids = np.array([t for text in texts for t in text], dtype=np.int32)
     lengths = np.array([len(text) for text in texts], dtype=np.int64)
     indptr, grams, counts, keys = gram_counts(ids, lengths, n, vocab_size)
-    assert (len(keys) > 0) == (vocab_size == 2**24 and n > 1)
+    # Keys decode ranked grams, so there are none without a gram.
+    assert (len(keys) > 0) == (vocab_size == 2**24 and n > 1 and len(grams) > 0)
     tokens = gram_tokens(grams, n, vocab_size, keys).tolist()
     for t, text in enumerate(texts):
         expected = sorted(Counter(tuple(text[i : i + n]) for i in range(len(text) - n + 1)).items())

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from sparse_rows import from_scipy, membership_means, scipy_rows
 
 from caserisk import evaluate, synth
-from caserisk._sparse import ranges, segment_means, take_columns
+from caserisk._sparse import ranges
 from caserisk.clustering import Clustering, read_clustering
 from caserisk.corpus import Corpus, ingest
 from caserisk.evaluate import make_folds
@@ -41,13 +42,14 @@ from caserisk.sampling import read_labels
 SRC = Path(__file__).resolve().parent.parent / "src"
 DOCS = 10_000
 
-# Each bound is about 1.3 times the rise measured on a 2-core x86-64
-# machine (Python 3.11, numpy 2.4, scipy 1.17, five runs each):
-# build_graph 11.2-11.5 MB and ClusterTerms 18.1-18.3 MB.  cross_validate
-# rose 6.7-7.6 MB, where counting each fold's document frequency over one
-# int64 copy of its column indices rose 10.6-12.0 MB; its bound lies
-# between the two.  A fold's copy of its training rows does not show in
-# this rise; test_folds_train_on_views_of_the_feature_rows guards that.
+# Each bound was set at about 1.3 times the rise first measured.  On a
+# 2-core x86-64 machine (Python 3.11, numpy 2.4, scipy 1.17, five runs
+# each) the rises are now build_graph 12.7-12.9 MB and ClusterTerms
+# 22.8 MB, within 5% of its bound.  cross_validate rose 7.8-7.9 MB, where
+# counting each fold's document frequency over one int64 copy of its
+# column indices rose 10.6-12.0 MB; its bound lies between the two.  A
+# fold's copy of its training rows does not show in this rise;
+# test_folds_train_on_views_of_the_feature_rows guards that.
 BOUNDS_MB = {"build_graph": 15.0, "cluster_terms": 24.0, "cross_validate": 9.0}
 # About 1.3 times the rise of importing caserisk.cli over numpy alone,
 # 3.8-3.9 MB on the same machine (five runs); importing scipy.sparse as
@@ -236,10 +238,8 @@ def test_split_featurization_matches_copies(inputs):
         vocab, x = terms.featurize(2, None, "tfidf", fit=fit)
         expected, cols, df = _fit_vocabulary(direct, int(in_fit.sum()), terms.grams, terms.orders, 2, None)
         assert vocab.terms == expected.terms and vocab.df == expected.df
-        lookup = np.full(counts.shape[1], -1)
-        lookup[cols] = np.arange(len(cols))
-        columns = take_columns(counts, lookup, len(cols))
-        means = segment_means(_document_rows(columns, _idf(df, vocab.n_docs)), terms.doc_ptr)
+        columns = from_scipy(scipy_rows(counts)[:, cols])
+        means = membership_means(_document_rows(columns, _idf(df, vocab.n_docs)), terms.doc_ptr)
         whole = _unit_rows(_stacked([means], len(cols)))
         for part, (start, stop) in ((train_idx, (0, len(train_idx))), (test_idx, (len(train_idx), x.shape[0]))):
             view, lengths = row_view(x, start, stop), whole.lengths()[part]

@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.sparse as sp
 from scipy.sparse import random as sparse_random
-from sparse_rows import canonical, csr, dense
+from sparse_rows import canonical, csr, dense, membership_means
 
 import caserisk.model
-from caserisk._sparse import CSR, segment_means
+from caserisk._sparse import CSR
 from caserisk.clustering import Cluster
 from caserisk.corpus import Corpus, Document, Lexicon, remove_tokens, token_ids, tokenize
 from caserisk.errors import (
@@ -145,8 +145,9 @@ class TestVectorize:
     def test_vocabulary_index_gives_the_column(self):
         # A loaded vocabulary need not number its grams in sorted order.
         vocab = Vocabulary(terms=("b", "a"), df=(1, 1), orders=(1,), n_docs=1)
-        vec = dense(vectorize_document(doc("1", "a a b zz"), vocab))[0]
-        assert vec == pytest.approx([1 / math.sqrt(5), 2 / math.sqrt(5)])
+        row = vectorize_document(doc("1", "a a b zz"), vocab)
+        assert canonical(row)
+        assert dense(row)[0] == pytest.approx([1 / math.sqrt(5), 2 / math.sqrt(5)])
 
     def test_removed_tokens_never_in_vocabulary(self):
         corpus = Corpus(
@@ -249,7 +250,7 @@ def test_unit_rows_match_scipy_bit_for_bit(seed, means, block):
     x = csr(sparse_random(int(rng.integers(1, 30)), 40, density=rng.uniform(0.05, 0.9), random_state=rng).toarray())
     if means:
         cuts = np.unique(rng.integers(1, x.shape[0] + 1, size=3))
-        x = segment_means(x, np.concatenate(([0], cuts[cuts < x.shape[0]], [x.shape[0]])))
+        x = membership_means(x, np.concatenate(([0], cuts[cuts < x.shape[0]], [x.shape[0]])))
     expected = reference_unit_rows(sp.csr_matrix((x.data.copy(), x.indices, x.indptr), shape=x.shape))
     with mock.patch.object(caserisk.model, "_ROW_BLOCK", block):
         got = _unit_rows(CSR(x.indptr, x.indices, x.data.copy(), x.shape))
@@ -342,7 +343,7 @@ class TestClusterTerms:
                 cluster = clusters[i]
                 wrapped = dense(vectorize_cluster(cluster, corpus, vocab, weighting))[0]
                 reference = reference_cluster_vector(cluster, corpus, vocab, weighting)
-                np.testing.assert_allclose(row, wrapped, rtol=0, atol=1e-12)
+                assert row.tobytes() == wrapped.tobytes()  # one computation
                 np.testing.assert_allclose(row, reference, rtol=0, atol=1e-12)
             seen_in_training = {
                 g for d in train_docs for g in ngrams(tokenize(d.text), vocab.orders)

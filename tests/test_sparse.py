@@ -18,9 +18,9 @@ import caserisk._sparse
 from caserisk._sparse import (
     CSR,
     row_intersections,
-    segment_means,
+    segments,
     summed,
-    take_columns,
+    sums,
     upper_gram,
 )
 
@@ -85,27 +85,25 @@ def test_row_intersections_match_the_elementwise_product(b, data):
 
 
 @settings(max_examples=200, deadline=None)
-@given(matrices(), st.data())
-def test_take_columns_matches_column_indexing(x, data):
-    cols = np.array(data.draw(st.permutations(range(x.shape[1])))[: data.draw(st.integers(0, x.shape[1]))], dtype=np.int64)
-    lookup = np.full(x.shape[1], -1, dtype=np.int64)
-    lookup[cols] = np.arange(len(cols))
-    with mock.patch.object(caserisk._sparse, "_BUDGET", data.draw(BUDGETS)):
-        got = take_columns(csr(x), lookup, len(cols))
-    assert_same(got, sp.csr_matrix(x)[:, cols] if len(cols) else sp.csr_matrix((x.shape[0], 0)))
-
-
-@settings(max_examples=200, deadline=None)
 @given(matrices(min_rows=1), st.data(), BUDGETS)
-def test_segment_means_match_the_membership_product(x, data, budget):
+def test_segments_merge_to_the_membership_product(x, data, budget):
+    """Each group's mean, summed by ``bincount`` in row order at the
+    positions ``segments`` gives, as ``ClusterTerms`` sums it, is the
+    membership product bit for bit."""
     n = x.shape[0]
     cuts = sorted(set(data.draw(st.lists(st.integers(1, n - 1), max_size=5)) if n > 1 else []))
     ptr = np.array([0, *cuts, n], dtype=np.int64)
     sizes = np.diff(ptr)
     membership = sp.csr_matrix((np.repeat(1.0 / sizes, sizes), np.arange(n), ptr), shape=(len(sizes), n))
+    rows = csr(x)
     with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
-        got = segment_means(csr(x), ptr)
-    assert_same(got, membership @ sp.csr_matrix(x))
+        indptr, place = segments(rows, ptr)
+    entries = np.diff(rows.indptr[ptr])
+    positions = place + np.repeat(indptr[:-1], entries)
+    indices = np.full(indptr[-1], -1, dtype=np.int32)
+    indices[positions] = rows.indices
+    values = sums(positions, rows.data * np.repeat(1.0 / sizes, entries), len(indices))
+    assert_same(CSR(indptr, indices, values, (len(sizes), x.shape[1])), membership @ sp.csr_matrix(x))
 
 
 @settings(max_examples=200, deadline=None)
