@@ -10,7 +10,6 @@ Kolmogorov-Smirnov test and the Renyi divergence.
 from __future__ import annotations
 
 import bisect
-import json
 import math
 import operator
 from collections import Counter
@@ -18,7 +17,7 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from .corpus import Corpus, Document
+from .corpus import Corpus, Document, write_json
 from .errors import DegenerateTableError, EmptyInputError, InputError
 
 POSITIVE = "positive"
@@ -356,9 +355,7 @@ def audit(
 
 
 def write_report(report: BiasReport, json_path: str | Path, text_path: Optional[str | Path] = None) -> None:
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, report.to_json())
     if text_path is None:
         return
     lines = [f"bias audit (correction={report.correction})", ""]

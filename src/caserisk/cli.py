@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from functools import cached_property
 from pathlib import Path
@@ -29,12 +28,6 @@ from . import sampling as sampling_mod
 from . import synth as synth_mod
 from .config import PipelineConfig, config_help, load_config, require_paths
 from .errors import ConfigError, PipelineError
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _features_from_names(names: Sequence[str]) -> list[bias_mod.FeatureSpec]:
@@ -104,8 +97,8 @@ class Run:
         and evaluate.  With ``paths.remove_lexicon`` set, a document's
         tokens are those ``remove_tokens`` with that lexicon would leave,
         the bias mitigation; it changes no other document field.  The
-        corpus's token stream is freed once its rows are gathered: no
-        later stage reads it."""
+        corpus's token stream is freed once its rows are gathered: the
+        stages that read it (cluster and indicators) run before this."""
         path = self.config.remove_lexicon_path
         remove = None if path is None else corpus_mod.Lexicon.from_file(path)
         clusters = [lc.cluster for lc in self.labeled]
@@ -123,7 +116,7 @@ def stage_ingest(run: Run) -> corpus_mod.Corpus:
     corpus, stats = corpus_mod.ingest(config.corpus_path, gazetteer)
     run.corpus = corpus
     corpus_mod.write_corpus(corpus, out / "corpus_clean.jsonl")
-    _write_json(
+    corpus_mod.write_json(
         out / "ingest_summary.json",
         {
             "documents": stats.ingested,
@@ -147,7 +140,7 @@ def stage_cluster(run: Run) -> clustering_mod.Clustering:
     if run.export_graph:
         clustering_mod.write_graph(graph, out / "graph.csv")
     cost = clustering_mod.disagreement_cost(clustering, graph)
-    _write_json(
+    corpus_mod.write_json(
         out / "cluster_summary.json",
         {
             "clusters": len(clustering),
@@ -197,7 +190,7 @@ def stage_sample(run: Run) -> list[sampling_mod.LabeledCluster]:
     plan_blob["unresolved_label_ids"] = sorted(missing)
     plan_blob["positives"] = len(positives)
     plan_blob["negatives"] = len(negatives) + len(sampled)
-    _write_json(out / "sample_summary.json", plan_blob)
+    corpus_mod.write_json(out / "sample_summary.json", plan_blob)
     print(
         f"sample: {len(positives)} positive, {len(negatives) + len(sampled)} negative clusters "
         f"({config.sampling_mode}, {len(missing)} unresolved label ids) -> {out / 'labels.csv'}"
@@ -221,7 +214,7 @@ def stage_diagnose(run: Run) -> bias_mod.BiasReport:
             "rejected": ks.rejected,
         }
         extras["domain_renyi_order2"] = _domain_renyi(corpus, labeled)
-    _write_json(
+    corpus_mod.write_json(
         out / "diagnose_summary.json",
         {"flagged": list(report.flagged_features), "extras": extras},
     )
@@ -255,7 +248,7 @@ def stage_train(run: Run) -> model_mod.RiskModel:
         for token, weight in ranking:
             writer.writerow([token, weight])
     fit = risk_model.metadata
-    _write_json(
+    corpus_mod.write_json(
         out / "train_summary.json",
         {
             "examples": len(labeled),
@@ -293,17 +286,9 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
         config.alpha,
         config.seed + 2,
     )
-    _write_json(out / "fold_plan.json", plan.to_json())
+    corpus_mod.write_json(out / "fold_plan.json", plan.to_json())
     report = evaluate_mod.cross_validate(
-        corpus,
-        labeled,
-        plan,
-        config.vocab_orders,
-        config.min_df,
-        config.max_vocab,
-        config.weighting,
-        config.train,
-        terms=run.terms,
+        run.terms, labeled, plan, config.min_df, config.max_vocab, config.weighting, config.train
     )
     report.top_features = tuple(model_mod.feature_importance(risk_model, config.top_k))
     if features:
@@ -322,14 +307,16 @@ def stage_evaluate(run: Run) -> evaluate_mod.EvalReport:
 
 
 def stage_indicators(run: Run) -> int:
-    out, corpus, clustering, rules = run.out, run.corpus, run.clustering, run.rules
+    """Flag every cluster by the rules; lexicon kinds read the corpus's
+    token stream, which ``pipeline`` still holds after the cluster stage."""
+    out, clustering, rules = run.out, run.clustering, run.rules
     rule_names = [r.name for r in rules]
+    flags = model_mod.indicator_flags(clustering.clusters, run.corpus, rules)
     with open(out / "indicators.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster_id"] + rule_names)
-        for cluster in clustering:
-            flags = model_mod.apply_indicators(cluster, corpus, rules)
-            writer.writerow([cluster.id] + [str(flags[n]).lower() for n in rule_names])
+        for cluster, flagged in zip(clustering, flags):
+            writer.writerow([cluster.id] + [str(flagged[n]).lower() for n in rule_names])
     print(f"indicators: {len(rule_names)} rules over {len(clustering)} clusters -> {out / 'indicators.csv'}")
     return len(rule_names)
 
@@ -372,7 +359,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # The stages in pipeline order, by name: each stage function is looked up in
 # this module when it runs, so a wrapper bound over ``stage_<name>`` after
 # import (as bench/tracer.py binds one) is the function that runs.
-STAGES = ("ingest", "cluster", "sample", "diagnose", "train", "evaluate", "indicators")
+# ``indicators`` comes before ``train``, whose ``Run.terms`` frees the
+# corpus's token stream that the rules are matched on.
+STAGES = ("ingest", "cluster", "indicators", "sample", "diagnose", "train", "evaluate")
 # The path keys each stage reads: (required, read only when set).
 STAGE_PATHS = {
     "ingest": (("paths.corpus",), ("paths.gazetteer",)),
@@ -468,12 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
     stage("ingest", "ingest and normalize a corpus file")
     p = stage("cluster", "build the similarity graph and cluster it")
     p.add_argument("--export-graph", action="store_true", help="also write graph.csv")
+    stage("indicators", "evaluate indicator rules per cluster")
     stage("sample", "draw noisy negative labels")
     p = stage("diagnose", "audit labeled data for feature-class dependence")
     p.add_argument("--table2", action="store_true", help="run the built-in 2x2 fixture instead")
     stage("train", "train the risk model on all labeled clusters")
     stage("evaluate", "conditioned cross-validation with pooled AUC")
-    stage("indicators", "evaluate indicator rules per cluster")
     p = stage("pipeline", "run every stage in order", cmd_pipeline)
     p.add_argument("--export-graph", action="store_true", help="also write graph.csv")
 

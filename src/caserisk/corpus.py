@@ -10,11 +10,10 @@ A token is a run of ``[a-z0-9]`` in a lowercased text; an ASCII text is
 tokenized by one byte translation and a split, and only other text needs
 the regex.  A corpus is tokenized once, into its ``token_stream``: the
 sorted token list, every token of every text (in ascending id order) as
-its index there, and each text's token count.  Gazetteer matching
-(``Lexicon.find``), the graph's shingles and the model's n-gram counts
-all read those ids, so no stage tokenizes a text again, but for one: the
-indicators stage tokenizes each member text again when a rule is of a
-lexicon kind (``model.apply_indicators``).
+its index there, and each text's token count.  Gazetteer and
+indicator-rule matching (``Lexicon.find``), the graph's shingles and the
+model's n-gram counts all read those ids, so no stage tokenizes a text
+again.
 """
 
 from __future__ import annotations
@@ -442,6 +441,13 @@ def text_lines(
             yield line
 
 
+def write_json(path: str | Path, payload: object) -> None:
+    """Write a JSON artifact: keys sorted, two-space indents, a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _undecodable(line: str) -> bool:
     """Whether a line read with ``errors="surrogateescape"`` held a byte
     that is not UTF-8: that byte was decoded to a lone surrogate, which has
@@ -534,10 +540,12 @@ class Lexicon:
         holds one of these."""
         return np.array([at for at, token in enumerate(tokens) if token in self._by_first], dtype=np.int64)
 
-    def find(self, stream: tuple[list[str], np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    def find(self, stream: tuple[list[str], np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where the terms occur in the texts of a ``token_ids`` stream: the
         distinct ``(text, term)`` pairs, ascending, as a text array and a
-        term array, a term as its index in ``ordered``.
+        term array, a term as its index in ``ordered``, and how often each
+        pair occurs (overlapping occurrences included, as ``occurrences``
+        lists them).
 
         Each term's tokens are looked up in the stream's sorted token list,
         and a term with a token that is not there cannot occur.  The others
@@ -554,7 +562,7 @@ class Lexicon:
                 if None not in parts:
                     table.append((self._number[phrase], parts))
         if not table:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
         number = np.array([k for k, _ in table], dtype=np.int64)
         size = np.array([len(parts) for _, parts in table], dtype=np.int64)
         term_ids = np.full((len(table), int(size.max())), -1, dtype=np.int64)
@@ -575,7 +583,9 @@ class Lexicon:
             hit[check] = ids[at[check] + k] == term_ids[term[check], k]
         key = text[hit] * len(self.ordered) + number[term[hit]]
         key.sort()
-        return np.divmod(key[run_starts(key)], len(self.ordered))
+        starts = np.flatnonzero(run_starts(key))
+        text, term = np.divmod(key[starts], len(self.ordered))
+        return text, term, np.diff(starts, append=len(key))
 
 
 def _find(tokens: Sequence[str], words: Iterable[str]) -> list[Optional[int]]:
@@ -593,7 +603,7 @@ class Gazetteer(Lexicon):
 
     def matches(self, text: str) -> list[str]:
         """All terms present as whole-token spans of the text, sorted."""
-        _, found = self.find(token_ids([text]))
+        _, found, _ = self.find(token_ids([text]))
         return [self.ordered[k] for k in found.tolist()]
 
 
@@ -789,7 +799,7 @@ def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Cor
         return Corpus(documents), stats
     order = sorted(range(len(documents)), key=lambda k: documents[k].id)
     stream = token_ids(documents[k].text for k in order)
-    rows, terms = gazetteer.find(stream)
+    rows, terms, _ = gazetteer.find(stream)
     places: defaultdict[int, list[str]] = defaultdict(list)
     for row, term in zip(rows.tolist(), terms.tolist()):
         places[order[row]].append(gazetteer.ordered[term])

@@ -13,7 +13,6 @@ as half.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
@@ -33,7 +32,7 @@ from .bias import (
     group_counts,
     group_table,
 )
-from .corpus import Corpus
+from .corpus import Corpus, write_json
 from .errors import (
     DegenerateTableError,
     EmptyInputError,
@@ -281,23 +280,21 @@ class EvalReport:
 
 
 def cross_validate(
-    corpus: Corpus,
+    terms: ClusterTerms,
     labeled: Sequence[LabeledCluster],
     plan: FoldPlan,
-    vocab_orders: Sequence[int] = (1,),
     min_df: int = 1,
     max_vocab: Optional[int] = 50000,
     weighting: str = "tf",
     train_config: Optional[TrainConfig] = None,
-    terms: Optional[ClusterTerms] = None,
 ) -> EvalReport:
     """Per-fold train/score with fold-local vocabularies.
 
-    Every labeled document is tokenized once: into ``terms`` when given,
-    which must be the ``ClusterTerms`` of ``labeled``'s clusters over
-    ``corpus`` with ``vocab_orders``.  The vocabulary for each fold is
-    built from training-fold documents only, so test-fold tokens can never
-    leak into a model.  Pooled AUC is the headline number; per-fold AUCs
+    ``terms`` must be the ``ClusterTerms`` of ``labeled``'s clusters, in
+    that order; every fold reads its counts, so no document is counted
+    again, and its n-gram orders are the folds'.  The vocabulary for each
+    fold is built from training-fold documents only, so test-fold tokens
+    can never leak into a model.  Pooled AUC is the headline number; per-fold AUCs
     show dispersion.  Only the fold models are trained, and the report's
     ``top_features`` and ``bias_recheck`` are left empty: rank ``train``'s
     model with ``feature_importance`` and audit with ``audit``.
@@ -309,11 +306,8 @@ def cross_validate(
         raise InputError(f"fold plan does not cover clusters: {missing[:3]}")
     train_config = train_config or TrainConfig()
 
-    clusters = [lc.cluster for lc in labeled]
-    if terms is None:
-        terms = ClusterTerms(clusters, corpus, vocab_orders)
-    elif terms.clusters != clusters or terms.orders != tuple(sorted(set(vocab_orders))):
-        raise InputError("terms were built over other clusters or n-gram orders")
+    if terms.clusters != [lc.cluster for lc in labeled]:
+        raise InputError("terms were built over other clusters")
     labels = [lc.label for lc in labeled]
     folds = np.array([plan.assignment[lc.cluster.id] for lc in labeled])
     pooled: list[tuple[float, str]] = []
@@ -361,9 +355,7 @@ def write_report(
     if plan is not None:
         payload["homogeneity"] = plan.to_json()["homogeneity"]
         payload["fold_warnings"] = list(plan.warnings)
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, payload)
     if roc_csv_path is not None:
         with open(roc_csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)

@@ -56,7 +56,7 @@ from .corpus import (
     spans,
     text_lines,
     token_ids,
-    tokenize,
+    write_json,
 )
 from .errors import (
     DegenerateTrainingError,
@@ -762,9 +762,7 @@ def save_model(model: RiskModel, path: str | Path) -> None:
         "vocabulary": vocab_blob,
         "metadata": model.metadata,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, blob)
 
 
 def load_model(path: str | Path) -> RiskModel:
@@ -878,37 +876,43 @@ class IndicatorRule:
         return re.compile(self.pattern, re.IGNORECASE)
 
 
-def apply_indicators(
-    cluster: Cluster,
-    corpus: Corpus,
-    rules: Sequence[IndicatorRule],
-) -> dict[str, bool]:
-    """Evaluate each rule over the cluster's member documents."""
+def indicator_flags(clusters: Sequence[Cluster], corpus: Corpus, rules: Sequence[IndicatorRule]) -> list[dict[str, bool]]:
+    """Evaluate each rule over each cluster's member documents, one dict
+    of flags per cluster, in sequence order.
+
+    A lexicon kind reads the corpus's ``token_stream``: ``Lexicon.find``
+    gives each text's occurrences of each term, overlapping ones included,
+    and a cluster's hits are its members' summed.
+    """
     names = [r.name for r in rules]
     if len(set(names)) != len(names):
         raise InputError("duplicate rule names")
-    docs = corpus.members(cluster.members)
-    tokens = [tokenize(d.text) for d in docs] if any(r.kind in _LEXICON_KINDS for r in rules) else []
-    out: dict[str, bool] = {}
+    members = [corpus.members(cluster.members) for cluster in clusters]
+    if not members:
+        return []
+    rows = corpus.rows(d.id for docs in members for d in docs)
+    starts = np.cumsum([0] + [len(docs) for docs in members[:-1]])
+    columns: dict[str, list[bool]] = {}
     for rule in rules:
         if rule.kind == "pattern":
-            out[rule.name] = any(rule._compiled.search(d.text) for d in docs)
-        elif rule.kind == "lexicon":
-            out[rule.name] = any(rule._lexicon.occurrences(t) for t in tokens)
+            columns[rule.name] = [any(rule._compiled.search(d.text) for d in docs) for docs in members]
         elif rule.kind == "min_distinct_locations":
-            distinct = set()
-            for d in docs:
-                distinct.update(d.locations)
-            out[rule.name] = len(distinct) >= rule.k
+            columns[rule.name] = [len({p for d in docs for p in d.locations}) >= rule.k for docs in members]
         elif rule.kind == "min_distinct_phones":
-            distinct = set()
-            for d in docs:
-                distinct.update(d.phones)
-            out[rule.name] = len(distinct) >= rule.k
-        else:  # min_lexicon_hits: each distinct term's occurrences
-            hits = sum(len(rule._lexicon.occurrences(t)) for t in tokens)
-            out[rule.name] = hits >= rule.k
-    return out
+            columns[rule.name] = [len({p for d in docs for p in d.phones}) >= rule.k for docs in members]
+        else:  # a lexicon kind: each member text's occurrences
+            texts, _, counts = rule._lexicon.find(corpus.token_stream)
+            per_text = np.bincount(texts, weights=counts, minlength=len(corpus))
+            hits = np.add.reduceat(per_text[rows], starts)
+            columns[rule.name] = (hits >= (1 if rule.kind == "lexicon" else rule.k)).tolist()
+    return [{name: flags[k] for name, flags in columns.items()} for k in range(len(members))]
+
+
+def apply_indicators(cluster: Cluster, corpus: Corpus, rules: Sequence[IndicatorRule]) -> dict[str, bool]:
+    """Evaluate each rule over the cluster's member documents: the
+    ``indicator_flags`` of the cluster alone over a corpus of its members,
+    so only the members are tokenized."""
+    return indicator_flags([cluster], Corpus(corpus.members(cluster.members)), rules)[0]
 
 
 def load_rules(path: str | Path) -> list[IndicatorRule]:

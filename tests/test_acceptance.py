@@ -301,9 +301,7 @@ def test_criterion_5_end_to_end_bias_mitigation():
     cleaned = remove_tokens(result.corpus, proxies)
     plan = make_folds(cleaned, mitigated, 5, [domain_feature], seed=31)
     terms = ClusterTerms([lc.cluster for lc in mitigated], cleaned, (1,))
-    eval_report = cross_validate(
-        cleaned, mitigated, plan, (1,), 2, 50000, "tf", train_config, terms=terms
-    )
+    eval_report = cross_validate(terms, mitigated, plan, 2, 50000, "tf", train_config)
     vocab_f, x_f = terms.featurize(2, 50000, "tf")
     full_model = train((x_f, [lc.label for lc in mitigated]), vocab_f, train_config)
     top50 = [t for t, _ in feature_importance(full_model, 50)]

@@ -439,10 +439,11 @@ class TestPipeline:
         assert calls == Counter(stages)
 
     def test_labeled_documents_tokenized_once(self, tmp_path, monkeypatch):
-        # One token pass over the corpus feeds the gazetteer, the shingles
-        # and the n-gram counts, and the train stage and cross-validation
-        # share the run's ClusterTerms.  Cutting "sitealpha" joins "sigpos
-        # springfield", so the removal runs its second pass.
+        # One token pass over the corpus feeds the gazetteer, the shingles,
+        # the indicator rules and the n-gram counts, and the train stage
+        # and cross-validation share the run's ClusterTerms.  Cutting
+        # "sitealpha" joins "sigpos springfield", so the removal runs its
+        # second pass.
         built, passes, callers = [], [], Counter()
 
         class CountingTerms(caserisk.model.ClusterTerms):
@@ -464,13 +465,22 @@ class TestPipeline:
         monkeypatch.setattr(caserisk.model, "ClusterTerms", CountingTerms)
         monkeypatch.setattr(caserisk.evaluate, "ClusterTerms", CountingTerms)
         monkeypatch.setattr(caserisk.corpus, "token_ids", counting_token_ids)
-        monkeypatch.setattr(caserisk.corpus, "tokenize", counting_tokenize)
+        for name, module in list(sys.modules.items()):  # wherever a caserisk module binds it
+            if name.split(".")[0] == "caserisk" and getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize", counting_tokenize)
         run_synth(tmp_path)
         lexicon = tmp_path / "remove.txt"
         lexicon.write_text("sitealpha\nsigpos springfield\n")
+        rules = [
+            {"name": "positive-site", "kind": "lexicon", "terms": ["sigpos sitealpha"]},
+            {"name": "signals", "kind": "min_lexicon_hits", "terms": ["sigpos", "signeg", "Sig-Pos"], "k": 3},
+            {"name": "springfield", "kind": "pattern", "pattern": "spring"},
+        ]
+        (tmp_path / "rules.json").write_text(json.dumps(rules))
         lines = (
             f"paths.gazetteer = {tmp_path / 'gazetteer.txt'}",
             f"paths.remove_lexicon = {lexicon}",
+            f"paths.rules = {tmp_path / 'rules.json'}",
             "clustering.use_text = true",
             "clustering.use_location_date = true",
             "model.orders = 1,2",
@@ -482,6 +492,10 @@ class TestPipeline:
         # Besides that pass, only the lexicons tokenize, each of its terms.
         assert callers["token_ids"] == documents
         assert set(callers) == {"token_ids", "Lexicon.__init__"}
+        places = [line for line in (tmp_path / "gazetteer.txt").read_text().splitlines() if line.strip()]
+        assert callers["Lexicon.__init__"] == len(places) + 2 + sum(len(rule.get("terms", ())) for rule in rules)
+        flags = (tmp_path / "run" / "indicators.csv").read_text().splitlines()[1:]
+        assert {flag for row in flags for flag in row.split(",")[1:]} == {"true", "false"}
         assert len(built) == 1
         assert "token_stream" not in vars(built[0])  # freed once the labeled rows were gathered
         vocabulary = json.loads((tmp_path / "run" / "model.json").read_text())["vocabulary"]

@@ -586,13 +586,15 @@ class TestTokenStream:
     )
     def test_find_equals_the_occurrences(self, terms, texts):
         lexicon = Lexicon(terms)
-        rows, found = lexicon.find(token_ids(" ".join(tokens) for tokens in texts))
+        rows, found, counts = lexicon.find(token_ids(" ".join(tokens) for tokens in texts))
         expected = sorted(
-            (row, lexicon.ordered.index(" ".join(term)))
-            for row, tokens in enumerate(texts)
-            for term in {term for _, term in lexicon.occurrences(tokens)}
+            Counter(
+                (row, lexicon.ordered.index(" ".join(term)))
+                for row, tokens in enumerate(texts)
+                for _, term in lexicon.occurrences(tokens)
+            ).items()
         )
-        assert list(zip(rows.tolist(), found.tolist())) == expected
+        assert list(zip(zip(rows.tolist(), found.tolist()), counts.tolist())) == expected
         firsts = {lexicon.ordered[k].split(" ")[0] for k in range(len(lexicon.ordered))}
         vocab, _, _ = token_ids(" ".join(tokens) for tokens in texts)
         assert lexicon.first_ids(vocab).tolist() == [i for i, token in enumerate(vocab) if token in firsts]

@@ -343,12 +343,14 @@ class TestCrossValidate:
         ] * n_per_class
         return build_labeled(spec, text_fn=signal_text)
 
+    @staticmethod
+    def terms(corpus, labeled):
+        return ClusterTerms([lc.cluster for lc in labeled], corpus)
+
     def test_planted_signal_high_auc(self):
         corpus, labeled = self.build()
         plan = make_folds(corpus, labeled, 3, seed=0)
-        report = cross_validate(
-            corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=150)
-        )
+        report = cross_validate(self.terms(corpus, labeled), labeled, plan, 1, None, "tf", TrainConfig(epochs=150))
         assert report.auc >= 0.9
         assert len(report.fold_aucs) == 3
 
@@ -364,9 +366,7 @@ class TestCrossValidate:
         if len({lc.label for lc in permuted}) < 2:
             pytest.skip("degenerate shuffle")
         plan = make_folds(corpus, permuted, 3, seed=5)
-        report = cross_validate(
-            corpus, permuted, plan, (1,), 1, None, "tf", TrainConfig(epochs=100)
-        )
+        report = cross_validate(self.terms(corpus, permuted), permuted, plan, 1, None, "tf", TrainConfig(epochs=100))
         assert 0.25 <= report.auc <= 0.75
 
     def test_test_fold_tokens_never_in_model(self):
@@ -404,31 +404,20 @@ class TestCrossValidate:
     def test_scores_cover_every_cluster(self):
         corpus, labeled = self.build(n_per_class=6)
         plan = make_folds(corpus, labeled, 2, seed=3)
-        report = cross_validate(
-            corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60)
-        )
+        report = cross_validate(self.terms(corpus, labeled), labeled, plan, 1, None, "tf", TrainConfig(epochs=60))
         assert {cid for cid, _, _ in report.scores} == {lc.cluster.id for lc in labeled}
 
-    def test_shared_terms_give_the_same_report(self):
-        corpus, labeled = self.build(n_per_class=6)
-        plan = make_folds(corpus, labeled, 3, seed=3)
-        terms = ClusterTerms([lc.cluster for lc in labeled], corpus, (1, 2))
-        args = (corpus, labeled, plan, (1, 2), 1, None, "tf", TrainConfig())
-        assert cross_validate(*args, terms=terms) == cross_validate(*args)
-
-    @pytest.mark.parametrize("mismatch", ["clusters", "order", "orders"])
+    @pytest.mark.parametrize("mismatch", ["clusters", "order"])
     def test_terms_over_other_clusters_rejected(self, mismatch):
         corpus, labeled = self.build(n_per_class=6)
         plan = make_folds(corpus, labeled, 3, seed=3)
         clusters = [lc.cluster for lc in labeled]
         if mismatch == "clusters":
             terms = ClusterTerms(clusters[:-1], corpus)
-        elif mismatch == "order":
-            terms = ClusterTerms(clusters[::-1], corpus)
         else:
-            terms = ClusterTerms(clusters, corpus, (1, 2))
+            terms = ClusterTerms(clusters[::-1], corpus)
         with pytest.raises(InputError):
-            cross_validate(corpus, labeled, plan, terms=terms)
+            cross_validate(terms, labeled, plan)
 
     def test_no_ranking_trains_only_the_fold_models(self, monkeypatch):
         import caserisk.evaluate as evaluate_mod
@@ -443,6 +432,6 @@ class TestCrossValidate:
         monkeypatch.setattr(evaluate_mod, "train", counting_train)
         corpus, labeled = self.build(n_per_class=6)
         plan = make_folds(corpus, labeled, 3, seed=3)
-        report = cross_validate(corpus, labeled, plan, (1,), 1, None, "tf", TrainConfig(epochs=60))
+        report = cross_validate(self.terms(corpus, labeled), labeled, plan, 1, None, "tf", TrainConfig(epochs=60))
         assert report.top_features == () and report.bias_recheck is None
         assert len(calls) == plan.k

@@ -89,7 +89,7 @@ else:
     ]
     plan = make_folds(corpus, labeled, 5, seed=7)
     terms = ClusterTerms([lc.cluster for lc in labeled], corpus, orders=(1, 2))
-    step = lambda: cross_validate(corpus, labeled, plan, (1, 2), min_df=2, max_vocab=3000, terms=terms)
+    step = lambda: cross_validate(terms, labeled, plan, min_df=2, max_vocab=3000)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 step()
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -301,7 +301,7 @@ def test_folds_train_on_views_of_the_feature_rows(inputs, monkeypatch):
 
     monkeypatch.setattr(ClusterTerms, "featurize", recording_featurize)
     monkeypatch.setattr(evaluate, "train", recording_train)
-    evaluate.cross_validate(corpus, labeled, plan, (1, 2), min_df=2, terms=terms)
+    evaluate.cross_validate(terms, labeled, plan, min_df=2)
     assert len(trained_on) == len(matrices) == 5
     for x, rows, fold in zip(matrices, trained_on, range(5)):
         assert rows.shape[0] == np.count_nonzero(folds != fold)

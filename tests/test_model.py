@@ -36,6 +36,7 @@ from caserisk.model import (
     apply_indicators,
     build_vocabulary,
     feature_importance,
+    indicator_flags,
     load_model,
     load_rules,
     _count_grams,
@@ -867,7 +868,71 @@ class TestModelIO:
         assert [getattr(loaded, f) for f in fields] == [getattr(model, f) for f in fields]
 
 
+def reference_flags(cluster, corpus, rules):
+    """The per-cluster evaluator that matched lexicon rules on each member
+    text's own tokens: ``tokenize`` and ``Lexicon.occurrences``."""
+    docs = corpus.members(cluster.members)
+    tokens = [tokenize(d.text) for d in docs]
+    out = {}
+    for rule in rules:
+        if rule.kind == "pattern":
+            out[rule.name] = any(re.search(rule.pattern, d.text, re.IGNORECASE) for d in docs)
+        elif rule.kind == "lexicon":
+            out[rule.name] = any(Lexicon(rule.terms).occurrences(t) for t in tokens)
+        elif rule.kind == "min_distinct_locations":
+            out[rule.name] = len({p for d in docs for p in d.locations}) >= rule.k
+        elif rule.kind == "min_distinct_phones":
+            out[rule.name] = len({p for d in docs for p in d.phones}) >= rule.k
+        else:
+            out[rule.name] = sum(len(Lexicon(rule.terms).occurrences(t)) for t in tokens) >= rule.k
+    return out
+
+
+# Words whose tokens overlap the terms below; a KELVIN SIGN lowercases to
+# "k", "Caf\u00e9" tokenizes to "caf" and a dotted capital I to "i".  No
+# word gives the token "e".
+_RULE_WORDS = ["a", "b", "A-b", "b.a", "c", "\u212a", "Caf\u00e9", "\u0130", "zz"]
+_RULE_TERMS = ["a", "b", "a b", "A-B", "b a", "a a", "a b a", "k", "caf", "e", "a e", "i"]
+
+
+@st.composite
+def indicator_worlds(draw):
+    n_docs = draw(st.integers(1, 6))
+    documents = [
+        doc(
+            str(k),
+            " ".join(draw(st.lists(st.sampled_from(_RULE_WORDS), max_size=8))),
+            locations=tuple(sorted(draw(st.sets(st.sampled_from("xyz"))))),
+            phones=tuple(sorted(draw(st.sets(st.sampled_from(["5550001", "5550002", "5550003"]))))),
+        )
+        for k in range(n_docs)
+    ]
+    ids = [d.id for d in documents]
+    members = draw(st.lists(st.sets(st.sampled_from(ids), min_size=1), max_size=4))
+    clusters = [Cluster(id=f"c{k}", members=frozenset(m)) for k, m in enumerate(members)]
+    kinds = draw(st.lists(st.sampled_from(caserisk.model.RULE_KINDS), max_size=6))
+    rules = []
+    for number, kind in enumerate(kinds):
+        k = draw(st.integers(1, 4))
+        if kind == "pattern":
+            rules.append(IndicatorRule(f"r{number}", kind, pattern=draw(st.sampled_from(["a", "b a", r"\bk\b", "caf", "e"]))))
+        elif kind in ("lexicon", "min_lexicon_hits"):
+            terms = tuple(draw(st.lists(st.sampled_from(_RULE_TERMS), min_size=1, max_size=4)))
+            rules.append(IndicatorRule(f"r{number}", kind, terms=terms, k=k))
+        else:
+            rules.append(IndicatorRule(f"r{number}", kind, k=k))
+    return Corpus(documents), clusters, rules
+
+
 class TestIndicators:
+    @settings(max_examples=300, deadline=None)
+    @given(indicator_worlds())
+    def test_flags_equal_the_per_member_reference(self, world):
+        corpus, clusters, rules = world
+        expected = [reference_flags(cluster, corpus, rules) for cluster in clusters]
+        assert indicator_flags(clusters, corpus, rules) == expected
+        assert [apply_indicators(cluster, corpus, rules) for cluster in clusters] == expected
+
     def cluster_world(self):
         documents = [
             doc("1", "travel to springfield tonight", locations=("springfield",), phones=("5550000001",)),
