@@ -10,8 +10,8 @@ random-pivot correlation clustering, optionally combined across seeds by
 co-association consensus and polished by single-node local search on the
 disagreement objective.
 
-The graph is built over integer document indices ``0..n-1``, numbered
-in ascending id order, so every order over nodes is an order over ids.
+The graph's nodes are the corpus's rows ``0..n-1``, in ascending id
+order, so every order over nodes is an order over ids.
 Each document's phones, locations and word shingles become a row of a 0/1
 sparse incidence matrix.  The shingles are counted from the corpus's
 token stream (``Corpus.token_stream``), whose rows are in node order, so
@@ -273,9 +273,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
     use_shingles = config.use_text or config.use_location_date
     if use_shingles and config.shingle_len < 1:
         raise InputError("shingle_len must be >= 1")
-    docs = sorted(corpus.documents, key=lambda doc: doc.id)
-    ids = [doc.id for doc in docs]
-    phones = _value_incidence([doc.phones for doc in docs]) if config.use_phones else None
+    phones = _value_incidence([doc.phones for doc in corpus.documents]) if config.use_phones else None
     blocks = [phones] if phones is not None else []
     text = shingle_counts = None
     if use_shingles:
@@ -284,14 +282,13 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
         blocks.append(_prefixes(text, shingle_counts, config.tau_text, 2 if config.use_location_date else 1))
     locations = None
     if config.use_location_date:
-        locations = _value_incidence([doc.locations for doc in docs])
-        dated = np.array([doc.posted_date is not None for doc in docs], dtype=bool)
+        locations = _value_incidence([doc.locations for doc in corpus.documents])
+        dated = np.array([doc.posted_date is not None for doc in corpus.documents], dtype=bool)
         ordinals = np.array(
-            [doc.posted_date.toordinal() if doc.posted_date is not None else 0 for doc in docs],
+            [doc.posted_date.toordinal() if doc.posted_date is not None else 0 for doc in corpus.documents],
             dtype=np.int64,
         )
-    del docs
-    i, j = _candidate_pairs(len(ids), blocks)
+    i, j = _candidate_pairs(len(corpus), blocks)
     del blocks
 
     # A pair's cost is the non-zeros its rows bring to the row products.
@@ -323,7 +320,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
     keep = np.flatnonzero(codes)
     i, j, codes = i[keep], j[keep], codes[keep]
     del keep
-    return SimilarityGraph._from_arrays(ids, i, j, codes, _PROVENANCE)
+    return SimilarityGraph._from_arrays(corpus.ids(), i, j, codes, _PROVENANCE)
 
 
 @dataclass(frozen=True)
@@ -616,9 +613,11 @@ def write_clustering(clustering: Clustering, path: str | Path) -> None:
 
 def read_clustering(path: str | Path) -> Clustering:
     """Read a clustering written by ``write_clustering``; a missing header,
-    a row with a missing or empty field, or a byte that is not UTF-8,
-    raises InputError naming the file and the line."""
+    a row with a missing or empty field or a document already in another
+    cluster, or a byte that is not UTF-8, raises InputError naming the
+    file and the line."""
     groups: dict[str, set[str]] = defaultdict(set)
+    cluster_of: dict[str, str] = {}
     reader = csv.DictReader(text_lines(path, newline=""))
     if reader.fieldnames is None or not {"cluster_id", "document_id"} <= set(reader.fieldnames):
         raise InputError(f"{path}: expected header cluster_id,document_id")
@@ -626,6 +625,8 @@ def read_clustering(path: str | Path) -> Clustering:
         cluster_id, doc_id = row["cluster_id"], row["document_id"]
         if not (cluster_id and doc_id):
             raise InputError(f"{path}:{reader.line_num}: missing cluster_id or document_id")
+        if cluster_of.setdefault(doc_id, cluster_id) != cluster_id:
+            raise InputError(f"{path}:{reader.line_num}: document {doc_id!r} in two clusters")
         groups[cluster_id].add(doc_id)
     return Clustering.from_member_sets(groups.values())
 

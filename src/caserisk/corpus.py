@@ -363,25 +363,23 @@ class Document:
 
 
 class Corpus:
-    """Immutable ordered collection of documents with a derived schema.
+    """Immutable collection of documents, sorted by id, with a derived
+    schema: document k is row k of ``rows`` and of ``token_stream``.
 
     ``token_stream`` is the corpus's one tokenization: ``token_ids`` of
-    its texts in ascending id order, built on first use (or given by
-    ``ingest``) and read by every stage that needs tokens.  It costs 2 or
-    4 bytes a token; ``del corpus.token_stream`` frees it, and a later use
-    builds it again.
+    its texts, built on first use (or given by ``ingest``) and read by
+    every stage that needs tokens.  It costs 2 or 4 bytes a token;
+    ``del corpus.token_stream`` frees it, and a later use builds it again.
     """
 
-    def __init__(self, documents: Sequence[Document]):
-        self.documents: tuple[Document, ...] = tuple(documents)
-        by_id: dict[str, Document] = {}
-        for doc in self.documents:
-            if doc.id in by_id:
-                raise MalformedRecordError(f"duplicate document id {doc.id!r}")
-            by_id[doc.id] = doc
-        self._by_id = by_id
+    def __init__(self, documents: Iterable[Document]):
+        self.documents: tuple[Document, ...] = tuple(sorted(documents, key=lambda doc: doc.id))
+        self._row: dict[str, int] = {}  # id -> row
         schema: set[str] = set()
         for doc in self.documents:
+            if doc.id in self._row:
+                raise MalformedRecordError(f"duplicate document id {doc.id!r}")
+            self._row[doc.id] = len(self._row)
             schema |= doc.attribute_names()
         self.schema: frozenset[str] = frozenset(schema)
 
@@ -392,40 +390,35 @@ class Corpus:
         return iter(self.documents)
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._by_id
+        return doc_id in self._row
 
     def get(self, doc_id: str) -> Document:
-        return self._by_id[doc_id]
+        return self.documents[self._row[doc_id]]
 
     def ids(self) -> list[str]:
         return [doc.id for doc in self.documents]
 
     @cached_property
     def token_stream(self) -> tuple[list[str], np.ndarray, np.ndarray]:
-        return token_ids(self._by_id[doc_id].text for doc_id in sorted(self._by_id))
+        return token_ids(doc.text for doc in self.documents)
 
     def rows(self, doc_ids: Iterable[str]) -> np.ndarray:
-        """Each id's place in ascending id order, its row of
+        """Each id's row: its document's index, and its text's in
         ``token_stream``; an id the corpus does not hold raises InputError
         naming the first one."""
-        row = {doc_id: k for k, doc_id in enumerate(sorted(self._by_id))}
-        out = []
-        for doc_id in doc_ids:
-            if doc_id not in row:
-                raise InputError(f"cluster member {doc_id!r} not in corpus")
-            out.append(row[doc_id])
-        return np.array(out, dtype=np.int64)
+        return np.array(self._rows(doc_ids), dtype=np.int64)
 
     def members(self, doc_ids: Iterable[str]) -> list[Document]:
         """The documents of a set of member ids, in id order; an id the
         corpus does not hold raises InputError naming the first one."""
-        by_id = self._by_id
-        docs = []
-        for doc_id in sorted(doc_ids):
-            if doc_id not in by_id:
-                raise InputError(f"cluster member {doc_id!r} not in corpus")
-            docs.append(by_id[doc_id])
-        return docs
+        return [self.documents[k] for k in sorted(self._rows(doc_ids))]
+
+    def _rows(self, doc_ids: Iterable[str]) -> list[int]:
+        doc_ids = list(doc_ids)
+        rows = list(map(self._row.get, doc_ids))
+        if None in rows:
+            raise InputError(f"cluster member {doc_ids[rows.index(None)]!r} not in corpus")
+        return rows
 
 
 def text_lines(
@@ -797,14 +790,14 @@ def ingest(path: str | Path, gazetteer: Optional[Gazetteer] = None) -> tuple[Cor
         raise EmptyCorpusError(f"no valid records in {path}")
     if gazetteer is None:
         return Corpus(documents), stats
-    order = sorted(range(len(documents)), key=lambda k: documents[k].id)
-    stream = token_ids(documents[k].text for k in order)
+    documents.sort(key=lambda doc: doc.id)  # the corpus's order, so stream row k is document k
+    stream = token_ids(doc.text for doc in documents)
     rows, terms, _ = gazetteer.find(stream)
     places: defaultdict[int, list[str]] = defaultdict(list)
     for row, term in zip(rows.tolist(), terms.tolist()):
-        places[order[row]].append(gazetteer.ordered[term])
-    for k, found in places.items():
-        documents[k] = _located(documents[k], found, shared)
+        places[row].append(gazetteer.ordered[term])
+    for row, found in places.items():
+        documents[row] = _located(documents[row], found, shared)
     corpus = Corpus(documents)
     corpus.token_stream = stream
     return corpus, stats
@@ -827,7 +820,7 @@ def document_to_record(doc: Document) -> dict:
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Export as line-delimited JSON; re-ingesting yields identical documents."""
+    """Export as line-delimited JSON, in id order; re-ingesting yields identical documents."""
     encode = json.JSONEncoder(sort_keys=True).encode
     with open(path, "w", encoding="utf-8") as fh:
         for doc in corpus:

@@ -773,7 +773,8 @@ def load_model(path: str | Path) -> RiskModel:
     vocabulary, up to the largest weight index, which ``save_model``
     always writes.  A vocabulary index that is not a permutation of
     0..n-1, a df that names other terms than the index, n-gram orders
-    outside {1, 2, 3}, a weight index outside the weight vector, a loss,
+    outside {1, 2, 3}, a max_size that is neither null nor an integer of
+    at least 1, a weight index outside the weight vector, a loss,
     penalty or lambda that ``TrainConfig.validate`` rejects, or metadata
     that is not an object, makes the file malformed.
     """
@@ -806,10 +807,11 @@ def load_model(path: str | Path) -> RiskModel:
                 orders = _check_orders(vocab_blob["orders"])
             except InputError as exc:
                 raise InputError(f"{path}: vocabulary {exc}") from exc
+            max_size = vocab_blob["max_size"]
+            if max_size is not None and (type(max_size) is not int or max_size < 1):
+                raise InputError(f"{path}: vocabulary max_size {max_size!r} is neither null nor an integer >= 1")
             terms = tuple(by_column[j] for j in range(len(index)))
-            vocabulary = Vocabulary(
-                terms, tuple(int(df[t]) for t in terms), orders, int(vocab_blob["n_docs"]), vocab_blob["max_size"]
-            )
+            vocabulary = Vocabulary(terms, tuple(int(df[t]) for t in terms), orders, int(vocab_blob["n_docs"]), max_size)
         entries = {int(i): float(w) for i, w in blob["weights"].items()}
         dim = len(vocabulary) if vocabulary is not None else max(entries, default=-1) + 1
         outside = sorted(i for i in entries if not 0 <= i < dim)

@@ -250,19 +250,22 @@ def read_labels(
     Returns the resolved labeled clusters and the ids that did not match
     any cluster (left to the caller to report).  Expert labels win over
     sampled ones for the same cluster.  A missing header, or a row with a
-    missing or empty cluster_id or label, raises InputError naming the
-    file and the line.
+    missing or empty cluster_id or label or an unknown label or source,
+    raises InputError naming the file and the line.
     """
     rows: list[tuple[str, str, str]] = []
     reader = csv.DictReader(text_lines(path, newline=""))
     if reader.fieldnames is None or not {"cluster_id", "label"} <= set(reader.fieldnames):
         raise InputError(f"{path}: expected header cluster_id,label[,source]")
     for row in reader:
-        if not (row["cluster_id"] and row["label"]):
+        label, source = row["label"], row.get("source") or SOURCE_EXPERT
+        if not (row["cluster_id"] and label):
             raise InputError(f"{path}:{reader.line_num}: missing cluster_id or label")
-        rows.append(
-            (row["cluster_id"], row["label"], row.get("source") or SOURCE_EXPERT)
-        )
+        if label not in (POSITIVE, NEGATIVE):
+            raise InputError(f"{path}:{reader.line_num}: bad label {label!r}")
+        if source not in (SOURCE_EXPERT, SOURCE_SAMPLED):
+            raise InputError(f"{path}:{reader.line_num}: bad source {source!r}")
+        rows.append((row["cluster_id"], label, source))
     known = {c.id for c in clustering}
     by_cluster: dict[str, tuple[str, str]] = {}
     missing = []

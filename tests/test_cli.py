@@ -323,6 +323,32 @@ class TestPipeline:
         ]
         assert mismatched == []
 
+    def test_shuffled_input_writes_the_same_artifacts(self, tmp_path):
+        """A corpus is its set of records: in another line order every
+        artifact, corpus_clean.jsonl included, is byte-identical."""
+        run_synth(tmp_path)
+        lines = (tmp_path / "corpus.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+        shuffled = lines[:]
+        random.Random(0).shuffle(shuffled)
+        assert shuffled != lines
+        (tmp_path / "shuffled.jsonl").write_text("".join(shuffled), encoding="utf-8")
+        extra = [
+            f"paths.gazetteer = {tmp_path / 'gazetteer.txt'}",
+            f"paths.remove_lexicon = {tmp_path / 'domains.txt'}",
+            f"paths.rules = {write_rules(tmp_path / 'rules.json')}",
+            "clustering.use_location_date = true",
+        ]
+        outs = []
+        for corpus in ("corpus.jsonl", "shuffled.jsonl"):
+            conf = write_config(tmp_path / f"{corpus}.conf", tmp_path, corpus=corpus, lines=extra)
+            outs.append(tmp_path / f"{corpus}.out")
+            assert main(["pipeline", "--export-graph", "--config", str(conf), "--out", str(outs[-1])]) == 0
+        ordered, other = outs
+        names = sorted(p.name for p in ordered.iterdir())
+        assert {"corpus_clean.jsonl", "graph.csv", "indicators.csv"} <= set(names)
+        assert names == sorted(p.name for p in other.iterdir())
+        assert [name for name in names if not filecmp.cmp(ordered / name, other / name, shallow=False)] == []
+
     def test_bias_recheck_uses_the_configured_correction(self, tmp_path):
         # Uncorrected, each feature is tested at alpha itself; a Bonferroni
         # recheck would test two features at alpha / 2.
@@ -868,6 +894,14 @@ def _insert_row(name, row):
     return mutate
 
 
+def _second_cluster(base):
+    """Put the document of clusters.csv's line 2 in a new cluster above it."""
+    path = base / "run" / "clusters.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    doc_id = lines[1].split(",")[1]
+    path.write_text("".join(lines[:1] + [f"c-second,{doc_id}"] + lines[1:]))
+
+
 def _labels_first(*rows):
     """The expert labels with the label column first, then ``rows``."""
 
@@ -921,6 +955,21 @@ STAGE_CASES = [
         "labels row with an empty cluster_id",
         _insert_row("labels_expert.csv", ",positive,expert\n"),
         ["sample"], 1, ["InputError", "labels_expert.csv:2"], None,
+    ),
+    (
+        "labels row with an unknown label",
+        _insert_row("labels_expert.csv", "c-any,maybe,expert\n"),
+        ["sample"], 1, ["InputError", "labels_expert.csv:2: bad label 'maybe'"], None,
+    ),
+    (
+        "labels row with an unknown source",
+        _insert_row("labels_expert.csv", "c-any,positive,guessed\n"),
+        ["sample"], 1, ["InputError", "labels_expert.csv:2: bad source 'guessed'"], None,
+    ),
+    (
+        "clusters row putting a document in a second cluster",
+        _second_cluster,
+        ["sample"], 1, ["InputError", "clusters.csv:3: document", "in two clusters"], None,
     ),
     (
         "labels row with an empty label",

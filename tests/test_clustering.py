@@ -425,6 +425,14 @@ def test_clustering_header_missing_columns_rejected(tmp_path, header):
         read_clustering(path)
 
 
+def test_document_in_two_clusters_names_the_file_and_line(tmp_path):
+    path = tmp_path / "clusters.csv"
+    path.write_text("cluster_id,document_id\na,a\na,b\na,b\nc,c\nc,b\n")
+    with pytest.raises(InputError) as excinfo:
+        read_clustering(path)
+    assert str(excinfo.value) == f"{path}:6: document 'b' in two clusters"
+
+
 def test_cluster_ids_are_min_member():
     clustering = Clustering.from_member_sets([{"z", "m"}, {"a", "q"}])
     assert sorted(c.id for c in clustering) == ["a", "m"]

@@ -328,7 +328,7 @@ class TestIngestSharing:
             except EmptyCorpusError:
                 assert not alone
                 return
-        assert corpus.documents == tuple(alone.values())
+        assert corpus.documents == tuple(sorted(alone.values(), key=lambda doc: doc.id))
         for doc in corpus:
             assert (doc.extras is EMPTY_EXTRAS) == (not doc.extras)
             for other in corpus:
@@ -598,6 +598,30 @@ class TestTokenStream:
         firsts = {lexicon.ordered[k].split(" ")[0] for k in range(len(lexicon.ordered))}
         vocab, _, _ = token_ids(" ".join(tokens) for tokens in texts)
         assert lexicon.first_ids(vocab).tolist() == [i for i, token in enumerate(vocab) if token in firsts]
+
+
+class TestCorpusOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_any_permutation_gives_the_same_corpus(self, data):
+        """A corpus is its documents in id order, whatever order it is given
+        them in; row k of ``token_stream`` is the k-th smallest id's text."""
+        ids = data.draw(st.lists(st.text(min_size=1, max_size=4), unique=True, max_size=8))
+        docs = [Document(doc_id, "x.example", data.draw(_TOKEN_TEXTS)) for doc_id in ids]
+        given_order = Corpus(data.draw(st.permutations(docs)))
+        corpus = Corpus(docs)
+        ordered = sorted(docs, key=lambda doc: doc.id)
+        assert corpus.documents == given_order.documents == tuple(ordered)
+        assert corpus.ids() == given_order.ids() == sorted(ids)
+        (vocab, ids_, lengths), other = corpus.token_stream, given_order.token_stream
+        assert vocab == other[0]
+        assert ids_.dtype == other[1].dtype and ids_.tolist() == other[1].tolist()
+        assert lengths.tolist() == other[2].tolist() == [len(tokenize(doc.text)) for doc in ordered]
+        chosen = data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
+        rows = [sorted(ids).index(doc_id) for doc_id in chosen]
+        assert corpus.rows(chosen).tolist() == given_order.rows(chosen).tolist() == rows
+        assert corpus.members(chosen) == given_order.members(chosen) == [ordered[k] for k in sorted(rows)]
+        assert all(corpus.get(doc_id) == given_order.get(doc_id) for doc_id in ids)
 
 
 def test_clean_text_collapses_whitespace():

@@ -762,6 +762,16 @@ class TestScoreAndImportance:
         assert base == rescaled
 
 
+# A saved vocabulary's max_size is null or an integer of at least 1.
+_BAD_MAX_SIZES = {
+    "max_size a string": "abc",
+    "max_size below 1": -5,
+    "max_size an object": {},
+    "max_size a float": 2.5,
+    "max_size a boolean": True,
+}
+
+
 class TestModelIO:
     def test_round_trip_exact(self, tmp_path):
         docs = [doc("1", "alpha beta gamma"), doc("2", "alpha delta")]
@@ -789,6 +799,7 @@ class TestModelIO:
             "no orders",
             "order not an integer",
             "order beyond trigrams",
+            *_BAD_MAX_SIZES,
         ],
     )
     def test_inconsistent_model_file_rejected(self, tmp_path, fault):
@@ -814,6 +825,8 @@ class TestModelIO:
             vocab_blob["orders"] = []
         elif fault == "order not an integer":
             vocab_blob["orders"] = ["1"]
+        elif fault in _BAD_MAX_SIZES:
+            vocab_blob["max_size"] = _BAD_MAX_SIZES[fault]
         else:
             vocab_blob["orders"] = [4]
         path.write_text(json.dumps(blob))

@@ -394,6 +394,18 @@ class TestLabelsIO:
         assert len(loaded) == 1
         assert loaded[0].label == POSITIVE and loaded[0].source == SOURCE_EXPERT
 
+    @pytest.mark.parametrize(
+        "row, error", [("{cid},maybe,expert", "bad label 'maybe'"), ("nosuch,positive,guessed", "bad source 'guessed'")]
+    )
+    def test_bad_value_names_the_file_and_line(self, tmp_path, row, error):
+        _, clustering = build_world([("g1", 2)] * 2)
+        cid = min(c.id for c in clustering)
+        path = tmp_path / "labels.csv"
+        path.write_text(f"cluster_id,label,source\n{cid},positive,expert\n{row.format(cid=cid)}\n")
+        with pytest.raises(InputError) as excinfo:
+            read_labels(path, clustering)
+        assert str(excinfo.value) == f"{path}:3: {error}"
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(
