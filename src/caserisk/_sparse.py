@@ -1,4 +1,4 @@
-"""Compressed sparse rows over numpy alone.
+"""Compressed sparse rows over numpy alone: caserisk's one kernel module.
 
 A ``CSR`` is the triple (``indptr``, ``indices``, ``data``) and a shape.
 Every matrix the pipeline builds keeps its rows canonical: each row's
@@ -7,11 +7,15 @@ operations caserisk needs, each a handful of numpy calls over Gustavson's
 row expansion (ACM TOMS 4(3), 1978): a stable argsort of the column
 indices is the transpose, and an entry expanded over a row or a column
 gives the products.  ``segments`` merges groups of rows once, for the
-cluster means of ``model.ClusterTerms``.  Loops that expand entries run a
-block of rows (or pairs) at a time, each block bounded by ``_BUDGET``
-expanded entries, so their temporaries stay small beside the matrices.
-The solver's products ``x @ w`` and ``x.T @ c`` are one numpy expression
-each over the whole matrix.
+cluster means of ``model.ClusterTerms``.  The solver's products ``x @ w``
+and ``x.T @ c`` are one numpy expression each over the whole matrix.
+
+Every per-occurrence loop in caserisk runs a block at a time under the
+one budget ``_BUDGET``, read when a walker is called: ``spans`` cuts items
+into blocks of at most that cost, ``steps`` cuts a range into slices of
+that many items, and ``take`` maps ids through a table a step at a time.
+Setting ``caserisk._sparse._BUDGET`` resizes every block.  The module
+imports nothing from caserisk.
 """
 
 from __future__ import annotations
@@ -22,10 +26,74 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .corpus import ranges, run_starts, spans
-
-# Entries that one step of an expanding loop creates.
+# Entries that one block of a blocked loop creates or reads: the only
+# block size in caserisk.  It may be lowered but not raised, because
+# ``corpus.gram_counts`` packs a block's row numbers into bits that are
+# fixed at import (``corpus._ROW_BITS``).
 _BUDGET = 1 << 16
+
+
+def spans(cost: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Consecutive ``[start, stop)`` item ranges that cover ``cost``, each
+    of total cost at most ``_BUDGET`` or a single item."""
+    budget = _BUDGET
+    total = np.cumsum(cost)
+    start = 0
+    while start < len(total):
+        spent = int(total[start - 1]) if start else 0
+        stop = max(int(np.searchsorted(total, spent + budget, side="right")), start + 1)
+        yield start, stop
+        start = stop
+
+
+def steps(n: int) -> Iterator[slice]:
+    """Consecutive slices of ``_BUDGET`` items that cover ``range(n)``."""
+    budget = _BUDGET
+    return (slice(start, start + budget) for start in range(0, n, budget))
+
+
+def take(table: np.ndarray, ids: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:] = table[ids]``, a step at a time, so that no index
+    temporary outgrows a step; ``out`` may be ``ids`` itself."""
+    for step in steps(len(ids)):
+        out[step] = table[ids[step]]
+    return out
+
+
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges ``starts[i] : starts[i] + lengths[i]``, end to end."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def run_starts(ordered: np.ndarray) -> np.ndarray:
+    """True where a run of equal values starts in an ascending array, so
+    ``ordered[run_starts(ordered)]`` is its distinct values.
+
+    Every de-duplication of per-occurrence integers goes through a sort and
+    this, never ``np.unique``: numpy 2.4's ``np.unique`` hashes int64 keys
+    first, 2.1 s against 0.04 s for 2M keys on a 2-core machine, and the
+    hash table's memory is not seen by tracemalloc and stays resident.
+    """
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def columns_of(grams: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each gram's index into the ascending distinct ``values`` (int32), and
+    whether it is there at all; searched a step at a time."""
+    col = np.empty(len(grams), dtype=np.int32)
+    found = np.empty(len(grams), dtype=bool)
+    for block in steps(len(grams)):
+        step = grams[block]
+        at = np.searchsorted(values, step)
+        hit = at < len(values)
+        hit[hit] = values[at[hit]] == step[hit]
+        col[block] = at
+        found[block] = hit
+    return col, found
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +115,11 @@ class CSR:
 
     def row_of_entry(self) -> np.ndarray:
         return np.repeat(np.arange(self.shape[0]), self.lengths())
+
+    def row_view(self, start: int, stop: int) -> CSR:
+        """Rows ``start:stop`` over slices of ``indices`` and ``data``."""
+        lo, hi = self.indptr[start], self.indptr[stop]
+        return CSR(self.indptr[start : stop + 1] - lo, self.indices[lo:hi], self.data[lo:hi], (stop - start, self.shape[1]))
 
     @cached_property
     def columns(self) -> np.ndarray:
@@ -88,13 +161,11 @@ def summed(parts: Sequence[CSR]) -> CSR:
     data = np.empty(len(indices), dtype=np.result_type(*(part.data for part in parts)))
     indptr = np.zeros(nrows + 1, dtype=np.int64)
     at = 0
-    for start, stop in spans(lengths + 1, _BUDGET):
-        rows, cols, values = [], [], []
-        for part in parts:
-            lo, hi = part.indptr[start], part.indptr[stop]
-            rows.append(np.repeat(np.arange(stop - start, dtype=np.int64), np.diff(part.indptr[start : stop + 1])))
-            cols.append(part.indices[lo:hi])
-            values.append(part.data[lo:hi])
+    for start, stop in spans(lengths + 1):
+        blocks = [part.row_view(start, stop) for part in parts]
+        rows = [block.row_of_entry() for block in blocks]
+        cols = [block.indices for block in blocks]
+        values = [block.data for block in blocks]
         key = np.concatenate(rows) * ncols + np.concatenate(cols)
         order = np.argsort(key, kind="stable")
         key = key[order]
@@ -129,7 +200,9 @@ def upper_gram(x: CSR) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     del column_end
     touched = np.zeros(x.nnz + 1, dtype=np.int64)
     np.cumsum(later, out=touched[1:])
-    for start, stop in spans(np.diff(touched[x.indptr]) + 1, _BUDGET):
+    # A block slices the per-entry arrays by hand: a row view's rebased
+    # indptr would stay alive through the block's peak.
+    for start, stop in spans(np.diff(touched[x.indptr]) + 1):
         lo, hi = x.indptr[start], x.indptr[stop]
         count = later[lo:hi]
         rows = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(x.indptr[start : stop + 1]))
@@ -170,7 +243,7 @@ def segments(x: CSR, ptr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # A merged row is no longer than its group's entries or a row's width.
     place = np.empty(x.nnz, dtype=np.min_scalar_type(max(min(int(entries.max(initial=0)), ncols) - 1, 0)))
     indptr = np.zeros(len(entries) + 1, dtype=np.int64)
-    for start, stop in spans(entries + 1, _BUDGET):
+    for start, stop in spans(entries + 1):
         lo, hi = x.indptr[ptr[start]], x.indptr[ptr[stop]]
         group = np.repeat(np.arange(stop - start, dtype=np.int64), entries[start:stop])
         key = group * ncols + x.indices[lo:hi]

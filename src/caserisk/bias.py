@@ -354,10 +354,8 @@ def audit(
     return BiasReport(results, flagged, correction, tuple(notes))
 
 
-def write_report(report: BiasReport, json_path: str | Path, text_path: Optional[str | Path] = None) -> None:
+def write_report(report: BiasReport, json_path: str | Path, text_path: str | Path) -> None:
     write_json(json_path, report.to_json())
-    if text_path is None:
-        return
     lines = [f"bias audit (correction={report.correction})", ""]
     for name, r in sorted(report.results.items()):
         verdict = "FLAGGED" if r.rejected else "ok"

@@ -48,8 +48,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ._sparse import CSR, ones, row_intersections, summed, upper_gram
-from .corpus import Corpus, Document, columns_of, gram_counts, run_starts, shingles, spans, text_lines
+from ._sparse import CSR, columns_of, ones, row_intersections, run_starts, spans, steps, summed, upper_gram
+from .corpus import Corpus, Document, gram_counts, shingles, text_lines
 from .errors import InputError
 
 SIGNAL_PHONE = "phone-match"
@@ -62,9 +62,6 @@ _PHONE, _TEXT, _LOCATION_DATE = 1, 2, 4
 _PROVENANCE = tuple(
     frozenset(s for bit, s in enumerate(_SIGNALS) if code >> bit & 1) for code in range(8)
 )
-# Non-zeros of the two rows of each candidate pair that one step of
-# scoring reads: bounds its temporaries.
-_STEP = 1 << 17
 
 
 def text_similarity(a: Document, b: Document, shingle_len: int) -> float:
@@ -299,7 +296,7 @@ def build_graph(corpus: Corpus, config: Optional[GraphConfig] = None) -> Similar
             cost += row_nnz[i]
             cost += row_nnz[j]
     codes = np.zeros(len(i), dtype=np.int8)
-    for start, stop in spans(cost, _STEP):
+    for start, stop in spans(cost):
         a, b, code = i[start:stop], j[start:stop], codes[start:stop]
         if phones is not None:
             code[row_intersections(phones, a, b) > 0] |= _PHONE
@@ -631,10 +628,6 @@ def read_clustering(path: str | Path) -> Clustering:
     return Clustering.from_member_sets(groups.values())
 
 
-# Edges turned into Python strings and written at a time by ``write_graph``.
-_CSV_ROWS = 1 << 16
-
-
 def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
     """One ``id_a,id_b,provenance`` row per edge, ``id_a < id_b``, rows
     sorted by id pair, signals joined by ``|`` in sorted order."""
@@ -643,8 +636,7 @@ def write_graph(graph: SimilarityGraph, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id_a", "id_b", "provenance"])
-        for start in range(0, graph.edge_count(), _CSV_ROWS):
-            rows = slice(start, start + _CSV_ROWS)
+        for rows in steps(graph.edge_count()):  # edges as Python strings a step at a time
             writer.writerows(
                 zip(
                     map(ids.__getitem__, graph.src[rows].tolist()),

@@ -13,7 +13,9 @@ sorted token list, every token of every text (in ascending id order) as
 its index there, and each text's token count.  Gazetteer and
 indicator-rule matching (``Lexicon.find``), the graph's shingles and the
 model's n-gram counts all read those ids, so no stage tokenizes a text
-again.
+again.  Passes over every token (ranking tokens, counting n-grams) run a
+block at a time, through ``_sparse``'s walkers and under its one budget,
+``_sparse._BUDGET``; the array helpers they use live there too.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from typing import Optional
 
 import numpy as np
 
+from . import _sparse
+from ._sparse import ranges, run_starts, spans, take
 from .errors import EmptyCorpusError, InputError, MalformedRecordError, PipelineError
 
 _TAG_RE = re.compile(r"<[^>]*>")
@@ -110,16 +114,8 @@ def token_ids(texts: Iterable[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
     rank = np.empty(len(vocab), dtype=np.int32)
     rank[[seen[token] for token in vocab]] = np.arange(len(vocab))
     first = np.frombuffer(ids, dtype=np.int32)
-    ids = np.empty(len(first), dtype=np.uint16 if len(vocab) <= 1 << 16 else np.int32)
-    for start in range(0, len(ids), _GRAM_STEP):  # a step at a time
-        ids[start : start + _GRAM_STEP] = rank[first[start : start + _GRAM_STEP]]
+    ids = take(rank, first, np.empty(len(first), dtype=np.uint16 if len(vocab) <= 1 << 16 else np.int32))
     return vocab, ids, np.frombuffer(lengths, dtype=np.int64)
-
-
-def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The ranges ``starts[i] : starts[i] + lengths[i]``, end to end."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
 
 
 def shingles(text: str, shingle_len: int) -> frozenset[str]:
@@ -134,53 +130,10 @@ def shingles(text: str, shingle_len: int) -> frozenset[str]:
     )
 
 
-def run_starts(ordered: np.ndarray) -> np.ndarray:
-    """True where a run of equal values starts in an ascending array, so
-    ``ordered[run_starts(ordered)]`` is its distinct values.
-
-    Every de-duplication of per-occurrence integers goes through a sort and
-    this, never ``np.unique``: numpy 2.4's ``np.unique`` hashes int64 keys
-    first, 2.1 s against 0.04 s for 2M keys on a 2-core machine, and the
-    hash table's memory is not seen by tracemalloc and stays resident.
-    """
-    first = np.empty(len(ordered), dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
-
-
-def columns_of(grams: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each gram's index into the ascending distinct ``values`` (int32), and
-    whether it is there at all; searched a step at a time."""
-    col = np.empty(len(grams), dtype=np.int32)
-    found = np.empty(len(grams), dtype=bool)
-    for start in range(0, len(grams), _GRAM_STEP):
-        step = grams[start : start + _GRAM_STEP]
-        at = np.searchsorted(values, step)
-        hit = at < len(values)
-        hit[hit] = values[at[hit]] == step[hit]
-        col[start : start + _GRAM_STEP] = at
-        found[start : start + _GRAM_STEP] = hit
-    return col, found
-
-
-def spans(cost: np.ndarray, budget: int) -> Iterator[tuple[int, int]]:
-    """Consecutive ``[start, stop)`` item ranges that cover ``cost``, each
-    of total cost at most ``budget`` or a single item."""
-    total = np.cumsum(cost)
-    start = 0
-    while start < len(total):
-        spent = int(total[start - 1]) if start else 0
-        stop = max(int(np.searchsorted(total, spent + budget, side="right")), start + 1)
-        yield start, stop
-        start = stop
-
-
-# Occurrences that one step of a per-occurrence pass handles: it bounds the
-# temporaries of ranking tokens, counting grams and finding their columns,
-# and a text in a ``gram_counts`` step is its row below it.
-_GRAM_STEP = 1 << 16
-_ROW_BITS = _GRAM_STEP.bit_length()
+# A text in a ``gram_counts`` block is its row below ``1 << _ROW_BITS``; a
+# block holds at most ``_sparse._BUDGET`` texts, so the budget may be
+# lowered after import but not raised.
+_ROW_BITS = _sparse._BUDGET.bit_length()
 _KEY_BITS = 63
 
 
@@ -260,9 +213,10 @@ def gram_counts(
 
     Returns ``indptr``, the ``gram_ids`` ids (text t's ascending in
     ``indptr[t]:indptr[t + 1]``), their counts (int32) and the keys that
-    decode the ids.  Grams are packed, sorted and counted a few hundred
-    thousand tokens at a time, on a row-major ``row << id bits | id`` key,
-    so the temporaries stay small beside the result.
+    decode the ids.  Grams are packed, sorted and counted a block of texts
+    at a time (``_sparse.spans``, at most ``_sparse._BUDGET`` tokens), on
+    a row-major ``row << id bits | id`` key, so the temporaries stay small
+    beside the result.
     """
     windows = np.maximum(lengths - n + 1, 0)
     ranked, keys = None, []
@@ -277,7 +231,7 @@ def gram_counts(
     counts = np.empty(window_ends[-1], dtype=np.int32)
     indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     shift = _KEY_BITS - _ROW_BITS
-    for start, stop in spans(lengths + 1, _GRAM_STEP):
+    for start, stop in spans(lengths + 1):
         if ranked is None:
             texts = slice(token_ends[start], token_ends[stop])
             step, _ = gram_ids(ids[texts], lengths[start:stop], n, vocab_size)
@@ -364,7 +318,7 @@ class Document:
 
 class Corpus:
     """Immutable collection of documents, sorted by id, with a derived
-    schema: document k is row k of ``rows`` and of ``token_stream``.
+    schema: document k is row k of ``cluster_rows`` and of ``token_stream``.
 
     ``token_stream`` is the corpus's one tokenization: ``token_ids`` of
     its texts, built on first use (or given by ``ingest``) and read by
@@ -402,23 +356,26 @@ class Corpus:
     def token_stream(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         return token_ids(doc.text for doc in self.documents)
 
-    def rows(self, doc_ids: Iterable[str]) -> np.ndarray:
-        """Each id's row: its document's index, and its text's in
-        ``token_stream``; an id the corpus does not hold raises InputError
-        naming the first one."""
-        return np.array(self._rows(doc_ids), dtype=np.int64)
-
     def members(self, doc_ids: Iterable[str]) -> list[Document]:
         """The documents of a set of member ids, in id order; an id the
-        corpus does not hold raises InputError naming the first one."""
-        return [self.documents[k] for k in sorted(self._rows(doc_ids))]
+        corpus does not hold raises InputError, as in ``cluster_rows``."""
+        rows, _ = self.cluster_rows([doc_ids])
+        return [self.documents[k] for k in rows.tolist()]
 
-    def _rows(self, doc_ids: Iterable[str]) -> list[int]:
-        doc_ids = list(doc_ids)
-        rows = list(map(self._row.get, doc_ids))
-        if None in rows:
-            raise InputError(f"cluster member {doc_ids[rows.index(None)]!r} not in corpus")
-        return rows
+    def cluster_rows(self, member_sets: Iterable[Iterable[str]]) -> tuple[np.ndarray, np.ndarray]:
+        """Each set's rows (its documents' indices, and its texts' in
+        ``token_stream``) ascending, set after set, and the offsets ``ptr``:
+        set k's rows are ``rows[ptr[k]:ptr[k + 1]]``.  An id the corpus
+        does not hold raises InputError naming the first one."""
+        rows, ptr = [], [0]
+        for doc_ids in member_sets:
+            doc_ids = list(doc_ids)
+            found = list(map(self._row.get, doc_ids))
+            if None in found:
+                raise InputError(f"cluster member {doc_ids[found.index(None)]!r} not in corpus")
+            rows += sorted(found)
+            ptr.append(len(rows))
+        return np.array(rows, dtype=np.int64), np.array(ptr, dtype=np.int64)
 
 
 def text_lines(

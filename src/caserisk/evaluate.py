@@ -40,7 +40,7 @@ from .errors import (
     UndefinedMetricError,
     UnsplittableError,
 )
-from .model import ClusterTerms, TrainConfig, row_view, train
+from .model import ClusterTerms, TrainConfig, train
 from .sampling import LabeledCluster, majority_group
 
 
@@ -233,11 +233,13 @@ def roc_curve(scores: Sequence[tuple[float, str]]) -> list[tuple[float, float, f
 
 
 def roc_auc(scores: Sequence[tuple[float, str]]) -> tuple[float, list[tuple[float, float]]]:
-    """Pairwise-rank AUC (ties count 0.5) plus the ROC points.
+    """Pairwise-rank AUC (ties count 0.5) plus the ROC points."""
+    return _midrank_auc(scores), [(fpr, tpr) for _, fpr, tpr in roc_curve(scores)]
 
-    Computed with midranks: AUC = (R_pos - P(P+1)/2) / (P*N) where R_pos
-    is the positive midrank sum.
-    """
+
+def _midrank_auc(scores: Sequence[tuple[float, str]]) -> float:
+    """AUC = (R_pos - P(P+1)/2) / (P*N), where R_pos is the positive
+    midrank sum."""
     n_pos = sum(1 for _, label in scores if label == POSITIVE)
     n_neg = len(scores) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -252,9 +254,7 @@ def roc_auc(scores: Sequence[tuple[float, str]]) -> tuple[float, list[tuple[floa
         midrank = (i + 1 + j) / 2.0  # average of ranks i+1 .. j
         rank_sum += midrank * sum(1 for s, l in ordered[i:j] if l == POSITIVE)
         i = j
-    auc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-    points = [(fpr, tpr) for _, fpr, tpr in roc_curve(scores)]
-    return auc, points
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 @dataclass
@@ -320,25 +320,23 @@ def cross_validate(
         # The fit clusters' rows come first, so both sides are row ranges.
         vocab, x = terms.featurize(min_df, max_vocab, weighting, fit=fit)
         n_fit = len(train_idx)
-        model = train((row_view(x, 0, n_fit), [labels[i] for i in train_idx]), vocab, train_config)
+        model = train((x.row_view(0, n_fit), [labels[i] for i in train_idx]), vocab, train_config)
         converged += model.metadata["converged"]
         fold_scores = []
-        for i, value in zip(test_idx.tolist(), model.scores(row_view(x, n_fit, len(labels))).tolist()):
+        for i, value in zip(test_idx.tolist(), model.scores(x.row_view(n_fit, len(labels))).tolist()):
             fold_scores.append((value, labels[i]))
             pooled_with_ids.append((labeled[i].cluster.id, value, labels[i]))
         pooled.extend(fold_scores)
-        fold_auc, _ = roc_auc(fold_scores)
-        fold_aucs.append(fold_auc)
+        fold_aucs.append(_midrank_auc(fold_scores))
         del x, model, vocab  # so that they and the next fold's are not held at once
 
-    auc, points = roc_auc(pooled)
-    thresholds = [t for t, _, _ in roc_curve(pooled)]
+    curve = roc_curve(pooled)
     pooled_with_ids.sort(key=lambda row: row[0])
     return EvalReport(
-        auc=auc,
+        auc=_midrank_auc(pooled),
         fold_aucs=tuple(fold_aucs),
-        roc_points=tuple(points),
-        roc_thresholds=tuple(thresholds),
+        roc_points=tuple((fpr, tpr) for _, fpr, tpr in curve),
+        roc_thresholds=tuple(t for t, _, _ in curve),
         scores=tuple(pooled_with_ids),
         converged_folds=converged,
     )
@@ -347,36 +345,33 @@ def cross_validate(
 def write_report(
     report: EvalReport,
     json_path: str | Path,
-    roc_csv_path: Optional[str | Path] = None,
-    text_path: Optional[str | Path] = None,
-    plan: Optional[FoldPlan] = None,
+    roc_csv_path: str | Path,
+    text_path: str | Path,
+    plan: FoldPlan,
 ) -> None:
     payload = report.to_json()
-    if plan is not None:
-        payload["homogeneity"] = plan.to_json()["homogeneity"]
-        payload["fold_warnings"] = list(plan.warnings)
+    payload["homogeneity"] = plan.to_json()["homogeneity"]
+    payload["fold_warnings"] = list(plan.warnings)
     write_json(json_path, payload)
-    if roc_csv_path is not None:
-        with open(roc_csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["threshold", "fpr", "tpr"])
-            for threshold, (fpr, tpr) in zip(report.roc_thresholds, report.roc_points):
-                writer.writerow([threshold, fpr, tpr])
-    if text_path is not None:
-        lines = [
-            f"pooled AUC: {report.auc:.4f}",
-            "per-fold AUCs: " + ", ".join(f"{a:.4f}" for a in report.fold_aucs),
-            f"solver converged in {report.converged_folds} of {len(report.fold_aucs)} fold fits",
-            "",
-            "top features (|weight| desc):",
-        ]
-        for token, weight in report.top_features:
-            lines.append(f"  {token:<24} {weight:+.5f}")
-        if report.bias_recheck is not None:
-            lines.append("")
-            lines.append(
-                "bias recheck flagged: "
-                + (", ".join(report.bias_recheck.flagged_features) or "(none)")
-            )
-        with open(text_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+    with open(roc_csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["threshold", "fpr", "tpr"])
+        for threshold, (fpr, tpr) in zip(report.roc_thresholds, report.roc_points):
+            writer.writerow([threshold, fpr, tpr])
+    lines = [
+        f"pooled AUC: {report.auc:.4f}",
+        "per-fold AUCs: " + ", ".join(f"{a:.4f}" for a in report.fold_aucs),
+        f"solver converged in {report.converged_folds} of {len(report.fold_aucs)} fold fits",
+        "",
+        "top features (|weight| desc):",
+    ]
+    for token, weight in report.top_features:
+        lines.append(f"  {token:<24} {weight:+.5f}")
+    if report.bias_recheck is not None:
+        lines.append("")
+        lines.append(
+            "bias recheck flagged: "
+            + (", ".join(report.bias_recheck.flagged_features) or "(none)")
+        )
+    with open(text_path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")

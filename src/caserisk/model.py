@@ -8,7 +8,10 @@ fits a vocabulary, ``rows`` takes an existing one, and
 ``vectorize_document`` and ``vectorize_cluster`` are its 1 x |V| rows.
 ``train`` takes a (``CSR`` feature matrix, labels) pair, and
 ``RiskModel.scores`` scores the rows of a ``CSR`` matrix.  The solver's
-products are the matrix's own (``CSR.matvec``, ``CSR.rmatvec``).
+products are the matrix's own (``CSR.matvec``, ``CSR.rmatvec``).  The
+kernels live in ``_sparse``, and every loop here that walks rows, texts
+or clusters a block at a time takes its blocks from ``_sparse.spans``,
+under the one budget ``_sparse._BUDGET``.
 
 A ``ClusterTerms`` gathers its documents' rows of the corpus's token
 stream (``Corpus.token_stream``), cuts a removal lexicon's terms from
@@ -41,19 +44,15 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ._sparse import CSR, segments, summed, sums
+from ._sparse import CSR, columns_of, ranges, run_starts, segments, spans, summed, sums, take
 from .clustering import Cluster
 from .corpus import (
     Corpus,
     Document,
     Lexicon,
-    columns_of,
     gram_counts,
     gram_tokens,
     read_terms,
-    ranges,
-    run_starts,
-    spans,
     text_lines,
     token_ids,
     write_json,
@@ -64,11 +63,6 @@ from .errors import (
     InputError,
     RuleCompilationError,
 )
-
-
-# Entries handled per step of this module's block loops (gram ids to
-# columns, feature rows, row norms): bounds their temporaries.
-_ROW_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -178,11 +172,11 @@ def _document_frequency(counts: CSR, rows: Optional[np.ndarray] = None) -> np.nd
     int32 column indices to int64.
     """
     df = np.zeros(counts.shape[1], dtype=np.int64)
-    indptr = counts.indptr
-    for start, stop in spans(np.diff(indptr) + 1, _ROW_BLOCK):
-        cols = counts.indices[indptr[start] : indptr[stop]]
+    for start, stop in spans(counts.lengths() + 1):
+        block = counts.row_view(start, stop)
+        cols = block.indices
         if rows is not None:
-            cols = cols[np.repeat(rows[start:stop], np.diff(indptr[start : stop + 1]))]
+            cols = cols[np.repeat(rows[start:stop], block.lengths())]
         df += np.bincount(cols, minlength=len(df))
     return df
 
@@ -236,14 +230,14 @@ def _unit_rows(x: CSR) -> CSR:
     A row's squares are summed by ``np.add.reduceat``, a block of rows at
     a time and without a copy of x.
     """
-    for start, stop in spans(x.lengths() + 1, _ROW_BLOCK):
-        ptr = x.indptr[start : stop + 1] - x.indptr[start]
-        data = x.data[x.indptr[start] : x.indptr[stop]]
-        rows = np.flatnonzero(np.diff(ptr))
-        squares = np.add.reduceat(np.square(data), ptr[rows])
+    for start, stop in spans(x.lengths() + 1):
+        block = x.row_view(start, stop)
+        lengths = block.lengths()
+        rows = np.flatnonzero(lengths)
+        squares = np.add.reduceat(np.square(block.data), block.indptr[rows])
         norms = np.zeros(stop - start)
         norms[rows] = np.sqrt(squares)
-        data /= np.repeat(norms, np.diff(ptr))
+        np.divide(block.data, np.repeat(norms, lengths), out=block.data)  # block.data is a view of x.data
     return x
 
 
@@ -299,7 +293,7 @@ def _gathered(
     lengths = lengths[rows]
     ptr = np.concatenate(([0], np.cumsum(lengths)))
     ids = np.empty(ptr[-1], dtype=stream_ids.dtype)
-    for start, stop in spans(lengths + 1, _ROW_BLOCK):  # a block of texts at a time
+    for start, stop in spans(lengths + 1):  # a block of texts at a time
         ids[ptr[start] : ptr[stop]] = stream_ids[ranges(starts[start:stop], lengths[start:stop])]
     if remove is not None:
         marked = np.searchsorted(ptr, np.flatnonzero(np.isin(ids, remove.first_ids(tokens))), side="right") - 1
@@ -313,9 +307,7 @@ def _gathered(
     # Renumbered over the tokens left, which keeps their sorted order.
     held = np.zeros(len(tokens), dtype=bool)
     held[ids] = True
-    number = np.cumsum(held) - 1
-    for start in range(0, len(ids), _ROW_BLOCK):  # in place, a step at a time
-        ids[start : start + _ROW_BLOCK] = number[ids[start : start + _ROW_BLOCK]]
+    take(np.cumsum(held) - 1, ids, ids)
     return [tokens[i] for i in np.flatnonzero(held).tolist()], ids, lengths
 
 
@@ -340,8 +332,7 @@ class ClusterTerms:
     ):
         self.orders = _check_orders(orders)
         self.clusters = list(clusters)
-        rows = corpus.rows(doc_id for cluster in self.clusters for doc_id in sorted(cluster.members))
-        self.doc_ptr = np.concatenate(([0], np.cumsum([cluster.size() for cluster in self.clusters], dtype=np.int64)))
+        rows, self.doc_ptr = corpus.cluster_rows(cluster.members for cluster in self.clusters)
         self.counts, self.grams = _count_grams(_gathered(corpus.token_stream, rows, remove), self.orders)
         self.merged_ptr, self.place = segments(self.counts, self.doc_ptr)
 
@@ -361,7 +352,7 @@ class ClusterTerms:
         (all clusters when None) and every cluster's row against it.
 
         The fit clusters' rows come first and the others' after them, each
-        in sequence order, so that each side is a ``row_view`` of one
+        in sequence order, so that each side is a ``CSR.row_view`` of one
         matrix.  The rows equal, bit for bit, ``vectorize_cluster`` of each
         cluster with that vocabulary.
         """
@@ -415,7 +406,7 @@ class ClusterTerms:
         # exist only while its means are summed; a row's values do not
         # depend on the block it is computed in.
         means = []
-        for start, stop in spans(entries[order] + 1, _ROW_BLOCK):
+        for start, stop in spans(entries[order] + 1):
             block = order[start:stop]
             rows = ranges(self.doc_ptr[block], sizes[block])
             at = ranges(counts.indptr[self.doc_ptr[block]], entries[block])
@@ -433,12 +424,6 @@ class ClusterTerms:
             found = np.flatnonzero(column >= 0)
             means.append(CSR(np.searchsorted(found, merged_ptr), column[found], total[found], (len(block), width)))
         return _unit_rows(_stacked(means, width))
-
-
-def row_view(x: CSR, start: int, stop: int) -> CSR:
-    """Rows ``start:stop`` of ``x`` over slices of its data and indices."""
-    lo, hi = x.indptr[start], x.indptr[stop]
-    return CSR(x.indptr[start : stop + 1] - lo, x.indices[lo:hi], x.data[lo:hi], (stop - start, x.shape[1]))
 
 
 def vectorize_document(doc: Document, vocab: Vocabulary, weighting: str = "tf") -> CSR:
@@ -889,11 +874,9 @@ def indicator_flags(clusters: Sequence[Cluster], corpus: Corpus, rules: Sequence
     names = [r.name for r in rules]
     if len(set(names)) != len(names):
         raise InputError("duplicate rule names")
-    members = [corpus.members(cluster.members) for cluster in clusters]
-    if not members:
-        return []
-    rows = corpus.rows(d.id for docs in members for d in docs)
-    starts = np.cumsum([0] + [len(docs) for docs in members[:-1]])
+    rows, ptr = corpus.cluster_rows(cluster.members for cluster in clusters)
+    found, bounds = rows.tolist(), ptr.tolist()
+    members = [[corpus.documents[k] for k in found[lo:hi]] for lo, hi in zip(bounds, bounds[1:])]
     columns: dict[str, list[bool]] = {}
     for rule in rules:
         if rule.kind == "pattern":
@@ -905,7 +888,7 @@ def indicator_flags(clusters: Sequence[Cluster], corpus: Corpus, rules: Sequence
         else:  # a lexicon kind: each member text's occurrences
             texts, _, counts = rule._lexicon.find(corpus.token_stream)
             per_text = np.bincount(texts, weights=counts, minlength=len(corpus))
-            hits = np.add.reduceat(per_text[rows], starts)
+            hits = np.add.reduceat(per_text[rows], ptr[:-1])
             columns[rule.name] = (hits >= (1 if rule.kind == "lexicon" else rule.k)).tolist()
     return [{name: flags[k] for name, flags in columns.items()} for k in range(len(members))]
 

@@ -12,11 +12,13 @@ import tempfile
 from collections import Counter
 from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caserisk._sparse
 import caserisk.bias
 import caserisk.cli
 import caserisk.clustering
@@ -348,6 +350,73 @@ class TestPipeline:
         assert {"corpus_clean.jsonl", "graph.csv", "indicators.csv"} <= set(names)
         assert names == sorted(p.name for p in other.iterdir())
         assert [name for name in names if not filecmp.cmp(ordered / name, other / name, shallow=False)] == []
+
+    def test_one_budget_sizes_every_block(self, tmp_path, monkeypatch):
+        """``caserisk._sparse._BUDGET`` is the one block size: at 7 and at 1
+        every blocked loop cuts its work at it, and every artifact is
+        byte-identical to the default budget's run."""
+        walkers = {"spans": caserisk._sparse.spans, "steps": caserisk._sparse.steps}
+        cut = {}  # (walker, loop) -> the most blocks one call handed out
+
+        def recording(walker):
+            def handing_out(arg):
+                frame = sys._getframe(1)
+                if frame.f_code.co_name == "take":  # the loop is take's caller
+                    frame = frame.f_back
+                budget = caserisk._sparse._BUDGET
+                blocks = list(walkers[walker](arg))
+                for block in blocks:
+                    if walker == "spans":
+                        start, stop = block
+                        assert stop - start == 1 or int(arg[start:stop].sum()) <= budget
+                    else:
+                        assert len(range(arg)[block]) <= budget
+                key = (walker, frame.f_code.co_name)
+                cut[key] = max(cut.get(key, 0), len(blocks))
+                return iter(blocks)
+
+            return handing_out
+
+        for name, module in list(sys.modules.items()):  # wherever a caserisk module binds them
+            for walker, real in walkers.items():
+                if name.split(".")[0] == "caserisk" and getattr(module, walker, None) is real:
+                    monkeypatch.setattr(module, walker, recording(walker))
+        run_synth(tmp_path, extra=("--duplication", "0.3"))
+        rules = [
+            {"name": "positive-site", "kind": "lexicon", "terms": ["sigpos sitealpha"]},
+            {"name": "signals", "kind": "min_lexicon_hits", "terms": ["sigpos", "signeg"], "k": 3},
+            {"name": "movement", "kind": "min_distinct_locations", "k": 2},
+        ]
+        (tmp_path / "rules.json").write_text(json.dumps(rules))
+        lines = [
+            f"paths.gazetteer = {tmp_path / 'gazetteer.txt'}",
+            f"paths.remove_lexicon = {tmp_path / 'domains.txt'}",
+            f"paths.rules = {tmp_path / 'rules.json'}",
+            "clustering.use_location_date = true",
+            "clustering.consensus_runs = 3",
+            "clustering.refine_passes = 2",
+            "model.orders = 1,2",
+            "model.weighting = tfidf",
+        ]
+        conf = write_config(tmp_path / "p.conf", tmp_path, lines=lines)
+        default = tmp_path / "default"
+        assert main(["pipeline", "--export-graph", "--config", str(conf), "--out", str(default)]) == 0
+        names = sorted(p.name for p in default.iterdir())
+        assert {"graph.csv", "indicators.csv", "roc.csv"} <= set(names)
+        loops = {
+            ("spans", loop)
+            for loop in ("summed", "upper_gram", "segments", "gram_counts", "build_graph")
+            + ("_document_frequency", "_unit_rows", "_gathered", "_rows")
+        } | {("steps", loop) for loop in ("token_ids", "columns_of", "_gathered", "write_graph")}
+        for budget in (7, 1):
+            cut.clear()
+            out = tmp_path / f"budget{budget}"
+            with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+                assert main(["pipeline", "--export-graph", "--config", str(conf), "--out", str(out)]) == 0
+            assert set(cut) == loops
+            assert [key for key, most in cut.items() if most < 2] == []
+            assert sorted(p.name for p in out.iterdir()) == names
+            assert [name for name in names if not filecmp.cmp(default / name, out / name, shallow=False)] == []
 
     def test_bias_recheck_uses_the_configured_correction(self, tmp_path):
         # Uncorrected, each feature is tested at alpha itself; a Bonferroni

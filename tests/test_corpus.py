@@ -16,7 +16,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import caserisk.corpus
+import caserisk._sparse
+from caserisk._sparse import columns_of
 from caserisk.clustering import GraphConfig, build_graph
 from caserisk.corpus import (
     _PHONE_CORE_RE,
@@ -26,7 +27,6 @@ from caserisk.corpus import (
     Gazetteer,
     Lexicon,
     clean_text,
-    columns_of,
     extract_attributes,
     gram_counts,
     gram_tokens,
@@ -619,7 +619,10 @@ class TestCorpusOrder:
         assert lengths.tolist() == other[2].tolist() == [len(tokenize(doc.text)) for doc in ordered]
         chosen = data.draw(st.lists(st.sampled_from(ids), unique=True)) if ids else []
         rows = [sorted(ids).index(doc_id) for doc_id in chosen]
-        assert corpus.rows(chosen).tolist() == given_order.rows(chosen).tolist() == rows
+        for either in (corpus, given_order):
+            found, ptr = either.cluster_rows([chosen, chosen[::2]])
+            assert found.tolist() == sorted(rows) + sorted(rows[::2])
+            assert ptr.tolist() == [0, len(rows), len(rows) + len(rows[::2])]
         assert corpus.members(chosen) == given_order.members(chosen) == [ordered[k] for k in sorted(rows)]
         assert all(corpus.get(doc_id) == given_order.get(doc_id) for doc_id in ids)
 
@@ -821,7 +824,7 @@ def test_ranked_gram_counts_match_packed_across_steps():
 @given(st.lists(st.integers(-3, 12), max_size=20), st.sets(st.integers(0, 9)))
 def test_columns_of_matches_reference(grams, values):
     values = sorted(values)
-    with mock.patch.object(caserisk.corpus, "_GRAM_STEP", 3):
+    with mock.patch.object(caserisk._sparse, "_BUDGET", 3):
         col, found = columns_of(np.array(grams, dtype=np.int64), np.array(values, dtype=np.int64))
     assert col.dtype == np.int32
     assert found.tolist() == [g in values for g in grams]

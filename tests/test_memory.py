@@ -35,7 +35,6 @@ from caserisk.model import (
     _idf,
     _stacked,
     _unit_rows,
-    row_view,
 )
 from caserisk.sampling import read_labels
 
@@ -242,7 +241,7 @@ def test_split_featurization_matches_copies(inputs):
         means = membership_means(_document_rows(columns, _idf(df, vocab.n_docs)), terms.doc_ptr)
         whole = _unit_rows(_stacked([means], len(cols)))
         for part, (start, stop) in ((train_idx, (0, len(train_idx))), (test_idx, (len(train_idx), x.shape[0]))):
-            view, lengths = row_view(x, start, stop), whole.lengths()[part]
+            view, lengths = x.row_view(start, stop), whole.lengths()[part]
             copy = ranges(whole.indptr[part], lengths)  # the entries of rows ``part``
             np.testing.assert_array_equal(view.indptr, np.concatenate(([0], np.cumsum(lengths))))
             np.testing.assert_array_equal(view.indices, whole.indices[copy])

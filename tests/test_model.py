@@ -17,6 +17,7 @@ import scipy.sparse as sp
 from scipy.sparse import random as sparse_random
 from sparse_rows import canonical, csr, dense, membership_means
 
+import caserisk._sparse
 import caserisk.model
 from caserisk._sparse import CSR
 from caserisk.clustering import Cluster
@@ -245,7 +246,7 @@ def reference_unit_rows(x):
 # Cluster means, as featurization normalizes them, may hold empty rows
 # and many entries a row; blocks of 7 non-zeros cut most rows.
 @settings(max_examples=200, deadline=None)
-@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([7, 1 << 17]))
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([7, 1 << 16]))
 def test_unit_rows_match_scipy_bit_for_bit(seed, means, block):
     rng = np.random.default_rng(seed)
     x = csr(sparse_random(int(rng.integers(1, 30)), 40, density=rng.uniform(0.05, 0.9), random_state=rng).toarray())
@@ -253,7 +254,7 @@ def test_unit_rows_match_scipy_bit_for_bit(seed, means, block):
         cuts = np.unique(rng.integers(1, x.shape[0] + 1, size=3))
         x = membership_means(x, np.concatenate(([0], cuts[cuts < x.shape[0]], [x.shape[0]])))
     expected = reference_unit_rows(sp.csr_matrix((x.data.copy(), x.indices, x.indptr), shape=x.shape))
-    with mock.patch.object(caserisk.model, "_ROW_BLOCK", block):
+    with mock.patch.object(caserisk._sparse, "_BUDGET", block):
         got = _unit_rows(CSR(x.indptr, x.indices, x.data.copy(), x.shape))
     np.testing.assert_array_equal(got.indices, expected.indices)
     assert got.data.tobytes() == expected.data.tobytes()
@@ -361,7 +362,7 @@ class TestClusterTerms:
             _, whole = terms.featurize(1, max_size, weighting)
         except EmptyInputError:
             return
-        with mock.patch.object(caserisk.model, "_ROW_BLOCK", 1):
+        with mock.patch.object(caserisk._sparse, "_BUDGET", 1):
             _, blocked = terms.featurize(1, max_size, weighting)
         np.testing.assert_array_equal(blocked.indptr, whole.indptr)
         np.testing.assert_array_equal(blocked.indices, whole.indices)

@@ -6,6 +6,10 @@ into many blocks.  A kernel gets ``CSR`` rows, and scipy its own matrix
 of the same dense array.
 """
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +24,10 @@ from caserisk._sparse import (
     row_intersections,
     segments,
     summed,
+    spans,
+    steps,
     sums,
+    take,
     upper_gram,
 )
 
@@ -131,3 +138,42 @@ def test_products_match_scipy(x, seed):
     rows, oracle = csr(x), sp.csr_matrix(x)
     np.testing.assert_allclose(rows.matvec(w), oracle @ w, rtol=1e-12, atol=1e-12)
     assert rows.rmatvec(c).tobytes() == (oracle.T @ c).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 20), max_size=30), BUDGETS, st.data())
+def test_blocks_cover_in_order_within_the_budget(cost, budget, data):
+    """``spans`` and ``steps`` cover their items in order, each block
+    within the budget or a single item, and ``take`` maps ids in place."""
+    cost = np.array(cost, dtype=np.int64)
+    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+        cut = list(spans(cost))
+        sliced = [range(len(cost))[step] for step in steps(len(cost))]
+        ids = np.array(data.draw(st.lists(st.integers(0, 9), max_size=30)), dtype=np.int64)
+        table = np.arange(10)[::-1] * 3
+        expected = table[ids]
+        assert take(table, ids, ids) is ids
+    assert [i for start, stop in cut for i in range(start, stop)] == list(range(len(cost)))
+    assert all(stop - start == 1 or cost[start:stop].sum() <= budget for start, stop in cut)
+    assert [i for block in sliced for i in block] == list(range(len(cost)))
+    assert all(len(block) <= budget for block in sliced)
+    np.testing.assert_array_equal(ids, expected)
+
+
+def test_imports_no_other_caserisk_module():
+    """The kernels sit below every other module: loading ``_sparse`` loads
+    no other caserisk module.  The package's ``__init__`` imports every
+    public name, so a bare package of the same path stands in for it."""
+    code = textwrap.dedent(
+        """
+        import sys, types
+        package = types.ModuleType("caserisk")
+        package.__path__ = [sys.argv[1]]
+        sys.modules["caserisk"] = package
+        import caserisk._sparse
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "caserisk"))
+        """
+    )
+    package = Path(caserisk._sparse.__file__).parent
+    loaded = subprocess.run([sys.executable, "-c", code, str(package)], capture_output=True, text=True, check=True)
+    assert loaded.stdout.split("\n")[0] == "['caserisk', 'caserisk._sparse']"
