@@ -96,13 +96,15 @@ class Run:
         """The labeled clusters' documents, counted once for both train
         and evaluate.  With ``paths.remove_lexicon`` set, a document's
         tokens are those ``remove_tokens`` with that lexicon would leave,
-        the bias mitigation; it changes no other document field.  The
-        corpus's token stream is freed once its rows are gathered: the
+        the bias mitigation; it changes no other document field.  Only
+        grams that reach ``model.min_df`` are counted, the least document
+        frequency that train and evaluate fit at.  The corpus's token
+        stream is freed once its rows are gathered: the
         stages that read it (cluster and indicators) run before this."""
         path = self.config.remove_lexicon_path
         remove = None if path is None else corpus_mod.Lexicon.from_file(path)
         clusters = [lc.cluster for lc in self.labeled]
-        terms = model_mod.ClusterTerms(clusters, self.corpus, self.config.vocab_orders, remove)
+        terms = model_mod.ClusterTerms(clusters, self.corpus, self.config.vocab_orders, remove, self.config.min_df)
         del self.corpus.token_stream
         return terms
 

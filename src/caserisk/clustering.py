@@ -454,16 +454,55 @@ def _consensus_labels(runs: Sequence[np.ndarray], threshold: float) -> np.ndarra
     return _components(n, np.concatenate(a), np.concatenate(b))
 
 
+def _first_movable(graph: SimilarityGraph, labels: np.ndarray, size: np.ndarray) -> int:
+    """The first node that has an improving ``refine`` move under
+    ``labels`` and cluster sizes ``size``, or the node count when none has
+    one: the move deltas of ``_refine_labels``, from each node's edges into
+    each cluster, counted over the adjacency a block of nodes at a time.
+
+    Only the edges that leave a node's cluster are grouped by target
+    cluster, so a block's temporaries are int32 per edge, beside the few
+    edges that cross clusters.
+    """
+    indptr = graph.indptr
+    for start, stop in spans(np.diff(indptr) + 1):
+        node = np.repeat(np.arange(stop - start, dtype=np.int32), np.diff(indptr[start : stop + 1]))
+        target = labels[graph.indices[indptr[start] : indptr[stop]]]
+        home = labels[start:stop]
+        at_home = target == home[node]
+        base_gain = size[home] - 1 - 2 * np.bincount(node[at_home], minlength=stop - start)
+        movable = (size[home] > 1) & (base_gain > 0)  # detaching gains
+        away = np.logical_not(at_home, out=at_home)
+        key = node[away] * np.int64(len(size)) + target[away]
+        del node, target, away
+        key.sort()
+        first = np.flatnonzero(run_starts(key))
+        edges = np.diff(first, append=len(key))
+        node, target = np.divmod(key[first], len(size))
+        movable[node[size[target] - 2 * edges < base_gain[node]]] = True  # joining gains
+        found = np.flatnonzero(movable)
+        if len(found):
+            return start + int(found[0])
+    return len(labels)
+
+
 def _refine_labels(graph: SimilarityGraph, labels: np.ndarray, max_passes: int) -> np.ndarray:
-    """``refine`` over ``_numbered`` labels."""
+    """``refine`` over ``_numbered`` labels.
+
+    A pass starts at the first node that ``_first_movable`` finds: every
+    node before it would keep its cluster.  Refine ends when no node can
+    move.
+    """
     # A cluster keeps its number; a detached node opens the next number.
     # A cluster that empties keeps its number at size 0.
     assign = labels.tolist()
     size = np.bincount(labels).tolist()
     indptr, indices = graph.indptr.tolist(), graph.indices
     for _ in range(max_passes):
-        moved = False
-        for node in range(len(assign)):
+        start = _first_movable(graph, np.array(assign, dtype=np.int32), np.array(size, dtype=np.int64))
+        if start == len(assign):
+            break
+        for node in range(start, len(assign)):
             home = assign[node]
             edges_to = Counter(assign[v] for v in indices[indptr[node] : indptr[node + 1]].tolist())
             edges_home = edges_to.pop(home, 0)
@@ -487,9 +526,6 @@ def _refine_labels(graph: SimilarityGraph, labels: np.ndarray, max_passes: int) 
                 size[home] -= 1
                 size[best_target] += 1
                 assign[node] = best_target
-                moved = True
-        if not moved:
-            break
     return np.array(assign, dtype=np.int64)
 
 

@@ -484,11 +484,15 @@ class Lexicon:
                 outer.append((start, stop))
         return outer
 
-    def first_ids(self, tokens: Sequence[str]) -> np.ndarray:
-        """The ids in a stream's sorted ``tokens`` of the terms' first
-        tokens that it holds, ascending: a text holds a term only where it
-        holds one of these."""
-        return np.array([at for at, token in enumerate(tokens) if token in self._by_first], dtype=np.int64)
+    def first_ids(self, tokens: Sequence[str], min_length: int = 1) -> np.ndarray:
+        """The ids in a stream's sorted ``tokens`` of the first tokens of the
+        terms of at least ``min_length`` tokens that it holds, ascending: a
+        text holds such a term only where it holds one of these."""
+        by_first = self._by_first  # each token's terms, shortest first
+        return np.array(
+            [at for at, token in enumerate(tokens) if token in by_first and len(by_first[token][-1]) >= min_length],
+            dtype=np.int64,
+        )
 
     def find(self, stream: tuple[list[str], np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Where the terms occur in the texts of a ``token_ids`` stream: the

@@ -15,12 +15,16 @@ under the one budget ``_sparse._BUDGET``.
 
 A ``ClusterTerms`` gathers its documents' rows of the corpus's token
 stream (``Corpus.token_stream``), cuts a removal lexicon's terms from
-them, and counts them once into a document x n-gram count matrix (CSR),
-with columns in sorted gram order; it tokenizes no text.  A vocabulary is
-the set of columns kept by document frequency over the training rows;
-document rows are L2-normalized, and a cluster row is the renormalized
-mean of its member rows, summed by ``bincount`` into the cluster's merged
-row of grams, which is found once per ``ClusterTerms``.  Models are
+them (one-token terms by one mask over the ids; ``Lexicon.cuts`` runs
+only on a text that holds the first token of a longer term), and counts
+them once into a document x n-gram count matrix (CSR), with columns in
+sorted gram order; it tokenizes no text.  Given the run's ``min_df``, it
+gives no column to a gram that no vocabulary fitted at that ``min_df``
+could keep.  A vocabulary is the set of columns kept by document
+frequency over the training rows; document rows are L2-normalized, and a
+cluster row is the renormalized mean of its member rows, summed by
+``bincount`` into the cluster's merged row of grams, which is found once
+per ``ClusterTerms``.  Models are
 penalized linear classifiers: logistic or squared-hinge (L2-SVM) loss, both smooth, with an L2 or L1 penalty on the weights and an
 unpenalized intercept.  One quasi-Newton solver minimizes every
 combination: L-BFGS, and under L1 its orthant-wise form OWL-QN, whose
@@ -28,7 +32,9 @@ weights come out exactly zero where the penalty wins.  It runs until the
 (pseudo-)gradient inf-norm is at most 1e-6 or ``TrainConfig.epochs``
 iterations have run, and is deterministic, so identical inputs always
 reproduce identical weights.  Scores are sigmoid-calibrated margins in
-[0, 1], and feature rankings come straight from the weight magnitudes.
+[0, 1], and feature rankings come straight from the weight magnitudes:
+``np.partition`` finds the top-k-th, and only the weights that reach it
+are sorted.
 """
 
 from __future__ import annotations
@@ -119,17 +125,24 @@ class _GramColumns:
         return out.tolist()
 
 
-def _count_grams(stream: tuple[list[str], np.ndarray, np.ndarray], orders: tuple[int, ...]) -> tuple[CSR, _GramColumns]:
+def _count_grams(
+    stream: tuple[list[str], np.ndarray, np.ndarray], orders: tuple[int, ...], min_df: int = 1
+) -> tuple[CSR, _GramColumns]:
     """The document x n-gram count matrix of a ``token_ids`` stream.
 
-    Every gram seen gets a column, in sorted gram order, and the grams are
-    returned by column.  Grams are counted as ``gram_counts`` rows of
-    ``gram_ids`` integers, one order at a time; an order's ids follow its
-    token-id tuples, and ``token_ids`` numbers tokens in sorted order.
-    Sorted gram strings are in the order of their token tuples, a gram
-    first before its extensions, because the joining space sorts before
-    every token character.  So one lexsort of the grams of every order, as
-    token-id rows padded with -1 to the longest order, gives the columns.
+    Every gram seen in at least ``min_df`` texts gets a column, in sorted
+    gram order, and the grams are returned by column; no vocabulary fitted
+    at that ``min_df`` over some of the texts can keep any other.  Grams
+    are counted as ``gram_counts`` rows of ``gram_ids`` integers, one order
+    at a time; an order's ids follow its token-id tuples, and
+    ``token_ids`` numbers tokens in sorted order.  A text holds each of its
+    grams once, so a gram's run in the order's sorted ids is its document
+    frequency, and the entries of a gram cut there are cut from the rows
+    before the orders are merged.  Sorted gram strings are in the order of
+    their token tuples, a gram first before its extensions, because the
+    joining space sorts before every token character.  So one lexsort of
+    the grams of every order, as token-id rows padded with -1 to the
+    longest order, gives the columns.
     """
     tokens, ids, lengths = stream
     width = max(orders)
@@ -138,15 +151,25 @@ def _count_grams(stream: tuple[list[str], np.ndarray, np.ndarray], orders: tuple
     for n in orders:
         indptr, grams, counts, keys = gram_counts(ids, lengths, n, len(tokens))
         values = np.sort(grams)
-        values = values[run_starts(values)]
-        cols, _ = columns_of(grams, values)
+        first = run_starts(values)
+        values = values[first]
+        if min_df > 1:
+            starts = np.flatnonzero(first)
+            values = values[np.diff(starts, append=len(first)) >= min_df]
+            del starts
+        del first
+        cols, found = columns_of(grams, values)
+        del grams
+        if not found.all():
+            indptr, cols, counts = _cut(indptr, found, cols, counts)
+        del found
         cols += base
         per_order.append((indptr, cols, counts))
         base += len(values)
         order_parts = np.full((len(values), width), -1, dtype=np.int32)
         order_parts[:, :n] = gram_tokens(values, n, len(tokens), keys)
         parts.append(order_parts)
-        del grams, values, cols, counts
+        del values, cols, counts
     n_docs = len(lengths)
     del ids, lengths
     parts = np.concatenate(parts)
@@ -162,6 +185,23 @@ def _count_grams(stream: tuple[list[str], np.ndarray, np.ndarray], orders: tuple
     del per_order
     counts = orders_counts[0] if len(orders_counts) == 1 else summed(orders_counts)
     return counts, _GramColumns(tokens, parts)
+
+
+def _cut(indptr: np.ndarray, keep: np.ndarray, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows ``indptr`` over the entry ``arrays`` less the entries where
+    ``keep`` is False: the new ``indptr``, then each array cut in place, a
+    block of rows at a time, and returned as a view of its kept prefix."""
+    out = np.zeros_like(indptr)
+    at = 0
+    for start, stop in spans(np.diff(indptr) + 1):
+        lo, hi = indptr[start], indptr[stop]
+        held = keep[lo:hi]
+        before = np.concatenate(([0], np.cumsum(held)))
+        out[start + 1 : stop + 1] = at + before[indptr[start + 1 : stop + 1] - lo]
+        for entries in arrays:
+            entries[at : at + before[-1]] = entries[lo:hi][held]
+        at += int(before[-1])
+    return (out, *(entries[:at] for entries in arrays))
 
 
 def _document_frequency(counts: CSR, rows: Optional[np.ndarray] = None) -> np.ndarray:
@@ -219,7 +259,7 @@ def build_vocabulary(
         raise InputError("min_df must be >= 1")
     if not docs:
         raise EmptyInputError("no documents to build a vocabulary from")
-    counts, grams = _count_grams(token_ids(doc.text for doc in docs), orders)
+    counts, grams = _count_grams(token_ids(doc.text for doc in docs), orders, min_df)
     vocab, _, _ = _fit_vocabulary(_document_frequency(counts), len(docs), grams, orders, min_df, max_size)
     return vocab
 
@@ -285,8 +325,10 @@ def _gathered(
     text keeps the tokens that ``remove.cuts`` keeps, which are the tokens
     of what ``remove_tokens`` leaves of it.
 
-    Only a text that holds a term's first token can lose tokens; each such
-    text is cut on its token strings, and every other text is kept whole.
+    A text that holds no first token of a term of several tokens never
+    holds one, even once deletions join its neighbours, so it loses
+    exactly the tokens of the one-token terms: one mask over every text.
+    Only a text that holds such a first token is cut on its token strings.
     """
     tokens, stream_ids, lengths = stream
     starts = (np.cumsum(lengths) - lengths)[rows]
@@ -296,14 +338,19 @@ def _gathered(
     for start, stop in spans(lengths + 1):  # a block of texts at a time
         ids[ptr[start] : ptr[stop]] = stream_ids[ranges(starts[start:stop], lengths[start:stop])]
     if remove is not None:
-        marked = np.searchsorted(ptr, np.flatnonzero(np.isin(ids, remove.first_ids(tokens))), side="right") - 1
-        keep = np.ones(len(ids), dtype=bool)
-        for text in marked[run_starts(marked)].tolist():
+        marked = np.searchsorted(ptr, np.flatnonzero(np.isin(ids, remove.first_ids(tokens, 2))), side="right") - 1
+        # A token never holds a space, so it is a term only as a one-token term.
+        one_token = np.zeros(len(tokens), dtype=bool)
+        one_token[[at for at, token in enumerate(tokens) if token in remove.terms]] = True
+        drop = take(one_token, ids, np.empty(len(ids), dtype=bool))
+        for text in marked[run_starts(marked)].tolist():  # its cuts hold its masked tokens too
             lo = ptr[text]
             for start, stop in remove.cuts([tokens[i] for i in ids[lo : ptr[text + 1]].tolist()]):
-                keep[lo + start : lo + stop] = False
-                lengths[text] -= stop - start
-        ids = ids[keep]
+                drop[lo + start : lo + stop] = True
+        text_of = np.searchsorted(ptr, np.flatnonzero(drop), side="right") - 1
+        lengths = lengths - np.bincount(text_of, minlength=len(lengths))
+        del text_of
+        ids = ids[np.logical_not(drop, out=drop)]
     # Renumbered over the tokens left, which keeps their sorted order.
     held = np.zeros(len(tokens), dtype=bool)
     held[ids] = True
@@ -321,19 +368,30 @@ class ClusterTerms:
     selects a fitted vocabulary's columns from it, so cross-validation
     folds never count a document again, and ``rows`` an existing
     vocabulary's, found by gram.  Tokens that ``remove`` cuts (see
-    ``_gathered``) are not counted.  Each cluster's document rows are also
-    merged once into one row of its grams (``_sparse.segments``:
-    ``merged_ptr`` and each entry's ``place``), so that a fold sums its
-    means without sorting.
+    ``_gathered``) are not counted.  With ``min_df`` above 1, only grams in
+    at least that many of the documents get a column (see
+    ``_count_grams``): ``featurize`` then takes no lower ``min_df``, and
+    ``rows`` takes no vocabulary, since either could need a gram that was
+    cut.  Each cluster's document rows are also merged once into one row
+    of its grams (``_sparse.segments``: ``merged_ptr`` and each entry's
+    ``place``), so that a fold sums its means without sorting.
     """
 
     def __init__(
-        self, clusters: Sequence[Cluster], corpus: Corpus, orders: Iterable[int] = (1,), remove: Optional[Lexicon] = None
+        self,
+        clusters: Sequence[Cluster],
+        corpus: Corpus,
+        orders: Iterable[int] = (1,),
+        remove: Optional[Lexicon] = None,
+        min_df: int = 1,
     ):
         self.orders = _check_orders(orders)
+        if min_df < 1:
+            raise InputError("min_df must be >= 1")
+        self.min_df = min_df
         self.clusters = list(clusters)
         rows, self.doc_ptr = corpus.cluster_rows(cluster.members for cluster in self.clusters)
-        self.counts, self.grams = _count_grams(_gathered(corpus.token_stream, rows, remove), self.orders)
+        self.counts, self.grams = _count_grams(_gathered(corpus.token_stream, rows, remove), self.orders, min_df)
         self.merged_ptr, self.place = segments(self.counts, self.doc_ptr)
 
     @cached_property
@@ -357,8 +415,8 @@ class ClusterTerms:
         cluster with that vocabulary.
         """
         _check_weighting(weighting)
-        if min_df < 1:
-            raise InputError("min_df must be >= 1")
+        if min_df < self.min_df:
+            raise InputError(f"min_df must be >= {self.min_df}, the min_df these terms were counted at")
         sizes = np.diff(self.doc_ptr)
         if fit is None:
             order = np.arange(len(sizes))
@@ -382,6 +440,8 @@ class ClusterTerms:
         order: a column's gram is looked up in ``vocab.index``, and idf
         comes from ``vocab.df`` and ``vocab.n_docs``."""
         _check_weighting(weighting)
+        if self.min_df > 1:
+            raise InputError(f"terms counted at min_df {self.min_df} may lack a vocabulary's grams")
         if len(vocab) == 0:
             raise EmptyInputError("empty vocabulary")
         grams = self.grams.strings(np.arange(len(self.grams)))
@@ -707,15 +767,23 @@ def _nonzero_weights(model: RiskModel) -> list[tuple[int, float]]:
 
 
 def feature_importance(model: RiskModel, top_k: int) -> list[tuple[str, float]]:
-    """Top-k tokens by absolute weight, descending; ties lexicographic."""
+    """Top-k tokens by absolute weight, descending; ties lexicographic.
+
+    Only the non-zero weights at least as large as the top_k-th largest,
+    found by ``np.partition``, are sorted: ties with it included, so that
+    the names break them as they would over every weight.
+    """
     if top_k < 0:
         raise InputError("top_k must be >= 0")
-    entries = _nonzero_weights(model)
-    if model.vocabulary is not None:
-        entries = [(model.vocabulary.terms[i], w) for i, w in entries]
-    else:
-        entries = [(str(i), w) for i, w in entries]
-    entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
+    magnitude = np.abs(model.weights)
+    cols = np.flatnonzero(magnitude)
+    if top_k < len(cols):
+        kth = len(cols) - top_k
+        least = np.partition(magnitude[cols], kth)[kth] if top_k else np.inf
+        cols = cols[magnitude[cols] >= least]
+    ids = cols.tolist()
+    names = [model.vocabulary.terms[i] for i in ids] if model.vocabulary is not None else [str(i) for i in ids]
+    entries = sorted(zip(names, model.weights[cols].tolist()), key=lambda kv: (-abs(kv[1]), kv[0]))
     return entries[:top_k]
 
 

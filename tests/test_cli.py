@@ -397,6 +397,7 @@ class TestPipeline:
             "clustering.refine_passes = 2",
             "model.orders = 1,2",
             "model.weighting = tfidf",
+            "model.min_df = 2",
         ]
         conf = write_config(tmp_path / "p.conf", tmp_path, lines=lines)
         default = tmp_path / "default"
@@ -405,8 +406,8 @@ class TestPipeline:
         assert {"graph.csv", "indicators.csv", "roc.csv"} <= set(names)
         loops = {
             ("spans", loop)
-            for loop in ("summed", "upper_gram", "segments", "gram_counts", "build_graph")
-            + ("_document_frequency", "_unit_rows", "_gathered", "_rows")
+            for loop in ("summed", "upper_gram", "segments", "gram_counts", "build_graph", "_first_movable")
+            + ("_document_frequency", "_unit_rows", "_gathered", "_cut", "_rows")
         } | {("steps", loop) for loop in ("token_ids", "columns_of", "_gathered", "write_graph")}
         for budget in (7, 1):
             cut.clear()

@@ -13,10 +13,13 @@ import math
 import random
 from collections import Counter, defaultdict
 from datetime import date, timedelta
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import caserisk._sparse
 from caserisk.clustering import (
     SIGNAL_LOCATION_DATE,
     SIGNAL_PHONE,
@@ -24,6 +27,7 @@ from caserisk.clustering import (
     Clustering,
     GraphConfig,
     SimilarityGraph,
+    _refine_labels,
     build_graph,
     consensus,
     disagreement_cost,
@@ -317,6 +321,54 @@ def test_clustering_matches_string_reference(nodes_edges, seed, passes, data):
     assert disagreement_cost(start, graph) == ref_disagreement_cost(start, reference)
     refined = refine(start, graph, passes)
     assert refined.clusters == ref_refine(start, reference, passes).clusters
+
+
+def ref_refine_labels(graph, labels, max_passes):
+    """``_refine_labels`` as a plain sequential loop: every pass visits
+    every node, and refine ends after a pass that moves none."""
+    assign = labels.tolist()
+    size = np.bincount(labels).tolist()
+    indptr, indices = graph.indptr.tolist(), graph.indices
+    for _ in range(max_passes):
+        moved = False
+        for node in range(len(assign)):
+            home = assign[node]
+            edges_to = Counter(assign[v] for v in indices[indptr[node] : indptr[node + 1]].tolist())
+            edges_home = edges_to.pop(home, 0)
+            base_gain = (size[home] - 1 - edges_home) - edges_home
+            best_delta = 0
+            best_target = None
+            for target in sorted(edges_to):
+                delta = (size[target] - 2 * edges_to[target]) - base_gain
+                if delta < best_delta:
+                    best_delta = delta
+                    best_target = target
+            if size[home] > 1 and -base_gain < best_delta:
+                best_delta = -base_gain
+                best_target = len(size)
+            if best_target is not None:
+                if best_target == len(size):
+                    size.append(0)
+                size[home] -= 1
+                size[best_target] += 1
+                assign[node] = best_target
+                moved = True
+        if not moved:
+            break
+    return np.array(assign, dtype=np.int64)
+
+
+# Labels may leave gaps (clusters of size 0); a budget of 1 or 3 checks
+# the nodes that can move a few at a time.
+@settings(max_examples=600, deadline=None)
+@given(graphs(), st.data(), st.integers(1, 4), st.sampled_from([1, 3, 1 << 16]))
+def test_refine_labels_match_a_sequential_pass(nodes_edges, data, passes, budget):
+    nodes, edges = nodes_edges
+    graph = SimilarityGraph(nodes, edges)
+    labels = np.array(data.draw(st.lists(st.integers(0, 5), min_size=len(nodes), max_size=len(nodes))), dtype=np.int64)
+    with mock.patch.object(caserisk._sparse, "_BUDGET", budget):
+        refined = _refine_labels(graph, labels, passes)
+    np.testing.assert_array_equal(refined, ref_refine_labels(graph, labels, passes))
 
 
 def _partition(nodes, groups):

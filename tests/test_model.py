@@ -381,6 +381,56 @@ class TestClusterTerms:
         with pytest.raises(InputError):
             ClusterTerms([Cluster(id="1", members=frozenset(["1", "2"]))], corpus)
 
+    @settings(max_examples=150, deadline=None)
+    @given(fold_worlds())
+    def test_pruned_terms_featurize_alike(self, world):
+        """Terms counted at the draw's min_df keep exactly the grams of
+        document frequency at least min_df, and featurize every fold, both
+        weightings and both sizes at that min_df byte for byte as terms
+        counted at 1 do."""
+        corpus, clusters, folds, orders, min_df, max_size, _ = world
+        whole = ClusterTerms(clusters, corpus, orders)
+        pruned = ClusterTerms(clusters, corpus, orders, min_df=min_df)
+        grams = whole.grams.strings(np.arange(len(whole.grams)))
+        assert pruned.grams.strings(np.arange(len(pruned.grams))) == [
+            gram for gram, df in zip(grams, whole.df.tolist()) if df >= min_df
+        ]
+        for fit in [None] + [folds != fold for fold in sorted(set(folds.tolist()))]:
+            for weighting in ("tf", "tfidf"):
+                for size in (None, max_size):
+                    try:
+                        vocab, x = whole.featurize(min_df, size, weighting, fit=fit)
+                    except EmptyInputError:
+                        with pytest.raises(EmptyInputError):
+                            pruned.featurize(min_df, size, weighting, fit=fit)
+                        continue
+                    kept, y = pruned.featurize(min_df, size, weighting, fit=fit)
+                    assert (kept.terms, kept.df, kept.n_docs) == (vocab.terms, vocab.df, vocab.n_docs)
+                    for part in ("indptr", "indices", "data"):
+                        a, b = getattr(x, part), getattr(y, part)
+                        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_pruned_terms_refuse_a_lower_min_df_and_rows(self):
+        corpus = Corpus([doc("1", "a b"), doc("2", "a c")])
+        clusters = [Cluster(id=i, members=frozenset([i])) for i in ("1", "2")]
+        terms = ClusterTerms(clusters, corpus, min_df=2)
+        vocab, _ = terms.featurize(2)
+        assert vocab.terms == ("a",)
+        with pytest.raises(InputError, match="min_df"):
+            terms.featurize(1)
+        with pytest.raises(InputError, match="min_df"):
+            terms.rows(vocab)
+        with pytest.raises(InputError, match="min_df"):
+            ClusterTerms(clusters, corpus, min_df=0)
+
+    def test_no_gram_reaching_min_df_is_an_empty_vocabulary(self):
+        corpus = Corpus([doc("1", "a b"), doc("2", "c d")])
+        clusters = [Cluster(id=i, members=frozenset([i])) for i in ("1", "2")]
+        terms = ClusterTerms(clusters, corpus, (1, 2), min_df=2)
+        assert len(terms.grams) == 0 and terms.counts.nnz == 0
+        with pytest.raises(EmptyInputError, match="empty vocabulary"):
+            terms.featurize(2)
+
 # Two one-hot examples, one per class, the smallest problem train accepts.
 TWO_POINTS = (csr(np.eye(2)), ["positive", "negative"])
 ALTERNATING = np.eye(2).tolist()  # one-hot rows of the two classes in turn
@@ -761,6 +811,29 @@ class TestScoreAndImportance:
         model.weights = 3.7 * model.weights
         rescaled = [t for t, _ in feature_importance(model, 3)]
         assert base == rescaled
+
+    # Few magnitudes, of both signs, so that ties are common; over 10
+    # weights with no vocabulary, "10" sorts before "2".
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.25, -0.25, 1.0, -1.0, 3.0, -3.0]), max_size=24),
+        st.integers(0, 30),
+        st.sampled_from(["none", "sorted", "unsorted"]),
+        st.randoms(use_true_random=False),
+    )
+    def test_ranking_matches_a_full_sort(self, weights, top_k, naming, rng):
+        model = fixed_model(weights)
+        model.vocabulary = None
+        if naming != "none":
+            terms = [f"t{k:02d}" for k in range(len(weights))]
+            if naming == "unsorted":
+                rng.shuffle(terms)
+            model.vocabulary = Vocabulary(tuple(terms), (1,) * len(terms), (1,), 1)
+        names = model.vocabulary.terms if model.vocabulary is not None else [str(i) for i in range(len(weights))]
+        # The sort of every non-zero weight that ranked features before.
+        entries = [(names[i], w) for i, w in enumerate(model.weights.tolist()) if w != 0.0]
+        entries.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
+        assert feature_importance(model, top_k) == entries[:top_k]
 
 
 # A saved vocabulary's max_size is null or an integer of at least 1.
