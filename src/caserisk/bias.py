@@ -4,7 +4,10 @@ Independence of a suspect feature and the class label is checked with
 Pearson's chi-squared test on a contingency table of document counts,
 optionally Bonferroni-corrected across features.  Distribution similarity
 between classes can additionally be measured with a two-sample
-Kolmogorov-Smirnov test and the Renyi divergence.
+Kolmogorov-Smirnov test and the Renyi divergence.  Documents are
+counted by feature group in one ``group_counts`` array per cluster
+sequence and feature: ``column_sums`` sums its rows into tables, and
+``majority_groups`` gives the sampling strata and fold cells.
 """
 
 from __future__ import annotations
@@ -12,11 +15,13 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
+import numpy as np
+
+from ._sparse import CSR, summed
 from .corpus import Corpus, Document, write_json
 from .errors import DegenerateTableError, EmptyInputError, InputError
 
@@ -254,31 +259,44 @@ def renyi_divergence(p: Sequence[float], q: Sequence[float], order: float) -> fl
     return value
 
 
-def group_counts(cluster, corpus: Corpus, feature: FeatureSpec) -> Counter[str]:
-    """The documents of ``cluster`` counted by their group of ``feature``;
-    every member id must exist in the corpus."""
-    return Counter(feature.group_of(doc) for doc in corpus.members(cluster.members))
+def group_counts(clusters: Sequence, corpus: Corpus, feature: FeatureSpec) -> tuple[list[str], CSR]:
+    """Each cluster's documents counted by their group of ``feature``: the
+    groups, sorted, and a clusters x groups ``CSR`` of int64 counts.
+    Every member id must exist in the corpus."""
+    rows, ptr = corpus.cluster_rows(cluster.members for cluster in clusters)
+    values = [feature.group_of(corpus.documents[k]) for k in rows.tolist()]
+    groups = sorted(set(values))  # not np.unique: numpy's fixed-width strings drop trailing NULs
+    code = {group: j for j, group in enumerate(groups)}
+    indices = np.array([code[value] for value in values], dtype=np.int32)
+    return groups, summed([CSR(ptr, indices, np.ones(len(values), dtype=np.int64), (len(ptr) - 1, len(groups)))])
+
+
+def majority_groups(groups: Sequence[str], counts: CSR) -> list[str]:
+    """Each row's group with the most documents; ties break to the
+    lexicographically smallest group, the first of them in the row."""
+    first = np.lexsort((counts.indices, -counts.data, counts.row_of_entry()))[counts.indptr[:-1]]
+    return [groups[j] for j in counts.indices[first].tolist()]
 
 
 def column_sums(
-    per_cluster: Sequence[Counter[str]], columns: Sequence[str], col_labels: Sequence[str]
+    groups: Sequence[str], counts: CSR, columns: Sequence[Optional[str]], col_labels: Sequence[str]
 ) -> dict[str, list[int]]:
     """Each group's documents summed per column, by group in sorted order:
-    ``per_cluster[i]`` is a cluster's ``group_counts`` and ``columns[i]``
-    its column, one of ``col_labels``, which give the order of the sums."""
+    ``counts`` row i is summed into ``columns[i]``, one of ``col_labels``
+    (which give the order of the sums), or left out where it is None.
+    Groups no summed row holds are left out."""
     index = {label: j for j, label in enumerate(col_labels)}
-    sums: dict[str, list[int]] = {}
-    for counts, column in zip(per_cluster, columns, strict=True):
-        for group, n in counts.items():
-            sums.setdefault(group, [0] * len(index))[index[column]] += n
-    return dict(sorted(sums.items()))
+    column = np.array([-1 if c is None else index[c] for c in columns], dtype=np.int64)
+    sums = np.zeros((len(groups), len(index) + 1), dtype=np.int64)  # rows left out go to the last
+    np.add.at(sums, (counts.indices, np.repeat(column, counts.lengths())), counts.data)
+    return {group: row[:-1] for group, row in zip(groups, sums.tolist()) if any(row[:-1])}
 
 
 def group_table(
-    per_cluster: Sequence[Counter[str]], columns: Sequence[str], col_labels: Sequence[str]
+    groups: Sequence[str], counts: CSR, columns: Sequence[Optional[str]], col_labels: Sequence[str]
 ) -> ContingencyTable:
     """The ``column_sums`` as a table of group x column."""
-    sums = column_sums(per_cluster, columns, col_labels)
+    sums = column_sums(groups, counts, columns, col_labels)
     return ContingencyTable(tuple(sums), tuple(col_labels), tuple(map(tuple, sums.values())))
 
 
@@ -288,14 +306,14 @@ def contingency(
     feature: FeatureSpec,
 ) -> ContingencyTable:
     """Document counts of feature group x class over the labeled clusters:
-    each cluster's ``group_counts``, summed per class.
+    their ``group_counts``, summed per class.
 
     `labeled` is a sequence of LabeledCluster.
     """
     if not labeled:
         raise EmptyInputError("no labeled clusters")
-    per_cluster = [group_counts(lc.cluster, corpus, feature) for lc in labeled]
-    return group_table(per_cluster, [lc.label for lc in labeled], (POSITIVE, NEGATIVE))
+    groups, counts = group_counts([lc.cluster for lc in labeled], corpus, feature)
+    return group_table(groups, counts, [lc.label for lc in labeled], (POSITIVE, NEGATIVE))
 
 
 @dataclass(frozen=True)

@@ -228,9 +228,9 @@ def stage_diagnose(run: Run) -> bias_mod.BiasReport:
 def _domain_renyi(corpus, labeled) -> float:
     """Order-2 Renyi divergence of positive vs negative domain mixes."""
     domain = bias_mod.FeatureSpec("domain")
-    per_cluster = [bias_mod.group_counts(lc.cluster, corpus, domain) for lc in labeled]
+    groups, counts = bias_mod.group_counts([lc.cluster for lc in labeled], corpus, domain)
     columns = (bias_mod.POSITIVE, bias_mod.NEGATIVE)
-    pos, neg = zip(*bias_mod.column_sums(per_cluster, [lc.label for lc in labeled], columns).values())
+    pos, neg = zip(*bias_mod.column_sums(groups, counts, [lc.label for lc in labeled], columns).values())
     p_total, q_total = sum(pos), sum(neg)
     value = bias_mod.renyi_divergence([n / p_total for n in pos], [n / q_total for n in neg], 2.0)
     return value if value != float("inf") else -1.0  # -1 encodes infinity in JSON

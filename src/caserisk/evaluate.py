@@ -22,6 +22,7 @@ from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
+from ._sparse import CSR
 from .bias import (
     NEGATIVE,
     POSITIVE,
@@ -31,6 +32,7 @@ from .bias import (
     chi_squared_test,
     group_counts,
     group_table,
+    majority_groups,
 )
 from .corpus import Corpus, write_json
 from .errors import (
@@ -41,7 +43,7 @@ from .errors import (
     UnsplittableError,
 )
 from .model import ClusterTerms, TrainConfig, train
-from .sampling import LabeledCluster, majority_group
+from .sampling import LabeledCluster
 
 
 def split(
@@ -136,7 +138,7 @@ def _assign_folds(
 
 def _homogeneity_tests(
     labeled: Sequence[LabeledCluster],
-    cluster_counts: Sequence[Sequence[Counter]],
+    feature_counts: Sequence[tuple[list[str], CSR]],
     assignment: dict[str, int],
     k: int,
     features: Sequence[FeatureSpec],
@@ -144,21 +146,19 @@ def _homogeneity_tests(
 ) -> dict[str, TestResult]:
     """Chi-squared tests of document-level feature group x fold, per class.
 
-    ``cluster_counts[f][i]`` is ``group_counts`` of ``labeled[i]`` and
-    ``features[f]``.  A feature constant within a class is trivially
-    homogeneous.
+    ``feature_counts[f]`` is ``group_counts`` of ``labeled``'s clusters
+    and ``features[f]``; a class's table leaves the other class's rows
+    out.  A feature constant within a class is trivially homogeneous.
     """
     folds = [f"fold{i}" for i in range(k)]
-    columns = [folds[assignment[lc.cluster.id]] for lc in labeled]
-    by_class = {
-        label: [i for i, lc in enumerate(labeled) if lc.label == label] for label in (POSITIVE, NEGATIVE)
-    }
+    fold_of = [folds[assignment[lc.cluster.id]] for lc in labeled]
     results: dict[str, TestResult] = {}
-    for feature, per_cluster in zip(features, cluster_counts):
-        for label, members in by_class.items():
+    for feature, (groups, counts) in zip(features, feature_counts):
+        for label in (POSITIVE, NEGATIVE):
             key = f"{feature.name}/{label}"
+            columns = [fold if lc.label == label else None for fold, lc in zip(fold_of, labeled)]
             try:
-                table = group_table([per_cluster[i] for i in members], [columns[i] for i in members], folds)
+                table = group_table(groups, counts, columns, folds)
                 results[key] = chi_squared_test(table, alpha)
             except DegenerateTableError:
                 results[key] = TestResult(0.0, 1, 1.0, alpha, False)
@@ -190,11 +190,8 @@ def make_folds(
     if len(set(ids)) != len(ids):
         raise InputError("duplicate cluster ids in labeled set")
 
-    cluster_counts = [[group_counts(lc.cluster, corpus, f) for lc in labeled] for f in features]
-    cells = [
-        (lc.label,) + tuple(majority_group(c[i]) for c in cluster_counts)
-        for i, lc in enumerate(labeled)
-    ]
+    feature_counts = [group_counts([lc.cluster for lc in labeled], corpus, f) for f in features]
+    cells = list(zip([lc.label for lc in labeled], *(majority_groups(*c) for c in feature_counts)))
     warnings = [
         f"cell {'|'.join(cell)} has {n} clusters (< {k}); class-level balance only"
         for cell, n in sorted(Counter(cells).items())
@@ -205,7 +202,7 @@ def make_folds(
         k=k,
         assignment=assignment,
         conditioned_features=tuple(f.name for f in features),
-        homogeneity=_homogeneity_tests(labeled, cluster_counts, assignment, k, features, alpha),
+        homogeneity=_homogeneity_tests(labeled, feature_counts, assignment, k, features, alpha),
         warnings=tuple(warnings),
     )
 

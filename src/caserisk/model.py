@@ -171,7 +171,6 @@ def _count_grams(
         parts.append(order_parts)
         del values, cols, counts
     n_docs = len(lengths)
-    del ids, lengths
     parts = np.concatenate(parts)
     order = np.lexsort(parts.T[::-1])
     parts = parts[order]

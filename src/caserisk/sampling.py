@@ -16,7 +16,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterable, Sequence
 
-from .bias import NEGATIVE, POSITIVE, BiasReport, FeatureSpec, audit, group_counts
+from .bias import NEGATIVE, POSITIVE, BiasReport, FeatureSpec, audit, group_counts, majority_groups
 from .clustering import Cluster, Clustering
 from .corpus import Corpus, text_lines
 from .errors import EmptyInputError, InputError, InsufficientPoolError
@@ -56,29 +56,14 @@ def size_bucket(size: int, boundaries: Sequence[int] = DEFAULT_SIZE_BUCKETS) -> 
     return f"{lower}+"
 
 
-def cluster_feature_group(
-    cluster: Cluster, corpus: Corpus, feature: FeatureSpec
-) -> str:
-    """Majority feature group over member documents; ties break to the
-    lexicographically smallest group."""
-    return majority_group(group_counts(cluster, corpus, feature))
-
-
-def majority_group(counts: Counter[str]) -> str:
-    """The group with the most documents; ties break to the
-    lexicographically smallest group."""
-    top = max(counts.values())
-    return min(g for g, c in counts.items() if c == top)
-
-
-def stratum_key(
-    cluster: Cluster,
-    corpus: Corpus,
-    features: Sequence[FeatureSpec],
+def stratum_keys(
+    clusters: Sequence[Cluster], corpus: Corpus, features: Sequence[FeatureSpec],
     size_buckets: Sequence[int] = DEFAULT_SIZE_BUCKETS,
-) -> tuple[str, ...]:
-    groups = tuple(cluster_feature_group(cluster, corpus, f) for f in features)
-    return groups + (size_bucket(cluster.size(), size_buckets),)
+) -> list[tuple[str, ...]]:
+    """Each cluster's stratum: its majority group of each feature, then
+    its size bucket."""
+    majorities = [majority_groups(*group_counts(clusters, corpus, f)) for f in features]
+    return list(zip(*majorities, [size_bucket(c.size(), size_buckets) for c in clusters]))
 
 
 @dataclass
@@ -180,12 +165,12 @@ def conditioned_negatives(
     if not positives:
         raise EmptyInputError("no positive clusters to condition on")
     excluded = {lc.cluster.id for lc in positives} | set(exclude)
-    pos_strata = Counter(stratum_key(lc.cluster, corpus, features, size_buckets) for lc in positives)
+    pos_strata = Counter(stratum_keys([lc.cluster for lc in positives], corpus, features, size_buckets))
     # Clustering iterates clusters in id order, so every pool is sorted.
+    pool = [cluster for cluster in clustering if cluster.id not in excluded]
     pools: dict[tuple[str, ...], list[str]] = defaultdict(list)
-    for cluster in clustering:
-        if cluster.id not in excluded:
-            pools[stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
+    for cluster, key in zip(pool, stratum_keys(pool, corpus, features, size_buckets)):
+        pools[key].append(cluster.id)
     supply = {k: len(p) for k, p in pools.items()}
     plan = SamplingPlan(seed=seed)
     if n == 0:

@@ -348,7 +348,7 @@ class TestContingency:
         corpus = Corpus([Document(id="a", source_domain="x", text="t")])
         cluster = Cluster(id="a", members=frozenset("ab"))
         with pytest.raises(InputError, match="'b' not in corpus"):
-            group_counts(cluster, corpus, FeatureSpec("domain"))
+            group_counts([cluster], corpus, FeatureSpec("domain"))
 
 
 class TestAudit:

@@ -30,14 +30,14 @@ from caserisk.config import KEY_REGISTRY, PipelineConfig, load_config, validate
 from caserisk.errors import ConfigError
 
 
-def run_synth(out, seed=1, extra=()):
+def run_synth(out, seed=1, extra=(), num_clusters=60):
     rc = main(
         [
             "synth",
             "--out",
             str(out),
             "--num-clusters",
-            "60",
+            str(num_clusters),
             "--positive-fraction",
             "0.3",
             "--domain-skew",
@@ -451,6 +451,27 @@ class TestPipeline:
         conf = write_config(tmp_path / "p.conf", tmp_path, lines=("bias.features = domain,location",))
         assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / "run")]) == 0
         assert calls == {"audit": 1, "train": load_config(conf).folds + 1}
+
+    def test_cluster_row_lookups_do_not_grow_with_the_clusters(self, tmp_path, monkeypatch):
+        # Sampling, the audit, the fold plan and diagnose each count a
+        # whole cluster sequence per feature in one Corpus.cluster_rows
+        # call, so the number of calls depends on the features, not on
+        # the number of clusters.
+        calls = []
+        cluster_rows = caserisk.corpus.Corpus.cluster_rows
+
+        def counting(self, member_sets):
+            calls[-1] += 1
+            return cluster_rows(self, member_sets)
+
+        monkeypatch.setattr(caserisk.corpus.Corpus, "cluster_rows", counting)
+        lines = ("bias.features = domain,location", "sampling.features = domain,location")
+        for clusters in (60, 120):
+            run_synth(tmp_path / str(clusters), num_clusters=clusters)
+            conf = write_config(tmp_path / f"{clusters}.conf", tmp_path / str(clusters), lines=lines)
+            calls.append(0)
+            assert main(["pipeline", "--config", str(conf), "--out", str(tmp_path / f"run{clusters}")]) == 0
+        assert calls[0] == calls[1]
 
     def test_model_file_round_trips_byte_for_byte(self, tmp_path):
         run_synth(tmp_path)

@@ -6,11 +6,12 @@ from collections import Counter, defaultdict
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from caserisk.bias import FeatureSpec, POSITIVE, NEGATIVE
+from caserisk.bias import FeatureSpec, POSITIVE, NEGATIVE, column_sums, group_counts, majority_groups
 from caserisk.clustering import Cluster, Clustering
 from caserisk.corpus import Corpus, Document
 from caserisk.errors import EmptyInputError, InputError, InsufficientPoolError
@@ -21,15 +22,19 @@ from caserisk.sampling import (
     LabeledCluster,
     SamplingPlan,
     _largest_remainder,
-    cluster_feature_group,
     conditioned_negatives,
     random_negatives,
     read_labels,
     size_bucket,
-    stratum_key,
+    stratum_keys,
     verify_alignment,
     write_labels,
 )
+
+
+def domain_group(cluster, corpus):
+    """The cluster's majority domain."""
+    return majority_groups(*group_counts([cluster], corpus, FeatureSpec("domain")))[0]
 
 
 def build_world(cluster_specs):
@@ -67,7 +72,7 @@ class TestClusterFeatureGroup:
         ]
         corpus = Corpus(documents)
         cluster = Cluster(id="a", members=frozenset("abc"))
-        assert cluster_feature_group(cluster, corpus, FeatureSpec("domain")) == "g1"
+        assert domain_group(cluster, corpus) == "g1"
 
     def test_tie_breaks_lexicographically(self):
         documents = [
@@ -76,7 +81,7 @@ class TestClusterFeatureGroup:
         ]
         corpus = Corpus(documents)
         cluster = Cluster(id="a", members=frozenset("ab"))
-        assert cluster_feature_group(cluster, corpus, FeatureSpec("domain")) == "alpha"
+        assert domain_group(cluster, corpus) == "alpha"
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(["g1", "g2", "g3", "g4"]), min_size=1, max_size=12))
@@ -86,7 +91,7 @@ class TestClusterFeatureGroup:
         per_doc = Counter(groups)
         top = max(per_doc.values())
         expected = sorted(g for g in per_doc if per_doc[g] == top)[0]
-        assert cluster_feature_group(cluster, Corpus(documents), FeatureSpec("domain")) == expected
+        assert domain_group(cluster, Corpus(documents)) == expected
 
 
 class TestRandomNegatives:
@@ -121,14 +126,14 @@ def positives_of(clustering, ids):
 class TestConditionedNegatives:
     def test_single_stratum_draws_from_it(self):
         corpus, clustering = build_world([("g1", 3)] * 10 + [("g2", 3)] * 10)
-        g1_ids = sorted(c.id for c in clustering if cluster_feature_group(c, corpus, FeatureSpec("domain")) == "g1")
+        g1_ids = sorted(c.id for c in clustering if domain_group(c, corpus) == "g1")
         positives = positives_of(clustering, g1_ids[:4])
         out, plan = conditioned_negatives(
             clustering, corpus, positives, [FeatureSpec("domain")], 5, 3
         )
         assert len(out) == 5
         for lc in out:
-            assert cluster_feature_group(lc.cluster, corpus, FeatureSpec("domain")) == "g1"
+            assert domain_group(lc.cluster, corpus) == "g1"
         assert plan.reallocated() == 0
 
     def test_single_stratum_matches_restricted_random(self):
@@ -146,7 +151,7 @@ class TestConditionedNegatives:
         corpus, clustering = build_world([("g1", 3)] * 6 + [("g2", 3)] * 6)
         ids_by_group = {"g1": [], "g2": []}
         for cluster in clustering:
-            ids_by_group[cluster_feature_group(cluster, corpus, FeatureSpec("domain"))].append(cluster.id)
+            ids_by_group[domain_group(cluster, corpus)].append(cluster.id)
         positives = positives_of(clustering, ids_by_group["g1"][:2] + ids_by_group["g2"][:2])
         out, plan = conditioned_negatives(
             clustering, corpus, positives, [FeatureSpec("domain")], 8, 5
@@ -159,14 +164,14 @@ class TestConditionedNegatives:
         corpus, clustering = build_world([("g1", 3)] * 4 + [("g2", 3)] * 8)
         ids_by_group = {"g1": [], "g2": []}
         for cluster in clustering:
-            ids_by_group[cluster_feature_group(cluster, corpus, FeatureSpec("domain"))].append(cluster.id)
+            ids_by_group[domain_group(cluster, corpus)].append(cluster.id)
         positives = positives_of(clustering, ids_by_group["g1"][:2])
         out, plan = conditioned_negatives(
             clustering, corpus, positives, [FeatureSpec("domain")], 4, 9
         )
         assert len(out) == 4
         assert plan.reallocated() == 2
-        groups = [cluster_feature_group(lc.cluster, corpus, FeatureSpec("domain")) for lc in out]
+        groups = [domain_group(lc.cluster, corpus) for lc in out]
         assert groups.count("g1") == 2 and groups.count("g2") == 2
 
     def test_total_pool_too_small(self):
@@ -214,6 +219,114 @@ class TestConditionedNegatives:
             conditioned_negatives(clustering, corpus, [], [FeatureSpec("domain")], 2, 1)
 
 
+def reference_group_counts(cluster, corpus, feature):
+    """The one-cluster count that ``bias.group_counts`` replaced, kept as
+    its reference."""
+    return Counter(feature.group_of(doc) for doc in corpus.members(cluster.members))
+
+
+def reference_majority_group(counts):
+    top = max(counts.values())
+    return min(g for g, c in counts.items() if c == top)
+
+
+def reference_column_sums(per_cluster, columns, col_labels):
+    """Per-cluster counts summed per column; a None column leaves its
+    cluster out, as the callers once did by passing a subset."""
+    index = {label: j for j, label in enumerate(col_labels)}
+    sums = {}
+    for counts, column in zip(per_cluster, columns, strict=True):
+        if column is None:
+            continue
+        for group, n in counts.items():
+            sums.setdefault(group, [0] * len(index))[index[column]] += n
+    return dict(sorted(sums.items()))
+
+
+def reference_stratum_key(cluster, corpus, features, size_buckets=DEFAULT_SIZE_BUCKETS):
+    groups = tuple(reference_majority_group(reference_group_counts(cluster, corpus, f)) for f in features)
+    return groups + (size_bucket(cluster.size(), size_buckets),)
+
+
+# Values that differ only in a trailing NUL must stay two groups.
+GROUP_VALUES = ["a", "a\x00", "b", "c"]
+COUNTED_FEATURES = [
+    FeatureSpec("domain"),
+    FeatureSpec("location"),
+    FeatureSpec("lang"),
+    FeatureSpec("domain", grouping={"a": "first", "a\x00": "first", "b": "second"}),
+]
+
+
+@st.composite
+def counted_worlds(draw):
+    """A corpus of documents with a domain, maybe a location and maybe a
+    "lang" extra, drawn from few values so that majorities tie; a
+    clustering of it; and some of its clusters, in any order, each with a
+    column or None."""
+    sizes = draw(st.lists(st.integers(1, 6), min_size=1, max_size=12))
+    values = st.sampled_from(GROUP_VALUES)
+    documents, member_sets = [], []
+    for ci, size in enumerate(sizes):
+        ids = [f"c{ci:02d}-d{di}" for di in range(size)]
+        member_sets.append(ids)
+        for doc_id in ids:
+            domain, locations = draw(values), tuple(draw(st.lists(values, max_size=2)))
+            extras = draw(st.dictionaries(st.just("lang"), values))
+            documents.append(Document(id=doc_id, source_domain=domain, text="t", locations=locations, extras=extras))
+    clustering = Clustering.from_member_sets(member_sets)
+    clusters = draw(st.permutations(clustering.clusters))[: draw(st.integers(0, len(sizes)))]
+    columns = draw(st.lists(st.sampled_from(["x", "y", "z", None]), min_size=len(clusters), max_size=len(clusters)))
+    return Corpus(documents), clusters, columns
+
+
+class TestGroupCountsAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(counted_worlds(), st.sampled_from(COUNTED_FEATURES))
+    def test_counts_majorities_and_sums_equal_the_reference(self, world, feature):
+        corpus, clusters, columns = world
+        per_cluster = [reference_group_counts(c, corpus, feature) for c in clusters]
+        groups, counts = group_counts(clusters, corpus, feature)
+        assert groups == sorted(set().union(*per_cluster))
+        assert counts.shape == (len(clusters), len(groups)) and counts.data.dtype == np.int64
+        for i, expected in enumerate(per_cluster):
+            row = slice(counts.indptr[i], counts.indptr[i + 1])
+            assert np.all(np.diff(counts.indices[row]) > 0)
+            assert {groups[j]: n for j, n in zip(counts.indices[row].tolist(), counts.data[row].tolist())} == expected
+        assert majority_groups(groups, counts) == [reference_majority_group(c) for c in per_cluster]
+        col_labels = ("x", "y", "z")
+        assert column_sums(groups, counts, columns, col_labels) == reference_column_sums(per_cluster, columns, col_labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(counted_worlds(), st.lists(st.sampled_from(COUNTED_FEATURES), max_size=3))
+    def test_stratum_keys_equal_the_reference(self, world, features):
+        corpus, clusters, _ = world
+        expected = [reference_stratum_key(c, corpus, features) for c in clusters]
+        assert stratum_keys(clusters, corpus, features) == expected
+
+    def test_trailing_nul_is_its_own_group(self):
+        documents = [Document(id=f"d{i}", source_domain=d, text="t") for i, d in enumerate(["a", "a\x00", "a\x00"])]
+        corpus = Corpus(documents)
+        clusters = [Cluster(id="d0", members=frozenset(["d0", "d1", "d2"])), Cluster(id="d1", members=frozenset(["d0"]))]
+        groups, counts = group_counts(clusters, corpus, FeatureSpec("domain"))
+        assert groups == ["a", "a\x00"]
+        assert majority_groups(groups, counts) == ["a\x00", "a"]
+        assert column_sums(groups, counts, ["x", "x"], ("x",)) == {"a": [2], "a\x00": [2]}
+
+    def test_empty_cluster_sequence(self):
+        corpus, clustering = build_world([("g1", 2)] * 4)
+        groups, counts = group_counts([], corpus, FeatureSpec("domain"))
+        assert groups == [] and counts.shape == (0, 0)
+        assert majority_groups(groups, counts) == []
+        assert column_sums(groups, counts, [], ("x", "y")) == {}
+        assert stratum_keys([], corpus, [FeatureSpec("domain")]) == []
+        # Every cluster that is not a positive is excluded: an empty pool.
+        ids = [c.id for c in clustering]
+        positives = positives_of(clustering, ids[:1])
+        out, plan = conditioned_negatives(clustering, corpus, positives, [FeatureSpec("domain")], 0, 1, exclude=ids[1:])
+        assert out == [] and plan.drawn_counts == {}
+
+
 def reference_conditioned_negatives(
     clustering, corpus, positives, features, n, seed, size_buckets=DEFAULT_SIZE_BUCKETS, exclude=()
 ):
@@ -221,11 +334,11 @@ def reference_conditioned_negatives(
     kept as its reference: it draws each round's quotas and re-quota's the
     deficit over the strata with supply left until ``n`` are drawn."""
     excluded = {lc.cluster.id for lc in positives} | set(exclude)
-    pos_strata = Counter(stratum_key(lc.cluster, corpus, features, size_buckets) for lc in positives)
+    pos_strata = Counter(reference_stratum_key(lc.cluster, corpus, features, size_buckets) for lc in positives)
     pools = defaultdict(list)
     for cluster in clustering:
         if cluster.id not in excluded:
-            pools[stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
+            pools[reference_stratum_key(cluster, corpus, features, size_buckets)].append(cluster.id)
     for pool in pools.values():
         pool.sort()
     plan = SamplingPlan(seed=seed)
@@ -331,7 +444,7 @@ class TestConditionedAgainstReference:
         assert len(drawn) == len(set(drawn)) == n
         assert barred.isdisjoint(drawn)
         assert all(lc.label == NEGATIVE and lc.source == SOURCE_SAMPLED for lc in out)
-        strata = Counter(stratum_key(lc.cluster, corpus, features) for lc in out)
+        strata = Counter(stratum_keys([lc.cluster for lc in out], corpus, features))
         assert dict(strata) == plan.drawn_counts
 
 
@@ -340,7 +453,7 @@ class TestVerifyAlignment:
         corpus, clustering = build_world([("g1", 4)] * 10 + [("g2", 4)] * 10)
         by_group = {"g1": [], "g2": []}
         for cluster in clustering:
-            by_group[cluster_feature_group(cluster, corpus, FeatureSpec("domain"))].append(cluster.id)
+            by_group[domain_group(cluster, corpus)].append(cluster.id)
         positives = positives_of(clustering, by_group["g1"][:3] + by_group["g2"][:3])
         negatives = [
             LabeledCluster(clustering.get(i), NEGATIVE, SOURCE_SAMPLED)
@@ -353,7 +466,7 @@ class TestVerifyAlignment:
         corpus, clustering = build_world([("g1", 8)] * 12 + [("g2", 8)] * 12)
         by_group = {"g1": [], "g2": []}
         for cluster in clustering:
-            by_group[cluster_feature_group(cluster, corpus, FeatureSpec("domain"))].append(cluster.id)
+            by_group[domain_group(cluster, corpus)].append(cluster.id)
         positives = positives_of(clustering, by_group["g1"][:8])
         negatives = [
             LabeledCluster(clustering.get(i), NEGATIVE, SOURCE_SAMPLED)
@@ -477,8 +590,8 @@ class TestLabelsIO:
 def test_stratum_key_shape():
     corpus, clustering = build_world([("g1", 6)])
     cluster = clustering.clusters[0]
-    key = stratum_key(cluster, corpus, [FeatureSpec("domain")], DEFAULT_SIZE_BUCKETS)
-    assert key == ("g1", "5-16")
+    keys = stratum_keys([cluster], corpus, [FeatureSpec("domain")], DEFAULT_SIZE_BUCKETS)
+    assert keys == [("g1", "5-16")]
 
 
 def test_conditioned_sampling_mitigates_partial_skew():
